@@ -23,7 +23,7 @@ import numpy as np
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import models, training, transplant
-from .decode import beam_decode, cascade
+from .decode import beam_decode, cascade, default_direction
 from .tensor import NumericsError
 from .training import DivergenceError, TrainSchedule
 
@@ -318,7 +318,7 @@ def cmd_eval(args, overrides) -> int:
         refs = [split.tgt_vocab.to_words(ex.e.ids) for ex in split.examples]
         task = "cascade"
     else:
-        direction = direction or training._PRIMARY_TASK[graph.topology]
+        direction = direction or default_direction(graph.topology)
         hyps = training.decode_corpus(graph, store, split, direction, beam, max_len, _float(cfg, "eval.len_norm"))
         vocab = split.src_vocab if direction == "asr" else split.tgt_vocab
         refs = [

@@ -5,24 +5,31 @@ label-smoothed cross entropy.
 All layers are pure functions over (inputs, parameters). Sequence inputs are
 batched as (B, T, D) with a float 0/1 ``mask`` of shape (B, T); padded steps
 are no-ops so a padded batch reproduces per-example results exactly.
+
+Two recurrences are fused ops with hand-derived backwards, one graph node per
+run: ``lstm_sequence`` (the encoder BLSTMs) and ``teacher_forced_decoder``
+(an attention decoder's whole teacher-forced loss). The per-step layers
+(``additive_attention``, ``lstm_step``, ``output_layer``,
+``label_smoothed_ce``) serve the greedy rollout and decoding, and in the
+tests they compose the step-by-step oracle of ``teacher_forced_decoder``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import tensor as tz
-from .tensor import ShapeError, Tensor, as_tensor
+from .tensor import NonFiniteError, ShapeError, Tensor, as_tensor
 
 __all__ = [
     "LstmParams",
     "AttentionParams",
     "EncoderStates",
     "AttentionState",
-    "DecoderState",
     "SmoothingClampWarning",
     "lstm_step",
     "lstm_sequence",
@@ -33,7 +40,9 @@ __all__ = [
     "precompute_attention_keys",
     "output_layer",
     "label_smoothed_ce",
+    "teacher_forced_decoder",
     "dropout",
+    "dropout_keep",
     "embed",
 ]
 
@@ -82,17 +91,6 @@ class AttentionState:
     weights: Tensor  # (B, T') rows sum to 1 over valid positions
     context: Tensor  # (B, D_mem)
     feedback: Tensor  # (B, T') accumulated weights including this step
-
-
-@dataclass
-class DecoderState:
-    """Per-layer (h, c) pairs; layer -1 is the topmost hidden state."""
-
-    layers: list[tuple[Tensor, Tensor]]
-
-    @property
-    def top(self) -> Tensor:
-        return self.layers[-1][0]
 
 
 def lstm_step(
@@ -307,14 +305,240 @@ def label_smoothed_ce(
     return tz.tsum(per_row)
 
 
+def teacher_forced_decoder(
+    memories: Sequence[tuple[EncoderStates, AttentionParams]],
+    emb: Tensor,
+    lstm: Sequence[LstmParams],
+    out_w: Tensor,
+    out_b: Tensor,
+    targets: np.ndarray,
+    step_mask: np.ndarray,
+    bos_id: int,
+    eps: float,
+    keep: np.ndarray | None = None,
+) -> tuple[Tensor, np.ndarray]:
+    """Summed label-smoothed CE of an attention decoder under teacher forcing.
+
+    ``targets`` and ``step_mask`` are (S, B). Step s embeds the previous
+    target (``bos_id`` at s = 0), attends from the top LSTM state over every
+    memory with its accumulated weights, predicts ``targets[s]`` through
+    ``output_layer``, then advances the LSTM stack on (target embedding,
+    contexts). Rows whose step mask is 0 keep their state and add nothing to
+    the loss. ``keep`` (S, B, H) multiplies the top state fed to the output
+    layer (inverted dropout). Returns (loss, (S, B) argmax predictions).
+
+    Fused op with a hand-derived backward: one graph node per decoder run,
+    whose parents are the parameters and each memory's states. The forward
+    repeats the numpy op order of ``additive_attention``, ``output_layer``,
+    ``label_smoothed_ce`` and ``lstm_step`` step by step (the oracle in
+    ``tests/test_models.py``), so loss and predictions are bit-identical to
+    that composition. Clamped zero probabilities warn and get zero gradient,
+    as in ``label_smoothed_ce``.
+    """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"label smoothing ratio must be in [0, 1), got {eps}")
+    targets = np.asarray(targets, dtype=np.int64)
+    mask = np.asarray(step_mask, dtype=np.float64)
+    S, B = targets.shape
+    table, wo, bo = emb.data, out_w.data, out_b.data
+    E, V = table.shape[1], wo.shape[1]
+    H, L = lstm[-1].hidden, len(lstm)
+    cells = [(p.w_ih.data, p.w_hh.data, p.b.data) for p in lstm]
+    parents = (
+        emb,
+        *(t for p in lstm for t in (p.w_ih, p.w_hh, p.b)),
+        *(t for _, a in memories for t in (a.w_query, a.w_keys, a.v, a.b, a.u)),
+        out_w,
+        out_b,
+        *(enc.states for enc, _ in memories),
+    )
+    for t in parents:  # tanh saturation and masking could hide a poisoned input
+        if not np.isfinite(t.data).all():
+            raise NonFiniteError(f"non-finite input to teacher_forced_decoder (shape={t.shape})")
+    if targets.size and (targets.min() < 0 or targets.max() >= table.shape[0]):
+        raise ShapeError(f"token id out of range for table of {table.shape[0]} rows")
+    if E + sum(enc.states.shape[-1] for enc, _ in memories) != cells[0][0].shape[0]:
+        raise ShapeError(f"teacher_forced_decoder: LSTM input dim {cells[0][0].shape[0]} != embedding + contexts")
+    mems = []
+    for enc, a in memories:
+        valid = np.asarray(enc.mask, dtype=np.float64) > 0
+        if not valid.any(axis=-1).all():
+            raise ShapeError("masked_softmax: some row has no valid positions")
+        M = enc.states.data
+        mems.append((M, valid, M @ a.w_keys.data, a.w_query.data, a.v.data, a.b.data, a.u.data))
+    prev_ids = np.concatenate([np.full((1, B), bos_id, dtype=np.int64), targets[:-1]])
+
+    record = tz.grad_enabled()
+    h = [np.zeros((B, H)) for _ in range(L)]
+    c = [np.zeros((B, H)) for _ in range(L)]
+    fb = [np.zeros(valid.shape) for _, valid, *_ in mems]
+    probs = np.empty((S, B, V))
+    total = 0.0
+    tops, joints, advance = [], [], []  # per step
+    # per memory, per step: tanh pre-activations, weights, feedback before the step
+    attn_pre, attn_w, attn_fb = ([[] for _ in mems] for _ in range(3))
+    for s in range(S):
+        top = h[-1]
+        ctxs = []
+        for k, (M, valid, keys, wq, v, ab, u) in enumerate(mems):
+            _, T, D = M.shape
+            pre = np.tanh(keys + (top @ wq).reshape(B, 1, -1) + fb[k].reshape(B, T, 1) * u + ab)
+            neg = np.where(valid, pre @ v, -np.inf)
+            ex = np.where(valid, np.exp(neg - neg.max(axis=-1, keepdims=True)), 0.0)
+            w = ex / ex.sum(axis=-1, keepdims=True)
+            ctxs.append((w.reshape(B, 1, T) @ M).reshape(B, D))
+            if record:
+                attn_pre[k].append(pre)
+                attn_w[k].append(w)
+                attn_fb[k].append(fb[k])
+            fb[k] = fb[k] + w
+        ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs, axis=-1)
+        joint = np.concatenate([table[prev_ids[s]], top if keep is None else top * keep[s], ctx], axis=-1)
+        logits = joint @ wo + bo
+        ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        p = probs[s] = ex / ex.sum(axis=-1, keepdims=True)
+        logp = np.log(np.maximum(p, tz._LOG_FLOOR))
+        picked = np.take_along_axis(logp, targets[s][:, None], axis=-1)[:, 0]
+        total += (((picked * (1.0 - eps) + logp.sum(axis=-1) * (eps / V)) * -1.0) * mask[s]).sum()
+        if record:
+            tops.append(top)
+            joints.append(joint)
+        if s == S - 1:
+            break  # the state after the last prediction feeds nothing
+        m = mask[s][:, None]
+        x = np.concatenate([table[targets[s]], ctx], axis=-1)
+        step_cache = []
+        for j, (w_ih, w_hh, b) in enumerate(cells):
+            z = x @ w_ih + h[j] @ w_hh + b
+            i = 1.0 / (1.0 + np.exp(-z[:, 0 * H : 1 * H]))
+            f = 1.0 / (1.0 + np.exp(-z[:, 1 * H : 2 * H]))
+            g = np.tanh(z[:, 2 * H : 3 * H])
+            o = 1.0 / (1.0 + np.exp(-z[:, 3 * H : 4 * H]))
+            c_new = f * c[j] + i * g
+            tc = np.tanh(c_new)
+            if record:
+                step_cache.append((x, h[j], c[j], i, f, g, o, tc))
+            h[j] = m * (o * tc) + (1.0 - m) * h[j]
+            c[j] = m * c_new + (1.0 - m) * c[j]
+            x = h[j]
+        advance.append(step_cache)
+
+    tiny = probs < tz._LOG_FLOOR
+    if tiny.any() and (eps > 0.0 or np.take_along_axis(tiny, targets[..., None], axis=-1).any()):
+        warnings.warn("clamped zero probability in smoothed cross entropy", SmoothingClampWarning)
+    pred = probs.argmax(axis=-1)
+
+    def backward(gout):
+        # Output softmax and smoothed CE, all steps at once: d loss / d logp
+        # is -g * mask * q with q the smoothed target; clamped entries pass
+        # nothing back, so p * d loss / d p is that term where p is active.
+        q = np.full((S, B, V), eps / V)
+        np.put_along_axis(q, targets[..., None], 1.0 - eps + eps / V, axis=-1)
+        pdp = np.where(tiny, 0.0, q * (-float(gout) * mask)[..., None])
+        dlogits = pdp - probs * pdp.sum(axis=-1, keepdims=True)
+        J = np.stack(joints)
+        d_out_w = J.reshape(S * B, -1).T @ dlogits.reshape(S * B, V)
+        d_out_b = dlogits.sum(axis=(0, 1))
+        djoint = dlogits @ wo.T
+        d_emb = np.zeros_like(table)
+        np.add.at(d_emb, prev_ids, djoint[..., :E])
+        dtops = djoint[..., E : E + H] if keep is None else djoint[..., E : E + H] * keep
+        dctxs = djoint[..., E + H :].copy()  # gains the LSTM input's share below
+
+        dh = [np.zeros((B, H)) for _ in range(L)]
+        dc = [np.zeros((B, H)) for _ in range(L)]
+        dz_steps = [[] for _ in range(L)]  # per layer, steps S-2 .. 0
+        d_cur = np.zeros((S, B, E))
+        dfb = [np.zeros(valid.shape) for _, valid, *_ in mems]
+        dkeys = [np.zeros_like(keys) for _, _, keys, *_ in mems]
+        dq_steps = [[] for _ in mems]
+        dv = [np.zeros(keys.shape[-1]) for _, _, keys, *_ in mems]
+        du = [np.zeros(keys.shape[-1]) for _, _, keys, *_ in mems]
+        for s in range(S - 1, -1, -1):
+            if s < S - 1:  # LSTM stack advance, top layer first
+                m = mask[s][:, None]
+                dx = None
+                for j in range(L - 1, -1, -1):
+                    x, h_prev, c_prev, i, f, g, o, tc = advance[s][j]
+                    dh_out = dh[j] if dx is None else dh[j] + dx
+                    dh_new = m * dh_out
+                    dc_total = m * dc[j] + dh_new * o * (1.0 - tc * tc)
+                    dz = np.concatenate(
+                        [
+                            dc_total * g * i * (1.0 - i),
+                            dc_total * c_prev * f * (1.0 - f),
+                            dc_total * i * (1.0 - g * g),
+                            dh_new * tc * o * (1.0 - o),
+                        ],
+                        axis=1,
+                    )
+                    dz_steps[j].append(dz)
+                    dc[j] = dc_total * f + (1.0 - m) * dc[j]
+                    dx = dz @ cells[j][0].T
+                    dh[j] = dz @ cells[j][1].T + (1.0 - m) * dh_out
+                d_cur[s] = dx[:, :E]
+                dctxs[s] += dx[:, E:]
+            dtop = dtops[s]
+            off = 0
+            for k, (M, valid, keys, wq, v, ab, u) in enumerate(mems):
+                pre, w = attn_pre[k][s], attn_w[k][s]
+                A, D = keys.shape[-1], M.shape[-1]
+                dw = (M @ dctxs[s, :, off : off + D, None])[..., 0] + dfb[k]
+                off += D
+                de = w * (dw - (w * dw).sum(axis=-1, keepdims=True))
+                dv[k] += de.reshape(-1) @ pre.reshape(-1, A)
+                da = de[..., None] * (1.0 - pre * pre) * v
+                dkeys[k] += da
+                dq = da.sum(axis=1)
+                dq_steps[k].append(dq)
+                dtop = dtop + dq @ wq.T
+                du[k] += attn_fb[k][s].reshape(-1) @ da.reshape(-1, A)
+                dfb[k] = dfb[k] + da @ u
+            dh[-1] = dh[-1] + dtop
+
+        np.add.at(d_emb, targets, d_cur)
+        grads = [d_emb]
+        for j in range(L):
+            if S == 1:  # no advance ran
+                grads += [np.zeros_like(t) for t in cells[j]]
+                continue
+            dz = np.stack(dz_steps[j][::-1]).reshape((S - 1) * B, 4 * H)
+            xs = np.stack([advance[s][j][0] for s in range(S - 1)]).reshape((S - 1) * B, -1)
+            hs = np.stack([advance[s][j][1] for s in range(S - 1)]).reshape((S - 1) * B, H)
+            grads += [xs.T @ dz, hs.T @ dz, dz.sum(axis=0)]
+        tops_all = np.stack(tops).reshape(S * B, H)
+        d_states = []
+        off = 0
+        for k, (M, valid, keys, wq, v, ab, u) in enumerate(mems):
+            _, T, D = M.shape
+            A = keys.shape[-1]
+            dq = np.stack(dq_steps[k][::-1]).reshape(S * B, A)
+            d_wk = M.reshape(B * T, D).T @ dkeys[k].reshape(B * T, A)
+            grads += [tops_all.T @ dq, d_wk, dv[k], dkeys[k].sum(axis=(0, 1)), du[k]]
+            # context = weights @ memory, summed over steps: (B, T, S) @ (B, S, D)
+            ws = np.stack(attn_w[k], axis=2)
+            d_ctx = np.swapaxes(dctxs[..., off : off + D], 0, 1)
+            off += D
+            d_states.append(ws @ d_ctx + dkeys[k] @ memories[k][1].w_keys.data.T)
+        return (*grads, d_out_w, d_out_b, *d_states)
+
+    return tz._node(total, parents, backward), pred
+
+
+def dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 with probability ``rate``, else 1/(1-rate)."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
+
+
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout during training; identity at inference."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return as_tensor(x)
-    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return x * keep
+    return x * dropout_keep(x.shape, rate, rng)
 
 
 def embed(token_id: np.ndarray | int, table: Tensor) -> Tensor:

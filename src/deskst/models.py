@@ -7,6 +7,12 @@ decoder_st., decoder_asr., ctc_head., adapter.) so that checkpoints
 transplant across topologies. Forward functions are pure in (graph, store,
 batch) and return a ``LossBreakdown`` whose ``combined`` field is the
 differentiable training objective.
+
+Each teacher-forced decoder run is one fused graph node,
+``layers.teacher_forced_decoder``; ``run_decoder_teacher_forced`` lays out
+its step targets, masks and dropout multipliers. ``_DecoderCore`` composes
+the per-step layers for the greedy rollout and for decoding, and the tests
+build the step-by-step teacher-forced oracle from it.
 """
 
 from __future__ import annotations
@@ -26,12 +32,14 @@ from .layers import (
     additive_attention,
     blstm,
     dropout,
+    dropout_keep,
     embed,
-    label_smoothed_ce,
+    label_smoothed_ce,  # noqa: F401  (a models binding that perfbench tracing wraps)
     lstm_step,
     max_pool_time,
     output_layer,
     precompute_attention_keys,
+    teacher_forced_decoder,
 )
 from .numerics import ParamStore, rng_for
 from .tensor import NumericsError, Tensor
@@ -453,7 +461,7 @@ class DecoderRun:
 
 
 class _DecoderCore:
-    """Shared step logic for teacher-forced training and greedy rollout."""
+    """Step logic of the greedy rollout and of decoding, one position at a time."""
 
     def __init__(self, graph, store, prefix, memories: list[tuple[str, EncoderStates]], vocab_total: int):
         self.graph = graph
@@ -515,33 +523,36 @@ def run_decoder_teacher_forced(
     """Sum of label-smoothed step losses under teacher forcing.
 
     Step s predicts target token s (or EOS at each sequence's end); padded
-    steps contribute nothing to the loss or the accuracy counts.
+    steps contribute nothing to the loss or the accuracy counts. The whole
+    run is one ``teacher_forced_decoder`` node. Its dropout masks for all S
+    steps come from one draw on the decoder's stream, which yields the same
+    values and leaves the stream where S per-step draws would.
     """
-    B, I = targets.shape
-    S = I + 1
+    B = targets.shape[0]
     lengths = target_mask.sum(axis=1).astype(np.int64)
-    core = _DecoderCore(graph, store, prefix, memories, vocab.size)
-    layers, feedback = core.initial_state(B)
-    prev_ids = np.full(B, vocab.bos_id, dtype=np.int64)
-    eps = graph.config.label_smoothing
-    total = None
-    hits = 0
-    steps = 0
-    for s in range(S):
-        step_mask = (s <= lengths).astype(np.float64)  # steps 0..L predict L tokens plus EOS
-        if step_mask.sum() == 0:
-            break
-        col = targets[:, s] if s < I else np.full(B, vocab.eos_id, dtype=np.int64)
-        target_ids = np.where(s < lengths, col, vocab.eos_id).astype(np.int64)
-        probs, ctx, feedback = core.step(prev_ids, layers, feedback, training, rngs)
-        step_loss = label_smoothed_ce(probs, target_ids, eps, step_mask)
-        total = step_loss if total is None else total + step_loss
-        pred = probs.data.argmax(axis=-1)
-        hits += int(((pred == target_ids) & (step_mask > 0)).sum())
-        steps += int(step_mask.sum())
-        layers = core.advance(target_ids, ctx, layers, step_mask)
-        prev_ids = target_ids
-    return DecoderRun(loss=total, hits=hits, steps=steps)
+    S = int(lengths.max()) + 1  # steps 0..L predict L tokens plus EOS
+    steps = np.arange(S)[:, None]
+    step_mask = (steps <= lengths).astype(np.float64)  # (S, B)
+    cols = np.concatenate([targets, np.full((B, 1), vocab.eos_id, dtype=np.int64)], axis=1)[:, :S].T
+    target_ids = np.where(steps < lengths, cols, vocab.eos_id).astype(np.int64)
+    cfg = graph.config
+    keep = None
+    if rngs is not None and training and cfg.dropout != 0.0:
+        keep = dropout_keep((S, B, cfg.dec_hidden), cfg.dropout, rngs[prefix])
+    loss, pred = teacher_forced_decoder(
+        [(mem, _attn_params(store, f"{prefix}.{name}")) for name, mem in memories],
+        store[f"{prefix}.emb"],
+        [_lstm_params(store, f"{prefix}.lstm.l{j}") for j in range(cfg.dec_layers)],
+        store[f"{prefix}.out.w"],
+        store[f"{prefix}.out.b"],
+        target_ids,
+        step_mask,
+        vocab.bos_id,
+        cfg.label_smoothing,
+        keep,
+    )
+    hits = int(((pred == target_ids) & (step_mask > 0)).sum())
+    return DecoderRun(loss=loss, hits=hits, steps=int(step_mask.sum()))
 
 
 def run_decoder_greedy_rollout(

@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import models, transplant
 from .data import Dataset, batch as make_batches
-from .decode import beam_decode, greedy_decode_batch
+from .decode import beam_decode, default_direction, greedy_decode_batch
 from .models import LossBreakdown, ModelGraph
 from .numerics import LrSchedule, OptimizerState, ParamStore, adam_step, backward, plateau_update, rng_for
 from .tensor import NonFiniteError, no_grad
@@ -45,17 +45,6 @@ class TrainSchedule:
     dev_beam: int = 1  # 1 -> greedy dev decoding (fast); >1 -> beam
     len_norm: float = 0.6
     keep: str = "best"  # "best" prunes superseded checkpoint files, "all" keeps
-
-
-_PRIMARY_TASK = {
-    "direct": "st",
-    "one2many": "st",
-    "many2one": "st",
-    "tied_cascade": "st",
-    "tied_triangle": "st",
-    "asr": "asr",
-    "mt": "mt",
-}
 
 
 @dataclass
@@ -123,7 +112,7 @@ def evaluate_model(
     with_wer: bool | None = None,
 ) -> dict:
     """Teacher-forced accuracy/loss plus decode metrics on the dev set."""
-    task = _PRIMARY_TASK[graph.topology]
+    task = default_direction(graph.topology)
     cfg = graph.config
     dev_batches, _ = make_batches(
         dev, 32, max_len=schedule.max_len, pool_product=cfg.pool_product, ctc_filter=cfg.ctc_enabled

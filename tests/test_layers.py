@@ -16,9 +16,10 @@ from deskst.layers import (
     lstm_step,
     max_pool_time,
     output_layer,
+    teacher_forced_decoder,
 )
-from deskst.numerics import ParamStore
-from deskst.tensor import ShapeError, Tensor
+from deskst.numerics import ParamStore, backward
+from deskst.tensor import NonFiniteError, ShapeError, Tensor
 
 from util import check_grads, store_with
 
@@ -379,6 +380,92 @@ def test_label_smoothed_ce_clamps_zero_probability():
 def test_label_smoothing_invalid_ratio():
     with pytest.raises(ValueError):
         label_smoothed_ce(Tensor(np.full(4, 0.25)), 0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# fused teacher-forced decoder (the step-by-step oracle is in test_models.py)
+# ---------------------------------------------------------------------------
+
+# Two memories with padded positions; (S, B) targets with padded steps, and
+# one masked step inside a sequence, whose frozen state later steps read.
+DEC_MASKS = (np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]]), np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
+DEC_TARGETS = np.array([[1, 2], [3, 4], [2, 1], [4, 1]])
+DEC_STEP_MASK = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+
+
+def decoder_store(seed, layers=2, E=3, H=4, A=3, V=5, mem_dims=(3, 2)):
+    rng = np.random.default_rng(seed)
+    arrays = {
+        "emb": rng.normal(size=(V, E)) * 0.5,
+        "out_w": rng.normal(size=(E + H + sum(mem_dims), V)) * 0.5,
+        "out_b": rng.normal(size=V) * 0.1,
+    }
+    for j in range(layers):
+        d_in = E + sum(mem_dims) if j == 0 else H
+        arrays[f"l{j}.w_ih"] = rng.normal(size=(d_in, 4 * H)) * 0.4
+        arrays[f"l{j}.w_hh"] = rng.normal(size=(H, 4 * H)) * 0.4
+        arrays[f"l{j}.b"] = rng.normal(size=4 * H) * 0.1
+    for k, (mask, d) in enumerate(zip(DEC_MASKS, mem_dims)):
+        arrays[f"m{k}.states"] = rng.normal(size=(*mask.shape, d))
+        arrays[f"a{k}.w_query"] = rng.normal(size=(H, A)) * 0.5
+        arrays[f"a{k}.w_keys"] = rng.normal(size=(d, A)) * 0.5
+        arrays[f"a{k}.v"] = rng.normal(size=A)
+        arrays[f"a{k}.b"] = rng.normal(size=A) * 0.1
+        arrays[f"a{k}.u"] = rng.normal(size=A) * 0.5
+    return store_with(**arrays)
+
+
+def run_decoder(store, eps=0.1, layers=2):
+    memories = [
+        (
+            EncoderStates(store[f"m{k}.states"], mask, mask.sum(1)),
+            AttentionParams(*(store[f"a{k}.{n}"] for n in ("w_query", "w_keys", "v", "b", "u"))),
+        )
+        for k, mask in enumerate(DEC_MASKS)
+    ]
+    cells = [lstm_params_from(store, f"l{j}") for j in range(layers)]
+    return teacher_forced_decoder(
+        memories, store["emb"], cells, store["out_w"], store["out_b"], DEC_TARGETS, DEC_STEP_MASK, 0, eps
+    )
+
+
+def test_teacher_forced_decoder_gradients():
+    store = decoder_store(0)
+    check_grads(lambda: run_decoder(store)[0], store)
+
+
+def test_teacher_forced_decoder_clamp_warns_and_passes_no_gradient():
+    store = decoder_store(1)
+    out_b = store["out_b"].data.copy()
+    out_b[3] = -2000.0  # exp underflows: probability exactly 0 for id 3
+    store.set("out_b", out_b)
+    with pytest.warns(SmoothingClampWarning):
+        loss, _ = run_decoder(store)
+    assert np.isfinite(loss.item())
+    grads = backward(loss, store)
+    assert all(np.isfinite(g).all() for g in grads.values())
+    assert grads["out_b"][3] == 0.0 and not grads["out_w"][:, 3].any()
+    assert np.abs(grads["out_b"]).max() > 0.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["a0.w_keys", "l1.w_hh", "emb", "out_b", "m1.states"])
+def test_teacher_forced_decoder_rejects_poisoned_input(name, bad):
+    store = decoder_store(2)
+    store[name].data.flat[0] = bad
+    with pytest.raises(NonFiniteError):
+        run_decoder(store)
+
+
+def test_teacher_forced_decoder_no_grad_is_parentless_with_same_value():
+    store = decoder_store(3)
+    loss, pred = run_decoder(store)
+    assert loss.parents
+    with tz.no_grad():
+        plain, plain_pred = run_decoder(store)
+    assert plain.parents == () and plain.backward is None
+    assert plain.item() == loss.item()
+    assert np.array_equal(plain_pred, pred)
 
 
 def test_dropout_identity_cases():

@@ -3,7 +3,8 @@ import pytest
 
 from deskst import data, models
 from deskst.data import Vocabulary
-from deskst.models import LossBreakdown, ModelConfig, build, forward, init_store
+from deskst.layers import label_smoothed_ce
+from deskst.models import ADAPTER_POSITIONS, LossBreakdown, ModelConfig, build, forward, init_store
 from deskst.numerics import OptimizerState, adam_step, backward
 from deskst.tensor import NumericsError
 
@@ -262,6 +263,83 @@ def test_direct_gradcheck_with_ctc():
     store = init_store(graph, 8)
     batch = first_batch(ds, size=2, ctc=True)
     check_grads(lambda: forward(graph, store, batch).combined, store)
+
+
+# ---------------------------------------------------------------------------
+# fused teacher-forced decoder against the step-by-step oracle
+# ---------------------------------------------------------------------------
+
+
+def stepwise_teacher_forced(graph, store, prefix, memories, targets, target_mask, vocab, training=False, rngs=None):
+    """The teacher-forced loop one position at a time, built from the
+    per-step layers: the oracle of ``layers.teacher_forced_decoder``."""
+    B, I = targets.shape
+    lengths = target_mask.sum(axis=1).astype(np.int64)
+    core = models._DecoderCore(graph, store, prefix, memories, vocab.size)
+    layers_state, feedback = core.initial_state(B)
+    prev_ids = np.full(B, vocab.bos_id, dtype=np.int64)
+    total, hits, steps = None, 0, 0
+    for s in range(I + 1):
+        step_mask = (s <= lengths).astype(np.float64)
+        if step_mask.sum() == 0:
+            break
+        col = targets[:, s] if s < I else np.full(B, vocab.eos_id, dtype=np.int64)
+        target_ids = np.where(s < lengths, col, vocab.eos_id).astype(np.int64)
+        probs, ctx, feedback = core.step(prev_ids, layers_state, feedback, training, rngs)
+        step_loss = label_smoothed_ce(probs, target_ids, graph.config.label_smoothing, step_mask)
+        total = step_loss if total is None else total + step_loss
+        hits += int(((probs.data.argmax(axis=-1) == target_ids) & (step_mask > 0)).sum())
+        steps += int(step_mask.sum())
+        layers_state = core.advance(target_ids, ctx, layers_state, step_mask)
+        prev_ids = target_ids
+    return models.DecoderRun(loss=total, hits=hits, steps=steps)
+
+
+ORACLE_CASES = [
+    ("direct", None),
+    ("asr", None),
+    ("mt", None),
+    ("one2many", None),
+    ("many2one", "speech"),
+    ("many2one", "text"),
+    ("tied_cascade", None),
+    ("tied_triangle", None),
+]
+
+
+@pytest.mark.parametrize("topology,mode", ORACLE_CASES)
+def test_fused_decoder_matches_stepwise_oracle(topology, mode, monkeypatch):
+    ds = tiny_dataset(n=8)
+    batch = first_batch(ds, size=4, ctc=True)
+    assert len(set(batch.tgt_lengths())) > 1 and len(set(batch.src_lengths())) > 1  # padded targets
+    rng = np.random.default_rng(17)
+    for ctc in (False,) if topology == "mt" else (False, True):
+        for adapter in (None, ADAPTER_POSITIONS[topology]) if topology in ADAPTER_POSITIONS else (None,):
+            for dec_layers in (1, 2):
+                case = (ctc, adapter, dec_layers)
+                graph = build(tiny_config(ds, ctc_enabled=ctc, dec_layers=dec_layers, dropout=0.2), topology,
+                              adapter_position=adapter)
+                store = init_store(graph, 21)
+                for name in graph.zero_init:  # non-zero biases and feedback weights u
+                    store.set(name, rng.normal(size=graph.shapes[name]) * 0.3)
+
+                def run():
+                    parts = forward(graph, store, batch, mode=mode, training=True, rngs=models.dropout_streams(5))
+                    return parts, backward(parts.combined, store)
+
+                fused, g_fused = run()
+                with monkeypatch.context() as patch:
+                    patch.setattr(models, "run_decoder_teacher_forced", stepwise_teacher_forced)
+                    oracle, g_oracle = run()
+                assert fused.floats() == oracle.floats(), case
+                assert fused.token_hits == oracle.token_hits, case
+                # Relative to the component's largest gradient entry: a bias
+                # gradient can be a near-cancelling sum, orders below its terms.
+                for prefix, names in graph.component_prefixes().items():
+                    scale = max(np.abs(g_oracle[n]).max() for n in names)
+                    for name in names:
+                        err = np.abs(g_fused[name] - g_oracle[name]).max()
+                        assert err <= 1e-12 * scale, (case, name, err, scale)
 
 
 # ---------------------------------------------------------------------------
