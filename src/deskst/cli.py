@@ -23,7 +23,7 @@ import numpy as np
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import models, training, transplant
-from .decode import beam_decode, cascade, default_direction
+from .decode import DirectionError, cascade_batch, default_direction
 from .tensor import NumericsError
 from .training import DivergenceError, TrainSchedule
 
@@ -192,6 +192,8 @@ def build_model_config(cfg: dict[str, str], ds: data_mod.Dataset) -> models.Mode
 
 
 def build_schedule(cfg: dict[str, str]) -> TrainSchedule:
+    if _int(cfg, "train.dev_beam") < 1:
+        raise ConfigError(f"train.dev_beam must be >= 1, got {cfg['train.dev_beam']!r}")
     growth = []
     if cfg["train.growth"]:
         for part in cfg["train.growth"].split(","):
@@ -304,6 +306,9 @@ def cmd_eval(args, overrides) -> int:
             f"vs dataset ({split.src_vocab.size}/{split.tgt_vocab.size})"
         )
     beam = _int(cfg, "eval.beam")
+    if beam < 1:
+        raise ConfigError(f"eval.beam must be >= 1, got {beam}")
+    len_norm = _float(cfg, "eval.len_norm")
     max_len = _int(cfg, "eval.max_len") or 2 * _int(cfg, "data.len_max") + 2
     direction = cfg["eval.direction"] or None
     case = _flag(cfg, "eval.case_sensitive")
@@ -311,15 +316,16 @@ def cmd_eval(args, overrides) -> int:
     if args.mt_checkpoint:  # cascade: this checkpoint is ASR, the flag is MT
         mt_ckpt = transplant.load(args.mt_checkpoint)
         mt_graph, mt_store = mt_ckpt.graph, mt_ckpt.to_store()
-        hyps = []
-        for ex in split.examples:
-            res = cascade(graph, store, mt_graph, mt_store, ex.x.frames, beam=beam, max_len=max_len)
-            hyps.append(split.tgt_vocab.to_words(res.translation.content(split.tgt_vocab)))
+        hyps = [
+            split.tgt_vocab.to_words(res.translation.content(split.tgt_vocab))
+            for b in training.decode_batches(split)
+            for res in cascade_batch(graph, store, mt_graph, mt_store, b, beam, max_len, len_norm)
+        ]
         refs = [split.tgt_vocab.to_words(ex.e.ids) for ex in split.examples]
         task = "cascade"
     else:
         direction = direction or default_direction(graph.topology)
-        hyps = training.decode_corpus(graph, store, split, direction, beam, max_len, _float(cfg, "eval.len_norm"))
+        hyps = training.decode_corpus(graph, store, split, direction, beam, max_len, len_norm)
         vocab = split.src_vocab if direction == "asr" else split.tgt_vocab
         refs = [
             vocab.to_words(ex.f.ids if direction == "asr" else ex.e.ids) for ex in split.examples
@@ -451,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "transplant":
             return cmd_transplant(args, overrides)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, transplant.TransplantError, data_mod.DataError) as exc:
+    except (ConfigError, transplant.TransplantError, data_mod.DataError, DirectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

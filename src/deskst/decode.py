@@ -1,7 +1,13 @@
-"""Greedy and beam search over trained graphs, plus the ASR->MT cascade.
+"""Beam search over trained graphs, plus the ASR->MT cascade.
 
-Decoding runs without gradient recording. Ties are broken toward the lowest
-token id so zero-parameter models decode deterministically.
+``beam_search`` decodes a padded batch of B utterances with K lanes each;
+greedy is K=1. Memories are encoded once and tiled to B*K rows, utterance b
+on rows b*K ... b*K+K-1; lane slots beyond an utterance's active count are
+frozen by the step mask and never scored. Each step keeps an utterance's top
+K (lane, token) candidates under the key (-score, the lane's lexicographic
+rank among its utterance's lanes, token id), i.e. equal scores are ordered by
+token sequence: the lowest id wins ties, so beam=1 reproduces greedy and
+zero-parameter models decode deterministically. No gradients are recorded.
 """
 
 from __future__ import annotations
@@ -20,14 +26,21 @@ from .tensor import NumericsError, Tensor, no_grad
 __all__ = [
     "Hypothesis",
     "CascadeResult",
+    "DirectionError",
+    "beam_search",
     "greedy_decode",
     "greedy_decode_batch",
     "beam_decode",
     "cascade",
+    "cascade_batch",
     "default_direction",
 ]
 
 _LOGP_FLOOR = 1e-300
+
+
+class DirectionError(NumericsError):
+    """The graph's topology cannot decode the requested direction."""
 
 
 @dataclass
@@ -59,36 +72,24 @@ def default_direction(topology: str) -> str:
     return "st"
 
 
-def _speech_batch(x: np.ndarray) -> Batch:
-    x = np.asarray(x, dtype=np.float64)
-    return Batch(
-        ids=[0],
-        frames=x[None],
-        frame_mask=np.ones((1, x.shape[0])),
-        src=np.zeros((1, 1), dtype=np.int64),
-        src_mask=np.zeros((1, 1)),
-        tgt=np.zeros((1, 1), dtype=np.int64),
-        tgt_mask=np.zeros((1, 1)),
-    )
-
-
-def _text_batch(graph: ModelGraph, ids: np.ndarray) -> Batch:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size == 0:
-        raise NumericsError("cannot encode an empty source sequence")
-    return Batch(
-        ids=[0],
-        frames=np.zeros((1, 1, graph.config.feature_dim)),
-        frame_mask=np.zeros((1, 1)),
-        src=ids[None],
-        src_mask=np.ones((1, len(ids))),
-        tgt=np.zeros((1, 1), dtype=np.int64),
-        tgt_mask=np.zeros((1, 1)),
-    )
-
-
-def _input_batch(graph: ModelGraph, x: np.ndarray, direction: str) -> Batch:
-    return _text_batch(graph, x) if direction == "mt" else _speech_batch(x)
+def _input_batch(graph: ModelGraph, xs: list, direction: str) -> Batch:
+    """Unpadded inputs, frame arrays or (for 'mt') source id sequences, as
+    one padded batch."""
+    text = direction == "mt"
+    xs = [np.asarray(x, dtype=np.int64 if text else np.float64) for x in xs]
+    if text and any(x.ndim != 1 or x.size == 0 for x in xs):
+        raise NumericsError("text input must be non-empty 1-D id sequences")
+    B = len(xs)
+    fill = models._vocabs(graph)[0].pad_id if text else 0
+    padded = np.full((B, max(len(x) for x in xs), *xs[0].shape[1:]), fill, dtype=xs[0].dtype)
+    mask = np.zeros(padded.shape[:2])
+    for i, x in enumerate(xs):
+        padded[i, : len(x)] = x
+        mask[i, : len(x)] = 1.0
+    no_ids, no_mask = np.zeros((B, 1), dtype=np.int64), np.zeros((B, 1))
+    if text:
+        return Batch(list(range(B)), np.zeros((B, 1, graph.config.feature_dim)), no_mask, padded, mask, no_ids, no_mask)
+    return Batch(list(range(B)), padded, mask, no_ids, no_mask, no_ids, no_mask)
 
 
 def prepare_memories(
@@ -119,20 +120,105 @@ def prepare_memories(
                 dec_mem = apply_adapter(graph, store, dec_mem)
             mems = [("attn", enc), ("attn_dec", dec_mem)] if topo == "tied_triangle" else [("attn_dec", dec_mem)]
             return mems, "decoder_st", tgt_vocab
-        raise NumericsError(f"topology {topo!r} does not decode direction 'st'")
+        raise DirectionError(f"topology {topo!r} does not decode direction 'st'")
     if direction == "asr":
         if topo not in ("asr", "one2many", "tied_cascade", "tied_triangle"):
-            raise NumericsError(f"topology {topo!r} does not decode direction 'asr'")
+            raise DirectionError(f"topology {topo!r} does not decode direction 'asr'")
         enc = models.run_speech_encoder(graph, store, batch)
         if graph.adapter_position == "encoder_top":
             enc = apply_adapter(graph, store, enc)
         return [("attn", enc)], "decoder_asr", src_vocab
     if direction == "mt":
         if topo not in ("mt", "many2one"):
-            raise NumericsError(f"topology {topo!r} does not decode direction 'mt'")
+            raise DirectionError(f"topology {topo!r} does not decode direction 'mt'")
         enc = models.run_text_encoder(graph, store, batch.src, batch.src_mask)
         return [("attn", enc)], "decoder_st", tgt_vocab
-    raise NumericsError(f"unknown decode direction {direction!r}")
+    raise DirectionError(f"unknown decode direction {direction!r}")
+
+
+def beam_search(
+    graph: ModelGraph,
+    store: ParamStore,
+    batch: Batch,
+    beam: int,
+    max_len: int,
+    len_norm: float = 0.6,
+    direction: str | None = None,
+) -> list[Hypothesis]:
+    """Each utterance's best finished hypothesis under the length-normalized
+    score score / len(tokens)^len_norm.
+
+    Finished hypotheses leave the beam; if none of an utterance's
+    hypotheses finishes within max_len, its best unfinished one is returned
+    with finished=False.
+    """
+    if beam < 1:
+        raise NumericsError("beam must be >= 1")
+    direction = direction or default_direction(graph.topology)
+    B, K = batch.size, beam
+    with no_grad():
+        memories, prefix, vocab = prepare_memories(graph, store, batch, direction)
+        if K > 1:
+            memories = [
+                (name, EncoderStates(Tensor(np.repeat(m.states.data, K, axis=0)), np.repeat(m.mask, K, axis=0),
+                                     np.repeat(m.input_lengths, K, axis=0)))
+                for name, m in memories
+            ]
+        core = _DecoderCore(graph, store, prefix, memories, vocab.size)
+        V = vocab.size
+        layers, feedback = core.initial_state(B * K)
+        prev = np.full(B * K, vocab.bos_id, dtype=np.int64)
+        rows = np.arange(B)[:, None]
+        slots = np.arange(K)
+        scores = np.zeros((B, K))
+        history = np.zeros((B, K, 0), dtype=np.int64)  # each lane's tokens
+        order = np.broadcast_to(slots, (B, K))  # lanes by lexicographic rank, dummies last
+        n_active = np.ones(B, dtype=np.int64)
+        found: list[list[Hypothesis]] = [[] for _ in range(B)]
+        for _ in range(max_len):
+            if not n_active.any():
+                break
+            probs, ctx, feedback = core.step(prev, layers, feedback, False, None)
+            cand = scores[:, :, None] + np.log(np.maximum(probs.data, _LOGP_FLOOR)).reshape(B, K, V)
+            if K > 1:
+                cand = cand[rows, order]
+            # Flat index rank*V + token id: its order is the lexicographic
+            # order of the candidates' token sequences.
+            ranked = np.where(slots[:, None] < n_active[:, None, None], cand, -np.inf).reshape(B, K * V)
+            top = np.argsort(-ranked, axis=1, kind="stable")[:, :K]
+            top_scores = ranked[rows, top]
+            tokens = top % V
+            lanes = order[rows, top // V]
+            valid = top_scores > -np.inf
+            ends = valid & (tokens == vocab.eos_id)
+            for b, k in zip(*np.nonzero(ends)):
+                toks = history[b, lanes[b, k]].tolist() + [vocab.eos_id]
+                found[b].append(Hypothesis(tokens=toks, score=float(top_scores[b, k]), finished=True))
+            live = valid & ~ends
+            keep = np.argsort(~live, axis=1, kind="stable")  # survivors first, best first
+            n_active = live.sum(axis=1)
+            alive = slots < n_active[:, None]
+            scores = top_scores[rows, keep]
+            step_tokens = np.where(alive, tokens[rows, keep], vocab.pad_id)
+            if K > 1:
+                parents = np.where(alive, lanes[rows, keep], 0)
+                history = history[rows, parents]
+                order = np.argsort(np.where(alive, top[rows, keep], K * V), axis=1, kind="stable")
+                idx = (rows * K + parents).ravel()
+                layers = [(Tensor(h.data[idx]), Tensor(c.data[idx])) for h, c in layers]
+                feedback = [Tensor(fb.data[idx]) for fb in feedback]
+                ctx = Tensor(ctx.data[idx])
+            history = np.concatenate([history, step_tokens[:, :, None]], axis=2)
+            prev = step_tokens.ravel()
+            layers = core.advance(prev, ctx, layers, alive.ravel().astype(np.float64))
+        for b in range(B):  # ran out of steps with alive lanes
+            for k in range(n_active[b]):
+                found[b].append(Hypothesis(tokens=history[b, k].tolist(), score=float(scores[b, k]), finished=False))
+    best = []
+    for hyps in found:
+        pool = [h for h in hyps if h.finished] or hyps
+        best.append(min(pool, key=lambda h: (-h.normalized(len_norm), tuple(h.tokens))))
+    return best
 
 
 def greedy_decode_batch(
@@ -142,50 +228,14 @@ def greedy_decode_batch(
     max_len: int,
     direction: str | None = None,
 ) -> list[Hypothesis]:
-    """Argmax decoding over a whole padded batch at once."""
-    direction = direction or default_direction(graph.topology)
-    with no_grad():
-        memories, prefix, vocab = prepare_memories(graph, store, batch, direction)
-        core = _DecoderCore(graph, store, prefix, memories, vocab.size)
-        B = batch.size
-        layers, feedback = core.initial_state(B)
-        prev = np.full(B, vocab.bos_id, dtype=np.int64)
-        alive = np.ones(B, dtype=bool)
-        tokens: list[list[int]] = [[] for _ in range(B)]
-        scores = np.zeros(B)
-        for _ in range(max_len):
-            if not alive.any():
-                break
-            probs, ctx, feedback = core.step(prev, layers, feedback, False, None)
-            chosen = probs.data.argmax(axis=-1)  # first max -> lowest id on ties
-            logp = np.log(np.maximum(probs.data[np.arange(B), chosen], _LOGP_FLOOR))
-            for b in range(B):
-                if alive[b]:
-                    tokens[b].append(int(chosen[b]))
-                    scores[b] += logp[b]
-            layers = core.advance(chosen, ctx, layers, alive.astype(np.float64))
-            alive = alive & (chosen != vocab.eos_id)
-            prev = chosen
-    return [
-        Hypothesis(
-            tokens=tokens[b],
-            score=float(scores[b]),
-            finished=bool(tokens[b] and tokens[b][-1] == vocab.eos_id),
-        )
-        for b in range(B)
-    ]
+    """Argmax decoding over a whole padded batch: a one-lane beam search."""
+    return beam_search(graph, store, batch, 1, max_len, direction=direction)
 
 
 def greedy_decode(graph, store, x: np.ndarray, max_len: int, direction: str | None = None) -> Hypothesis:
     """Argmax token per step until EOS or max_len."""
     direction = direction or default_direction(graph.topology)
-    return greedy_decode_batch(graph, store, _input_batch(graph, x, direction), max_len, direction)[0]
-
-
-def _gather_state(layers, feedback, parents: np.ndarray):
-    new_layers = [(Tensor(h.data[parents]), Tensor(c.data[parents])) for h, c in layers]
-    new_feedback = [Tensor(fb.data[parents]) for fb in feedback]
-    return new_layers, new_feedback
+    return greedy_decode_batch(graph, store, _input_batch(graph, [x], direction), max_len, direction)[0]
 
 
 def beam_decode(
@@ -197,83 +247,44 @@ def beam_decode(
     len_norm: float = 0.6,
     direction: str | None = None,
 ) -> Hypothesis:
-    """Beam search returning the best finished hypothesis under the
-    length-normalized score score / len(tokens)^len_norm.
-
-    Candidates with equal scores are ordered by their token sequence, so
-    lower ids win ties and beam=1 reproduces greedy_decode token for token.
-    Finished hypotheses leave the beam; if nothing finishes within max_len,
-    the best unfinished hypothesis is returned with finished=False.
-    """
-    if beam < 1:
-        raise NumericsError("beam must be >= 1")
+    """Beam search of one utterance; see ``beam_search``."""
     direction = direction or default_direction(graph.topology)
-    batch = _input_batch(graph, x, direction)
-    with no_grad():
-        base_memories, prefix, vocab = prepare_memories(graph, store, batch, direction)
-        memories = _tile_memories(base_memories, beam)
-        core = _DecoderCore(graph, store, prefix, memories, vocab.size)
-        layers, feedback = core.initial_state(beam)
-        prev = np.full(beam, vocab.bos_id, dtype=np.int64)
-        scores = np.zeros(beam)
-        tokens: list[tuple[int, ...]] = [() for _ in range(beam)]
-        n_active = 1  # lane slots beyond n_active are dummies
-        finished: list[Hypothesis] = []
-        for _ in range(max_len):
-            if n_active == 0:
-                break
-            probs, ctx, new_feedback = core.step(prev, layers, feedback, False, None)
-            logp = np.log(np.maximum(probs.data, _LOGP_FLOOR))
-            candidates = []
-            for li in range(n_active):
-                for v in range(vocab.size):
-                    candidates.append((scores[li] + logp[li, v], tokens[li] + (v,), li, v))
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            survivors = []
-            for score, toks, li, v in candidates[:beam]:
-                if v == vocab.eos_id:
-                    finished.append(Hypothesis(tokens=list(toks), score=float(score), finished=True))
-                else:
-                    survivors.append((score, toks, li, v))
-            if not survivors:
-                n_active = 0
-                break
-            parents = np.zeros(beam, dtype=np.int64)
-            step_tokens = np.full(beam, vocab.pad_id, dtype=np.int64)
-            for slot, (score, toks, li, v) in enumerate(survivors):
-                parents[slot] = li
-                step_tokens[slot] = v
-                scores[slot] = score
-                tokens[slot] = toks
-            layers, feedback = _gather_state(layers, new_feedback, parents)
-            ctx = Tensor(ctx.data[parents])
-            step_mask = (np.arange(beam) < len(survivors)).astype(np.float64)
-            layers = core.advance(step_tokens, ctx, layers, step_mask)
-            prev = step_tokens
-            n_active = len(survivors)
-        if n_active > 0:  # ran out of steps with alive lanes
-            for li in range(n_active):
-                finished.append(Hypothesis(tokens=list(tokens[li]), score=float(scores[li]), finished=False))
-    done = [h for h in finished if h.finished]
-    pool = done if done else finished
-    pool.sort(key=lambda h: (-h.normalized(len_norm), tuple(h.tokens)))
-    return pool[0]
+    return beam_search(graph, store, _input_batch(graph, [x], direction), beam, max_len, len_norm, direction)[0]
 
 
-def _tile_memories(memories, lanes: int):
-    tiled = []
-    for name, mem in memories:
-        tiled.append(
-            (
-                name,
-                EncoderStates(
-                    Tensor(np.repeat(mem.states.data, lanes, axis=0)),
-                    np.repeat(mem.mask, lanes, axis=0),
-                    np.repeat(mem.input_lengths, lanes, axis=0),
-                ),
-            )
+def cascade_batch(
+    asr_graph: ModelGraph,
+    asr_store: ParamStore,
+    mt_graph: ModelGraph,
+    mt_store: ParamStore,
+    batch: Batch,
+    beam: int = 12,
+    max_len: int = 64,
+    len_norm: float = 0.6,
+) -> list[CascadeResult]:
+    """ASR beam search over the batch, then MT beam search over the batch of
+    non-empty transcripts. An empty transcript gives an empty translation
+    flagged ``empty_transcript``."""
+    if asr_graph.config.src_vocab_size != mt_graph.config.src_vocab_size:
+        raise NumericsError(
+            f"vocabulary mismatch: ASR source size {asr_graph.config.src_vocab_size} "
+            f"!= MT source size {mt_graph.config.src_vocab_size}"
         )
-    return tiled
+    transcripts = beam_search(asr_graph, asr_store, batch, beam, max_len, len_norm, "asr")
+    src_vocab, _ = models._vocabs(asr_graph)
+    contents = [t.content(src_vocab) for t in transcripts]
+    spoken = [i for i, c in enumerate(contents) if c]
+    translations = {}
+    if spoken:
+        text = _input_batch(mt_graph, [contents[i] for i in spoken], "mt")
+        translations = dict(zip(spoken, beam_search(mt_graph, mt_store, text, beam, max_len, len_norm, "mt")))
+    return [
+        CascadeResult(
+            translation=translations.get(i) or Hypothesis(tokens=[], score=0.0, finished=False, flag="empty_transcript"),
+            transcript=t,
+        )
+        for i, t in enumerate(transcripts)
+    ]
 
 
 def cascade(
@@ -286,17 +297,6 @@ def cascade(
     max_len: int = 64,
     len_norm: float = 0.6,
 ) -> CascadeResult:
-    """ASR beam decode, then MT beam decode of the transcript."""
-    if asr_graph.config.src_vocab_size != mt_graph.config.src_vocab_size:
-        raise NumericsError(
-            f"vocabulary mismatch: ASR source size {asr_graph.config.src_vocab_size} "
-            f"!= MT source size {mt_graph.config.src_vocab_size}"
-        )
-    transcript = beam_decode(asr_graph, asr_store, x, beam, max_len, len_norm, direction="asr")
-    src_vocab, _ = models._vocabs(asr_graph)
-    content = transcript.content(src_vocab)
-    if not content:
-        empty = Hypothesis(tokens=[], score=0.0, finished=False, flag="empty_transcript")
-        return CascadeResult(translation=empty, transcript=transcript)
-    translation = beam_decode(mt_graph, mt_store, np.asarray(content), beam, max_len, len_norm, direction="mt")
-    return CascadeResult(translation=translation, transcript=transcript)
+    """ASR beam decode of one utterance, then MT beam decode of the transcript."""
+    batch = _input_batch(asr_graph, [x], "asr")
+    return cascade_batch(asr_graph, asr_store, mt_graph, mt_store, batch, beam, max_len, len_norm)[0]

@@ -17,13 +17,16 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import models, transplant
-from .data import Dataset, batch as make_batches
-from .decode import beam_decode, default_direction, greedy_decode_batch
+from .data import Batch, Dataset, batch as make_batches
+from .decode import beam_decode  # noqa: F401  (a training binding that perfbench tracing wraps)
+from .decode import beam_search, default_direction
 from .models import LossBreakdown, ModelGraph
 from .numerics import LrSchedule, OptimizerState, ParamStore, adam_step, backward, plateau_update, rng_for
 from .tensor import NonFiniteError, no_grad
 
-__all__ = ["TrainSchedule", "RunRecord", "DivergenceError", "train_model", "evaluate_model", "decode_corpus"]
+__all__ = [
+    "TrainSchedule", "RunRecord", "DivergenceError", "train_model", "evaluate_model", "decode_batches", "decode_corpus"
+]
 
 log = logging.getLogger("deskst")
 
@@ -79,6 +82,11 @@ def _primary_refs(ds: Dataset, task: str) -> list[str]:
     return [ds.tgt_vocab.to_words(ex.e.ids) for ex in ds.examples]
 
 
+def decode_batches(ds: Dataset) -> list[Batch]:
+    """Every example, unfiltered and in order, in padded batches of 32."""
+    return make_batches(ds, 32)[0] if ds.examples else []
+
+
 def decode_corpus(
     graph: ModelGraph,
     store: ParamStore,
@@ -88,20 +96,14 @@ def decode_corpus(
     max_len: int,
     len_norm: float = 0.6,
 ) -> list[str]:
-    """Decode every example to a whitespace-joined content-token sentence."""
+    """Beam-search every example (beam=1 is greedy) to a whitespace-joined
+    content-token sentence."""
     vocab = ds.src_vocab if direction == "asr" else ds.tgt_vocab
-    hyps: list[str] = []
-    if beam <= 1:
-        batches, _ = make_batches(ds, 32)
-        for b in batches:
-            for hyp in greedy_decode_batch(graph, store, b, max_len, direction):
-                hyps.append(vocab.to_words(hyp.content(vocab)))
-        return hyps
-    for ex in ds.examples:
-        x = ex.f.ids if direction == "mt" else ex.x.frames
-        hyp = beam_decode(graph, store, x, beam, max_len, len_norm, direction)
-        hyps.append(vocab.to_words(hyp.content(vocab)))
-    return hyps
+    return [
+        vocab.to_words(hyp.content(vocab))
+        for b in decode_batches(ds)
+        for hyp in beam_search(graph, store, b, beam, max_len, len_norm, direction)
+    ]
 
 
 def evaluate_model(

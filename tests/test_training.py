@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from deskst import data, models, training
+from deskst import data, decode, models, training
 from deskst.models import ModelConfig, build, init_store
 from deskst.training import DivergenceError, RunRecord, TrainSchedule, train_model
 
@@ -143,3 +143,20 @@ def test_many2one_round_robin_trains_both_paths():
         not np.array_equal(before[n], store[n].data) for n in store.names() if n.startswith("encoder.")
     )
     assert changed_text and changed_speech
+
+
+@pytest.mark.parametrize("beam", [1, 3])
+def test_decode_corpus_of_an_empty_dataset_is_empty(beam):
+    train, _ = small_task()
+    graph, store = small_model(train)
+    empty = data.Dataset([], train.src_vocab, train.tgt_vocab, train.cipher, train.manifest)
+    assert training.decode_corpus(graph, store, empty, "st", beam, 5) == []
+
+
+def test_decode_corpus_batches_every_beam_like_single_utterance_search():
+    train, dev = small_task()
+    graph, store = small_model(train)
+    got = training.decode_corpus(graph, store, dev, "st", 3, 6)
+    vocab = dev.tgt_vocab
+    alone = [decode.beam_decode(graph, store, ex.x.frames, 3, 6) for ex in dev.examples]
+    assert got == [vocab.to_words(h.content(vocab)) for h in alone]
