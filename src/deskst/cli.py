@@ -300,6 +300,8 @@ def cmd_eval(args, overrides) -> int:
     split = {"train": train, "dev": dev, "test": test}.get(cfg["eval.split"])
     if split is None:
         raise ConfigError(f"eval.split must be train/dev/test, got {cfg['eval.split']!r}")
+    if not split.examples:
+        raise ConfigError(f"eval.split {cfg['eval.split']!r} has no examples to score")
     if graph.config.src_vocab_size != split.src_vocab.size or graph.config.tgt_vocab_size != split.tgt_vocab.size:
         raise ConfigError(
             f"vocabulary mismatch: checkpoint ({graph.config.src_vocab_size}/{graph.config.tgt_vocab_size}) "

@@ -3,11 +3,15 @@ attention with alignment feedback, output projection, dropout, and
 label-smoothed cross entropy.
 
 All layers are pure functions over (inputs, parameters). Sequence inputs are
-batched as (B, T, D) with a float 0/1 ``mask`` of shape (B, T); padded steps
-are no-ops so a padded batch reproduces per-example results exactly.
+batched as (B, T, D) with a float 0/1 ``mask`` of shape (B, T). Batches are
+right-padded: each mask row is 1s followed by 0s. ``data.batch`` pads on the
+right, ``max_pool_time`` keeps that shape, and a greedy rollout's state mask
+only drops the steps after [EOS] or the length cap; ``lstm_sequence`` rejects
+any other mask with ``ShapeError``. Padded steps are no-ops, so a padded
+batch reproduces per-example results exactly.
 
 Two recurrences are fused ops with hand-derived backwards, one graph node per
-run: ``lstm_sequence`` (the encoder BLSTMs) and ``teacher_forced_decoder``
+run: ``lstm_sequence`` (a BLSTM layer) and ``teacher_forced_decoder``
 (an attention decoder's whole teacher-forced loss). The per-step layers
 (``additive_attention``, ``lstm_step``, ``output_layer``,
 ``label_smoothed_ce``) serve the greedy rollout and decoding, and in the
@@ -23,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tz
-from .tensor import NonFiniteError, ShapeError, Tensor, as_tensor
+from .tensor import NonFiniteError, NumericsError, ShapeError, Tensor, as_tensor
 
 __all__ = [
     "LstmParams",
@@ -121,84 +125,156 @@ def lstm_step(
     return h_new, c_new
 
 
-def lstm_sequence(
-    xs: Tensor,
-    mask: np.ndarray,
-    params: LstmParams,
-    reverse: bool = False,
-) -> Tensor:
-    """Run an LSTM over (B, T, D_in), returning (B, T, H).
+def lstm_sequence(xs: Tensor, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> Tensor:
+    """One BLSTM layer over right-padded (B, T, D_in), returning (B, T, 2H).
 
-    Fused op with a hand-derived BPTT backward: one graph node per layer
-    direction instead of ~15 per time step. Outputs at padded steps are zero;
-    the recurrent state carries through padding unchanged, so a reversed pass
-    over right-padded input matches the per-example computation.
+    Columns [:H] are the forward direction. Columns [H:] are the backward
+    one, which reads each row from its last valid step back to its first.
+    Outputs at padded steps are zero and padded inputs are never read. Each
+    ``mask`` row must be 1s followed by 0s (``ShapeError`` otherwise).
+    Inputs and weights must be finite (``NonFiniteError``); this is checked
+    on entry, since a NaN in a skipped padded frame would go unseen.
+
+    Fused op with a hand-derived BPTT backward: one graph node per layer.
+    Rows are sorted by length once and the backward direction reverses each
+    row within its own length, so at step k both directions advance the
+    same n_k longest rows. Step k's rows are a contiguous block of flat
+    (2, N, .) packed arrays, N being the number of valid steps: each step is
+    one (2, n_k, H) @ (2, H, 4H) matmul with no mask arithmetic, and padded
+    steps cost nothing. The input projection is one GEMM before the loop;
+    after the backward loop the weight, bias and input gradients are each
+    one GEMM or sum over the N packed rows. One (2, N, 4H) buffer holds in
+    turn the input projection, the gate activations and the gate gradients,
+    so the backward can run only once. ``h_prev`` is a view of the output
+    at the previous step (gathered back from the output for the backward),
+    and under ``no_grad`` nothing is kept.
     """
     xs = as_tensor(xs)
-    B, T, _ = xs.shape
+    B, T, D = xs.shape
     if T == 0:
         raise ShapeError("lstm_sequence: empty sequence")
-    H = params.hidden
+    H = fwd.hidden
+    params = (fwd.w_ih, fwd.w_hh, fwd.b, bwd.w_ih, bwd.w_hh, bwd.b)
+    if [p.shape for p in params] != [(D, 4 * H), (H, 4 * H), (4 * H,)] * 2:
+        raise ShapeError(f"lstm_sequence: weights {[p.shape for p in params]} do not fit input dim {D}, hidden {H}")
     m = np.asarray(mask, dtype=np.float64)
-    xd = xs.data
-    w_ih, w_hh, b = params.w_ih.data, params.w_hh.data, params.b.data
+    lengths = np.count_nonzero(m, axis=-1)
+    if m.shape != (B, T) or not np.array_equal(m, np.arange(T) < lengths[:, None]):
+        raise ShapeError("lstm_sequence: mask rows must be 1s followed by 0s")
+    for t in (xs, *params):
+        if not np.isfinite(t.data).all():
+            raise NonFiniteError(f"non-finite input to lstm_sequence (shape={t.shape})")
 
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    out = np.zeros((B, T, H))
-    cache = {}
-    for t in order:
-        z = xd[:, t] @ w_ih + h @ w_hh + b
-        i = 1.0 / (1.0 + np.exp(-z[:, 0 * H : 1 * H]))
-        f = 1.0 / (1.0 + np.exp(-z[:, 1 * H : 2 * H]))
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = 1.0 / (1.0 + np.exp(-z[:, 3 * H : 4 * H]))
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        mt = m[:, t : t + 1]
-        cache[t] = (i, f, g, o, c, tc, h)
-        out[:, t] = mt * (o * tc)
-        h = mt * (o * tc) + (1.0 - mt) * h
-        c = mt * c_new + (1.0 - mt) * c
+    # Packed layout: rows sorted by length (longest first, stably); step k
+    # holds the n_k rows still running, at rows off[k] .. off[k] + n_k of a
+    # flat (2, N, .) array, N the number of valid steps. Direction 1 reads
+    # row j at step k from source step L_j - 1 - k. idx maps packed rows to
+    # rows of the flat (B*T, .) input; inv maps each (b, t, direction) back
+    # to a row of the flat (2 * (N + 1), .) packed array, in which padded
+    # steps map to row N, a zero row.
+    perm = np.argsort(-lengths, kind="stable")
+    L = lengths[perm]
+    counts = np.count_nonzero(L[:, None] > np.arange(T), axis=0)  # n_k, non-increasing
+    steps = counts[counts > 0].tolist()
+    off = np.cumsum([0, *steps]).tolist()
+    N = off[-1]
+    kk, jj = np.nonzero(np.arange(T)[:, None] < L)
+    idx = perm[jj] * T + np.stack([kk, L[jj] - 1 - kk])
+    inv = np.full((B * T, 2), N)
+    inv[idx[0], 0] = np.arange(N)
+    inv[idx[1], 1] = np.arange(N + 1, 2 * N + 1)
+    inv = inv.reshape(B, T, 2)
+    gidx = 2 * idx + np.arange(2)[:, None]  # packed row -> row of the flat (B*T*2, H) output
+
+    # Gates [i | f | g | o]: sigmoid(z) = 0.5 + 0.5 tanh(z / 2), so one tanh
+    # of z * scale, times scale plus shift, gives all four; unlike exp(-z),
+    # tanh cannot overflow.
+    scale = np.full(4 * H, 0.5)
+    scale[2 * H : 3 * H] = 1.0
+    shift = 1.0 - scale
+    w_ih = np.stack([fwd.w_ih.data, bwd.w_ih.data])
+    w_hh = np.stack([fwd.w_hh.data, bwd.w_hh.data])
+    xd = xs.data.reshape(B * T, D)
+    z = np.matmul(xd[idx], w_ih * scale)
+    z += (np.stack([fwd.b.data, bwd.b.data]) * scale)[:, None]
+    w_hh_scaled = w_hh * scale
+    hs = np.zeros((2, N + 1, H))
+    cs = np.empty((2, N, H))
+    for k, n in enumerate(steps):
+        a = z[:, off[k] : off[k] + n]
+        if k:
+            a += hs[:, off[k - 1] : off[k - 1] + n] @ w_hh_scaled
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        c = cs[:, off[k] : off[k] + n]
+        np.multiply(a[..., :H], a[..., 2 * H : 3 * H], out=c)
+        if k:
+            c += a[..., H : 2 * H] * cs[:, off[k - 1] : off[k - 1] + n]
+        np.multiply(a[..., 3 * H :], np.tanh(c), out=hs[:, off[k] : off[k] + n])
+    out = hs.reshape(2 * (N + 1), H)[inv].reshape(B, T, 2 * H)
+    ran = []
 
     def backward(gout):
-        dW_ih = np.zeros_like(w_ih)
-        dW_hh = np.zeros_like(w_hh)
-        db = np.zeros_like(b)
-        dxs = np.zeros_like(xd)
-        dh = np.zeros((B, H))
-        dc = np.zeros((B, H))
-        for t in reversed(list(order)):
-            i, f, g, o, c_prev, tc, h_prev = cache[t]
-            mt = m[:, t : t + 1]
-            dh_new = mt * (gout[:, t] + dh)
-            dh_skip = (1.0 - mt) * dh
-            dc_new = mt * dc
-            dc_skip = (1.0 - mt) * dc
-            do = dh_new * tc
-            dc_total = dc_new + dh_new * o * (1.0 - tc * tc)
-            di = dc_total * g
-            dg = dc_total * i
-            df = dc_total * c_prev
-            dc = dc_total * f + dc_skip
-            dz = np.concatenate(
-                [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
-                axis=1,
-            )
-            dW_ih += xd[:, t].T @ dz
-            dW_hh += h_prev.T @ dz
-            db += dz.sum(axis=0)
-            dxs[:, t] = dz @ w_ih.T
-            dh = dz @ w_hh.T + dh_skip
-        return dxs, dW_ih, dW_hh, db
+        if ran:
+            raise NumericsError("lstm_sequence: backward already ran; its buffers now hold gradients")
+        ran.append(True)
+        dh_all = gout.reshape(B * T * 2, H)[gidx]  # packed output gradient, accumulates dh
+        w_hh_t = w_hh.transpose(0, 2, 1)
+        dc = np.zeros((2, B, H))
+        dy = np.empty((2, B, 4 * H))
+        deriv = np.empty((2, B, 4 * H))
+        for k in range(len(steps) - 1, -1, -1):
+            n = steps[k]
+            y = z[:, off[k] : off[k] + n]
+            i, f, g, o = y[..., :H], y[..., H : 2 * H], y[..., 2 * H : 3 * H], y[..., 3 * H :]
+            dh = dh_all[:, off[k] : off[k] + n]
+            nxt = steps[k + 1] if k + 1 < len(steps) else 0
+            if nxt:
+                dh[:, :nxt] += z[:, off[k + 1] : off[k + 1] + nxt] @ w_hh_t
+            tc = np.tanh(cs[:, off[k] : off[k] + n])
+            dyk = dy[:, :n]
+            np.multiply(dh, tc, out=dyk[..., 3 * H :])
+            dct = tc  # d c_k = dh o (1 - tanh^2 c_k) + carry
+            np.multiply(tc, tc, out=dct)
+            np.subtract(1.0, dct, out=dct)
+            dct *= o
+            dct *= dh
+            if nxt:
+                dct[:, :nxt] += dc[:, :nxt]
+            np.multiply(dct, g, out=dyk[..., :H])
+            if k:
+                np.multiply(dct, cs[:, off[k - 1] : off[k - 1] + n], out=dyk[..., H : 2 * H])
+            else:
+                dyk[..., H : 2 * H] = 0.0
+            np.multiply(dct, i, out=dyk[..., 2 * H : 3 * H])
+            np.multiply(dct, f, out=dc[:, :n])
+            dk = deriv[:, :n]  # sigmoid' = y (1 - y) on i, f, o; tanh' = 1 - g^2
+            np.subtract(1.0, y, out=dk)
+            dk *= y
+            dg = dk[..., 2 * H : 3 * H]
+            np.multiply(g, g, out=dg)
+            np.subtract(1.0, dg, out=dg)
+            np.multiply(dyk, dk, out=y)  # gate gradients replace the gates
 
-    return tz._node(out, (xs, params.w_ih, params.w_hh, params.b), backward)
+        # Packed row r at step k >= 1 (r >= n_0) follows row r - n_{k-1}.
+        first = counts[0]
+        prev = np.arange(first, N) - counts[kk[first:] - 1]
+        h_prev = out.reshape(B * T * 2, H)[gidx[:, prev]]
+        dw_ih = np.matmul(xd[idx].transpose(0, 2, 1), z)
+        dw_hh = np.matmul(h_prev.transpose(0, 2, 1), z[:, first:])
+        db = z.sum(axis=1)
+        dxp = np.zeros((2, N + 1, D))
+        np.matmul(z, w_ih.transpose(0, 2, 1), out=dxp[:, :N])
+        dx = dxp.reshape(2 * (N + 1), D)[inv].sum(axis=2)
+        return dx, dw_ih[0], dw_hh[0], db[0], dw_ih[1], dw_hh[1], db[1]
+
+    return tz._node(out, (xs, *params), backward)
 
 
 def blstm(xs: Tensor, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> Tensor:
-    """Bidirectional LSTM: concat of forward and reversed passes, (B, T, 2H)."""
-    return tz.concat([lstm_sequence(xs, mask, fwd), lstm_sequence(xs, mask, bwd, reverse=True)], axis=-1)
+    """Bidirectional LSTM layer, (B, T, 2H): forward then backward direction."""
+    return lstm_sequence(xs, mask, fwd, bwd)
 
 
 def pooled_length(length: int, pool: int) -> int:

@@ -43,7 +43,6 @@ __all__ = [
     "resolve_scheme",
     "apply_transplant",
     "insert_adapter",
-    "finetune",
 ]
 
 MAGIC = b"DESKST-CKPT\n"
@@ -311,10 +310,3 @@ def insert_adapter(target_graph: ModelGraph, position: str) -> ModelGraph:
     """Insert one freshly initialized BLSTM layer under the adapter. prefix."""
     return models.with_adapter(target_graph, position)
 
-
-def finetune(graph: ModelGraph, store: ParamStore, train_ds, dev_ds, schedule, out_dir, seed: int = 0):
-    """Train an (optionally transplanted) store and return the best-dev
-    checkpoint; see training.train_model for the loop itself."""
-    from .training import train_model
-
-    return train_model(graph, store, train_ds, dev_ds, schedule, out_dir, seed=seed)

@@ -48,6 +48,12 @@ def test_eval_rejects_a_direction_the_topology_cannot_decode(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: topology 'direct' does not decode direction 'mt'")
 
 
+def test_eval_rejects_an_empty_split(tmp_path, capsys):
+    assert run_eval(tmp_path, checkpoint(tmp_path, "direct"), "--data.n_test", "0") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: eval.split 'test' has no examples to score")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_cascade_eval_uses_the_configured_len_norm_and_batches(tmp_path, monkeypatch):
     calls = []
     search = decode.beam_search

@@ -19,7 +19,7 @@ from deskst.layers import (
     teacher_forced_decoder,
 )
 from deskst.numerics import ParamStore, backward
-from deskst.tensor import NonFiniteError, ShapeError, Tensor
+from deskst.tensor import NonFiniteError, NumericsError, ShapeError, Tensor
 
 from util import check_grads, store_with
 
@@ -91,57 +91,226 @@ def test_lstm_step_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 
+def masked_lstm_pass(xs, mask, params, reverse=False):
+    """One LSTM direction as a masked loop over every padded step: the
+    per-direction fused op that ``lstm_sequence`` replaced, kept as its
+    oracle. Two passes, concatenated, are the BLSTM layer."""
+    xs = tz.as_tensor(xs)
+    B, T, _ = xs.shape
+    H = params.hidden
+    m = np.asarray(mask, dtype=np.float64)
+    xd = xs.data
+    w_ih, w_hh, b = params.w_ih.data, params.w_hh.data, params.b.data
+
+    order = range(T - 1, -1, -1) if reverse else range(T)
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    out = np.zeros((B, T, H))
+    cache = {}
+    for t in order:
+        z = xd[:, t] @ w_ih + h @ w_hh + b
+        i = 1.0 / (1.0 + np.exp(-z[:, 0 * H : 1 * H]))
+        f = 1.0 / (1.0 + np.exp(-z[:, 1 * H : 2 * H]))
+        g = np.tanh(z[:, 2 * H : 3 * H])
+        o = 1.0 / (1.0 + np.exp(-z[:, 3 * H : 4 * H]))
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        mt = m[:, t : t + 1]
+        cache[t] = (i, f, g, o, c, tc, h)
+        out[:, t] = mt * (o * tc)
+        h = mt * (o * tc) + (1.0 - mt) * h
+        c = mt * c_new + (1.0 - mt) * c
+
+    def backward(gout):
+        dW_ih = np.zeros_like(w_ih)
+        dW_hh = np.zeros_like(w_hh)
+        db = np.zeros_like(b)
+        dxs = np.zeros_like(xd)
+        dh = np.zeros((B, H))
+        dc = np.zeros((B, H))
+        for t in reversed(list(order)):
+            i, f, g, o, c_prev, tc, h_prev = cache[t]
+            mt = m[:, t : t + 1]
+            dh_new = mt * (gout[:, t] + dh)
+            dh_skip = (1.0 - mt) * dh
+            dc_new = mt * dc
+            dc_skip = (1.0 - mt) * dc
+            do = dh_new * tc
+            dc_total = dc_new + dh_new * o * (1.0 - tc * tc)
+            di = dc_total * g
+            dg = dc_total * i
+            df = dc_total * c_prev
+            dc = dc_total * f + dc_skip
+            dz = np.concatenate(
+                [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
+                axis=1,
+            )
+            dW_ih += xd[:, t].T @ dz
+            dW_hh += h_prev.T @ dz
+            db += dz.sum(axis=0)
+            dxs[:, t] = dz @ w_ih.T
+            dh = dz @ w_hh.T + dh_skip
+        return dxs, dW_ih, dW_hh, db
+
+    return tz._node(out, (xs, params.w_ih, params.w_hh, params.b), backward)
+
+
+def two_pass_blstm(xs, mask, fwd, bwd):
+    return tz.concat([masked_lstm_pass(xs, mask, fwd), masked_lstm_pass(xs, mask, bwd, reverse=True)], axis=-1)
+
+
+def blstm_store(seed, batch, steps, din, hidden):
+    """Both directions' weights and a random input, padded frames included."""
+    store = random_lstm_store(seed, din, hidden, names=("f", "b"))
+    store.create("xs", (batch, steps, din), "zeros")
+    store.set("xs", np.random.default_rng([seed, 1]).normal(size=(batch, steps, din)))
+    return store
+
+
+def run_blstm(store, mask, layer=blstm):
+    return layer(store["xs"], mask, lstm_params_from(store, "f"), lstm_params_from(store, "b"))
+
+
+def prefix_mask(lengths, steps):
+    return (np.arange(steps) < np.asarray(lengths)[:, None]).astype(np.float64)
+
+
+def assert_close_to_scale(actual, expected, rel):
+    """Entries agree to ``rel`` times the largest magnitude in ``expected``."""
+    scale = np.abs(expected).max(initial=0.0)
+    assert np.abs(actual - expected).max(initial=0.0) <= rel * scale
+
+
 def test_lstm_sequence_matches_stepwise():
-    store = random_lstm_store(2, 3, 5)
-    p = lstm_params_from(store, "cell")
-    rng = np.random.default_rng(3)
-    xs = rng.normal(size=(2, 4, 3))
-    mask = np.ones((2, 4))
-    seq = lstm_sequence(Tensor(xs), mask, p)
-    h, c = Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5)))
-    for t in range(4):
-        h, c = lstm_step(Tensor(xs[:, t]), (h, c), p)
-        assert seq.data[:, t] == pytest.approx(h.data, abs=1e-12)
+    store = random_lstm_store(2, 3, 5, names=("f", "b"))
+    fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
+    xs = np.random.default_rng(3).normal(size=(2, 4, 3))
+    seq = lstm_sequence(Tensor(xs), np.ones((2, 4)), fwd, bwd)
+    for params, steps, half in ((fwd, range(4), slice(None, 5)), (bwd, range(3, -1, -1), slice(5, None))):
+        h, c = Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5)))
+        for t in steps:
+            h, c = lstm_step(Tensor(xs[:, t]), (h, c), params)
+            assert seq.data[:, t, half] == pytest.approx(h.data, abs=1e-12)
 
 
 def test_lstm_sequence_padding_is_noop():
-    store = random_lstm_store(4, 3, 5)
-    p = lstm_params_from(store, "cell")
+    store = random_lstm_store(4, 3, 5, names=("f", "b"))
+    fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
     rng = np.random.default_rng(5)
     xs = rng.normal(size=(1, 3, 3))
-    full = lstm_sequence(Tensor(xs), np.ones((1, 3)), p)
+    full = lstm_sequence(Tensor(xs), np.ones((1, 3)), fwd, bwd)
     padded_input = np.concatenate([xs, rng.normal(size=(1, 2, 3))], axis=1)
-    mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-    padded = lstm_sequence(Tensor(padded_input), mask, p)
-    assert padded.data[:, :3] == pytest.approx(full.data, abs=0)
+    padded = lstm_sequence(Tensor(padded_input), prefix_mask([3], 5), fwd, bwd)
+    # the forward half, and the backward half, whose state must stay zero
+    # until it enters the valid region
+    assert padded.data[:, :3, :5] == pytest.approx(full.data[..., :5], abs=0)
+    assert padded.data[:, :3, 5:] == pytest.approx(full.data[..., 5:], abs=0)
     assert np.all(padded.data[:, 3:] == 0.0)
-    # reversed direction: state must stay zero until entering the valid region
-    full_r = lstm_sequence(Tensor(xs), np.ones((1, 3)), p, reverse=True)
-    padded_r = lstm_sequence(Tensor(padded_input), mask, p, reverse=True)
-    assert padded_r.data[:, :3] == pytest.approx(full_r.data, abs=0)
 
 
 def test_lstm_sequence_gradients_with_mask_and_reverse():
-    store = random_lstm_store(6, 2, 3)
-    rng = np.random.default_rng(7)
-    xs = rng.normal(size=(2, 4, 2))
-    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-    weights = rng.normal(size=(2, 4, 3))
+    # Rows padded by different amounts, so both directions cross padding;
+    # the input is in the store, so its gradient is checked too.
+    store = blstm_store(6, 3, 4, 2, 3)
+    mask = prefix_mask([3, 4, 1], 4)
+    weights = np.random.default_rng(7).normal(size=(3, 4, 6))
 
     def loss():
-        p = lstm_params_from(store, "cell")
-        fwd = lstm_sequence(Tensor(xs), mask, p)
-        rev = lstm_sequence(Tensor(xs), mask, p, reverse=True)
-        return tz.tsum(fwd * weights) + tz.tsum(rev * rev)
+        out = run_blstm(store, mask)
+        return tz.tsum(out * weights) + tz.tsum(out[..., 3:] * out[..., 3:])
 
     check_grads(loss, store)
 
 
 def test_lstm_sequence_input_gradient():
-    store = random_lstm_store(8, 2, 3)
+    store = random_lstm_store(8, 2, 3, names=("f", "b"))
     xs_store = store_with(xs=np.random.default_rng(9).normal(size=(1, 3, 2)))
-    p = lstm_params_from(store, "cell")
-    check_grads(lambda: tz.tsum(lstm_sequence(xs_store["xs"], np.ones((1, 3)), p)), xs_store)
+    fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
+    check_grads(lambda: tz.tsum(lstm_sequence(xs_store["xs"], np.ones((1, 3)), fwd, bwd)), xs_store)
+
+
+# (batch, steps, input dim, hidden, lengths)
+ORACLE_CASES = {
+    "unsorted_lengths_with_ties": (5, 6, 3, 4, [4, 6, 2, 6, 4]),
+    "batch_of_one": (1, 5, 2, 3, [5]),
+    "one_step": (3, 1, 4, 2, [1, 0, 1]),
+    "input_wider_than_hidden": (2, 3, 7, 2, [3, 2]),
+    "zero_length_row": (3, 4, 3, 3, [0, 4, 3]),
+    "every_row_empty": (2, 3, 2, 2, [0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_lstm_sequence_matches_two_pass_oracle(case):
+    batch, steps, din, hidden, lengths = ORACLE_CASES[case]
+    store = blstm_store(10, batch, steps, din, hidden)
+    mask = prefix_mask(lengths, steps)
+    gout = np.random.default_rng(11).normal(size=(batch, steps, 2 * hidden))
+    results = []
+    for layer in (blstm, two_pass_blstm):
+        out = run_blstm(store, mask, layer)
+        results.append((out.data, backward(tz.tsum(out * gout), store)))
+    (out, grads), (want, want_grads) = results
+    assert_close_to_scale(out, want, 1e-14)
+    for name, g in want_grads.items():
+        assert_close_to_scale(grads[name], g, 1e-12)
+    empty = np.asarray(lengths) == 0
+    assert not out[empty].any() and not grads["xs"][empty].any()
+    assert not out[mask == 0].any() and not grads["xs"][mask == 0].any()
+
+
+def test_lstm_sequence_no_grad_is_parentless_with_same_value():
+    store = blstm_store(12, 3, 5, 2, 3)
+    mask = prefix_mask([2, 5, 4], 5)
+    out = run_blstm(store, mask)
+    assert out.parents
+    with tz.no_grad():
+        plain = run_blstm(store, mask)
+    assert plain.parents == () and plain.backward is None
+    assert np.array_equal(plain.data, out.data)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]],  # a gap
+        [[0.0, 1.0, 1.0], [1.0, 1.0, 1.0]],  # left-padded
+        [[1.0, 0.5, 0.0], [1.0, 1.0, 1.0]],  # not 0/1
+        [[1.0, 1.0], [1.0, 1.0]],  # wrong shape
+    ],
+)
+def test_lstm_sequence_rejects_a_mask_that_is_not_a_prefix(mask):
+    store = blstm_store(13, 2, 3, 2, 3)
+    with pytest.raises(ShapeError):
+        run_blstm(store, np.array(mask))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["xs", "f.w_ih", "f.w_hh", "f.b", "b.w_ih", "b.w_hh", "b.b"])
+def test_lstm_sequence_rejects_non_finite_input(name, bad):
+    # flat[-1] of xs is a padded frame, which the op never reads
+    store = blstm_store(14, 2, 3, 2, 3)
+    store[name].data.flat[-1] = bad
+    with pytest.raises(NonFiniteError):
+        run_blstm(store, prefix_mask([3, 1], 3))
+
+
+def test_lstm_sequence_rejects_weights_that_do_not_fit():
+    store = blstm_store(16, 2, 3, 2, 3)
+    fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
+    mask = prefix_mask([3, 2], 3)
+    with pytest.raises(ShapeError):  # input dim 3 against weights for 2
+        lstm_sequence(Tensor(np.zeros((2, 3, 3))), mask, fwd, bwd)
+    with pytest.raises(ShapeError):  # directions of different widths
+        lstm_sequence(store["xs"], mask, fwd, lstm_params_from(random_lstm_store(17, 2, 2), "cell"))
+
+
+def test_lstm_sequence_backward_runs_once():
+    store = blstm_store(15, 2, 3, 2, 3)
+    out = run_blstm(store, prefix_mask([3, 2], 3))
+    out.backward(np.ones(out.shape))
+    with pytest.raises(NumericsError):
+        out.backward(np.ones(out.shape))
 
 
 def test_blstm_single_step_is_two_cells():

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from deskst import data, models
+from deskst import data, models, tensor as tz
 from deskst.data import Vocabulary
-from deskst.layers import label_smoothed_ce
+from deskst.layers import EncoderStates, label_smoothed_ce
 from deskst.models import ADAPTER_POSITIONS, LossBreakdown, ModelConfig, build, forward, init_store
 from deskst.numerics import OptimizerState, adam_step, backward
 from deskst.tensor import NumericsError
 
-from util import check_grads
+from util import check_grads, store_with
 
 
 def tiny_dataset(seed=0, n=6, vocab=5):
@@ -219,8 +219,6 @@ def test_tied_rollout_support_and_triangle_weights():
     tstore = init_store(tri, 6)
     enc_t = models.run_speech_encoder(tri, tstore, batch)
     roll_t = models.run_decoder_greedy_rollout(tri, tstore, "decoder_asr", [("attn", enc_t)], limits, src_vocab)
-    from deskst.layers import EncoderStates
-
     dec_mem = EncoderStates(roll_t.states, roll_t.state_mask, roll_t.state_mask.sum(1))
     core = models._DecoderCore(tri, tstore, "decoder_st", [("attn", enc_t), ("attn_dec", dec_mem)], ds.tgt_vocab.size)
     layers_state, feedback = core.initial_state(batch.size)
@@ -263,6 +261,41 @@ def test_direct_gradcheck_with_ctc():
     store = init_store(graph, 8)
     batch = first_batch(ds, size=2, ctc=True)
     check_grads(lambda: forward(graph, store, batch).combined, store)
+
+
+def encoder_path_store(store, prefix, seed, **extra):
+    """A store of one component's parameters, redrawn at random so biases
+    are non-zero, plus ``extra`` arrays."""
+    rng = np.random.default_rng(seed)
+    arrays = {n: rng.normal(size=store[n].shape) * 0.5 for n in store.names() if n.startswith(prefix)}
+    return store_with(**arrays, **extra)
+
+
+def test_text_encoder_gradcheck():
+    # many2one's text side: embedding and a two-layer BLSTM over a padded batch
+    ds = tiny_dataset(vocab=4)
+    graph = build(tiny_config(ds, emb_size=3, enc_hidden=2, pool_schedule=(1, 1)), "many2one")
+    store = encoder_path_store(init_store(graph, 0), "text_encoder.", 1)
+    ids = np.array([[3, 4, 5], [5, 3, ds.src_vocab.pad_id]])
+    mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    proj = np.random.default_rng(2).normal(size=(2, 3, 4))
+    check_grads(lambda: tz.tsum(models.run_text_encoder(graph, store, ids, mask).states * proj), store)
+
+
+def test_adapter_gradcheck():
+    # encoder_top adapter: one BLSTM over padded encoder states, which get a gradient too
+    ds = tiny_dataset(vocab=4)
+    graph = models.with_adapter(build(tiny_config(ds, enc_hidden=2), "direct"), "encoder_top")
+    rng = np.random.default_rng(3)
+    store = encoder_path_store(init_store(graph, 0), "adapter.", 4, states=rng.normal(size=(2, 4, 4)))
+    mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+    proj = rng.normal(size=(2, 4, 4))
+
+    def loss():
+        enc = EncoderStates(store["states"], mask, mask.sum(axis=1))
+        return tz.tsum(models.apply_adapter(graph, store, enc).states * proj)
+
+    check_grads(loss, store)
 
 
 # ---------------------------------------------------------------------------
