@@ -227,9 +227,12 @@ def initialize_run(cfg: dict[str, str]):
     train, dev, test = build_dataset(cfg)
     mc = build_model_config(cfg, train)
     topology = cfg["model.topology"]
-    adapter_pos = models.ADAPTER_POSITIONS.get(topology) if _flag(cfg, "transplant.adapter") else None
     try:
-        graph = models.build(mc, topology, adapter_position=adapter_pos)
+        graph = models.build(mc, topology)
+        if _flag(cfg, "transplant.adapter"):
+            if models.WIRING[topology].adapter is None:
+                raise ConfigError(f"topology {topology!r} has no adapter position; set transplant.adapter off")
+            graph = models.with_adapter(graph, models.WIRING[topology].adapter)
     except NumericsError as exc:
         raise ConfigError(str(exc)) from exc
     store = models.init_store(graph, _int(cfg, "train.seed"))

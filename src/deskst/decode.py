@@ -19,7 +19,8 @@ import numpy as np
 from . import models
 from .data import Batch, Vocabulary
 from .layers import EncoderStates
-from .models import ModelGraph, _DecoderCore, apply_adapter
+from .models import ModelGraph, _DecoderCore
+from .models import apply_adapter  # noqa: F401  (a decode binding that perfbench tracing wraps)
 from .numerics import ParamStore
 from .tensor import NumericsError, Tensor, no_grad
 
@@ -65,11 +66,8 @@ class CascadeResult:
 
 
 def default_direction(topology: str) -> str:
-    if topology == "asr":
-        return "asr"
-    if topology == "mt":
-        return "mt"
-    return "st"
+    """The task of the default route's first head in loss order."""
+    return models.route_for(topology).loss_heads[0].task
 
 
 def _input_batch(graph: ModelGraph, xs: list, direction: str) -> Batch:
@@ -80,7 +78,7 @@ def _input_batch(graph: ModelGraph, xs: list, direction: str) -> Batch:
     if text and any(x.ndim != 1 or x.size == 0 for x in xs):
         raise NumericsError("text input must be non-empty 1-D id sequences")
     B = len(xs)
-    fill = models._vocabs(graph)[0].pad_id if text else 0
+    fill = models._task_vocab(graph, "asr").pad_id if text else 0
     padded = np.full((B, max(len(x) for x in xs), *xs[0].shape[1:]), fill, dtype=xs[0].dtype)
     mask = np.zeros(padded.shape[:2])
     for i, x in enumerate(xs):
@@ -95,45 +93,22 @@ def _input_batch(graph: ModelGraph, xs: list, direction: str) -> Batch:
 def prepare_memories(
     graph: ModelGraph, store: ParamStore, batch: Batch, direction: str
 ) -> tuple[list[tuple[str, EncoderStates]], str, Vocabulary]:
-    """Encode inputs for a decode direction.
+    """Encode inputs for a decode direction: the memories of the head whose
+    task is ``direction``.
 
     Returns (memories, decoder prefix, output-side vocabulary). For the tied
     topologies the first decoder is rolled out greedily (capped at the pooled
     frame count) to build the second decoder's memory.
     """
-    src_vocab, tgt_vocab = models._vocabs(graph)
-    topo = graph.topology
-    if direction == "st":
-        if topo in ("direct", "one2many", "many2one"):
-            enc = models.run_speech_encoder(graph, store, batch)
-            if graph.adapter_position == "encoder_top":
-                enc = apply_adapter(graph, store, enc)
-            return [("attn", enc)], "decoder_st", tgt_vocab
-        if topo in ("tied_cascade", "tied_triangle"):
-            enc = models.run_speech_encoder(graph, store, batch)
-            limits = np.maximum(1, enc.lengths)
-            rollout = models.run_decoder_greedy_rollout(
-                graph, store, "decoder_asr", [("attn", enc)], limits, src_vocab
-            )
-            dec_mem = EncoderStates(rollout.states, rollout.state_mask, rollout.state_mask.sum(1))
-            if graph.adapter_position == "asr_decoder_top":
-                dec_mem = apply_adapter(graph, store, dec_mem)
-            mems = [("attn", enc), ("attn_dec", dec_mem)] if topo == "tied_triangle" else [("attn_dec", dec_mem)]
-            return mems, "decoder_st", tgt_vocab
-        raise DirectionError(f"topology {topo!r} does not decode direction 'st'")
-    if direction == "asr":
-        if topo not in ("asr", "one2many", "tied_cascade", "tied_triangle"):
-            raise DirectionError(f"topology {topo!r} does not decode direction 'asr'")
-        enc = models.run_speech_encoder(graph, store, batch)
-        if graph.adapter_position == "encoder_top":
-            enc = apply_adapter(graph, store, enc)
-        return [("attn", enc)], "decoder_asr", src_vocab
-    if direction == "mt":
-        if topo not in ("mt", "many2one"):
-            raise DirectionError(f"topology {topo!r} does not decode direction 'mt'")
-        enc = models.run_text_encoder(graph, store, batch.src, batch.src_mask)
-        return [("attn", enc)], "decoder_st", tgt_vocab
-    raise DirectionError(f"unknown decode direction {direction!r}")
+    if direction not in ("st", "asr", "mt"):
+        raise DirectionError(f"unknown decode direction {direction!r}")
+    for route in models.WIRING[graph.topology].routes:
+        for head in route.heads:
+            if head.task == direction:
+                enc, attn = models.encode(graph, store, batch, route.source)
+                memories = models.head_memories(graph, store, batch, head, enc, attn, decoding=True)
+                return memories, head.decoder, models._task_vocab(graph, direction)
+    raise DirectionError(f"topology {graph.topology!r} does not decode direction {direction!r}")
 
 
 def beam_search(
@@ -271,7 +246,7 @@ def cascade_batch(
             f"!= MT source size {mt_graph.config.src_vocab_size}"
         )
     transcripts = beam_search(asr_graph, asr_store, batch, beam, max_len, len_norm, "asr")
-    src_vocab, _ = models._vocabs(asr_graph)
+    src_vocab = models._task_vocab(asr_graph, "asr")
     contents = [t.content(src_vocab) for t in transcripts]
     spoken = [i for i, c in enumerate(contents) if c]
     translations = {}

@@ -37,7 +37,6 @@ __all__ = [
     "SmoothingClampWarning",
     "lstm_step",
     "lstm_sequence",
-    "blstm",
     "max_pool_time",
     "pooled_length",
     "additive_attention",
@@ -270,11 +269,6 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams
         return dx, dw_ih[0], dw_hh[0], db[0], dw_ih[1], dw_hh[1], db[1]
 
     return tz._node(out, (xs, *params), backward)
-
-
-def blstm(xs: Tensor, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> Tensor:
-    """Bidirectional LSTM layer, (B, T, 2H): forward then backward direction."""
-    return lstm_sequence(xs, mask, fwd, bwd)
 
 
 def pooled_length(length: int, pool: int) -> int:

@@ -1,11 +1,16 @@
-"""Model graphs: the five speech-translation topologies plus standalone
-ASR and MT models, with their combined training losses.
+"""Model graphs: seven topologies, each "encoders -> memories -> attention
+decoders -> weighted losses", described as data in ``WIRING`` and read by
+``build`` (the parameter manifest), ``forward`` (the combined training loss)
+and ``encode``/``head_memories`` (the memories, shared with decoding). A
+topology has one route per input mode, the first being the default; a route
+names its source encoder and its heads in run order; a head is a decoder
+prefix, a task, its loss weight and the memories it attends over.
 
 A ``ModelGraph`` is immutable wiring: a manifest of parameter names/shapes
 grouped under canonical component prefixes (encoder., text_encoder.,
 decoder_st., decoder_asr., ctc_head., adapter.) so that checkpoints
-transplant across topologies. Forward functions are pure in (graph, store,
-batch) and return a ``LossBreakdown`` whose ``combined`` field is the
+transplant across topologies. ``forward`` is pure in (graph, store, batch)
+and returns a ``LossBreakdown`` whose ``combined`` field is the
 differentiable training objective.
 
 Each teacher-forced decoder run is one fused graph node,
@@ -18,11 +23,11 @@ build the step-by-step teacher-forced oracle from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
 
 from . import ctc as ctc_mod
+from . import layers
 from . import tensor as tz
 from .data import Batch, Vocabulary
 from .layers import (
@@ -30,7 +35,6 @@ from .layers import (
     EncoderStates,
     LstmParams,
     additive_attention,
-    blstm,
     dropout,
     dropout_keep,
     embed,
@@ -46,26 +50,79 @@ from .tensor import NumericsError, Tensor
 
 __all__ = [
     "TOPOLOGIES",
+    "WIRING",
+    "Head",
+    "Route",
+    "Wiring",
     "ModelConfig",
     "ModelGraph",
     "LossBreakdown",
+    "encode",
+    "head_memories",
     "build",
+    "with_adapter",
     "init_store",
     "grow_encoder",
+    "route_for",
     "forward",
-    "forward_direct",
-    "forward_one2many",
-    "forward_many2one",
-    "forward_tied_cascade",
-    "forward_tied_triangle",
-    "forward_asr",
-    "forward_mt",
     "dropout_streams",
 ]
 
-TOPOLOGIES = ("direct", "asr", "mt", "one2many", "many2one", "tied_cascade", "tied_triangle")
 
-SPEECH_TOPOLOGIES = ("direct", "asr", "one2many", "many2one", "tied_cascade", "tied_triangle")
+@dataclass(frozen=True)
+class Head:
+    """One attention decoder of a route. The task fixes the target stream and
+    vocabulary (asr: source, st/mt: target), the ``LossBreakdown`` field
+    ``<task>_loss``, the ``token_hits`` key and the decode direction."""
+
+    decoder: str  # parameter prefix: "decoder_st" | "decoder_asr"
+    task: str  # "st" | "asr" | "mt"
+    weight: str = "1"  # factor in the combined loss: "1" | "lam" | "1-lam"
+    memories: tuple[str, ...] = ("attn",)  # see ``head_memories``
+
+
+@dataclass(frozen=True)
+class Route:
+    """One input mode: its source encoder and its heads in run order."""
+
+    source: str  # "speech" | "text"; also ``forward``'s mode
+    heads: tuple[Head, ...]
+
+    @property
+    def loss_heads(self) -> tuple[Head, ...]:
+        """Heads in loss order: the st/mt term first, the asr term last."""
+        return tuple(sorted(self.heads, key=lambda h: h.task == "asr"))
+
+
+@dataclass(frozen=True)
+class Wiring:
+    routes: tuple[Route, ...]  # the first is the default
+    adapter: str | None = None  # None | "encoder_top" | "asr_decoder_top"
+
+
+_ST, _ASR = "decoder_st", "decoder_asr"
+
+WIRING: dict[str, Wiring] = {
+    "direct": Wiring((Route("speech", (Head(_ST, "st"),)),), "encoder_top"),
+    "asr": Wiring((Route("speech", (Head(_ASR, "asr"),)),)),
+    "mt": Wiring((Route("text", (Head(_ST, "mt"),)),)),
+    "one2many": Wiring((Route("speech", (Head(_ST, "st", "lam"), Head(_ASR, "asr", "1-lam"))),), "encoder_top"),
+    # Training alternates the routes batch by batch; lambda weights each mode's contribution.
+    "many2one": Wiring(
+        (Route("speech", (Head(_ST, "st", "lam"),)), Route("text", (Head(_ST, "mt", "1-lam"),))), "encoder_top"
+    ),
+    "tied_cascade": Wiring(
+        (Route("speech", (Head(_ASR, "asr", "1-lam"), Head(_ST, "st", "lam", ("attn_dec",)))),), "asr_decoder_top"
+    ),
+    "tied_triangle": Wiring(
+        (Route("speech", (Head(_ASR, "asr", "1-lam"), Head(_ST, "st", "lam", ("attn", "attn_dec")))),),
+        "asr_decoder_top",
+    ),
+}
+
+TOPOLOGIES = tuple(WIRING)
+
+ADAPTER_POSITIONS = {topology: w.adapter for topology, w in WIRING.items() if w.adapter is not None}
 
 
 @dataclass(frozen=True)
@@ -250,37 +307,31 @@ def build(
     adapter_position: str | None = None,
 ) -> ModelGraph:
     """Wire a topology into a parameter manifest under canonical prefixes."""
-    if topology not in TOPOLOGIES:
+    if topology not in WIRING:
         raise NumericsError(f"unknown topology {topology!r}")
-    if config.ctc_enabled and topology == "mt":
-        raise NumericsError("CTC requires a speech encoder; 'mt' has none")
+    routes = WIRING[topology].routes
+    sources = {route.source for route in routes}
+    if config.ctc_enabled and "speech" not in sources:
+        raise NumericsError(f"CTC requires a speech encoder; {topology!r} has none")
     active = config.enc_layers if active_enc_layers is None else active_enc_layers
     if not 1 <= active <= config.enc_layers:
         raise NumericsError(f"active encoder layers {active} outside [1, {config.enc_layers}]")
 
     shapes: dict[str, tuple[int, ...]] = {}
     zero: set[str] = set()
-    mem = 2 * config.enc_hidden
+    mem_dims = {"attn": 2 * config.enc_hidden, "attn_dec": config.dec_hidden}
 
-    if topology in SPEECH_TOPOLOGIES:
+    if "speech" in sources:
         _encoder_shapes(shapes, zero, "encoder", config.feature_dim, config, active)
-    if topology in ("mt", "many2one"):
+    if "text" in sources:
         shapes["text_encoder.emb"] = (config.src_vocab_size, config.emb_size)
         _encoder_shapes(shapes, zero, "text_encoder", config.emb_size, config, config.enc_layers)
-
-    if topology in ("direct", "mt", "one2many", "many2one"):
-        _decoder_shapes(shapes, zero, "decoder_st", config.tgt_vocab_size, config, {"attn": mem})
-    if topology in ("asr", "one2many", "tied_cascade", "tied_triangle"):
-        _decoder_shapes(shapes, zero, "decoder_asr", config.src_vocab_size, config, {"attn": mem})
-    if topology == "tied_cascade":
-        _decoder_shapes(shapes, zero, "decoder_st", config.tgt_vocab_size, config, {"attn_dec": config.dec_hidden})
-    if topology == "tied_triangle":
-        _decoder_shapes(
-            shapes, zero, "decoder_st", config.tgt_vocab_size, config, {"attn": mem, "attn_dec": config.dec_hidden}
-        )
-
-    if config.ctc_enabled and topology in SPEECH_TOPOLOGIES:
-        shapes["ctc_head.w"] = (mem, config.src_vocab_size)
+    for head in (head for route in routes for head in route.heads):
+        if f"{head.decoder}.emb" not in shapes:  # many2one's routes share decoder_st
+            vocab_total = config.src_vocab_size if head.task == "asr" else config.tgt_vocab_size
+            _decoder_shapes(shapes, zero, head.decoder, vocab_total, config, {m: mem_dims[m] for m in head.memories})
+    if config.ctc_enabled:
+        shapes["ctc_head.w"] = (mem_dims["attn"], config.src_vocab_size)
         shapes["ctc_head.b"] = (config.src_vocab_size,)
         zero.add("ctc_head.b")
 
@@ -297,27 +348,17 @@ def build(
     return graph
 
 
-ADAPTER_POSITIONS = {
-    "direct": "encoder_top",
-    "one2many": "encoder_top",
-    "many2one": "encoder_top",
-    "tied_cascade": "asr_decoder_top",
-    "tied_triangle": "asr_decoder_top",
-}
-
-
 def with_adapter(graph: ModelGraph, position: str) -> ModelGraph:
     """Add one width-preserving BLSTM under the adapter. prefix.
 
-    Valid positions: encoder_top for direct/one2many/many2one (attention then
-    consumes adapter outputs; the CTC head stays on the raw encoder), and
-    asr_decoder_top for the tied models (the second decoder's decoder-side
-    attention consumes adapter outputs).
+    The only valid position is the topology's ``WIRING`` entry: encoder_top
+    (attention then consumes adapter outputs; the CTC head stays on the raw
+    encoder) or asr_decoder_top (the second decoder's decoder-side attention
+    consumes adapter outputs).
     """
     if graph.adapter_position is not None:
         raise NumericsError("graph already has an adapter")
-    expected = ADAPTER_POSITIONS.get(graph.topology)
-    if expected is None or position != expected:
+    if position is None or position != WIRING[graph.topology].adapter:
         raise NumericsError(f"adapter position {position!r} is invalid for topology {graph.topology!r}")
     add_shapes, add_zero = adapter_shapes(graph, position)
     shapes = dict(graph.shapes)
@@ -332,15 +373,12 @@ def with_adapter(graph: ModelGraph, position: str) -> ModelGraph:
 
 def adapter_shapes(graph: ModelGraph, position: str) -> tuple[dict[str, tuple[int, ...]], set[str]]:
     """Parameter manifest of one adapter BLSTM for the given position."""
-    cfg = graph.config
     shapes: dict[str, tuple[int, ...]] = {}
     zero: set[str] = set()
-    if position == "encoder_top":
-        width = 2 * cfg.enc_hidden
-    elif position == "asr_decoder_top":
-        width = cfg.dec_hidden
-    else:
+    widths = {"encoder_top": 2 * graph.config.enc_hidden, "asr_decoder_top": graph.config.dec_hidden}
+    if position not in widths:
         raise NumericsError(f"unknown adapter position {position!r}")
+    width = widths[position]
     if width % 2:
         raise NumericsError(f"adapter input width {width} must be even")
     _blstm_layer_shapes(shapes, zero, "adapter.l0", width, width // 2)
@@ -408,6 +446,10 @@ def _attn_params(store: ParamStore, prefix: str) -> AttentionParams:
     )
 
 
+def _blstm(h: Tensor, mask: np.ndarray, store: ParamStore, prefix: str) -> Tensor:
+    return layers.lstm_sequence(h, mask, _lstm_params(store, f"{prefix}.fwd"), _lstm_params(store, f"{prefix}.bwd"))
+
+
 def _maybe_dropout(x, graph, training, rngs, component):
     if rngs is None or not training or graph.config.dropout == 0.0:
         return x
@@ -422,7 +464,7 @@ def run_speech_encoder(
     mask = batch.frame_mask
     lengths = mask.sum(axis=1).astype(np.int64)
     for i, pool in enumerate(graph.effective_pools()):
-        h = blstm(h, mask, _lstm_params(store, f"encoder.l{i}.fwd"), _lstm_params(store, f"encoder.l{i}.bwd"))
+        h = _blstm(h, mask, store, f"encoder.l{i}")
         if pool > 1:
             h, mask = max_pool_time(h, mask, pool)
         h = _maybe_dropout(h, graph, training, rngs, "encoder")
@@ -436,7 +478,7 @@ def run_text_encoder(
     h = embed(ids, store["text_encoder.emb"])
     lengths = mask.sum(axis=1).astype(np.int64)
     for i in range(graph.config.enc_layers):
-        h = blstm(h, mask, _lstm_params(store, f"text_encoder.l{i}.fwd"), _lstm_params(store, f"text_encoder.l{i}.bwd"))
+        h = _blstm(h, mask, store, f"text_encoder.l{i}")
         h = _maybe_dropout(h, graph, training, rngs, "text_encoder")
     return EncoderStates(states=h, mask=mask, input_lengths=lengths)
 
@@ -445,7 +487,7 @@ def apply_adapter(
     graph: ModelGraph, store: ParamStore, states: EncoderStates, training: bool = False, rngs=None
 ) -> EncoderStates:
     """One fresh BLSTM between transplanted components; width-preserving."""
-    h = blstm(states.states, states.mask, _lstm_params(store, "adapter.l0.fwd"), _lstm_params(store, "adapter.l0.bwd"))
+    h = _blstm(states.states, states.mask, store, "adapter.l0")
     h = _maybe_dropout(h, graph, training, rngs, "adapter")
     return EncoderStates(states=h, mask=states.mask, input_lengths=states.input_lengths)
 
@@ -613,166 +655,81 @@ def _ctc_term(graph: ModelGraph, store: ParamStore, enc: EncoderStates, batch: B
     return total
 
 
-def _vocabs(graph: ModelGraph) -> tuple[Vocabulary, Vocabulary]:
-    src = Vocabulary.make("s", graph.config.src_vocab_size - 4)
-    tgt = Vocabulary.make("t", graph.config.tgt_vocab_size - 4)
-    return src, tgt
+def _task_vocab(graph: ModelGraph, task: str) -> Vocabulary:
+    """asr decodes the source stream, st and mt the target stream."""
+    if task == "asr":
+        return Vocabulary.make("s", graph.config.src_vocab_size - 4)
+    return Vocabulary.make("t", graph.config.tgt_vocab_size - 4)
 
 
-def forward_direct(graph, store, batch: Batch, training=False, rngs=None) -> LossBreakdown:
-    src_vocab, tgt_vocab = _vocabs(graph)
-    enc = run_speech_encoder(graph, store, batch, training, rngs)
-    mem = enc
-    if graph.adapter_position == "encoder_top":
-        mem = apply_adapter(graph, store, enc, training, rngs)
-    st = run_decoder_teacher_forced(
-        graph, store, "decoder_st", [("attn", mem)], batch.tgt, batch.tgt_mask, tgt_vocab, training, rngs
-    )
-    parts = LossBreakdown(combined=st.loss, st_loss=st.loss, n_sequences=batch.size)
-    parts.token_hits["st"] = (st.hits, st.steps)
-    if graph.config.ctc_enabled:
-        parts.ctc_loss = _ctc_term(graph, store, enc, batch)
-        parts.combined = st.loss + parts.ctc_loss
-    return parts
+def route_for(topology: str, mode: str | None = None) -> Route:
+    """The topology's route whose source is ``mode``; None picks the default."""
+    routes = WIRING[topology].routes
+    for route in routes:
+        if mode in (None, route.source):
+            return route
+    raise NumericsError(f"topology {topology!r} has no {mode!r} mode; its modes are {[r.source for r in routes]}")
 
 
-def forward_asr(graph, store, batch: Batch, training=False, rngs=None) -> LossBreakdown:
-    src_vocab, _ = _vocabs(graph)
-    enc = run_speech_encoder(graph, store, batch, training, rngs)
-    mem = enc
-    if graph.adapter_position == "encoder_top":
-        mem = apply_adapter(graph, store, enc, training, rngs)
-    asr = run_decoder_teacher_forced(
-        graph, store, "decoder_asr", [("attn", mem)], batch.src, batch.src_mask, src_vocab, training, rngs
-    )
-    parts = LossBreakdown(combined=asr.loss, asr_loss=asr.loss, n_sequences=batch.size)
-    parts.token_hits["asr"] = (asr.hits, asr.steps)
-    if graph.config.ctc_enabled:
-        parts.ctc_loss = _ctc_term(graph, store, enc, batch)
-        parts.combined = asr.loss + parts.ctc_loss
-    return parts
-
-
-def forward_mt(graph, store, batch: Batch, training=False, rngs=None) -> LossBreakdown:
-    _, tgt_vocab = _vocabs(graph)
-    enc = run_text_encoder(graph, store, batch.src, batch.src_mask, training, rngs)
-    mt = run_decoder_teacher_forced(
-        graph, store, "decoder_st", [("attn", enc)], batch.tgt, batch.tgt_mask, tgt_vocab, training, rngs
-    )
-    parts = LossBreakdown(combined=mt.loss, mt_loss=mt.loss, n_sequences=batch.size)
-    parts.token_hits["mt"] = (mt.hits, mt.steps)
-    return parts
-
-
-def forward_one2many(graph, store, batch: Batch, training=False, rngs=None) -> LossBreakdown:
-    """L = lambda * st + (1 - lambda) * asr, with CTC folded into the ASR
-    term when enabled."""
-    src_vocab, tgt_vocab = _vocabs(graph)
-    lam = graph.config.loss_weight
-    enc = run_speech_encoder(graph, store, batch, training, rngs)
-    mem = enc
-    if graph.adapter_position == "encoder_top":
-        mem = apply_adapter(graph, store, enc, training, rngs)
-    st = run_decoder_teacher_forced(
-        graph, store, "decoder_st", [("attn", mem)], batch.tgt, batch.tgt_mask, tgt_vocab, training, rngs
-    )
-    asr = run_decoder_teacher_forced(
-        graph, store, "decoder_asr", [("attn", mem)], batch.src, batch.src_mask, src_vocab, training, rngs
-    )
-    parts = LossBreakdown(combined=None, st_loss=st.loss, asr_loss=asr.loss, n_sequences=batch.size)
-    parts.token_hits["st"] = (st.hits, st.steps)
-    parts.token_hits["asr"] = (asr.hits, asr.steps)
-    aux = asr.loss
-    if graph.config.ctc_enabled:
-        parts.ctc_loss = _ctc_term(graph, store, enc, batch)
-        aux = asr.loss + parts.ctc_loss
-    parts.combined = lam * st.loss + (1.0 - lam) * aux
-    return parts
-
-
-def forward_many2one(graph, store, batch: Batch, mode: str = "speech", training=False, rngs=None) -> LossBreakdown:
-    """Shared text decoder attending on either encoder; training alternates
-    batch modes round-robin, so lambda weights each mode's contribution."""
-    src_vocab, tgt_vocab = _vocabs(graph)
-    lam = graph.config.loss_weight
-    if mode == "speech":
-        enc = run_speech_encoder(graph, store, batch, training, rngs)
-        mem = enc
-        if graph.adapter_position == "encoder_top":
-            mem = apply_adapter(graph, store, enc, training, rngs)
-        st = run_decoder_teacher_forced(
-            graph, store, "decoder_st", [("attn", mem)], batch.tgt, batch.tgt_mask, tgt_vocab, training, rngs
-        )
-        parts = LossBreakdown(combined=None, st_loss=st.loss, n_sequences=batch.size)
-        parts.token_hits["st"] = (st.hits, st.steps)
-        task = st.loss
-        if graph.config.ctc_enabled:
-            parts.ctc_loss = _ctc_term(graph, store, enc, batch)
-            task = st.loss + parts.ctc_loss
-        parts.combined = lam * task
-        return parts
-    if mode == "text":
+def encode(graph, store, batch: Batch, source: str, training=False, rngs=None) -> tuple[EncoderStates, EncoderStates]:
+    """The source encoder's states and the ``attn`` memory: the same states,
+    through the adapter when it sits at encoder_top (on the speech encoder)."""
+    if source == "text":
         enc = run_text_encoder(graph, store, batch.src, batch.src_mask, training, rngs)
-        mt = run_decoder_teacher_forced(
-            graph, store, "decoder_st", [("attn", enc)], batch.tgt, batch.tgt_mask, tgt_vocab, training, rngs
-        )
-        parts = LossBreakdown(combined=(1.0 - lam) * mt.loss, mt_loss=mt.loss, n_sequences=batch.size)
-        parts.token_hits["mt"] = (mt.hits, mt.steps)
-        return parts
-    raise NumericsError(f"many2one mode must be 'speech' or 'text', got {mode!r}")
-
-
-def _forward_tied(graph, store, batch: Batch, triangle: bool, training=False, rngs=None) -> LossBreakdown:
-    src_vocab, tgt_vocab = _vocabs(graph)
-    lam = graph.config.loss_weight
+        return enc, enc
     enc = run_speech_encoder(graph, store, batch, training, rngs)
-    asr = run_decoder_teacher_forced(
-        graph, store, "decoder_asr", [("attn", enc)], batch.src, batch.src_mask, src_vocab, training, rngs
-    )
-    # First decoder's output states come from a greedy pass (no teacher
-    # forcing), truncated at 1.5x the transcript length.
-    limits = np.maximum(1, np.ceil(1.5 * batch.src_lengths()).astype(np.int64))
-    rollout = run_decoder_greedy_rollout(graph, store, "decoder_asr", [("attn", enc)], limits, src_vocab, training, rngs)
-    dec_mem = EncoderStates(states=rollout.states, mask=rollout.state_mask, input_lengths=rollout.state_mask.sum(1))
-    if graph.adapter_position == "asr_decoder_top":
-        dec_mem = apply_adapter(graph, store, dec_mem, training, rngs)
-    memories = [("attn", enc), ("attn_dec", dec_mem)] if triangle else [("attn_dec", dec_mem)]
-    st = run_decoder_teacher_forced(
-        graph, store, "decoder_st", memories, batch.tgt, batch.tgt_mask, tgt_vocab, training, rngs
-    )
-    parts = LossBreakdown(combined=None, st_loss=st.loss, asr_loss=asr.loss, n_sequences=batch.size)
-    parts.token_hits["st"] = (st.hits, st.steps)
-    parts.token_hits["asr"] = (asr.hits, asr.steps)
-    aux = asr.loss
-    if graph.config.ctc_enabled:
-        parts.ctc_loss = _ctc_term(graph, store, enc, batch)
-        aux = asr.loss + parts.ctc_loss
-    parts.combined = lam * st.loss + (1.0 - lam) * aux
-    return parts
+    return enc, apply_adapter(graph, store, enc, training, rngs) if graph.adapter_position == "encoder_top" else enc
 
 
-def forward_tied_cascade(graph, store, batch: Batch, training=False, rngs=None) -> LossBreakdown:
-    return _forward_tied(graph, store, batch, triangle=False, training=training, rngs=rngs)
-
-
-def forward_tied_triangle(graph, store, batch: Batch, training=False, rngs=None) -> LossBreakdown:
-    return _forward_tied(graph, store, batch, triangle=True, training=training, rngs=rngs)
+def head_memories(
+    graph, store, batch: Batch, head: Head, enc, attn, training=False, rngs=None, decoding=False
+) -> list[tuple[str, EncoderStates]]:
+    """A head's (name, memory) list. ``attn_dec`` is decoder_asr's greedy
+    rollout over ``attn``, through the adapter when it sits at
+    asr_decoder_top. The rollout is capped per row at ceil(1.5 J) transcript
+    tokens for the loss and, when ``decoding`` (no transcripts), at the
+    pooled frame count."""
+    memories = {"attn": attn}
+    if "attn_dec" in head.memories:
+        limits = np.maximum(1, enc.lengths if decoding else np.ceil(1.5 * batch.src_lengths()).astype(np.int64))
+        rollout = run_decoder_greedy_rollout(
+            graph, store, "decoder_asr", [("attn", attn)], limits, _task_vocab(graph, "asr"), training, rngs
+        )
+        memories["attn_dec"] = EncoderStates(rollout.states, rollout.state_mask, rollout.state_mask.sum(1))
+        if graph.adapter_position == "asr_decoder_top":
+            memories["attn_dec"] = apply_adapter(graph, store, memories["attn_dec"], training, rngs)
+    return [(name, memories[name]) for name in head.memories]
 
 
 def forward(graph, store, batch: Batch, mode: str | None = None, training=False, rngs=None) -> LossBreakdown:
-    """Dispatch to the topology's forward pass."""
-    if graph.topology == "direct":
-        return forward_direct(graph, store, batch, training, rngs)
-    if graph.topology == "asr":
-        return forward_asr(graph, store, batch, training, rngs)
-    if graph.topology == "mt":
-        return forward_mt(graph, store, batch, training, rngs)
-    if graph.topology == "one2many":
-        return forward_one2many(graph, store, batch, training, rngs)
-    if graph.topology == "many2one":
-        return forward_many2one(graph, store, batch, mode or "speech", training, rngs)
-    if graph.topology == "tied_cascade":
-        return forward_tied_cascade(graph, store, batch, training, rngs)
-    if graph.topology == "tied_triangle":
-        return forward_tied_triangle(graph, store, batch, training, rngs)
-    raise NumericsError(f"unknown topology {graph.topology!r}")
+    """The combined training loss of the route ``mode`` (default: the first).
+
+    Heads run in table order. The loss sums weight * (head loss, plus CTC on
+    the CTC head) over heads, st/mt term first and a weight of 1 left out:
+    e.g. lam * st + (1 - lam) * (asr + ctc).
+    """
+    route = route_for(graph.topology, mode)
+    enc, attn = encode(graph, store, batch, route.source, training, rngs)
+    runs = {}
+    for head in route.heads:
+        memories = head_memories(graph, store, batch, head, enc, attn, training, rngs)
+        targets, target_mask = (batch.src, batch.src_mask) if head.task == "asr" else (batch.tgt, batch.tgt_mask)
+        runs[head] = run_decoder_teacher_forced(
+            graph, store, head.decoder, memories, targets, target_mask, _task_vocab(graph, head.task), training, rngs
+        )
+    parts = LossBreakdown(combined=None, n_sequences=batch.size)
+    ctc_head = None
+    if graph.config.ctc_enabled and route.source == "speech":
+        parts.ctc_loss = _ctc_term(graph, store, enc, batch)
+        # CTC folds into the asr head's term, or the only head's if none is asr.
+        ctc_head = next((h for h in route.heads if h.task == "asr"), route.heads[0])
+    lam = graph.config.loss_weight
+    for head in route.loss_heads:
+        run = runs[head]
+        setattr(parts, f"{head.task}_loss", run.loss)
+        parts.token_hits[head.task] = (run.hits, run.steps)
+        term = run.loss + parts.ctc_loss if head == ctc_head else run.loss
+        if head.weight != "1":
+            term = (lam if head.weight == "lam" else 1.0 - lam) * term
+        parts.combined = term if parts.combined is None else parts.combined + term
+    return parts

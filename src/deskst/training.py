@@ -123,7 +123,7 @@ def evaluate_model(
     loss_sum = 0.0
     with no_grad():
         for b in dev_batches:
-            parts = models.forward(graph, store, b, mode="speech" if graph.topology == "many2one" else None)
+            parts = models.forward(graph, store, b)
             h, s = parts.token_hits[task]
             hits += h
             steps += s
@@ -139,7 +139,7 @@ def evaluate_model(
         "ter": round(metrics_mod.ter(hyps, refs), 4),
     }
     if with_wer is None:
-        with_wer = "decoder_asr." in graph.component_prefixes() or graph.topology == "asr"
+        with_wer = "decoder_asr." in graph.component_prefixes()
     if with_wer:
         asr_hyps = hyps if task == "asr" else decode_corpus(graph, store, dev, "asr", 1, max_len)
         asr_refs = _primary_refs(dev, "asr")
@@ -176,7 +176,7 @@ def train_model(
     best_graph = graph
     best_bleu = -1.0
     best_step = 0
-    mode_counter = 0
+    routes = models.WIRING[graph.topology].routes
     step = 0
 
     def snapshot_row(epoch: int, train_stats: dict | None) -> None:
@@ -231,10 +231,7 @@ def train_model(
         sums: dict[str, float] = {}
         tokens = 0
         for b in batches:
-            mode = None
-            if graph.topology == "many2one":
-                mode = "speech" if mode_counter % 2 == 0 else "text"
-                mode_counter += 1
+            mode = routes[step % len(routes)].source  # multi-route topologies alternate batch by batch
             try:
                 parts = models.forward(graph, store, b, mode=mode, training=True, rngs=rngs)
                 grads = backward(parts.combined, store)

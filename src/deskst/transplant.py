@@ -42,7 +42,6 @@ __all__ = [
     "restore",
     "resolve_scheme",
     "apply_transplant",
-    "insert_adapter",
 ]
 
 MAGIC = b"DESKST-CKPT\n"
@@ -304,9 +303,4 @@ def apply_transplant(
     for name, value in staged.items():
         target_store.set(name, value)
     return report
-
-
-def insert_adapter(target_graph: ModelGraph, position: str) -> ModelGraph:
-    """Insert one freshly initialized BLSTM layer under the adapter. prefix."""
-    return models.with_adapter(target_graph, position)
 

@@ -69,3 +69,12 @@ def test_cascade_eval_uses_the_configured_len_norm_and_batches(tmp_path, monkeyp
     assert calls[0] == ("asr", 3, 1.5)  # the whole split in one ASR search
     assert all(d == "mt" and n <= 3 and a == 1.5 for d, n, a in calls[1:])
     assert len((tmp_path / "eval" / "hyps_test.txt").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("topology", ["asr", "mt"])
+def test_train_rejects_an_adapter_the_topology_has_no_position_for(tmp_path, capsys, topology):
+    model = [arg for key, value in TINY_MODEL.items() for arg in (f"--{key}", value)]
+    flags = ["--model.topology", topology, "--transplant.adapter", "on", "--train.epochs", "1"]
+    assert cli.main(["train", "--out", str(tmp_path / "run"), *TINY_DATA, *model, *flags]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: topology '{topology}' has no adapter position")
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()

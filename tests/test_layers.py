@@ -8,7 +8,6 @@ from deskst.layers import (
     LstmParams,
     SmoothingClampWarning,
     additive_attention,
-    blstm,
     dropout,
     embed,
     label_smoothed_ce,
@@ -167,7 +166,7 @@ def blstm_store(seed, batch, steps, din, hidden):
     return store
 
 
-def run_blstm(store, mask, layer=blstm):
+def run_blstm(store, mask, layer=lstm_sequence):
     return layer(store["xs"], mask, lstm_params_from(store, "f"), lstm_params_from(store, "b"))
 
 
@@ -247,7 +246,7 @@ def test_lstm_sequence_matches_two_pass_oracle(case):
     mask = prefix_mask(lengths, steps)
     gout = np.random.default_rng(11).normal(size=(batch, steps, 2 * hidden))
     results = []
-    for layer in (blstm, two_pass_blstm):
+    for layer in (lstm_sequence, two_pass_blstm):
         out = run_blstm(store, mask, layer)
         results.append((out.data, backward(tz.tsum(out * gout), store)))
     (out, grads), (want, want_grads) = results
@@ -317,7 +316,7 @@ def test_blstm_single_step_is_two_cells():
     store = random_lstm_store(10, 3, 4, names=("f", "b"))
     fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
     x = np.random.default_rng(11).normal(size=(1, 1, 3))
-    out = blstm(Tensor(x), np.ones((1, 1)), fwd, bwd)
+    out = lstm_sequence(Tensor(x), np.ones((1, 1)), fwd, bwd)
     hf, _ = lstm_step(Tensor(x[:, 0]), (Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))), fwd)
     hb, _ = lstm_step(Tensor(x[:, 0]), (Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))), bwd)
     assert out.data[0, 0] == pytest.approx(np.concatenate([hf.data[0], hb.data[0]]))
@@ -330,8 +329,8 @@ def test_blstm_direction_swap_symmetry():
     fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
     xs = np.random.default_rng(13).normal(size=(1, 5, 3))
     mask = np.ones((1, 5))
-    out = blstm(Tensor(xs), mask, fwd, bwd)
-    out_swapped = blstm(Tensor(xs[:, ::-1].copy()), mask, bwd, fwd)
+    out = lstm_sequence(Tensor(xs), mask, fwd, bwd)
+    out_swapped = lstm_sequence(Tensor(xs[:, ::-1].copy()), mask, bwd, fwd)
     H = 4
     assert out_swapped.data[:, ::-1, :H] == pytest.approx(out.data[:, :, H:], abs=1e-12)
     assert out_swapped.data[:, ::-1, H:] == pytest.approx(out.data[:, :, :H], abs=1e-12)
@@ -340,7 +339,7 @@ def test_blstm_direction_swap_symmetry():
 def test_blstm_empty_sequence_rejected():
     store = random_lstm_store(14, 3, 4, names=("f", "b"))
     with pytest.raises(ShapeError):
-        blstm(Tensor(np.zeros((1, 0, 3))), np.zeros((1, 0)), lstm_params_from(store, "f"), lstm_params_from(store, "b"))
+        lstm_sequence(Tensor(np.zeros((1, 0, 3))), np.zeros((1, 0)), lstm_params_from(store, "f"), lstm_params_from(store, "b"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,60 @@ def test_prefix_parameter_sets_are_disjoint():
         for n in names:
             assert n not in seen, f"{n} owned by {prefix} and {seen[n]}"
             seen[n] = prefix
+
+
+def manifest_digest(graph):
+    """sha256 of the sorted (name, shape) list and the sorted zero-init set."""
+    return hashlib.sha256(repr((sorted(graph.shapes.items()), sorted(graph.zero_init))).encode()).hexdigest()
+
+
+# Recorded from the hand-wired builder that preceded models.WIRING, for
+# tiny_config: checkpoint format v1 and transplant depend on these exact names,
+# shapes and zero-init sets. Keys are (topology, ctc, adapter position).
+MANIFEST_DIGESTS = {
+    ("direct", False, None): "90fd2e115d728d009ecd39c0daccc84ecf40f392904047cb3366d7c07783a0f7",
+    ("direct", False, "encoder_top"): "6544b330f446c0ef81712000853635ccdde150ea24e5d1df1cd2a9b5d9b4dcb6",
+    ("direct", True, None): "236a94eabe26a6127e39446b4537f585d99ae275f086221ab269b567e66c1c99",
+    ("direct", True, "encoder_top"): "25dd0fc52b14e05edd888dcdd27397d40190c86f9901e2af2a38751bd2707d56",
+    ("asr", False, None): "7481e6d6dc4df02575ed39a12cfea3043a697f8d98697b20d4ea4120811dd06b",
+    ("asr", True, None): "10bbb20d48278de26daed8e4f17aded2bb3b1c6a2be6bcb4bc38a6ecfad575de",
+    ("mt", False, None): "cf2c0d42b112b84bbaf2c7e3f4f4417690664cfb4cd42b27ceb7925ebd7d01fc",
+    ("one2many", False, None): "9e77cfc70c25d16e7f07f9d5d42447e827f3d43843dd8650e1a3cdb0a100ad00",
+    ("one2many", False, "encoder_top"): "214d6281224f8b962272738a40c8f1ad887668b596b481a9b141b793f5be013f",
+    ("one2many", True, None): "d525835567aa69148bc1e56c62b969afa5d1b4ee13c6ff7417519f446d11fe9e",
+    ("one2many", True, "encoder_top"): "cb78a69603fd12bc39590fce0911636eeb15cd45d856e52f7983499e56858ca1",
+    ("many2one", False, None): "8d7f5ce117fef4b5ef1a89371081d92b875c664054f74b977e96324e81f0e255",
+    ("many2one", False, "encoder_top"): "0268fc732977c1c41cde98e344d24d2bb65158de7d08cd88dcb3144c7aa13aca",
+    ("many2one", True, None): "e1f1b5e63b372438070982509ba0288b548730b03be161725c497b082ac6deb1",
+    ("many2one", True, "encoder_top"): "29f527b308a3fde41b94400aa4de9fc765f64191f973bd9aff61930534af9abe",
+    ("tied_cascade", False, None): "7401781f4caf23c92c76088d164559d9f8b4a674c1cf26eebaa501aef2e6dd04",
+    ("tied_cascade", False, "asr_decoder_top"): "8c32aef9ebffed96f19a6cdea0ccd2c248335c3d4722c78d685a6a867c66a4a9",
+    ("tied_cascade", True, None): "ccdf532536e22ff07d7350e782d1712d35bfeaf11bcd1ee5810a7155a1eba867",
+    ("tied_cascade", True, "asr_decoder_top"): "059d6320314d4083871dbec27c45809239dc8114b36087872fb36da3fec07c45",
+    ("tied_triangle", False, None): "4b2150cd9bec765fd8420f895a68241bece3b14533c5c41627935d40575050c6",
+    ("tied_triangle", False, "asr_decoder_top"): "849fb451e2a3003ad0ebadb5a236823b62c7e96be8b53c1fc7574edb00b78667",
+    ("tied_triangle", True, None): "6c874584fab9e39f84ae00668a8dc279a4b1316ba460792aa3a03e9c84f12744",
+    ("tied_triangle", True, "asr_decoder_top"): "f96f54e24cfc97597a9055d3d67018c6584db4a9c08bf977d63ddec6ff8a044b",
+}
+GROWN_MANIFEST_DIGEST = "04407547e915b5fed252c932c9d54a89a3bd8958eea7febb8b5c190b87f6c4e3"
+
+
+def test_manifests_match_recorded_digests():
+    ds = tiny_dataset()
+    for topology in models.TOPOLOGIES:
+        for ctc in (False, True):
+            for adapter in (None, "encoder_top", "asr_decoder_top"):
+                key = (topology, ctc, adapter)
+                if key not in MANIFEST_DIGESTS:  # not a legal combination
+                    with pytest.raises(NumericsError):
+                        build(tiny_config(ds, ctc_enabled=ctc), topology, adapter_position=adapter)
+                    continue
+                graph = build(tiny_config(ds, ctc_enabled=ctc), topology, adapter_position=adapter)
+                assert manifest_digest(graph) == MANIFEST_DIGESTS[key], key
+    cfg = tiny_config(ds, ctc_enabled=True, enc_layers=3, pool_schedule=(2, 1, 1))
+    graph = build(cfg, "many2one", active_enc_layers=1, adapter_position="encoder_top")
+    grown = models.grow_encoder(graph, init_store(graph, 0), 2)
+    assert manifest_digest(grown) == GROWN_MANIFEST_DIGEST
 
 
 def test_config_validation():
@@ -163,6 +219,15 @@ def test_many2one_text_mode_matches_standalone_mt():
     assert abs(p_m2o.mt_loss.item() - p_mt.mt_loss.item()) <= 1e-12
     with pytest.raises(NumericsError):
         forward(m2o, init_store(m2o, 4), batch, mode="audio")
+
+
+def test_a_mode_without_a_route_is_rejected():
+    ds = tiny_dataset()
+    batch = first_batch(ds)
+    for topology, mode in (("direct", "text"), ("mt", "speech"), ("many2one", "audio")):
+        graph = build(tiny_config(ds), topology)
+        with pytest.raises(NumericsError, match="has no"):
+            forward(graph, init_store(graph, 4), batch, mode=mode)
 
 
 def test_many2one_modes_share_decoder_gradients():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deskst import data, models, transplant
-from deskst.models import ModelConfig, build, init_store
+from deskst.models import ModelConfig, build, init_store, with_adapter
 from deskst.tensor import NumericsError
 from deskst.transplant import (
     Checkpoint,
@@ -10,7 +10,6 @@ from deskst.transplant import (
     TransplantError,
     VersionMismatchError,
     apply_transplant,
-    insert_adapter,
     load,
     resolve_scheme,
     save,
@@ -224,7 +223,7 @@ def test_scheme_validation_errors():
 
 def test_adapter_adds_exactly_one_blstm_layer():
     _, graph, _ = setup_model("direct", seed=17)
-    with_a = insert_adapter(graph, "encoder_top")
+    with_a = with_adapter(graph, "encoder_top")
     added = set(with_a.shapes) - set(graph.shapes)
     assert added == {
         "adapter.l0.fwd.w_ih",
@@ -243,23 +242,23 @@ def test_adapter_adds_exactly_one_blstm_layer():
 def test_adapter_position_validation():
     _, direct_graph, _ = setup_model("direct", seed=18)
     with pytest.raises(NumericsError):
-        insert_adapter(direct_graph, "asr_decoder_top")
+        with_adapter(direct_graph, "asr_decoder_top")
     _, tied_graph, _ = setup_model("tied_cascade", seed=18)
     with pytest.raises(NumericsError):
-        insert_adapter(tied_graph, "encoder_top")
-    adapted = insert_adapter(tied_graph, "asr_decoder_top")
+        with_adapter(tied_graph, "encoder_top")
+    adapted = with_adapter(tied_graph, "asr_decoder_top")
     assert adapted.shapes["adapter.l0.fwd.w_ih"][0] == tied_graph.config.dec_hidden
     with pytest.raises(NumericsError):
-        insert_adapter(adapted, "asr_decoder_top")  # only one adapter
+        with_adapter(adapted, "asr_decoder_top")  # only one adapter
     _, asr_graph, _ = setup_model("asr", seed=18)
     with pytest.raises(NumericsError):
-        insert_adapter(asr_graph, "encoder_top")
+        with_adapter(asr_graph, "encoder_top")
 
 
 def test_adapter_never_grafted():
     _, asr_graph, asr_store = setup_model("asr", seed=19)
     _, st_graph, _ = setup_model("direct", seed=20)
-    st_graph = insert_adapter(st_graph, "encoder_top")
+    st_graph = with_adapter(st_graph, "encoder_top")
     st_store = init_store(st_graph, 20)
     fresh_adapter = {n: st_store[n].data.copy() for n in st_store.names() if n.startswith("adapter.")}
     scheme = resolve_scheme("asr_enc", "direct", asr_checkpoint=checkpoint_of(asr_graph, asr_store))
@@ -276,7 +275,7 @@ def test_adapter_never_grafted():
 
 def test_adapter_changes_attention_inputs():
     ds, graph, _ = setup_model("direct", seed=21)
-    adapted = insert_adapter(graph, "encoder_top")
+    adapted = with_adapter(graph, "encoder_top")
     store = init_store(adapted, 21)
     batches, _ = data.batch(ds, 2)
     from deskst.models import forward
@@ -290,7 +289,7 @@ def test_adapter_changes_attention_inputs():
 
 def test_adapter_on_top_of_asr_decoder_feeds_second_decoder():
     ds, graph, _ = setup_model("tied_triangle", seed=22)
-    adapted = insert_adapter(graph, "asr_decoder_top")
+    adapted = with_adapter(graph, "asr_decoder_top")
     store = init_store(adapted, 22)
     batches, _ = data.batch(ds, 2)
     from deskst.models import forward
