@@ -25,7 +25,7 @@ from . import metrics as metrics_mod
 from . import models, training, transplant
 from .decode import DirectionError, cascade_batch, default_direction
 from .tensor import NumericsError
-from .training import DivergenceError, TrainSchedule
+from .training import DivergenceError, RunRecord, TrainSchedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,6 +152,34 @@ def _float(cfg, key):
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from exc
 
 
+def _ints(cfg, key) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in cfg[key].split(",") if p.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be comma-separated integers, got {cfg[key]!r}") from exc
+
+
+def _growth(cfg) -> tuple[tuple[int, int], ...]:
+    """train.growth as (epoch, encoder layers) steps. The first step is
+    epoch 0, the starting depth; epochs and depths strictly increase, up to
+    model.enc_layers."""
+    text = cfg["train.growth"]
+    if not text:
+        return ()
+    try:
+        steps = tuple((int(epoch), int(layers)) for epoch, layers in (part.split(":") for part in text.split(",")))
+    except ValueError as exc:
+        raise ConfigError(f"train.growth must be epoch:layers steps such as 0:2,5:3, got {text!r}") from exc
+    epochs, depths = zip(*steps)
+    if epochs[0] != 0:
+        raise ConfigError(f"train.growth must start with 0:N, the starting encoder layers, got {text!r}")
+    if any(a >= b for seq in (epochs, depths) for a, b in zip(seq, seq[1:])):
+        raise ConfigError(f"train.growth epochs and layer counts must strictly increase, got {text!r}")
+    if depths[0] < 1 or depths[-1] > _int(cfg, "model.enc_layers"):
+        raise ConfigError(f"train.growth layer counts must lie in [1, model.enc_layers], got {text!r}")
+    return steps
+
+
 def build_dataset(cfg: dict[str, str]) -> tuple[data_mod.Dataset, data_mod.Dataset, data_mod.Dataset]:
     n_train, n_dev, n_test = (_int(cfg, f"data.n_{p}") for p in ("train", "dev", "test"))
     total = n_train + n_dev + n_test
@@ -169,8 +197,7 @@ def build_dataset(cfg: dict[str, str]) -> tuple[data_mod.Dataset, data_mod.Datas
     return train, dev, test
 
 
-def build_model_config(cfg: dict[str, str], ds: data_mod.Dataset) -> models.ModelConfig:
-    pools = tuple(int(p) for p in cfg["model.pool_schedule"].split(",") if p.strip())
+def build_model_config(cfg: dict[str, str], ds: data_mod.Dataset, pools: tuple[int, ...]) -> models.ModelConfig:
     try:
         return models.ModelConfig.desk(
             ds.src_vocab,
@@ -192,13 +219,9 @@ def build_model_config(cfg: dict[str, str], ds: data_mod.Dataset) -> models.Mode
 
 
 def build_schedule(cfg: dict[str, str]) -> TrainSchedule:
-    if _int(cfg, "train.dev_beam") < 1:
-        raise ConfigError(f"train.dev_beam must be >= 1, got {cfg['train.dev_beam']!r}")
-    growth = []
-    if cfg["train.growth"]:
-        for part in cfg["train.growth"].split(","):
-            epoch, layers = part.split(":")
-            growth.append((int(epoch), int(layers)))
+    for key in ("train.dev_beam", "train.eval_every"):
+        if _int(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]!r}")
     return TrainSchedule(
         epochs=_int(cfg, "train.epochs"),
         batch_size=_int(cfg, "train.batch_size"),
@@ -207,7 +230,7 @@ def build_schedule(cfg: dict[str, str]) -> TrainSchedule:
         lr_patience=_int(cfg, "train.lr_patience"),
         eval_every=_int(cfg, "train.eval_every"),
         max_len=_int(cfg, "train.max_len"),
-        growth=tuple(growth),
+        growth=_growth(cfg),
         dev_beam=_int(cfg, "train.dev_beam"),
         len_norm=_float(cfg, "eval.len_norm"),
     )
@@ -223,12 +246,14 @@ def _load_donors(cfg: dict[str, str]) -> tuple[transplant.Checkpoint | None, tra
 
 
 def initialize_run(cfg: dict[str, str]):
-    """Dataset, graph (with scheme/adapter applied), and fresh/grafted store."""
+    """Dataset, graph (with scheme/adapter applied, at train.growth's starting
+    depth), and fresh/grafted store."""
+    pools, growth = _ints(cfg, "model.pool_schedule"), _growth(cfg)  # checked before any data is generated
     train, dev, test = build_dataset(cfg)
-    mc = build_model_config(cfg, train)
+    mc = build_model_config(cfg, train, pools)
     topology = cfg["model.topology"]
     try:
-        graph = models.build(mc, topology)
+        graph = models.build(mc, topology, active_enc_layers=growth[0][1] if growth else None)
         if _flag(cfg, "transplant.adapter"):
             if models.WIRING[topology].adapter is None:
                 raise ConfigError(f"topology {topology!r} has no adapter position; set transplant.adapter off")
@@ -259,13 +284,13 @@ def cmd_generate_data(args, overrides) -> int:
 def cmd_train(args, overrides) -> int:
     cfg = resolve_config(args, overrides)
     out = Path(args.out or "runs/run")
+    schedule = build_schedule(cfg)
     out.mkdir(parents=True, exist_ok=True)
     train, dev, test, graph, store, report = initialize_run(cfg)
     if report is not None:
         print(f"transplant: {report.summary()}")
         (out / "transplant.json").write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-    schedule = build_schedule(cfg)
     record, best = training.train_model(graph, store, train, dev, schedule, out_dir=out, seed=_int(cfg, "train.seed"))
     row = record.best_row
     print(
@@ -297,8 +322,7 @@ def cmd_eval(args, overrides) -> int:
         ckpt_path = Path(args.checkpoint)
     else:
         raise ConfigError("eval needs --run DIR or --checkpoint FILE")
-    ckpt = transplant.load(ckpt_path)
-    graph, store = ckpt.graph, ckpt.to_store()
+    graph, store = transplant.restore(ckpt_path)
     train, dev, test = build_dataset(cfg)
     split = {"train": train, "dev": dev, "test": test}.get(cfg["eval.split"])
     if split is None:
@@ -315,27 +339,21 @@ def cmd_eval(args, overrides) -> int:
         raise ConfigError(f"eval.beam must be >= 1, got {beam}")
     len_norm = _float(cfg, "eval.len_norm")
     max_len = _int(cfg, "eval.max_len") or 2 * _int(cfg, "data.len_max") + 2
-    direction = cfg["eval.direction"] or None
     case = _flag(cfg, "eval.case_sensitive")
 
     if args.mt_checkpoint:  # cascade: this checkpoint is ASR, the flag is MT
-        mt_ckpt = transplant.load(args.mt_checkpoint)
-        mt_graph, mt_store = mt_ckpt.graph, mt_ckpt.to_store()
+        mt_graph, mt_store = transplant.restore(args.mt_checkpoint)
+        vocab, refs = training.output_side(split, "st")
         hyps = [
-            split.tgt_vocab.to_words(res.translation.content(split.tgt_vocab))
+            vocab.to_words(res.translation.content(vocab))
             for b in training.decode_batches(split)
             for res in cascade_batch(graph, store, mt_graph, mt_store, b, beam, max_len, len_norm)
         ]
-        refs = [split.tgt_vocab.to_words(ex.e.ids) for ex in split.examples]
         task = "cascade"
     else:
-        direction = direction or default_direction(graph.topology)
-        hyps = training.decode_corpus(graph, store, split, direction, beam, max_len, len_norm)
-        vocab = split.src_vocab if direction == "asr" else split.tgt_vocab
-        refs = [
-            vocab.to_words(ex.f.ids if direction == "asr" else ex.e.ids) for ex in split.examples
-        ]
-        task = direction
+        task = cfg["eval.direction"] or default_direction(graph.topology)
+        hyps = training.decode_corpus(graph, store, split, task, beam, max_len, len_norm)
+        _, refs = training.output_side(split, task)
     report = metrics_mod.score_corpus(hyps, refs, case_sensitive=case)
     result = {"task": task, "split": cfg["eval.split"], "beam": beam, **report.to_dict()}
     out_dir = Path(args.out) if args.out else (run_dir or ckpt_path.parent)
@@ -347,12 +365,13 @@ def cmd_eval(args, overrides) -> int:
 
 
 def _run_label(cfg: dict[str, str]) -> str:
+    cfg = {**DEFAULTS, **cfg}
     label = cfg["model.topology"]
-    if cfg.get("model.ctc", "off") in ("on", "true", "1", "yes"):
+    if _flag(cfg, "model.ctc"):
         label += " +CTC"
-    if cfg.get("transplant.scheme", "none") != "none":
+    if cfg["transplant.scheme"] != "none":
         label += f" [{cfg['transplant.scheme']}]"
-    if cfg.get("transplant.adapter", "off") in ("on", "true", "1", "yes"):
+    if _flag(cfg, "transplant.adapter"):
         label += " +adapter"
     return label
 
@@ -370,8 +389,8 @@ def cmd_compare(args, overrides) -> int:
             raise ConfigError(f"{run} is not a completed run directory ({exc})") from exc
         if not rows:
             raise ConfigError(f"{run} has an empty metrics.jsonl")
-        best = max(range(len(rows)), key=lambda i: (rows[i]["dev"]["bleu"], -i))
-        entry = {"dev_bleu": rows[best]["dev"]["bleu"], "dev_ter": rows[best]["dev"]["ter"]}
+        best = RunRecord(rows).best_row
+        entry = {"dev_bleu": best["dev"]["bleu"], "dev_ter": best["dev"]["ter"]}
         test_file = run / "eval_test.json"
         if test_file.exists():
             test = json.loads(test_file.read_text())

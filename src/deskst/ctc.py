@@ -20,7 +20,6 @@ __all__ = [
     "CtcInfeasibleError",
     "CtcLattice",
     "ctc_loss",
-    "ctc_grad",
     "ctc_lattice",
     "ctc_brute_force",
     "extend_with_blanks",
@@ -140,15 +139,6 @@ def _grad_from_lattice(width: int, lattice: CtcLattice) -> np.ndarray:
     occupancy[~np.isfinite(gamma)] = 0.0
     np.add.at(grad.T, lattice.extended, occupancy.T)
     return -grad
-
-
-def ctc_grad(frame_logprobs: np.ndarray | Tensor, target: np.ndarray) -> np.ndarray:
-    """Gradient of -log p_ctc w.r.t. the frame log-probabilities, (T, V+1)."""
-    if isinstance(frame_logprobs, Tensor):
-        frame_logprobs = frame_logprobs.data
-    lp, target, blank = _validate(frame_logprobs, target)
-    lattice = _forward_backward(lp, target, blank)
-    return _grad_from_lattice(lp.shape[1], lattice)
 
 
 def ctc_loss(frame_logprobs: Tensor | np.ndarray, target: np.ndarray) -> Tensor:

@@ -27,6 +27,7 @@ __all__ = [
     "generate",
     "split",
     "batch",
+    "pad_sequences",
     "save_dataset",
     "load_dataset",
 ]
@@ -100,7 +101,6 @@ class FeatureSequence:
 @dataclass
 class TokenSequence:
     ids: np.ndarray
-    role: str  # "transcript" | "translation"
 
     @property
     def length(self) -> int:
@@ -171,8 +171,8 @@ def generate(
             ExamplePair(
                 id=idx,
                 x=FeatureSequence(frames),
-                f=TokenSequence(f.astype(np.int64), "transcript"),
-                e=TokenSequence(e.astype(np.int64), "translation"),
+                f=TokenSequence(f.astype(np.int64)),
+                e=TokenSequence(e.astype(np.int64)),
             )
         )
     manifest = {
@@ -239,34 +239,21 @@ class FilterReport:
     dropped_ctc_infeasible: int
 
 
+def pad_sequences(seqs: list[np.ndarray], fill) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad sequences along their first axis into one (B, Lmax, ...)
+    array of the first sequence's dtype, plus its float 0/1 (B, Lmax) mask."""
+    lengths = np.array([len(s) for s in seqs])
+    padded = np.full((len(seqs), lengths.max(), *seqs[0].shape[1:]), fill, dtype=seqs[0].dtype)
+    for i, s in enumerate(seqs):
+        padded[i, : len(s)] = s
+    return padded, (np.arange(padded.shape[1]) < lengths[:, None]).astype(np.float64)
+
+
 def _pad_batch(examples: list[ExamplePair], pad_src: int, pad_tgt: int) -> Batch:
-    B = len(examples)
-    F = examples[0].x.frames.shape[1]
-    Tmax = max(ex.x.length for ex in examples)
-    Jmax = max(ex.f.length for ex in examples)
-    Imax = max(ex.e.length for ex in examples)
-    frames = np.zeros((B, Tmax, F))
-    frame_mask = np.zeros((B, Tmax))
-    src = np.full((B, Jmax), pad_src, dtype=np.int64)
-    src_mask = np.zeros((B, Jmax))
-    tgt = np.full((B, Imax), pad_tgt, dtype=np.int64)
-    tgt_mask = np.zeros((B, Imax))
-    for i, ex in enumerate(examples):
-        frames[i, : ex.x.length] = ex.x.frames
-        frame_mask[i, : ex.x.length] = 1.0
-        src[i, : ex.f.length] = ex.f.ids
-        src_mask[i, : ex.f.length] = 1.0
-        tgt[i, : ex.e.length] = ex.e.ids
-        tgt_mask[i, : ex.e.length] = 1.0
-    return Batch(
-        ids=[ex.id for ex in examples],
-        frames=frames,
-        frame_mask=frame_mask,
-        src=src,
-        src_mask=src_mask,
-        tgt=tgt,
-        tgt_mask=tgt_mask,
-    )
+    frames, frame_mask = pad_sequences([ex.x.frames for ex in examples], 0.0)
+    src, src_mask = pad_sequences([ex.f.ids for ex in examples], pad_src)
+    tgt, tgt_mask = pad_sequences([ex.e.ids for ex in examples], pad_tgt)
+    return Batch([ex.id for ex in examples], frames, frame_mask, src, src_mask, tgt, tgt_mask)
 
 
 def batch(
@@ -342,8 +329,8 @@ def load_dataset(path: str | Path) -> Dataset:
                 ExamplePair(
                     id=rec["id"],
                     x=FeatureSequence(np.asarray(rec["frames"], dtype=np.float64)),
-                    f=TokenSequence(np.asarray(rec["transcript"], dtype=np.int64), "transcript"),
-                    e=TokenSequence(np.asarray(rec["translation"], dtype=np.int64), "translation"),
+                    f=TokenSequence(np.asarray(rec["transcript"], dtype=np.int64)),
+                    e=TokenSequence(np.asarray(rec["translation"], dtype=np.int64)),
                 )
             )
     return Dataset(examples, src_vocab, tgt_vocab, np.asarray(manifest["cipher"]), manifest)

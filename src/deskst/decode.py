@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .data import Batch, Vocabulary
+from .data import Batch, Vocabulary, pad_sequences
 from .layers import EncoderStates
 from .models import ModelGraph, _DecoderCore
 from .models import apply_adapter  # noqa: F401  (a decode binding that perfbench tracing wraps)
@@ -29,7 +29,6 @@ __all__ = [
     "CascadeResult",
     "DirectionError",
     "beam_search",
-    "greedy_decode",
     "greedy_decode_batch",
     "beam_decode",
     "cascade",
@@ -78,12 +77,7 @@ def _input_batch(graph: ModelGraph, xs: list, direction: str) -> Batch:
     if text and any(x.ndim != 1 or x.size == 0 for x in xs):
         raise NumericsError("text input must be non-empty 1-D id sequences")
     B = len(xs)
-    fill = models._task_vocab(graph, "asr").pad_id if text else 0
-    padded = np.full((B, max(len(x) for x in xs), *xs[0].shape[1:]), fill, dtype=xs[0].dtype)
-    mask = np.zeros(padded.shape[:2])
-    for i, x in enumerate(xs):
-        padded[i, : len(x)] = x
-        mask[i, : len(x)] = 1.0
+    padded, mask = pad_sequences(xs, models._task_vocab(graph, "asr").pad_id if text else 0)
     no_ids, no_mask = np.zeros((B, 1), dtype=np.int64), np.zeros((B, 1))
     if text:
         return Batch(list(range(B)), np.zeros((B, 1, graph.config.feature_dim)), no_mask, padded, mask, no_ids, no_mask)
@@ -135,8 +129,7 @@ def beam_search(
         memories, prefix, vocab = prepare_memories(graph, store, batch, direction)
         if K > 1:
             memories = [
-                (name, EncoderStates(Tensor(np.repeat(m.states.data, K, axis=0)), np.repeat(m.mask, K, axis=0),
-                                     np.repeat(m.input_lengths, K, axis=0)))
+                (name, EncoderStates(Tensor(np.repeat(m.states.data, K, axis=0)), np.repeat(m.mask, K, axis=0)))
                 for name, m in memories
             ]
         core = _DecoderCore(graph, store, prefix, memories, vocab.size)
@@ -205,12 +198,6 @@ def greedy_decode_batch(
 ) -> list[Hypothesis]:
     """Argmax decoding over a whole padded batch: a one-lane beam search."""
     return beam_search(graph, store, batch, 1, max_len, direction=direction)
-
-
-def greedy_decode(graph, store, x: np.ndarray, max_len: int, direction: str | None = None) -> Hypothesis:
-    """Argmax token per step until EOS or max_len."""
-    direction = direction or default_direction(graph.topology)
-    return greedy_decode_batch(graph, store, _input_batch(graph, [x], direction), max_len, direction)[0]
 
 
 def beam_decode(

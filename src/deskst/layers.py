@@ -82,7 +82,6 @@ class EncoderStates:
 
     states: Tensor  # (B, T', D_mem)
     mask: np.ndarray  # (B, T') float 0/1
-    input_lengths: np.ndarray  # (B,) original frame counts
 
     @property
     def lengths(self) -> np.ndarray:

@@ -173,17 +173,9 @@ def ter(hyps: list[str], refs: list[str]) -> float:
     return 100.0 * edits / total_ref
 
 
-def score_corpus(
-    hyps: list[str],
-    refs: list[str],
-    case_sensitive: bool = True,
-    with_ter: bool = True,
-    with_wer: bool = True,
-) -> MetricReport:
-    """BLEU report optionally extended with TER and WER."""
+def score_corpus(hyps: list[str], refs: list[str], case_sensitive: bool = True) -> MetricReport:
+    """BLEU report extended with TER and WER."""
     report = bleu_report(hyps, refs, case_sensitive)
-    if with_ter:
-        report.ter = ter(hyps, refs)
-    if with_wer:
-        report.wer = wer(hyps, refs)
+    report.ter = ter(hyps, refs)
+    report.wer = wer(hyps, refs)
     return report

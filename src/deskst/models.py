@@ -174,25 +174,6 @@ class ModelConfig:
         kw.update(overrides)
         return cls(**kw)
 
-    @classmethod
-    def paper_preset(cls, src_vocab: Vocabulary, tgt_vocab: Vocabulary, **overrides) -> "ModelConfig":
-        """Full-scale dimensions (620 embeddings, 6x1024 BLSTM, pool 2x2x2)."""
-        kw = dict(
-            src_vocab_size=src_vocab.size,
-            tgt_vocab_size=tgt_vocab.size,
-            feature_dim=src_vocab.content_size,
-            emb_size=620,
-            enc_hidden=1024,
-            enc_layers=6,
-            dec_hidden=1024,
-            dec_layers=1,
-            attn_dim=1024,
-            pool_schedule=(2, 2, 2, 1, 1, 1),
-            dropout=0.3,
-        )
-        kw.update(overrides)
-        return cls(**kw)
-
 
 @dataclass(frozen=True)
 class ModelGraph:
@@ -239,7 +220,6 @@ class LossBreakdown:
     mt_loss: Tensor | None = None
     ctc_loss: Tensor | None = None
     token_hits: dict[str, tuple[int, int]] = field(default_factory=dict)
-    n_sequences: int = 0
 
     def floats(self) -> dict[str, float]:
         out = {}
@@ -462,13 +442,12 @@ def run_speech_encoder(
     """BLSTM stack with interleaved temporal max pooling over (B, T, F)."""
     h = Tensor(batch.frames)
     mask = batch.frame_mask
-    lengths = mask.sum(axis=1).astype(np.int64)
     for i, pool in enumerate(graph.effective_pools()):
         h = _blstm(h, mask, store, f"encoder.l{i}")
         if pool > 1:
             h, mask = max_pool_time(h, mask, pool)
         h = _maybe_dropout(h, graph, training, rngs, "encoder")
-    return EncoderStates(states=h, mask=mask, input_lengths=lengths)
+    return EncoderStates(states=h, mask=mask)
 
 
 def run_text_encoder(
@@ -476,11 +455,10 @@ def run_text_encoder(
 ) -> EncoderStates:
     """Embed source tokens and run the (unpooled) BLSTM stack."""
     h = embed(ids, store["text_encoder.emb"])
-    lengths = mask.sum(axis=1).astype(np.int64)
     for i in range(graph.config.enc_layers):
         h = _blstm(h, mask, store, f"text_encoder.l{i}")
         h = _maybe_dropout(h, graph, training, rngs, "text_encoder")
-    return EncoderStates(states=h, mask=mask, input_lengths=lengths)
+    return EncoderStates(states=h, mask=mask)
 
 
 def apply_adapter(
@@ -489,7 +467,7 @@ def apply_adapter(
     """One fresh BLSTM between transplanted components; width-preserving."""
     h = _blstm(states.states, states.mask, store, "adapter.l0")
     h = _maybe_dropout(h, graph, training, rngs, "adapter")
-    return EncoderStates(states=h, mask=states.mask, input_lengths=states.input_lengths)
+    return EncoderStates(states=h, mask=states.mask)
 
 
 @dataclass
@@ -695,7 +673,7 @@ def head_memories(
         rollout = run_decoder_greedy_rollout(
             graph, store, "decoder_asr", [("attn", attn)], limits, _task_vocab(graph, "asr"), training, rngs
         )
-        memories["attn_dec"] = EncoderStates(rollout.states, rollout.state_mask, rollout.state_mask.sum(1))
+        memories["attn_dec"] = EncoderStates(rollout.states, rollout.state_mask)
         if graph.adapter_position == "asr_decoder_top":
             memories["attn_dec"] = apply_adapter(graph, store, memories["attn_dec"], training, rngs)
     return [(name, memories[name]) for name in head.memories]
@@ -717,7 +695,7 @@ def forward(graph, store, batch: Batch, mode: str | None = None, training=False,
         runs[head] = run_decoder_teacher_forced(
             graph, store, head.decoder, memories, targets, target_mask, _task_vocab(graph, head.task), training, rngs
         )
-    parts = LossBreakdown(combined=None, n_sequences=batch.size)
+    parts = LossBreakdown(combined=None)
     ctc_head = None
     if graph.config.ctc_enabled and route.source == "speech":
         parts.ctc_loss = _ctc_term(graph, store, enc, batch)

@@ -100,9 +100,6 @@ class ParamStore:
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._entries.items())
 
-    def n_values(self) -> int:
-        return sum(t.data.size for t in self._entries.values())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self._entries.items()}
 

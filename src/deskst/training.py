@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import models, transplant
-from .data import Batch, Dataset, batch as make_batches
+from .data import Batch, Dataset, Vocabulary, batch as make_batches
 from .decode import beam_decode  # noqa: F401  (a training binding that perfbench tracing wraps)
 from .decode import beam_search, default_direction
 from .models import LossBreakdown, ModelGraph
@@ -25,7 +25,8 @@ from .numerics import LrSchedule, OptimizerState, ParamStore, adam_step, backwar
 from .tensor import NonFiniteError, no_grad
 
 __all__ = [
-    "TrainSchedule", "RunRecord", "DivergenceError", "train_model", "evaluate_model", "decode_batches", "decode_corpus"
+    "TrainSchedule", "RunRecord", "DivergenceError", "train_model", "evaluate_model", "output_side", "decode_batches",
+    "decode_corpus",
 ]
 
 log = logging.getLogger("deskst")
@@ -44,16 +45,14 @@ class TrainSchedule:
     lr_patience: int = 6
     eval_every: int = 1  # epochs between dev checkpoints
     max_len: int | None = 75  # token filter, as in the full-scale recipe
-    growth: tuple[tuple[int, int], ...] = ()  # (epoch, encoder layers) pairs
+    growth: tuple[tuple[int, int], ...] = ()  # (epoch, encoder layers) pairs; an epoch-0 pair is the starting depth
     dev_beam: int = 1  # 1 -> greedy dev decoding (fast); >1 -> beam
     len_norm: float = 0.6
-    keep: str = "best"  # "best" prunes superseded checkpoint files, "all" keeps
 
 
 @dataclass
 class RunRecord:
     rows: list[dict] = field(default_factory=list)
-    out_dir: Path | None = None
 
     @property
     def best_index(self) -> int:
@@ -76,10 +75,12 @@ class RunRecord:
         return None
 
 
-def _primary_refs(ds: Dataset, task: str) -> list[str]:
+def output_side(ds: Dataset, task: str) -> tuple[Vocabulary, list[str]]:
+    """A task's output vocabulary and references: asr decodes to transcripts
+    in the source vocabulary, st and mt to translations in the target one."""
     if task == "asr":
-        return [ds.src_vocab.to_words(ex.f.ids) for ex in ds.examples]
-    return [ds.tgt_vocab.to_words(ex.e.ids) for ex in ds.examples]
+        return ds.src_vocab, [ds.src_vocab.to_words(ex.f.ids) for ex in ds.examples]
+    return ds.tgt_vocab, [ds.tgt_vocab.to_words(ex.e.ids) for ex in ds.examples]
 
 
 def decode_batches(ds: Dataset) -> list[Batch]:
@@ -98,7 +99,7 @@ def decode_corpus(
 ) -> list[str]:
     """Beam-search every example (beam=1 is greedy) to a whitespace-joined
     content-token sentence."""
-    vocab = ds.src_vocab if direction == "asr" else ds.tgt_vocab
+    vocab, _ = output_side(ds, direction)
     return [
         vocab.to_words(hyp.content(vocab))
         for b in decode_batches(ds)
@@ -111,7 +112,6 @@ def evaluate_model(
     store: ParamStore,
     dev: Dataset,
     schedule: TrainSchedule,
-    with_wer: bool | None = None,
 ) -> dict:
     """Teacher-forced accuracy/loss plus decode metrics on the dev set."""
     task = default_direction(graph.topology)
@@ -131,19 +131,16 @@ def evaluate_model(
     max_target = max(ex.e.length for ex in dev.examples) if dev.examples else 8
     max_len = 2 * max_target + 2
     hyps = decode_corpus(graph, store, dev, task, schedule.dev_beam, max_len, schedule.len_norm)
-    refs = _primary_refs(dev, task)
+    _, refs = output_side(dev, task)
     out = {
         "token_accuracy": round(hits / steps, 6) if steps else 0.0,
         "loss_per_token": round(loss_sum / steps, 6) if steps else 0.0,
         "bleu": round(metrics_mod.bleu(hyps, refs), 4),
         "ter": round(metrics_mod.ter(hyps, refs), 4),
     }
-    if with_wer is None:
-        with_wer = "decoder_asr." in graph.component_prefixes()
-    if with_wer:
+    if "decoder_asr." in graph.component_prefixes():
         asr_hyps = hyps if task == "asr" else decode_corpus(graph, store, dev, "asr", 1, max_len)
-        asr_refs = _primary_refs(dev, "asr")
-        out["wer"] = round(metrics_mod.wer(asr_hyps, asr_refs), 4)
+        out["wer"] = round(metrics_mod.wer(asr_hyps, output_side(dev, "asr")[1]), 4)
     return out
 
 
@@ -171,16 +168,14 @@ def train_model(
     rngs = models.dropout_streams(seed)
     order_rng = rng_for(seed, "batch-order")
     growth = dict(schedule.growth)
-    record = RunRecord(out_dir=out_path)
-    best_snapshot: dict[str, np.ndarray] | None = None
+    record = RunRecord()
+    best_snapshot: dict[str, np.ndarray] = {}  # set at epoch 0: a run's first row is its best so far
     best_graph = graph
-    best_bleu = -1.0
-    best_step = 0
     routes = models.WIRING[graph.topology].routes
     step = 0
 
     def snapshot_row(epoch: int, train_stats: dict | None) -> None:
-        nonlocal best_snapshot, best_graph, best_bleu, best_step
+        nonlocal best_snapshot, best_graph
         dev_stats = evaluate_model(graph, store, dev, schedule)
         lr_now = plateau_update(lr_sched, dev_stats["bleu"]) if epoch > 0 else lr_sched.lr
         opt.learning_rate = lr_now
@@ -193,41 +188,29 @@ def train_model(
             "checkpoint": f"ckpt-{step}",
         }
         record.rows.append(row)
+        best = record.best_row
+        if best is row:
+            best_snapshot, best_graph = store.state_dict(), graph
         if out_path is not None:
             with (out_path / "metrics.jsonl").open("a") as fh:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
-            transplant.save(graph, store, out_path / f"ckpt-{step}", dev_history=record.rows)
-        if dev_stats["bleu"] > best_bleu:
-            best_bleu = dev_stats["bleu"]
-            best_step = step
-            best_snapshot = store.state_dict()
-            best_graph = graph
-            if out_path is not None:
-                (out_path / "best").write_text(json.dumps({"checkpoint": f"ckpt-{step}", "dev_bleu": best_bleu}) + "\n")
-        if out_path is not None and schedule.keep == "best":
-            for f in out_path.glob("ckpt-*"):
-                if f.name not in (f"ckpt-{best_step}", f"ckpt-{step}"):
+            transplant.save(graph, store, out_path / row["checkpoint"], dev_history=record.rows)
+            if best is row:
+                marker = {"checkpoint": row["checkpoint"], "dev_bleu": dev_stats["bleu"]}
+                (out_path / "best").write_text(json.dumps(marker) + "\n")
+            for f in out_path.glob("ckpt-*"):  # keep only the best and the latest checkpoint
+                if f.name not in (best["checkpoint"], row["checkpoint"]):
                     f.unlink()
         log.info("epoch %d step %d dev %s lr %.2e", epoch, step, dev_stats, lr_now)
 
     snapshot_row(0, None)
+    filters = dict(max_len=schedule.max_len, pool_product=cfg.pool_product, ctc_filter=cfg.ctc_enabled)
+    n_kept = make_batches(train, schedule.batch_size, **filters)[1].kept  # growth leaves every filter input as it is
     for epoch in range(1, schedule.epochs + 1):
         if epoch in growth:
             graph = models.grow_encoder(graph, store, growth[epoch])
             log.info("epoch %d: grew encoder to %d layers", epoch, growth[epoch])
-        kept, _ = make_batches(
-            train, schedule.batch_size, max_len=schedule.max_len, pool_product=cfg.pool_product, ctc_filter=cfg.ctc_enabled
-        )
-        n_examples = sum(b.size for b in kept)
-        order = order_rng.permutation(n_examples)
-        batches, _ = make_batches(
-            train,
-            schedule.batch_size,
-            max_len=schedule.max_len,
-            pool_product=cfg.pool_product,
-            ctc_filter=cfg.ctc_enabled,
-            order=order,
-        )
+        batches, _ = make_batches(train, schedule.batch_size, order=order_rng.permutation(n_kept), **filters)
         sums: dict[str, float] = {}
         tokens = 0
         for b in batches:
@@ -247,6 +230,5 @@ def train_model(
         if epoch % schedule.eval_every == 0 or epoch == schedule.epochs:
             snapshot_row(epoch, train_stats)
 
-    values = best_snapshot if best_snapshot is not None else store.state_dict()
-    best = transplant.Checkpoint(graph=best_graph, values=values, dev_history=record.rows, seed=store.rng_seed)
+    best = transplant.Checkpoint(graph=best_graph, values=best_snapshot, dev_history=record.rows, seed=store.rng_seed)
     return record, best

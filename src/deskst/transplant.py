@@ -175,7 +175,6 @@ class Graft:
 @dataclass
 class TransplantScheme:
     grafts: list[Graft]
-    freeze: frozenset[str] = frozenset()  # kept out of the optimizer update
 
     def __post_init__(self):
         targets = [g.target_prefix for g in self.grafts]

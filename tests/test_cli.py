@@ -78,3 +78,63 @@ def test_train_rejects_an_adapter_the_topology_has_no_position_for(tmp_path, cap
     assert cli.main(["train", "--out", str(tmp_path / "run"), *TINY_DATA, *model, *flags]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: topology '{topology}' has no adapter position")
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("train.eval_every", "0", "train.eval_every must be >= 1"),
+        ("model.pool_schedule", "2,x,1", "model.pool_schedule must be comma-separated integers"),
+        ("train.growth", "2", "train.growth must be epoch:layers steps"),
+        ("train.growth", "2:3", "train.growth must start with 0:N"),
+        ("train.growth", "0:2,2:2", "train.growth epochs and layer counts must strictly increase"),
+        ("train.growth", "0:1,3:2,3:3", "train.growth epochs and layer counts must strictly increase"),
+        ("train.growth", "0:0,2:1", "train.growth layer counts must lie in [1, model.enc_layers]"),
+        ("train.growth", "0:2,2:4", "train.growth layer counts must lie in [1, model.enc_layers]"),
+    ],
+)
+def test_train_rejects_a_malformed_value_before_generating_data(tmp_path, capsys, monkeypatch, key, value, message):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the configuration was checked")
+
+    monkeypatch.setattr(cli.data_mod, "generate", no_data)
+    assert cli.main(["train", "--out", str(tmp_path / "run"), f"--{key}", value]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.endswith(f"got {value!r}\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["ON", "True", "YES", "1"])
+def test_compare_labels_a_flag_as_training_reads_it(value):
+    cfg = {"model.topology": "direct", "model.ctc": value, "transplant.adapter": value}
+    assert cli._run_label(cfg) == "direct +CTC +adapter"
+
+
+def test_cli_end_to_end(tmp_path, capsys, monkeypatch):
+    model = [arg for key, value in TINY_MODEL.items() for arg in (f"--{key}", value)]
+    common = [*TINY_DATA, *model, "--train.epochs", "2"]
+    ctc_run, grown_run = tmp_path / "ctc", tmp_path / "grown"
+    assert cli.main(["train", "--out", str(ctc_run), *common, "--model.ctc", "ON"]) == cli.EXIT_OK
+    deeper = ["--model.enc_layers", "2", "--model.pool_schedule", "2,1", "--train.growth", "0:1,2:2"]
+    assert cli.main(["train", "--out", str(grown_run), *common, *deeper]) == cli.EXIT_OK
+    last = json.loads((grown_run / "metrics.jsonl").read_text().splitlines()[-1])["checkpoint"]
+    assert transplant.load(grown_run / last).graph.active_enc_layers == 2
+    assert transplant.load(ctc_run / "ckpt-0").graph.config.ctc_enabled
+
+    restored = []
+    restore = transplant.restore
+    monkeypatch.setattr(transplant, "restore", lambda path: restored.append(path) or restore(path))
+    assert cli.main(["eval", "--run", str(ctc_run), "--beam", "2"]) == cli.EXIT_OK
+    assert restored == [ctc_run / json.loads((ctc_run / "best").read_text())["checkpoint"]]
+    assert json.loads((ctc_run / "eval_test.json").read_text())["task"] == "st"
+
+    assert cli.main(["compare", str(ctc_run), str(grown_run), "--out", str(tmp_path / "cmp")]) == cli.EXIT_OK
+    table = json.loads((tmp_path / "cmp" / "compare.json").read_text())
+    assert [(row["method"], row["n_seeds"]) for row in table] == [("direct +CTC", 1), ("direct", 1)]
+    assert table[0]["test_bleu"] is not None and table[1]["test_bleu"] is None
+
+    donor = ctc_run / json.loads((ctc_run / "best").read_text())["checkpoint"]
+    out = tmp_path / "init.ckpt"
+    flags = ["--scheme", "asr_enc", "--transplant.asr_checkpoint", str(donor), "--out", str(out)]
+    assert cli.main(["transplant", *TINY_DATA, *model, *flags]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "init.ckpt.report.json").read_text())
+    assert report["grafted"] and all(name.startswith("encoder.") for name in report["grafted"])

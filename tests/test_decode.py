@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deskst import data, decode, models
-from deskst.decode import Hypothesis, beam_decode, beam_search, cascade, cascade_batch, greedy_decode
+from deskst.decode import Hypothesis, beam_decode, beam_search, cascade, cascade_batch, greedy_decode_batch
 from deskst.layers import EncoderStates
 from deskst.models import ADAPTER_POSITIONS, ModelConfig, build, init_store
 from deskst.tensor import NumericsError, Tensor, no_grad
@@ -28,8 +28,7 @@ def reference_beam_decode(graph, store, x, beam, max_len, len_norm=0.6, directio
     with no_grad():
         base_memories, prefix, vocab = decode.prepare_memories(graph, store, batch, direction)
         memories = [
-            (name, EncoderStates(Tensor(np.repeat(m.states.data, beam, axis=0)), np.repeat(m.mask, beam, axis=0),
-                                 np.repeat(m.input_lengths, beam, axis=0)))
+            (name, EncoderStates(Tensor(np.repeat(m.states.data, beam, axis=0)), np.repeat(m.mask, beam, axis=0)))
             for name, m in base_memories
         ]
         core = models._DecoderCore(graph, store, prefix, memories, vocab.size)
@@ -227,7 +226,7 @@ def test_greedy_zero_parameter_model_is_deterministic_lowest_id():
     ds, graph, store = tiny_setup()
     for name in store.names():
         store.set(name, np.zeros(graph.shapes[name]))
-    hyp = greedy_decode(graph, store, ds.examples[0].x.frames, max_len=4)
+    hyp = beam_decode(graph, store, ds.examples[0].x.frames, 1, max_len=4)
     # uniform output distribution: ties break to token id 0 every step
     assert hyp.tokens == [0, 0, 0, 0]
     assert not hyp.finished
@@ -235,7 +234,7 @@ def test_greedy_zero_parameter_model_is_deterministic_lowest_id():
 
 def test_greedy_max_len_one():
     ds, graph, store = tiny_setup(seed=1)
-    hyp = greedy_decode(graph, store, ds.examples[0].x.frames, max_len=1)
+    hyp = beam_decode(graph, store, ds.examples[0].x.frames, 1, max_len=1)
     assert len(hyp.tokens) == 1
 
 
@@ -244,7 +243,7 @@ def test_beam_one_equals_greedy_on_random_models():
     for trial in range(8):
         ds, graph, store = tiny_setup(seed=trial, vocab=4)
         x = ds.examples[int(rng.integers(len(ds)))].x.frames
-        g = greedy_decode(graph, store, x, max_len=7)
+        g = greedy_decode_batch(graph, store, decode._input_batch(graph, [x], "st"), max_len=7)[0]
         b = beam_decode(graph, store, x, beam=1, max_len=7)
         assert g.tokens == b.tokens, trial
         assert g.score == pytest.approx(b.score, abs=1e-12)
@@ -256,7 +255,7 @@ def test_beam_score_no_worse_than_greedy():
     for trial in range(25):
         ds, graph, store = tiny_setup(seed=trial + 10, vocab=4)
         x = ds.examples[0].x.frames
-        g = greedy_decode(graph, store, x, max_len=6)
+        g = beam_decode(graph, store, x, 1, max_len=6)
         b = beam_decode(graph, store, x, beam=6, max_len=6)
         assert b.score >= g.score - 1e-12
         hits += b.score > g.score + 1e-9
@@ -310,13 +309,13 @@ def test_beam_wider_than_search_space_is_exact():
 def test_decode_directions_and_errors():
     ds, graph, store = tiny_setup(seed=4, topology="one2many")
     x = ds.examples[0].x.frames
-    st = greedy_decode(graph, store, x, max_len=5, direction="st")
-    asr = greedy_decode(graph, store, x, max_len=5, direction="asr")
+    st = beam_decode(graph, store, x, 1, max_len=5, direction="st")
+    asr = beam_decode(graph, store, x, 1, max_len=5, direction="asr")
     assert st.tokens and asr.tokens
     with pytest.raises(NumericsError):
-        greedy_decode(graph, store, x, max_len=5, direction="mt")
+        beam_decode(graph, store, x, 1, max_len=5, direction="mt")
     ds2, mt_graph, mt_store = tiny_setup(seed=4, topology="mt")
-    hyp = greedy_decode(mt_graph, mt_store, ds2.examples[0].f.ids, max_len=5, direction="mt")
+    hyp = beam_decode(mt_graph, mt_store, ds2.examples[0].f.ids, 1, max_len=5, direction="mt")
     assert hyp.tokens
 
 

@@ -441,7 +441,7 @@ def test_attention_uniform_when_energies_equal():
     store = store_with(
         w_query=np.zeros((3, 4)), w_keys=np.zeros((5, 4)), v=np.zeros(4), b=np.zeros(4), u=np.zeros(4)
     )
-    enc = EncoderStates(Tensor(np.random.default_rng(0).normal(size=(1, 6, 5))), np.ones((1, 6)), np.array([6]))
+    enc = EncoderStates(Tensor(np.random.default_rng(0).normal(size=(1, 6, 5))), np.ones((1, 6)))
     att = additive_attention(Tensor(np.zeros((1, 3))), enc, Tensor(np.zeros((1, 6))), attention_params(store))
     assert att.weights.data == pytest.approx(np.full((1, 6), 1 / 6))
 
@@ -449,7 +449,7 @@ def test_attention_uniform_when_energies_equal():
 def test_attention_single_position():
     store = attention_store(1, 3, 5, 4)
     enc_states = np.random.default_rng(2).normal(size=(1, 1, 5))
-    enc = EncoderStates(Tensor(enc_states), np.ones((1, 1)), np.array([1]))
+    enc = EncoderStates(Tensor(enc_states), np.ones((1, 1)))
     att = additive_attention(Tensor(np.zeros((1, 3))), enc, Tensor(np.zeros((1, 1))), attention_params(store))
     np.testing.assert_allclose(att.weights.data, [[1.0]], atol=1e-15)
     np.testing.assert_allclose(att.context.data, enc_states[:, 0], atol=1e-12)
@@ -458,7 +458,7 @@ def test_attention_single_position():
 def test_attention_feedback_accumulates_weights():
     store = attention_store(3, 3, 5, 4)
     rng = np.random.default_rng(4)
-    enc = EncoderStates(Tensor(rng.normal(size=(2, 4, 5))), np.ones((2, 4)), np.array([4, 4]))
+    enc = EncoderStates(Tensor(rng.normal(size=(2, 4, 5))), np.ones((2, 4)))
     fb = Tensor(np.zeros((2, 4)))
     total = np.zeros((2, 4))
     for _ in range(3):
@@ -479,7 +479,7 @@ def test_attention_gradients():
     fb0 = rng.random((2, 3))
 
     def loss():
-        enc = EncoderStates(Tensor(enc_data), mask, mask.sum(1))
+        enc = EncoderStates(Tensor(enc_data), mask)
         att = additive_attention(Tensor(s_prev), enc, Tensor(fb0), attention_params(store))
         att2 = additive_attention(Tensor(s_prev), enc, att.feedback, attention_params(store))
         return tz.tsum(att.context * att2.context) + tz.tsum(att2.weights * np.arange(3.0))
@@ -586,7 +586,7 @@ def decoder_store(seed, layers=2, E=3, H=4, A=3, V=5, mem_dims=(3, 2)):
 def run_decoder(store, eps=0.1, layers=2):
     memories = [
         (
-            EncoderStates(store[f"m{k}.states"], mask, mask.sum(1)),
+            EncoderStates(store[f"m{k}.states"], mask),
             AttentionParams(*(store[f"a{k}.{n}"] for n in ("w_query", "w_keys", "v", "b", "u"))),
         )
         for k, mask in enumerate(DEC_MASKS)

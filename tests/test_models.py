@@ -284,7 +284,7 @@ def test_tied_rollout_support_and_triangle_weights():
     tstore = init_store(tri, 6)
     enc_t = models.run_speech_encoder(tri, tstore, batch)
     roll_t = models.run_decoder_greedy_rollout(tri, tstore, "decoder_asr", [("attn", enc_t)], limits, src_vocab)
-    dec_mem = EncoderStates(roll_t.states, roll_t.state_mask, roll_t.state_mask.sum(1))
+    dec_mem = EncoderStates(roll_t.states, roll_t.state_mask)
     core = models._DecoderCore(tri, tstore, "decoder_st", [("attn", enc_t), ("attn_dec", dec_mem)], ds.tgt_vocab.size)
     layers_state, feedback = core.initial_state(batch.size)
     probs, ctx, feedback = core.step(np.full(batch.size, ds.tgt_vocab.bos_id), layers_state, feedback, False, None)
@@ -357,7 +357,7 @@ def test_adapter_gradcheck():
     proj = rng.normal(size=(2, 4, 4))
 
     def loss():
-        enc = EncoderStates(store["states"], mask, mask.sum(axis=1))
+        enc = EncoderStates(store["states"], mask)
         return tz.tsum(models.apply_adapter(graph, store, enc).states * proj)
 
     check_grads(loss, store)
