@@ -1,13 +1,16 @@
 """Beam search over trained graphs, plus the ASR->MT cascade.
 
 ``beam_search`` decodes a padded batch of B utterances with K lanes each;
-greedy is K=1. Memories are encoded once and tiled to B*K rows, utterance b
-on rows b*K ... b*K+K-1; lane slots beyond an utterance's active count are
-frozen by the step mask and never scored. Each step keeps an utterance's top
-K (lane, token) candidates under the key (-score, the lane's lexicographic
-rank among its utterance's lanes, token id), i.e. equal scores are ordered by
-token sequence: the lowest id wins ties, so beam=1 reproduces greedy and
-zero-parameter models decode deterministically. No gradients are recorded.
+greedy is K=1. Memories are encoded once, and each step runs the numpy
+decoder step ``layers.DecoderKernel`` over the live lanes only: one state
+row per lane, tagged with its utterance and slot, so no memory is copied
+per lane and lane slots beyond an utterance's active count are never
+computed. Each step keeps an utterance's top K (lane, token) candidates under
+the key (-score, the lane's lexicographic rank among its utterance's lanes,
+token id), i.e. equal scores are ordered by token sequence: the lowest id
+wins ties, so beam=1 reproduces greedy and zero-parameter models decode
+deterministically. Decoder weights and memories are checked on entry, and
+each step's probabilities and states after it (``NonFiniteError``).
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
+from . import layers, models
 from .data import Batch, Vocabulary, pad_sequences
 from .layers import EncoderStates
-from .models import ModelGraph, _DecoderCore
+from .models import ModelGraph
 from .models import apply_adapter  # noqa: F401  (a decode binding that perfbench tracing wraps)
 from .numerics import ParamStore
-from .tensor import NumericsError, Tensor, no_grad
+from .tensor import NonFiniteError, NumericsError, no_grad
 
 __all__ = [
     "Hypothesis",
@@ -105,6 +108,11 @@ def prepare_memories(
     raise DirectionError(f"topology {graph.topology!r} does not decode direction {direction!r}")
 
 
+def _check_finite(what: str, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteError(f"non-finite {what} in beam search")
+
+
 def beam_search(
     graph: ModelGraph,
     store: ParamStore,
@@ -127,61 +135,59 @@ def beam_search(
     B, K = batch.size, beam
     with no_grad():
         memories, prefix, vocab = prepare_memories(graph, store, batch, direction)
-        if K > 1:
-            memories = [
-                (name, EncoderStates(Tensor(np.repeat(m.states.data, K, axis=0)), np.repeat(m.mask, K, axis=0)))
-                for name, m in memories
-            ]
-        core = _DecoderCore(graph, store, prefix, memories, vocab.size)
-        V = vocab.size
-        layers, feedback = core.initial_state(B * K)
-        prev = np.full(B * K, vocab.bos_id, dtype=np.int64)
-        rows = np.arange(B)[:, None]
-        slots = np.arange(K)
-        scores = np.zeros((B, K))
-        history = np.zeros((B, K, 0), dtype=np.int64)  # each lane's tokens
-        order = np.broadcast_to(slots, (B, K))  # lanes by lexicographic rank, dummies last
-        n_active = np.ones(B, dtype=np.int64)
-        found: list[list[Hypothesis]] = [[] for _ in range(B)]
-        for _ in range(max_len):
-            if not n_active.any():
-                break
-            probs, ctx, feedback = core.step(prev, layers, feedback, False, None)
-            cand = scores[:, :, None] + np.log(np.maximum(probs.data, _LOGP_FLOOR)).reshape(B, K, V)
-            if K > 1:
-                cand = cand[rows, order]
-            # Flat index rank*V + token id: its order is the lexicographic
-            # order of the candidates' token sequences.
-            ranked = np.where(slots[:, None] < n_active[:, None, None], cand, -np.inf).reshape(B, K * V)
-            top = np.argsort(-ranked, axis=1, kind="stable")[:, :K]
-            top_scores = ranked[rows, top]
-            tokens = top % V
-            lanes = order[rows, top // V]
-            valid = top_scores > -np.inf
-            ends = valid & (tokens == vocab.eos_id)
-            for b, k in zip(*np.nonzero(ends)):
-                toks = history[b, lanes[b, k]].tolist() + [vocab.eos_id]
-                found[b].append(Hypothesis(tokens=toks, score=float(top_scores[b, k]), finished=True))
-            live = valid & ~ends
-            keep = np.argsort(~live, axis=1, kind="stable")  # survivors first, best first
-            n_active = live.sum(axis=1)
-            alive = slots < n_active[:, None]
-            scores = top_scores[rows, keep]
-            step_tokens = np.where(alive, tokens[rows, keep], vocab.pad_id)
-            if K > 1:
-                parents = np.where(alive, lanes[rows, keep], 0)
-                history = history[rows, parents]
-                order = np.argsort(np.where(alive, top[rows, keep], K * V), axis=1, kind="stable")
-                idx = (rows * K + parents).ravel()
-                layers = [(Tensor(h.data[idx]), Tensor(c.data[idx])) for h, c in layers]
-                feedback = [Tensor(fb.data[idx]) for fb in feedback]
-                ctx = Tensor(ctx.data[idx])
-            history = np.concatenate([history, step_tokens[:, :, None]], axis=2)
-            prev = step_tokens.ravel()
-            layers = core.advance(prev, ctx, layers, alive.ravel().astype(np.float64))
-        for b in range(B):  # ran out of steps with alive lanes
-            for k in range(n_active[b]):
-                found[b].append(Hypothesis(tokens=history[b, k].tolist(), score=float(scores[b, k]), finished=False))
+    kernel = layers.DecoderKernel(*models._decoder_params(graph, store, prefix, memories))
+    V = vocab.size
+    rows = np.arange(B)[:, None]
+    slots = np.arange(K)
+    scores = np.zeros((B, K))
+    history = np.zeros((B, K, 0), dtype=np.int64)  # each lane's tokens
+    order = np.broadcast_to(slots, (B, K))  # lanes by lexicographic rank, dummies last
+    n_active = np.ones(B, dtype=np.int64)
+    lanes = (np.arange(B), np.zeros(B, dtype=np.int64))  # per state row: utterance and slot
+    h, c, feedback = kernel.initial_state(B)
+    prev = np.full(B, vocab.bos_id, dtype=np.int64)
+    found: list[list[Hypothesis]] = [[] for _ in range(B)]
+    for _ in range(max_len):
+        if not n_active.any():
+            break
+        probs, ctx, feedback, _, _ = kernel.predict(prev, h[-1], feedback, lanes)
+        _check_finite("output probabilities", probs)
+        logp = np.zeros((B, K, V))
+        logp[lanes] = np.log(np.maximum(probs, _LOGP_FLOOR))
+        cand = (scores[:, :, None] + logp)[rows, order]
+        # Flat index rank*V + token id: its order is the lexicographic
+        # order of the candidates' token sequences.
+        ranked = np.where(slots[:, None] < n_active[:, None, None], cand, -np.inf).reshape(B, K * V)
+        top = np.argsort(-ranked, axis=1, kind="stable")[:, :K]
+        top_scores = ranked[rows, top]
+        tokens = top % V
+        parents = order[rows, top // V]
+        valid = top_scores > -np.inf
+        ends = valid & (tokens == vocab.eos_id)
+        for b, k in zip(*np.nonzero(ends)):
+            toks = history[b, parents[b, k]].tolist() + [vocab.eos_id]
+            found[b].append(Hypothesis(tokens=toks, score=float(top_scores[b, k]), finished=True))
+        live = valid & ~ends
+        keep = np.argsort(~live, axis=1, kind="stable")  # survivors first, best first
+        n_active = live.sum(axis=1)
+        alive = slots < n_active[:, None]
+        scores = top_scores[rows, keep]
+        parents = np.where(alive, parents[rows, keep], 0)
+        step_tokens = np.where(alive, tokens[rows, keep], vocab.pad_id)
+        history = np.concatenate([history[rows, parents], step_tokens[:, :, None]], axis=2)
+        order = np.argsort(np.where(alive, top[rows, keep], K * V), axis=1, kind="stable")
+        # Only surviving lanes advance, each from its parent's state row.
+        row_of = np.zeros((B, K), dtype=np.int64)
+        row_of[lanes] = np.arange(len(prev))
+        lanes = np.nonzero(alive)
+        src = row_of[lanes[0], parents[lanes]]
+        prev = step_tokens[lanes]
+        feedback = [fb[src] for fb in feedback]
+        h, c, _ = kernel.advance(prev, ctx[src], [x[src] for x in h], [x[src] for x in c])
+        _check_finite("decoder states", *h, *c)
+    for b in range(B):  # ran out of steps with alive lanes
+        for k in range(n_active[b]):
+            found[b].append(Hypothesis(tokens=history[b, k].tolist(), score=float(scores[b, k]), finished=False))
     best = []
     for hyps in found:
         pool = [h for h in hyps if h.finished] or hyps

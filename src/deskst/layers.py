@@ -12,10 +12,12 @@ batch reproduces per-example results exactly.
 
 Two recurrences are fused ops with hand-derived backwards, one graph node per
 run: ``lstm_sequence`` (a BLSTM layer) and ``teacher_forced_decoder``
-(an attention decoder's whole teacher-forced loss). The per-step layers
-(``additive_attention``, ``lstm_step``, ``output_layer``,
-``label_smoothed_ce``) serve the greedy rollout and decoding, and in the
-tests they compose the step-by-step oracle of ``teacher_forced_decoder``.
+(an attention decoder's whole teacher-forced loss). The decoder step is
+written once, in numpy, as ``DecoderKernel``: the teacher-forced decoder and
+beam search both run it. The per-step Tensor layers (``additive_attention``,
+``lstm_step``, ``output_layer``, ``label_smoothed_ce``) serve the greedy
+rollout, and in the tests they compose the step-by-step oracles of
+``teacher_forced_decoder`` and of beam search.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "precompute_attention_keys",
     "output_layer",
     "label_smoothed_ce",
+    "DecoderKernel",
     "teacher_forced_decoder",
     "dropout",
     "dropout_keep",
@@ -374,6 +377,117 @@ def label_smoothed_ce(
     return tz.tsum(per_row)
 
 
+class DecoderKernel:
+    """One attention-decoder step in numpy, over the rows of a state batch.
+
+    ``predict`` attends from the top LSTM state over every memory with its
+    accumulated weights, then applies the output softmax; ``advance`` runs
+    the LSTM stack on (token embedding, contexts). The attention keys
+    ``memory @ w_keys`` are projected once per memory over the (B, T, D)
+    states. A row is either utterance r itself (``lanes`` None) or one lane
+    of an utterance: ``lanes`` = (utterance, slot) per row, so no memory is
+    copied per lane and each memory's contexts are one (B, K, T) @ (B, T, D)
+    contraction. Both ``teacher_forced_decoder`` and beam search run on it.
+    """
+
+    def __init__(
+        self,
+        memories: Sequence[tuple[EncoderStates, AttentionParams]],
+        emb: Tensor,
+        lstm: Sequence[LstmParams],
+        out_w: Tensor,
+        out_b: Tensor,
+    ):
+        """Inputs must be finite (``NonFiniteError``): tanh saturation and
+        masking could hide a poisoned weight or memory state."""
+        self.inputs = (
+            emb,
+            *(t for p in lstm for t in (p.w_ih, p.w_hh, p.b)),
+            *(t for _, a in memories for t in (a.w_query, a.w_keys, a.v, a.b, a.u)),
+            out_w,
+            out_b,
+            *(enc.states for enc, _ in memories),
+        )  # in the order of teacher_forced_decoder's gradients
+        for t in self.inputs:
+            if not np.isfinite(t.data).all():
+                raise NonFiniteError(f"non-finite input to the decoder step (shape={t.shape})")
+        self.table, self.out_w, self.out_b = emb.data, out_w.data, out_b.data
+        self.cells = [(p.w_ih.data, p.w_hh.data, p.b.data) for p in lstm]
+        self.hidden = lstm[-1].hidden
+        if self.table.shape[1] + sum(enc.states.shape[-1] for enc, _ in memories) != self.cells[0][0].shape[0]:
+            raise ShapeError(f"decoder step: LSTM input dim {self.cells[0][0].shape[0]} != embedding + contexts")
+        self.mems = []  # per memory: states, validity, keys, w_query, v, b, u
+        for enc, a in memories:
+            valid = np.asarray(enc.mask, dtype=np.float64) > 0
+            if not valid.any(axis=-1).all():
+                raise ShapeError("masked_softmax: some row has no valid positions")
+            M = enc.states.data
+            self.mems.append((M, valid, M @ a.w_keys.data, a.w_query.data, a.v.data, a.b.data, a.u.data))
+
+    def initial_state(self, n: int) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+        """Zero (h, c) per LSTM layer and zero feedback per memory for n rows."""
+        h = [np.zeros((n, self.hidden)) for _ in self.cells]
+        c = [np.zeros((n, self.hidden)) for _ in self.cells]
+        return h, c, [np.zeros((n, M.shape[1])) for M, *_ in self.mems]
+
+    def predict(self, prev_ids, top, feedback, lanes=None, keep=None):
+        """Attend and predict: returns (probs (n, V), contexts (n, sum D),
+        the feedback after this step, the output layer's input, and per
+        memory the (tanh pre-activations, weights)). ``keep`` multiplies the
+        top state fed to the output layer."""
+        n = top.shape[0]
+        ctxs, new_feedback, attn = [], [], []
+        for (M, valid, keys, wq, v, ab, u), fb in zip(self.mems, feedback):
+            B, T, D = M.shape
+            utt = slice(None) if lanes is None else lanes[0]
+            pre = keys[utt] + (top @ wq).reshape(n, 1, -1)  # a new array, so keys stay intact
+            pre += fb.reshape(n, T, 1) * u
+            pre += ab
+            np.tanh(pre, out=pre)
+            valid = valid[utt]
+            neg = np.where(valid, pre @ v, -np.inf)
+            ex = np.where(valid, np.exp(neg - neg.max(axis=-1, keepdims=True)), 0.0)
+            w = ex / ex.sum(axis=-1, keepdims=True)
+            if lanes is None:
+                ctxs.append((w.reshape(n, 1, T) @ M).reshape(n, D))
+            else:
+                lane_w = np.zeros((B, int(lanes[1].max(initial=0)) + 1, T))
+                lane_w[lanes] = w
+                ctxs.append((lane_w @ M)[lanes])
+            new_feedback.append(fb + w)
+            attn.append((pre, w))
+        ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs, axis=-1)
+        joint = np.concatenate([self.table[prev_ids], top if keep is None else top * keep, ctx], axis=-1)
+        logits = joint @ self.out_w + self.out_b
+        ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return ex / ex.sum(axis=-1, keepdims=True), ctx, new_feedback, joint, attn
+
+    def advance(self, tokens, ctx, h, c, mask=None):
+        """Run the LSTM stack on (embedding of ``tokens``, contexts). Rows
+        whose ``mask`` is 0 keep their state. Returns the new (h, c) lists and
+        per layer (input, h, c, i, f, g, o, tanh c_new)."""
+        H = self.hidden
+        m = None if mask is None else mask[:, None]
+        x = np.concatenate([self.table[tokens], ctx], axis=-1)
+        h, c, cache = list(h), list(c), []
+        for j, (w_ih, w_hh, b) in enumerate(self.cells):
+            z = x @ w_ih + h[j] @ w_hh + b
+            i = 1.0 / (1.0 + np.exp(-z[:, 0 * H : 1 * H]))
+            f = 1.0 / (1.0 + np.exp(-z[:, 1 * H : 2 * H]))
+            g = np.tanh(z[:, 2 * H : 3 * H])
+            o = 1.0 / (1.0 + np.exp(-z[:, 3 * H : 4 * H]))
+            c_new = f * c[j] + i * g
+            tc = np.tanh(c_new)
+            cache.append((x, h[j], c[j], i, f, g, o, tc))
+            if m is None:
+                h[j], c[j] = o * tc, c_new
+            else:
+                h[j] = m * (o * tc) + (1.0 - m) * h[j]
+                c[j] = m * c_new + (1.0 - m) * c[j]
+            x = h[j]
+        return h, c, cache
+
+
 def teacher_forced_decoder(
     memories: Sequence[tuple[EncoderStates, AttentionParams]],
     emb: Tensor,
@@ -391,15 +505,16 @@ def teacher_forced_decoder(
     ``targets`` and ``step_mask`` are (S, B). Step s embeds the previous
     target (``bos_id`` at s = 0), attends from the top LSTM state over every
     memory with its accumulated weights, predicts ``targets[s]`` through
-    ``output_layer``, then advances the LSTM stack on (target embedding,
-    contexts). Rows whose step mask is 0 keep their state and add nothing to
-    the loss. ``keep`` (S, B, H) multiplies the top state fed to the output
-    layer (inverted dropout). Returns (loss, (S, B) argmax predictions).
+    the output softmax, then advances the LSTM stack on (target embedding,
+    contexts): one ``DecoderKernel`` step over the B rows. Rows whose step
+    mask is 0 keep their state and add nothing to the loss. ``keep``
+    (S, B, H) multiplies the top state fed to the output layer (inverted
+    dropout). Returns (loss, (S, B) argmax predictions).
 
     Fused op with a hand-derived backward: one graph node per decoder run,
-    whose parents are the parameters and each memory's states. The forward
+    whose parents are the parameters and each memory's states. The step
     repeats the numpy op order of ``additive_attention``, ``output_layer``,
-    ``label_smoothed_ce`` and ``lstm_step`` step by step (the oracle in
+    ``label_smoothed_ce`` and ``lstm_step`` (the oracle in
     ``tests/test_models.py``), so loss and predictions are bit-identical to
     that composition. Clamped zero probabilities warn and get zero gradient,
     as in ``label_smoothed_ce``.
@@ -409,38 +524,16 @@ def teacher_forced_decoder(
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(step_mask, dtype=np.float64)
     S, B = targets.shape
-    table, wo, bo = emb.data, out_w.data, out_b.data
+    kernel = DecoderKernel(memories, emb, lstm, out_w, out_b)
+    table, wo, mems, cells = kernel.table, kernel.out_w, kernel.mems, kernel.cells
     E, V = table.shape[1], wo.shape[1]
-    H, L = lstm[-1].hidden, len(lstm)
-    cells = [(p.w_ih.data, p.w_hh.data, p.b.data) for p in lstm]
-    parents = (
-        emb,
-        *(t for p in lstm for t in (p.w_ih, p.w_hh, p.b)),
-        *(t for _, a in memories for t in (a.w_query, a.w_keys, a.v, a.b, a.u)),
-        out_w,
-        out_b,
-        *(enc.states for enc, _ in memories),
-    )
-    for t in parents:  # tanh saturation and masking could hide a poisoned input
-        if not np.isfinite(t.data).all():
-            raise NonFiniteError(f"non-finite input to teacher_forced_decoder (shape={t.shape})")
+    H, L = kernel.hidden, len(cells)
     if targets.size and (targets.min() < 0 or targets.max() >= table.shape[0]):
         raise ShapeError(f"token id out of range for table of {table.shape[0]} rows")
-    if E + sum(enc.states.shape[-1] for enc, _ in memories) != cells[0][0].shape[0]:
-        raise ShapeError(f"teacher_forced_decoder: LSTM input dim {cells[0][0].shape[0]} != embedding + contexts")
-    mems = []
-    for enc, a in memories:
-        valid = np.asarray(enc.mask, dtype=np.float64) > 0
-        if not valid.any(axis=-1).all():
-            raise ShapeError("masked_softmax: some row has no valid positions")
-        M = enc.states.data
-        mems.append((M, valid, M @ a.w_keys.data, a.w_query.data, a.v.data, a.b.data, a.u.data))
     prev_ids = np.concatenate([np.full((1, B), bos_id, dtype=np.int64), targets[:-1]])
 
     record = tz.grad_enabled()
-    h = [np.zeros((B, H)) for _ in range(L)]
-    c = [np.zeros((B, H)) for _ in range(L)]
-    fb = [np.zeros(valid.shape) for _, valid, *_ in mems]
+    h, c, fb = kernel.initial_state(B)
     probs = np.empty((S, B, V))
     total = 0.0
     tops, joints, advance = [], [], []  # per step
@@ -448,49 +541,24 @@ def teacher_forced_decoder(
     attn_pre, attn_w, attn_fb = ([[] for _ in mems] for _ in range(3))
     for s in range(S):
         top = h[-1]
-        ctxs = []
-        for k, (M, valid, keys, wq, v, ab, u) in enumerate(mems):
-            _, T, D = M.shape
-            pre = np.tanh(keys + (top @ wq).reshape(B, 1, -1) + fb[k].reshape(B, T, 1) * u + ab)
-            neg = np.where(valid, pre @ v, -np.inf)
-            ex = np.where(valid, np.exp(neg - neg.max(axis=-1, keepdims=True)), 0.0)
-            w = ex / ex.sum(axis=-1, keepdims=True)
-            ctxs.append((w.reshape(B, 1, T) @ M).reshape(B, D))
-            if record:
+        p, ctx, new_fb, joint, attn = kernel.predict(prev_ids[s], top, fb, keep=None if keep is None else keep[s])
+        if record:
+            for k, (pre, w) in enumerate(attn):
                 attn_pre[k].append(pre)
                 attn_w[k].append(w)
                 attn_fb[k].append(fb[k])
-            fb[k] = fb[k] + w
-        ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs, axis=-1)
-        joint = np.concatenate([table[prev_ids[s]], top if keep is None else top * keep[s], ctx], axis=-1)
-        logits = joint @ wo + bo
-        ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        p = probs[s] = ex / ex.sum(axis=-1, keepdims=True)
+            tops.append(top)
+            joints.append(joint)
+        fb = new_fb
+        probs[s] = p
         logp = np.log(np.maximum(p, tz._LOG_FLOOR))
         picked = np.take_along_axis(logp, targets[s][:, None], axis=-1)[:, 0]
         total += (((picked * (1.0 - eps) + logp.sum(axis=-1) * (eps / V)) * -1.0) * mask[s]).sum()
-        if record:
-            tops.append(top)
-            joints.append(joint)
         if s == S - 1:
             break  # the state after the last prediction feeds nothing
-        m = mask[s][:, None]
-        x = np.concatenate([table[targets[s]], ctx], axis=-1)
-        step_cache = []
-        for j, (w_ih, w_hh, b) in enumerate(cells):
-            z = x @ w_ih + h[j] @ w_hh + b
-            i = 1.0 / (1.0 + np.exp(-z[:, 0 * H : 1 * H]))
-            f = 1.0 / (1.0 + np.exp(-z[:, 1 * H : 2 * H]))
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            o = 1.0 / (1.0 + np.exp(-z[:, 3 * H : 4 * H]))
-            c_new = f * c[j] + i * g
-            tc = np.tanh(c_new)
-            if record:
-                step_cache.append((x, h[j], c[j], i, f, g, o, tc))
-            h[j] = m * (o * tc) + (1.0 - m) * h[j]
-            c[j] = m * c_new + (1.0 - m) * c[j]
-            x = h[j]
-        advance.append(step_cache)
+        h, c, step_cache = kernel.advance(targets[s], ctx, h, c, mask[s])
+        if record:
+            advance.append(step_cache)
 
     tiny = probs < tz._LOG_FLOOR
     if tiny.any() and (eps > 0.0 or np.take_along_axis(tiny, targets[..., None], axis=-1).any()):
@@ -591,7 +659,7 @@ def teacher_forced_decoder(
             d_states.append(ws @ d_ctx + dkeys[k] @ memories[k][1].w_keys.data.T)
         return (*grads, d_out_w, d_out_b, *d_states)
 
-    return tz._node(total, parents, backward), pred
+    return tz._node(total, kernel.inputs, backward), pred
 
 
 def dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:

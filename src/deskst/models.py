@@ -15,9 +15,10 @@ differentiable training objective.
 
 Each teacher-forced decoder run is one fused graph node,
 ``layers.teacher_forced_decoder``; ``run_decoder_teacher_forced`` lays out
-its step targets, masks and dropout multipliers. ``_DecoderCore`` composes
-the per-step layers for the greedy rollout and for decoding, and the tests
-build the step-by-step teacher-forced oracle from it.
+its step targets, masks and dropout multipliers. Beam search runs the same
+numpy step, ``layers.DecoderKernel``. ``_DecoderCore`` composes the per-step
+Tensor layers for the greedy rollout, and the tests build the step-by-step
+teacher-forced and beam-search oracles from it.
 """
 
 from __future__ import annotations
@@ -481,7 +482,7 @@ class DecoderRun:
 
 
 class _DecoderCore:
-    """Step logic of the greedy rollout and of decoding, one position at a time."""
+    """Step logic of the greedy rollout, one position at a time, as Tensor ops."""
 
     def __init__(self, graph, store, prefix, memories: list[tuple[str, EncoderStates]], vocab_total: int):
         self.graph = graph
@@ -529,6 +530,18 @@ class _DecoderCore:
         return new_layers
 
 
+def _decoder_params(graph, store, prefix, memories: list[tuple[str, EncoderStates]]):
+    """(memories with their attention parameters, embedding, LSTM stack,
+    output weight, output bias) of the decoder under ``prefix``."""
+    return (
+        [(mem, _attn_params(store, f"{prefix}.{name}")) for name, mem in memories],
+        store[f"{prefix}.emb"],
+        [_lstm_params(store, f"{prefix}.lstm.l{j}") for j in range(graph.config.dec_layers)],
+        store[f"{prefix}.out.w"],
+        store[f"{prefix}.out.b"],
+    )
+
+
 def run_decoder_teacher_forced(
     graph: ModelGraph,
     store: ParamStore,
@@ -560,11 +573,7 @@ def run_decoder_teacher_forced(
     if rngs is not None and training and cfg.dropout != 0.0:
         keep = dropout_keep((S, B, cfg.dec_hidden), cfg.dropout, rngs[prefix])
     loss, pred = teacher_forced_decoder(
-        [(mem, _attn_params(store, f"{prefix}.{name}")) for name, mem in memories],
-        store[f"{prefix}.emb"],
-        [_lstm_params(store, f"{prefix}.lstm.l{j}") for j in range(cfg.dec_layers)],
-        store[f"{prefix}.out.w"],
-        store[f"{prefix}.out.b"],
+        *_decoder_params(graph, store, prefix, memories),
         target_ids,
         step_mask,
         vocab.bos_id,

@@ -176,7 +176,10 @@ def train_model(
 
     def snapshot_row(epoch: int, train_stats: dict | None) -> None:
         nonlocal best_snapshot, best_graph
-        dev_stats = evaluate_model(graph, store, dev, schedule)
+        try:
+            dev_stats = evaluate_model(graph, store, dev, schedule)
+        except NonFiniteError as exc:
+            raise DivergenceError(f"non-finite value at step {step} (epoch {epoch}) in dev evaluation: {exc}") from exc
         lr_now = plateau_update(lr_sched, dev_stats["bleu"]) if epoch > 0 else lr_sched.lr
         opt.learning_rate = lr_now
         row = {

@@ -150,6 +150,8 @@ def load(path: str | Path) -> Checkpoint:
         n = int(np.prod(shape))
         values[p["name"]] = np.frombuffer(blob, dtype=_DTYPE, count=n, offset=offset).reshape(shape).copy()
         offset += n * _DTYPE.itemsize
+        if not np.isfinite(values[p["name"]]).all():
+            raise CorruptCheckpointError(f"{path}: parameter {p['name']} holds a non-finite value")
     if set(values) != set(graph.shapes) or any(values[n].shape != graph.shapes[n] for n in values):
         raise CorruptCheckpointError(f"{path}: tensor index does not match the rebuilt graph")
     return Checkpoint(graph=graph, values=values, dev_history=header["dev_history"], seed=header["seed"])

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from deskst import cli, decode, transplant
+from deskst import cli, data, decode, transplant
 
 TINY_DATA = ["--data.n_train", "4", "--data.n_dev", "2", "--data.n_test", "3", "--data.len_max", "3"]
 TINY_MODEL = {
@@ -15,11 +16,16 @@ TINY_MODEL = {
 }
 
 
-def checkpoint(tmp_path, topology):
-    """A freshly initialized checkpoint of the CLI's tiny-data vocabulary."""
+def tiny_config(**over):
     cfg = dict(cli.DEFAULTS, **TINY_MODEL)
     cfg.update(zip((k[2:] for k in TINY_DATA[::2]), TINY_DATA[1::2]))
-    cfg["model.topology"] = topology
+    cfg.update(over)
+    return cfg
+
+
+def checkpoint(tmp_path, topology):
+    """A freshly initialized checkpoint of the CLI's tiny-data vocabulary."""
+    cfg = tiny_config(**{"model.topology": topology})
     _, _, _, graph, store, _ = cli.initialize_run(cfg)
     path = tmp_path / f"{topology}.ckpt"
     transplant.save(graph, store, path)
@@ -138,3 +144,46 @@ def test_cli_end_to_end(tmp_path, capsys, monkeypatch):
     assert cli.main(["transplant", *TINY_DATA, *model, *flags]) == cli.EXIT_OK
     report = json.loads((tmp_path / "init.ckpt.report.json").read_text())
     assert report["grafted"] and all(name.startswith("encoder.") for name in report["grafted"])
+
+
+def test_generate_data_writes_the_splits_load_dataset_reads_back(tmp_path, capsys):
+    assert cli.main(["generate-data", "--out", str(tmp_path), *TINY_DATA]) == cli.EXIT_OK
+    for name, split in zip(("train", "dev", "test"), cli.build_dataset(tiny_config())):
+        back = data.load_dataset(tmp_path / f"{name}.jsonl")
+        assert (back.src_vocab, back.tgt_vocab) == (split.src_vocab, split.tgt_vocab)
+        assert np.array_equal(back.cipher, split.cipher)
+        assert [ex.id for ex in back.examples] == [ex.id for ex in split.examples]
+        for a, b in zip(back.examples, split.examples):
+            assert np.array_equal(a.x.frames, b.x.frames)
+            assert np.array_equal(a.f.ids, b.f.ids) and np.array_equal(a.e.ids, b.e.ids)
+
+
+def test_unknown_key_exits_2(tmp_path, capsys):
+    assert cli.main(["train", "--out", str(tmp_path / "run"), *TINY_DATA, "--model.bogus", "1"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: unknown config key 'model.bogus'")
+
+
+@pytest.mark.filterwarnings("ignore::deskst.layers.SmoothingClampWarning")
+def test_divergence_exits_3(tmp_path, capsys):
+    model = [arg for key, value in TINY_MODEL.items() for arg in (f"--{key}", value)]
+    flags = ["--train.lr", "1e300", "--train.epochs", "1"]
+    with np.errstate(all="ignore"):  # the overflow is the point
+        assert cli.main(["train", "--out", str(tmp_path / "run"), *TINY_DATA, *model, *flags]) == cli.EXIT_DIVERGENCE
+    assert capsys.readouterr().err.startswith("error: non-finite value at step")
+
+
+def test_truncated_checkpoint_exits_4(tmp_path, capsys):
+    ckpt = checkpoint(tmp_path, "direct")
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[: len(blob) // 2])
+    assert run_eval(tmp_path, ckpt) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: payload is ") and "bytes but header describes" in err
+
+
+def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
+    ckpt = checkpoint(tmp_path, "direct")
+    ckpt.write_bytes(ckpt.read_bytes()[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    assert run_eval(tmp_path, ckpt) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: parameter ")
+    assert not (tmp_path / "eval").exists()

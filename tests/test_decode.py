@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from deskst import data, decode, models
+from deskst import data, decode, layers, models
 from deskst.decode import Hypothesis, beam_decode, beam_search, cascade, cascade_batch, greedy_decode_batch
 from deskst.layers import EncoderStates
 from deskst.models import ADAPTER_POSITIONS, ModelConfig, build, init_store
-from deskst.tensor import NumericsError, Tensor, no_grad
+from deskst.tensor import NonFiniteError, NumericsError, Tensor, no_grad
 
 
 def tiny_setup(seed=0, topology="direct", vocab=4, adapter=False, **cfg_over):
@@ -121,6 +121,37 @@ def test_beam_search_matches_reference_on_every_decodable_pair(topology, directi
         assert_matches_reference(graph, store, ds, beam, 5, direction)
 
 
+STACKED = [("direct", "st", False), ("one2many", "asr", False), ("tied_triangle", "st", True)]
+
+
+@pytest.mark.parametrize("topology,direction,adapter", STACKED)
+def test_beam_search_matches_reference_with_a_stacked_decoder(topology, direction, adapter):
+    """Two decoder layers: layer 1 reads layer 0's new state."""
+    ds, graph, store = tiny_setup(seed=11, topology=topology, adapter=adapter, dec_hidden=6, dec_layers=2)
+    for beam in (1, 3):
+        assert_matches_reference(graph, store, ds, beam, 5, direction)
+
+
+POISONED = [("decoder_st.out.w", np.nan), ("decoder_st.lstm.l0.w_hh", np.nan), ("decoder_st.attn.w_keys", np.inf)]
+
+
+@pytest.mark.parametrize("name,bad", POISONED)
+def test_beam_search_rejects_a_planted_non_finite_weight(name, bad):
+    ds, graph, store = tiny_setup(seed=15)
+    store[name].data.flat[0] = bad
+    batch = data.batch(ds, len(ds))[0][0]
+    for beam in (1, 3):
+        with pytest.raises(NonFiniteError):
+            beam_search(graph, store, batch, beam, 4)
+
+
+def test_teacher_forced_decoder_rejects_a_planted_inf_in_the_keys():
+    ds, graph, store = tiny_setup(seed=15)
+    store["decoder_st.attn.w_keys"].data.flat[0] = np.inf
+    with pytest.raises(NonFiniteError):
+        models.forward(graph, store, data.batch(ds, len(ds))[0][0])
+
+
 def _early_and_late_eos_model():
     """A direct model whose EOS logit leans hard on the attention context, so
     some utterances of the batch emit EOS at step 1 and others never do."""
@@ -169,12 +200,19 @@ def script_outputs(monkeypatch, vocab, rows):
     for prev, probs in rows.items():
         table[prev] = (1.0 - sum(probs.values())) / (V - len(probs))
         table[prev, list(probs)] = list(probs.values())
-    real_step = models._DecoderCore.step
+    real_predict = layers.DecoderKernel.predict  # beam_search's step
+
+    def scripted_predict(self, prev_ids, *args, **kwargs):
+        _, *rest = real_predict(self, prev_ids, *args, **kwargs)
+        return table[prev_ids], *rest
+
+    real_step = models._DecoderCore.step  # the oracle's step
 
     def scripted_step(self, prev_ids, layers, feedback, training, rngs):
         _, ctx, new_feedback = real_step(self, prev_ids, layers, feedback, training, rngs)
         return Tensor(table[prev_ids]), ctx, new_feedback
 
+    monkeypatch.setattr(layers.DecoderKernel, "predict", scripted_predict)
     monkeypatch.setattr(models._DecoderCore, "step", scripted_step)
 
 

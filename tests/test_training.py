@@ -91,6 +91,20 @@ def test_divergence_aborts_with_diagnostics(monkeypatch):
         train_model(graph, store, train, dev, TrainSchedule(epochs=3, batch_size=8), seed=0)
 
 
+def test_non_finite_dev_decode_aborts_as_divergence(monkeypatch):
+    from deskst.tensor import NonFiniteError
+
+    train, dev = small_task()
+    graph, store = small_model(train)
+
+    def poisoned(*args, **kwargs):
+        raise NonFiniteError("non-finite output probabilities in beam search")
+
+    monkeypatch.setattr(training, "beam_search", poisoned)
+    with pytest.raises(DivergenceError, match=r"at step 0 \(epoch 0\) in dev evaluation"):
+        train_model(graph, store, train, dev, TrainSchedule(epochs=1, batch_size=8), seed=0)
+
+
 def test_growth_schedule_runs_and_preserves(tmp_path):
     train, dev = small_task()
     cfg = ModelConfig.desk(

@@ -87,6 +87,16 @@ def test_truncated_payload_rejected(tmp_path):
         load(tmp_path / "short.ckpt")
 
 
+def test_non_finite_payload_rejected_naming_the_parameter(tmp_path):
+    _, graph, store = setup_model()
+    path = tmp_path / "x.ckpt"
+    save(graph, store, path)
+    (tmp_path / "nan.ckpt").write_bytes(path.read_bytes()[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    last = sorted(store.names())[-1]
+    with pytest.raises(CorruptCheckpointError, match=f"parameter {last} holds a non-finite value"):
+        load(tmp_path / "nan.ckpt")
+
+
 # ---------------------------------------------------------------------------
 # schemes and grafts
 # ---------------------------------------------------------------------------
