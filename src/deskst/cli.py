@@ -338,7 +338,10 @@ def cmd_eval(args, overrides) -> int:
     if beam < 1:
         raise ConfigError(f"eval.beam must be >= 1, got {beam}")
     len_norm = _float(cfg, "eval.len_norm")
-    max_len = _int(cfg, "eval.max_len") or 2 * _int(cfg, "data.len_max") + 2
+    max_len = _int(cfg, "eval.max_len")
+    if max_len < 0:
+        raise ConfigError(f"eval.max_len must be >= 0 (0 picks 2 * data.len_max + 2), got {max_len}")
+    max_len = max_len or 2 * _int(cfg, "data.len_max") + 2
     case = _flag(cfg, "eval.case_sensitive")
 
     if args.mt_checkpoint:  # cascade: this checkpoint is ASR, the flag is MT

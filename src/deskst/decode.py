@@ -131,6 +131,8 @@ def beam_search(
     """
     if beam < 1:
         raise NumericsError("beam must be >= 1")
+    if max_len < 1:
+        raise NumericsError(f"max_len must be >= 1, got {max_len}")
     direction = direction or default_direction(graph.topology)
     B, K = batch.size, beam
     with no_grad():

@@ -10,14 +10,16 @@ only drops the steps after [EOS] or the length cap; ``lstm_sequence`` rejects
 any other mask with ``ShapeError``. Padded steps are no-ops, so a padded
 batch reproduces per-example results exactly.
 
-Two recurrences are fused ops with hand-derived backwards, one graph node per
-run: ``lstm_sequence`` (a BLSTM layer) and ``teacher_forced_decoder``
-(an attention decoder's whole teacher-forced loss). The decoder step is
-written once, in numpy, as ``DecoderKernel``: the teacher-forced decoder and
-beam search both run it. The per-step Tensor layers (``additive_attention``,
-``lstm_step``, ``output_layer``, ``label_smoothed_ce``) serve the greedy
-rollout, and in the tests they compose the step-by-step oracles of
-``teacher_forced_decoder`` and of beam search.
+Three recurrences are fused ops with hand-derived backwards, one graph node
+per run: ``lstm_sequence`` (a BLSTM layer), ``teacher_forced_decoder`` (an
+attention decoder's whole teacher-forced loss) and ``greedy_rollout`` (an
+attention decoder's greedy decode, returning its top states). The decoder
+step is written once, in numpy, as ``DecoderKernel``: both fused decoders and
+beam search run it, and its ``backward`` carries gradients back through the
+recorded steps for both fused decoders. The per-step Tensor layers
+(``additive_attention``, ``lstm_step``, ``output_layer``,
+``label_smoothed_ce``) have no caller in the package: the tests compose the
+step-by-step oracles of the fused decoders and of beam search from them.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "label_smoothed_ce",
     "DecoderKernel",
     "teacher_forced_decoder",
+    "greedy_rollout",
     "dropout",
     "dropout_keep",
     "embed",
@@ -387,7 +390,9 @@ class DecoderKernel:
     states. A row is either utterance r itself (``lanes`` None) or one lane
     of an utterance: ``lanes`` = (utterance, slot) per row, so no memory is
     copied per lane and each memory's contexts are one (B, K, T) @ (B, T, D)
-    contraction. Both ``teacher_forced_decoder`` and beam search run on it.
+    contraction. ``teacher_forced_decoder``, ``greedy_rollout`` and beam
+    search run it forward; ``backward`` carries gradients back through the
+    steps a ``_StepTape`` recorded, for both fused decoders.
     """
 
     def __init__(
@@ -407,7 +412,7 @@ class DecoderKernel:
             out_w,
             out_b,
             *(enc.states for enc, _ in memories),
-        )  # in the order of teacher_forced_decoder's gradients
+        )  # the order of the fused decoders' gradients
         for t in self.inputs:
             if not np.isfinite(t.data).all():
                 raise NonFiniteError(f"non-finite input to the decoder step (shape={t.shape})")
@@ -423,6 +428,7 @@ class DecoderKernel:
                 raise ShapeError("masked_softmax: some row has no valid positions")
             M = enc.states.data
             self.mems.append((M, valid, M @ a.w_keys.data, a.w_query.data, a.v.data, a.b.data, a.u.data))
+        self.w_keys = [a.w_keys.data for _, a in memories]
 
     def initial_state(self, n: int) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
         """Zero (h, c) per LSTM layer and zero feedback per memory for n rows."""
@@ -487,6 +493,120 @@ class DecoderKernel:
             x = h[j]
         return h, c, cache
 
+    def backward(self, tape: "_StepTape", tokens, mask, d_emb, dctxs, dtops, dh_after=None):
+        """Carry gradients back through the steps on ``tape``: each step's
+        attention and, for the first n steps that advanced, the LSTM stack
+        on ``tokens`` under ``mask`` (both (n, B)); masked rows pass their
+        state's gradient on unchanged. From outside the recurrence come
+        ``dctxs`` (S, B, sum D) on each step's contexts and ``dtops``
+        (S, B, H) on the top state its prediction read (the output layer's
+        share), and ``dh_after`` (n, B, H) on the top state after each
+        advance. ``d_emb`` gains the embedding gradient at ``tokens`` and
+        ``dctxs`` the LSTM inputs' share, in place. Returns the gradients of
+        the LSTM stack and the attention parameters, in ``inputs`` order,
+        and of each memory's states."""
+        S, n = len(tape.tops), len(tape.advance)
+        B, H, L = tape.tops[0].shape[0], self.hidden, len(self.cells)
+        E = self.table.shape[1]
+        dh = [np.zeros((B, H)) for _ in range(L)]
+        dc = [np.zeros((B, H)) for _ in range(L)]
+        dz_steps = [[] for _ in range(L)]  # per layer, steps n-1 .. 0
+        d_cur = np.zeros((n, B, E))
+        dfb = [np.zeros(valid.shape) for _, valid, *_ in self.mems]
+        dkeys = [np.zeros_like(keys) for _, _, keys, *_ in self.mems]
+        dq_steps = [[] for _ in self.mems]
+        dv = [np.zeros(keys.shape[-1]) for _, _, keys, *_ in self.mems]
+        du = [np.zeros(keys.shape[-1]) for _, _, keys, *_ in self.mems]
+        for s in range(S - 1, -1, -1):
+            if s < n:  # LSTM stack advance, top layer first
+                if dh_after is not None:
+                    dh[-1] = dh[-1] + dh_after[s]
+                m = mask[s][:, None]
+                dx = None
+                for j in range(L - 1, -1, -1):
+                    x, h_prev, c_prev, i, f, g, o, tc = tape.advance[s][j]
+                    dh_out = dh[j] if dx is None else dh[j] + dx
+                    dh_new = m * dh_out
+                    dc_total = m * dc[j] + dh_new * o * (1.0 - tc * tc)
+                    dz = np.concatenate(
+                        [
+                            dc_total * g * i * (1.0 - i),
+                            dc_total * c_prev * f * (1.0 - f),
+                            dc_total * i * (1.0 - g * g),
+                            dh_new * tc * o * (1.0 - o),
+                        ],
+                        axis=1,
+                    )
+                    dz_steps[j].append(dz)
+                    dc[j] = dc_total * f + (1.0 - m) * dc[j]
+                    dx = dz @ self.cells[j][0].T
+                    dh[j] = dz @ self.cells[j][1].T + (1.0 - m) * dh_out
+                d_cur[s] = dx[:, :E]
+                dctxs[s] += dx[:, E:]
+            dtop = dtops[s]
+            off = 0
+            for k, (M, valid, keys, wq, v, ab, u) in enumerate(self.mems):
+                pre, w, fb = tape.attn[k][s]
+                A, D = keys.shape[-1], M.shape[-1]
+                dw = (M @ dctxs[s, :, off : off + D, None])[..., 0] + dfb[k]
+                off += D
+                de = w * (dw - (w * dw).sum(axis=-1, keepdims=True))
+                dv[k] += de.reshape(-1) @ pre.reshape(-1, A)
+                da = pre * pre  # de (1 - tanh^2) v, in place: fresh (B, T, A) temporaries are slow
+                np.subtract(1.0, da, out=da)
+                da *= de[..., None]
+                da *= v
+                dkeys[k] += da
+                dq = da.sum(axis=1)
+                dq_steps[k].append(dq)
+                dtop = dtop + dq @ wq.T
+                du[k] += fb.reshape(-1) @ da.reshape(-1, A)
+                dfb[k] = dfb[k] + da @ u
+            dh[-1] = dh[-1] + dtop
+
+        np.add.at(d_emb, tokens, d_cur)
+        grads = []
+        for j in range(L):
+            if n == 0:  # no advance ran
+                grads += [np.zeros_like(t) for t in self.cells[j]]
+                continue
+            dz = np.stack(dz_steps[j][::-1]).reshape(n * B, 4 * H)
+            xs = np.stack([step[j][0] for step in tape.advance]).reshape(n * B, -1)
+            hs = np.stack([step[j][1] for step in tape.advance]).reshape(n * B, H)
+            grads += [xs.T @ dz, hs.T @ dz, dz.sum(axis=0)]
+        tops_all = np.stack(tape.tops).reshape(S * B, H)
+        d_states = []
+        off = 0
+        for k, (M, valid, keys, wq, v, ab, u) in enumerate(self.mems):
+            _, T, D = M.shape
+            A = keys.shape[-1]
+            dq = np.stack(dq_steps[k][::-1]).reshape(S * B, A)
+            d_wk = M.reshape(B * T, D).T @ dkeys[k].reshape(B * T, A)
+            grads += [tops_all.T @ dq, d_wk, dv[k], dkeys[k].sum(axis=(0, 1)), du[k]]
+            # context = weights @ memory, summed over steps: (B, T, S) @ (B, S, D)
+            ws = np.stack([w for _, w, _ in tape.attn[k]], axis=2)
+            d_ctx = np.swapaxes(dctxs[..., off : off + D], 0, 1)
+            off += D
+            d_states.append(ws @ d_ctx + dkeys[k] @ self.w_keys[k].T)
+        return grads, d_states
+
+
+class _StepTape:
+    """What ``DecoderKernel.backward`` reads of a fused decoder's forward:
+    per step, the top state its prediction read and per memory the (tanh
+    pre-activations, weights, feedback before the step); per advance, the
+    per-layer cache ``DecoderKernel.advance`` returns."""
+
+    def __init__(self, n_memories: int):
+        self.tops: list[np.ndarray] = []
+        self.attn: list[list[tuple]] = [[] for _ in range(n_memories)]
+        self.advance: list[list[tuple]] = []
+
+    def predict(self, top, feedback, attn) -> None:
+        self.tops.append(top)
+        for steps, fb, (pre, w) in zip(self.attn, feedback, attn):
+            steps.append((pre, w, fb))
+
 
 def teacher_forced_decoder(
     memories: Sequence[tuple[EncoderStates, AttentionParams]],
@@ -517,7 +637,9 @@ def teacher_forced_decoder(
     ``label_smoothed_ce`` and ``lstm_step`` (the oracle in
     ``tests/test_models.py``), so loss and predictions are bit-identical to
     that composition. Clamped zero probabilities warn and get zero gradient,
-    as in ``label_smoothed_ce``.
+    as in ``label_smoothed_ce``. The backward differentiates the output
+    softmax and the loss over all steps at once, then hands the gradients
+    on the contexts and top states to ``DecoderKernel.backward``.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"label smoothing ratio must be in [0, 1), got {eps}")
@@ -525,29 +647,22 @@ def teacher_forced_decoder(
     mask = np.asarray(step_mask, dtype=np.float64)
     S, B = targets.shape
     kernel = DecoderKernel(memories, emb, lstm, out_w, out_b)
-    table, wo, mems, cells = kernel.table, kernel.out_w, kernel.mems, kernel.cells
-    E, V = table.shape[1], wo.shape[1]
-    H, L = kernel.hidden, len(cells)
+    table, wo = kernel.table, kernel.out_w
+    E, V, H = table.shape[1], wo.shape[1], kernel.hidden
     if targets.size and (targets.min() < 0 or targets.max() >= table.shape[0]):
         raise ShapeError(f"token id out of range for table of {table.shape[0]} rows")
     prev_ids = np.concatenate([np.full((1, B), bos_id, dtype=np.int64), targets[:-1]])
 
-    record = tz.grad_enabled()
+    tape = _StepTape(len(kernel.mems)) if tz.grad_enabled() else None
     h, c, fb = kernel.initial_state(B)
     probs = np.empty((S, B, V))
     total = 0.0
-    tops, joints, advance = [], [], []  # per step
-    # per memory, per step: tanh pre-activations, weights, feedback before the step
-    attn_pre, attn_w, attn_fb = ([[] for _ in mems] for _ in range(3))
+    joints = []  # per step
     for s in range(S):
         top = h[-1]
         p, ctx, new_fb, joint, attn = kernel.predict(prev_ids[s], top, fb, keep=None if keep is None else keep[s])
-        if record:
-            for k, (pre, w) in enumerate(attn):
-                attn_pre[k].append(pre)
-                attn_w[k].append(w)
-                attn_fb[k].append(fb[k])
-            tops.append(top)
+        if tape is not None:
+            tape.predict(top, fb, attn)
             joints.append(joint)
         fb = new_fb
         probs[s] = p
@@ -557,8 +672,8 @@ def teacher_forced_decoder(
         if s == S - 1:
             break  # the state after the last prediction feeds nothing
         h, c, step_cache = kernel.advance(targets[s], ctx, h, c, mask[s])
-        if record:
-            advance.append(step_cache)
+        if tape is not None:
+            tape.advance.append(step_cache)
 
     tiny = probs < tz._LOG_FLOOR
     if tiny.any() and (eps > 0.0 or np.take_along_axis(tiny, targets[..., None], axis=-1).any()):
@@ -580,86 +695,91 @@ def teacher_forced_decoder(
         d_emb = np.zeros_like(table)
         np.add.at(d_emb, prev_ids, djoint[..., :E])
         dtops = djoint[..., E : E + H] if keep is None else djoint[..., E : E + H] * keep
-        dctxs = djoint[..., E + H :].copy()  # gains the LSTM input's share below
-
-        dh = [np.zeros((B, H)) for _ in range(L)]
-        dc = [np.zeros((B, H)) for _ in range(L)]
-        dz_steps = [[] for _ in range(L)]  # per layer, steps S-2 .. 0
-        d_cur = np.zeros((S, B, E))
-        dfb = [np.zeros(valid.shape) for _, valid, *_ in mems]
-        dkeys = [np.zeros_like(keys) for _, _, keys, *_ in mems]
-        dq_steps = [[] for _ in mems]
-        dv = [np.zeros(keys.shape[-1]) for _, _, keys, *_ in mems]
-        du = [np.zeros(keys.shape[-1]) for _, _, keys, *_ in mems]
-        for s in range(S - 1, -1, -1):
-            if s < S - 1:  # LSTM stack advance, top layer first
-                m = mask[s][:, None]
-                dx = None
-                for j in range(L - 1, -1, -1):
-                    x, h_prev, c_prev, i, f, g, o, tc = advance[s][j]
-                    dh_out = dh[j] if dx is None else dh[j] + dx
-                    dh_new = m * dh_out
-                    dc_total = m * dc[j] + dh_new * o * (1.0 - tc * tc)
-                    dz = np.concatenate(
-                        [
-                            dc_total * g * i * (1.0 - i),
-                            dc_total * c_prev * f * (1.0 - f),
-                            dc_total * i * (1.0 - g * g),
-                            dh_new * tc * o * (1.0 - o),
-                        ],
-                        axis=1,
-                    )
-                    dz_steps[j].append(dz)
-                    dc[j] = dc_total * f + (1.0 - m) * dc[j]
-                    dx = dz @ cells[j][0].T
-                    dh[j] = dz @ cells[j][1].T + (1.0 - m) * dh_out
-                d_cur[s] = dx[:, :E]
-                dctxs[s] += dx[:, E:]
-            dtop = dtops[s]
-            off = 0
-            for k, (M, valid, keys, wq, v, ab, u) in enumerate(mems):
-                pre, w = attn_pre[k][s], attn_w[k][s]
-                A, D = keys.shape[-1], M.shape[-1]
-                dw = (M @ dctxs[s, :, off : off + D, None])[..., 0] + dfb[k]
-                off += D
-                de = w * (dw - (w * dw).sum(axis=-1, keepdims=True))
-                dv[k] += de.reshape(-1) @ pre.reshape(-1, A)
-                da = de[..., None] * (1.0 - pre * pre) * v
-                dkeys[k] += da
-                dq = da.sum(axis=1)
-                dq_steps[k].append(dq)
-                dtop = dtop + dq @ wq.T
-                du[k] += attn_fb[k][s].reshape(-1) @ da.reshape(-1, A)
-                dfb[k] = dfb[k] + da @ u
-            dh[-1] = dh[-1] + dtop
-
-        np.add.at(d_emb, targets, d_cur)
-        grads = [d_emb]
-        for j in range(L):
-            if S == 1:  # no advance ran
-                grads += [np.zeros_like(t) for t in cells[j]]
-                continue
-            dz = np.stack(dz_steps[j][::-1]).reshape((S - 1) * B, 4 * H)
-            xs = np.stack([advance[s][j][0] for s in range(S - 1)]).reshape((S - 1) * B, -1)
-            hs = np.stack([advance[s][j][1] for s in range(S - 1)]).reshape((S - 1) * B, H)
-            grads += [xs.T @ dz, hs.T @ dz, dz.sum(axis=0)]
-        tops_all = np.stack(tops).reshape(S * B, H)
-        d_states = []
-        off = 0
-        for k, (M, valid, keys, wq, v, ab, u) in enumerate(mems):
-            _, T, D = M.shape
-            A = keys.shape[-1]
-            dq = np.stack(dq_steps[k][::-1]).reshape(S * B, A)
-            d_wk = M.reshape(B * T, D).T @ dkeys[k].reshape(B * T, A)
-            grads += [tops_all.T @ dq, d_wk, dv[k], dkeys[k].sum(axis=(0, 1)), du[k]]
-            # context = weights @ memory, summed over steps: (B, T, S) @ (B, S, D)
-            ws = np.stack(attn_w[k], axis=2)
-            d_ctx = np.swapaxes(dctxs[..., off : off + D], 0, 1)
-            off += D
-            d_states.append(ws @ d_ctx + dkeys[k] @ memories[k][1].w_keys.data.T)
-        return (*grads, d_out_w, d_out_b, *d_states)
+        dctxs = djoint[..., E + H :].copy()  # gains the LSTM input's share
+        grads, d_states = kernel.backward(tape, targets[: S - 1], mask, d_emb, dctxs, dtops)
+        return (d_emb, *grads, d_out_w, d_out_b, *d_states)
 
     return tz._node(total, kernel.inputs, backward), pred
+
+
+def greedy_rollout(
+    memories: Sequence[tuple[EncoderStates, AttentionParams]],
+    emb: Tensor,
+    lstm: Sequence[LstmParams],
+    out_w: Tensor,
+    out_b: Tensor,
+    limits: np.ndarray,
+    bos_id: int,
+    eos_id: int,
+    pad_id: int,
+    rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Greedy decode of an attention decoder, keeping its top LSTM states.
+
+    Step k embeds the previous token (``bos_id`` at k = 0), predicts through
+    one ``DecoderKernel`` step over the B rows, takes the argmax as the
+    step's token and advances the LSTM stack on it. Row b runs until it
+    emits ``eos_id`` or has run ``limits[b]`` steps; after that its step
+    mask is 0, its token ``pad_id`` and its state frozen. The loop stops
+    when no row runs, after K <= max(limits) steps. With ``rng``, each step
+    that runs draws one (B, H) inverted-dropout mask at ``rate`` for the
+    top state fed to the output layer, so the stream moves by exactly the
+    steps taken. Returns ((B, K, H) top states after each step, (B, K) step
+    mask, (B, K) tokens).
+
+    Fused op with a hand-derived backward: one graph node whose parents are
+    the parameters and each memory's states. The argmax is a constant, so
+    the output layer and the previous-token embeddings get no gradient; the
+    gradient on the returned states goes back through the masked LSTM stack
+    and the attention with its feedback by ``DecoderKernel.backward``. The
+    step repeats the numpy op order of the per-step Tensor layers, so states
+    and tokens are bit-identical to that composition (the oracle in
+    ``tests/test_models.py``). Under ``no_grad`` nothing is kept.
+    """
+    limits = np.asarray(limits, dtype=np.int64)
+    B, max_steps = limits.shape[0], int(limits.max(initial=0))
+    if max_steps < 1:
+        raise ShapeError("greedy rollout: no row may run a step")
+    kernel = DecoderKernel(memories, emb, lstm, out_w, out_b)
+    tape = _StepTape(len(kernel.mems)) if tz.grad_enabled() else None
+    h, c, fb = kernel.initial_state(B)
+    prev = np.full(B, bos_id, dtype=np.int64)
+    alive = np.ones(B, dtype=bool)
+    states, masks, tokens = [], [], []
+    k = 0
+    while alive.any() and k < max_steps:
+        mask = (alive & (k < limits)).astype(np.float64)
+        keep = None if rng is None else dropout_keep((B, kernel.hidden), rate, rng)
+        top = h[-1]
+        p, ctx, new_fb, _, attn = kernel.predict(prev, top, fb, keep=keep)
+        if not np.isfinite(p).all():
+            raise NonFiniteError("non-finite output probabilities in the greedy rollout")
+        chosen = np.where(mask > 0, p.argmax(axis=-1), pad_id)
+        h, c, step_cache = kernel.advance(chosen, ctx, h, c, mask)
+        if tape is not None:
+            tape.predict(top, fb, attn)
+            tape.advance.append(step_cache)
+        fb = new_fb
+        states.append(h[-1])
+        masks.append(mask)
+        tokens.append(chosen)
+        alive &= (chosen != eos_id) & (k + 1 < limits)
+        prev = chosen
+        k += 1
+    step_mask, step_tokens = np.stack(masks), np.stack(tokens)  # (K, B)
+
+    def backward(gout):
+        # Nothing outside the recurrence reads the contexts or the top states
+        # the predictions read: the argmax passes no gradient.
+        K, C = len(states), sum(M.shape[-1] for M, *_ in kernel.mems)
+        d_emb = np.zeros_like(kernel.table)
+        no_ctx, no_top = np.zeros((K, B, C)), np.zeros((K, B, kernel.hidden))
+        grads, d_states = kernel.backward(tape, step_tokens, step_mask, d_emb, no_ctx, no_top, np.swapaxes(gout, 0, 1))
+        return (d_emb, *grads, None, None, *d_states)
+
+    out = tz._node(np.stack(states, axis=1), kernel.inputs, backward)
+    return out, step_mask.T, step_tokens.T
 
 
 def dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:

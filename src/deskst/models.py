@@ -15,10 +15,12 @@ differentiable training objective.
 
 Each teacher-forced decoder run is one fused graph node,
 ``layers.teacher_forced_decoder``; ``run_decoder_teacher_forced`` lays out
-its step targets, masks and dropout multipliers. Beam search runs the same
-numpy step, ``layers.DecoderKernel``. ``_DecoderCore`` composes the per-step
-Tensor layers for the greedy rollout, and the tests build the step-by-step
-teacher-forced and beam-search oracles from it.
+its step targets, masks and dropout multipliers. The tied topologies' greedy
+rollout is one fused node too, ``layers.greedy_rollout``, and beam search
+runs the same numpy step, ``layers.DecoderKernel``. ``_DecoderCore``, the
+per-step Tensor layers composed one position at a time, has no caller in the
+package: the tests build the step-by-step oracles of both fused decoders and
+of beam search from it, and perfbench's tracer patches it.
 """
 
 from __future__ import annotations
@@ -35,15 +37,16 @@ from .layers import (
     AttentionParams,
     EncoderStates,
     LstmParams,
-    additive_attention,
+    additive_attention,  # noqa: F401  (a models binding that perfbench tracing wraps; only _DecoderCore calls it)
     dropout,
     dropout_keep,
     embed,
+    greedy_rollout,
     label_smoothed_ce,  # noqa: F401  (a models binding that perfbench tracing wraps)
-    lstm_step,
+    lstm_step,  # noqa: F401  (a models binding that perfbench tracing wraps; only _DecoderCore calls it)
     max_pool_time,
-    output_layer,
-    precompute_attention_keys,
+    output_layer,  # noqa: F401  (a models binding that perfbench tracing wraps; only _DecoderCore calls it)
+    precompute_attention_keys,  # noqa: F401  (only _DecoderCore, the tracer's patch point, calls it)
     teacher_forced_decoder,
 )
 from .numerics import ParamStore, rng_for
@@ -431,10 +434,16 @@ def _blstm(h: Tensor, mask: np.ndarray, store: ParamStore, prefix: str) -> Tenso
     return layers.lstm_sequence(h, mask, _lstm_params(store, f"{prefix}.fwd"), _lstm_params(store, f"{prefix}.bwd"))
 
 
-def _maybe_dropout(x, graph, training, rngs, component):
+def _dropout_rng(graph, training, rngs, component) -> np.random.Generator | None:
+    """The component's dropout stream, or None when no dropout applies."""
     if rngs is None or not training or graph.config.dropout == 0.0:
-        return x
-    return dropout(x, graph.config.dropout, training, rngs[component])
+        return None
+    return rngs[component]
+
+
+def _maybe_dropout(x, graph, training, rngs, component):
+    rng = _dropout_rng(graph, training, rngs, component)
+    return x if rng is None else dropout(x, graph.config.dropout, training, rng)
 
 
 def run_speech_encoder(
@@ -482,7 +491,10 @@ class DecoderRun:
 
 
 class _DecoderCore:
-    """Step logic of the greedy rollout, one position at a time, as Tensor ops."""
+    """One decoder position at a time, as per-step Tensor ops. Nothing in
+    the package runs it: it is kept as the building block of the tests'
+    step-by-step oracles and as the patch point of perfbench's tracer, which
+    wraps ``step`` and ``advance`` by name."""
 
     def __init__(self, graph, store, prefix, memories: list[tuple[str, EncoderStates]], vocab_total: int):
         self.graph = graph
@@ -569,9 +581,8 @@ def run_decoder_teacher_forced(
     cols = np.concatenate([targets, np.full((B, 1), vocab.eos_id, dtype=np.int64)], axis=1)[:, :S].T
     target_ids = np.where(steps < lengths, cols, vocab.eos_id).astype(np.int64)
     cfg = graph.config
-    keep = None
-    if rngs is not None and training and cfg.dropout != 0.0:
-        keep = dropout_keep((S, B, cfg.dec_hidden), cfg.dropout, rngs[prefix])
+    rng = _dropout_rng(graph, training, rngs, prefix)
+    keep = None if rng is None else dropout_keep((S, B, cfg.dec_hidden), cfg.dropout, rng)
     loss, pred = teacher_forced_decoder(
         *_decoder_params(graph, store, prefix, memories),
         target_ids,
@@ -594,39 +605,23 @@ def run_decoder_greedy_rollout(
     training: bool = False,
     rngs=None,
 ) -> DecoderRun:
-    """Greedy decode collecting the state sequence (gradients flow through
-    states; the argmax token choices are treated as constants)."""
-    B = limits.shape[0]
-    core = _DecoderCore(graph, store, prefix, memories, vocab.size)
-    layers, feedback = core.initial_state(B)
-    prev_ids = np.full(B, vocab.bos_id, dtype=np.int64)
-    alive = np.ones(B, dtype=bool)
-    states = []
-    state_masks = []
-    tokens = []
-    k = 0
-    max_steps = int(limits.max())
-    while alive.any() and k < max_steps:
-        step_mask = (alive & (k < limits)).astype(np.float64)
-        probs, ctx, feedback = core.step(prev_ids, layers, feedback, training, rngs)
-        chosen = probs.data.argmax(axis=-1)
-        chosen = np.where(step_mask > 0, chosen, vocab.pad_id)
-        layers = core.advance(chosen, ctx, layers, step_mask)
-        states.append(layers[-1][0])
-        state_masks.append(step_mask)
-        tokens.append(chosen)
-        alive = alive & (chosen != vocab.eos_id) & (k + 1 < limits)
-        prev_ids = chosen
-        k += 1
-    run_states = tz.stack(states, axis=1)  # (B, K, D)
-    return DecoderRun(
-        loss=None,
-        hits=0,
-        steps=0,
-        states=run_states,
-        state_mask=np.stack(state_masks, axis=1),
-        tokens=np.stack(tokens, axis=1),
+    """Greedy decode collecting the (B, K, D) top-state sequence as one
+    ``layers.greedy_rollout`` node: gradients flow through the states, and
+    the argmax token choices are constants. Row b stops after [EOS] or
+    ``limits[b]`` steps (``head_memories`` caps it at ceil(1.5 J) for the
+    loss and at the pooled frame count when decoding). In training, each
+    step that runs draws one (B, D) dropout mask on the decoder's stream,
+    so the stream moves by exactly the steps taken."""
+    states, state_mask, tokens = greedy_rollout(
+        *_decoder_params(graph, store, prefix, memories),
+        limits,
+        vocab.bos_id,
+        vocab.eos_id,
+        vocab.pad_id,
+        graph.config.dropout,
+        _dropout_rng(graph, training, rngs, prefix),
     )
+    return DecoderRun(loss=None, hits=0, steps=0, states=states, state_mask=state_mask, tokens=tokens)
 
 
 def _ctc_term(graph: ModelGraph, store: ParamStore, enc: EncoderStates, batch: Batch) -> Tensor:

@@ -49,6 +49,17 @@ def test_eval_rejects_a_beam_below_one(tmp_path, capsys, beam):
     assert capsys.readouterr().err.startswith("error: eval.beam must be >= 1")
 
 
+def test_eval_rejects_a_negative_max_len_before_decoding(tmp_path, capsys, monkeypatch):
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decoded before the configuration was checked")
+
+    monkeypatch.setattr(decode, "beam_search", no_decoding)
+    assert run_eval(tmp_path, checkpoint(tmp_path, "direct"), "--eval.max_len", "-3") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: eval.max_len must be >= 0") and err.endswith("got -3\n") and err.count("\n") == 1
+    assert not (tmp_path / "eval").exists()
+
+
 def test_eval_rejects_a_direction_the_topology_cannot_decode(tmp_path, capsys):
     assert run_eval(tmp_path, checkpoint(tmp_path, "direct"), "--eval.direction", "mt") == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: topology 'direct' does not decode direction 'mt'")

@@ -260,6 +260,13 @@ def test_beam_search_rejects_beam_below_one():
         beam_search(graph, store, data.batch(ds, 2)[0][0], 0, 3)
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_beam_search_rejects_max_len_below_one(max_len):
+    ds, graph, store = tiny_setup()
+    with pytest.raises(NumericsError, match="max_len must be >= 1"):
+        beam_search(graph, store, data.batch(ds, 2)[0][0], 3, max_len)
+
+
 def test_greedy_zero_parameter_model_is_deterministic_lowest_id():
     ds, graph, store = tiny_setup()
     for name in store.names():

@@ -308,24 +308,60 @@ def test_tied_loss_combination():
 # ---------------------------------------------------------------------------
 
 
+def gradcheck_config(ds, **over):
+    """The smallest dimensions that keep every path: an end-to-end gradcheck
+    perturbs each parameter entry in turn."""
+    kw = dict(emb_size=1, enc_hidden=1, enc_layers=1, dec_hidden=2, attn_dim=1, pool_schedule=(2,), dropout=0.0)
+    kw.update(over)
+    return ModelConfig.desk(ds.src_vocab, ds.tgt_vocab, **kw)
+
+
 def test_direct_gradcheck_with_ctc():
     ds = tiny_dataset(vocab=4)
-    cfg = ModelConfig.desk(
-        ds.src_vocab,
-        ds.tgt_vocab,
-        emb_size=3,
-        enc_hidden=3,
-        enc_layers=1,
-        dec_hidden=4,
-        attn_dim=3,
-        pool_schedule=(2,),
-        dropout=0.0,
-        ctc_enabled=True,
-    )
-    graph = build(cfg, "direct")
+    graph = build(gradcheck_config(ds, ctc_enabled=True), "direct")
     store = init_store(graph, 8)
     batch = first_batch(ds, size=2, ctc=True)
     check_grads(lambda: forward(graph, store, batch).combined, store)
+
+
+class WithoutPrefix:
+    """The entries of a store outside one component, for ``check_grads``,
+    which reads a store only through ``items()``; the loss still reads the
+    whole store."""
+
+    def __init__(self, store, prefix):
+        self.store, self.prefix = store, prefix
+
+    def items(self):
+        return [(name, t) for name, t in self.store.items() if not name.startswith(self.prefix)]
+
+
+@pytest.mark.parametrize("topology,adapter", [("tied_cascade", None), ("tied_triangle", "asr_decoder_top")])
+def test_tied_gradcheck_through_a_fixed_rollout(topology, adapter, monkeypatch):
+    # The rollout's argmax is constant only while no perturbation flips it:
+    # every evaluation must roll out the same tokens. decoder_st's own
+    # parameters are left out (the teacher-forced tests check them, and each
+    # entry costs two forward passes); everything its attn_dec memory comes
+    # from is checked: the rollout, the encoder and any adapter.
+    ds = tiny_dataset(vocab=4)
+    graph = build(gradcheck_config(ds), topology, adapter_position=adapter)
+    store = init_store(graph, 8)
+    rng = np.random.default_rng(1)
+    for name in sorted(graph.zero_init):  # non-zero biases and feedback weights u
+        store.set(name, rng.normal(size=graph.shapes[name]) * 0.3)
+    batch = first_batch(ds, size=2)
+    rollout, runs = models.run_decoder_greedy_rollout, []
+
+    def recording_rollout(*args, **kwargs):
+        runs.append(rollout(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(models, "run_decoder_greedy_rollout", recording_rollout)
+    checked = WithoutPrefix(store, "decoder_st.")
+    check_grads(lambda: forward(graph, store, batch).combined, checked)
+    assert len(runs) > 2 * sum(v.data.size for _, v in checked.items())
+    assert all(np.array_equal(run.tokens, runs[0].tokens) for run in runs)
+    assert runs[0].state_mask.shape[1] > 1 and 0 < runs[0].state_mask.sum() < runs[0].state_mask.size  # a frozen step
 
 
 def encoder_path_store(store, prefix, seed, **extra):
@@ -393,6 +429,37 @@ def stepwise_teacher_forced(graph, store, prefix, memories, targets, target_mask
     return models.DecoderRun(loss=total, hits=hits, steps=steps)
 
 
+def stepwise_greedy_rollout(graph, store, prefix, memories, limits, vocab, training=False, rngs=None):
+    """The greedy rollout one position at a time, built from the per-step
+    layers: the oracle of ``layers.greedy_rollout``."""
+    B = limits.shape[0]
+    core = models._DecoderCore(graph, store, prefix, memories, vocab.size)
+    layers_state, feedback = core.initial_state(B)
+    prev_ids = np.full(B, vocab.bos_id, dtype=np.int64)
+    alive = np.ones(B, dtype=bool)
+    states, state_masks, tokens = [], [], []
+    k = 0
+    while alive.any() and k < int(limits.max()):
+        step_mask = (alive & (k < limits)).astype(np.float64)
+        probs, ctx, feedback = core.step(prev_ids, layers_state, feedback, training, rngs)
+        chosen = np.where(step_mask > 0, probs.data.argmax(axis=-1), vocab.pad_id)
+        layers_state = core.advance(chosen, ctx, layers_state, step_mask)
+        states.append(layers_state[-1][0])
+        state_masks.append(step_mask)
+        tokens.append(chosen)
+        alive = alive & (chosen != vocab.eos_id) & (k + 1 < limits)
+        prev_ids = chosen
+        k += 1
+    return models.DecoderRun(
+        loss=None,
+        hits=0,
+        steps=0,
+        states=tz.stack(states, axis=1),
+        state_mask=np.stack(state_masks, axis=1),
+        tokens=np.stack(tokens, axis=1),
+    )
+
+
 ORACLE_CASES = [
     ("direct", None),
     ("asr", None),
@@ -438,6 +505,105 @@ def test_fused_decoder_matches_stepwise_oracle(topology, mode, monkeypatch):
                     for name in names:
                         err = np.abs(g_fused[name] - g_oracle[name]).max()
                         assert err <= 1e-12 * scale, (case, name, err, scale)
+
+
+# The [EOS] bias of decoder_asr.out.b per decoder depth: rows then stop at
+# different steps, some by [EOS] and one at its limit of 1, and with dropout
+# every row stops before the largest limit.
+ROLLOUT_EOS_BIAS = {1: 1.3, 2: 0.15}
+ROLLOUT_LIMITS = np.array([12, 1, 9, 10])
+ROLLOUT_MASK = np.array([[1.0] * 6, [1.0] * 4 + [0.0] * 2, [1.0] * 5 + [0.0], [1.0] * 3 + [0.0] * 3])
+
+
+def rollout_setup(dec_layers, dropout):
+    """tied_triangle's decoder_asr with non-zero biases and its [EOS] bias,
+    and a padded (4, 6, 10) memory held in the store as ``memory``."""
+    ds = tiny_dataset(n=8)
+    graph = build(tiny_config(ds, dec_layers=dec_layers, dropout=dropout), "tied_triangle")
+    store = init_store(graph, 21)
+    rng = np.random.default_rng(17)
+    for name in sorted(graph.zero_init):
+        store.set(name, rng.normal(size=graph.shapes[name]) * 0.3)
+    vocab = models._task_vocab(graph, "asr")
+    out_b = store["decoder_asr.out.b"].data.copy()
+    out_b[vocab.eos_id] += ROLLOUT_EOS_BIAS[dec_layers]
+    store.set("decoder_asr.out.b", out_b)
+    memory = rng.normal(size=(*ROLLOUT_MASK.shape, 10))
+    store.create("memory", memory.shape, "zeros")
+    store.set("memory", memory)
+    return graph, store, vocab
+
+
+def rollout_and_grads(rollout, graph, store, vocab, rows):
+    """The training rollout over ``rows`` of the memory, the gradients of a
+    random projection of all its states (padded steps included), and the
+    next draw on decoder_asr's dropout stream."""
+    rngs = models.dropout_streams(5)
+    memory = EncoderStates(tz.take_slice(store["memory"], rows), ROLLOUT_MASK[rows])
+    run = rollout(graph, store, "decoder_asr", [("attn", memory)], ROLLOUT_LIMITS[rows], vocab, True, rngs)
+    upstream = np.random.default_rng(4).normal(size=run.states.shape)
+    grads = backward(tz.tsum(run.states * upstream), store)
+    return run, grads, rngs["decoder_asr"].random()
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("dec_layers", [1, 2])
+def test_fused_rollout_matches_stepwise_oracle(dec_layers, dropout):
+    graph, store, vocab = rollout_setup(dec_layers, dropout)
+    for rows in (slice(None), slice(0, 1)):  # B = 4, and B = 1
+        fused, g_fused, next_fused = rollout_and_grads(models.run_decoder_greedy_rollout, graph, store, vocab, rows)
+        oracle, g_oracle, next_oracle = rollout_and_grads(stepwise_greedy_rollout, graph, store, vocab, rows)
+        assert np.array_equal(fused.tokens, oracle.tokens), rows
+        assert np.array_equal(fused.state_mask, oracle.state_mask), rows
+        assert fused.states.data.tobytes() == oracle.states.data.tobytes(), rows  # frozen padded steps included
+        assert next_fused == next_oracle  # the dropout stream moved by the steps taken
+        names = [n for n in store.names() if n.startswith("decoder_asr.")]
+        for group in (names, ["memory"]):
+            scale = max(np.abs(g_oracle[n]).max() for n in group)
+            for name in group:
+                err = np.abs(g_fused[name] - g_oracle[name]).max()
+                assert err <= 1e-12 * scale, (rows, name, err, scale)
+        assert not g_fused["decoder_asr.out.w"].any() and not g_fused["decoder_asr.out.b"].any()  # argmax is constant
+        if rows == slice(None):
+            lengths = fused.state_mask.sum(axis=1).astype(int)
+            assert len(set(lengths)) > 2 and lengths[1] == 1  # rows stop at different steps; limit 1 holds
+            assert any(fused.tokens[b, lengths[b] - 1] == vocab.eos_id for b in range(4))
+            if dropout:
+                assert fused.states.shape[1] < ROLLOUT_LIMITS.max()  # a single S_max draw would move the stream
+
+
+def test_fused_rollout_under_no_grad_is_parentless_with_same_values():
+    graph, store, vocab = rollout_setup(2, 0.0)
+    memory = [("attn", EncoderStates(store["memory"], ROLLOUT_MASK))]
+    run = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, ROLLOUT_LIMITS, vocab)
+    assert run.states.parents
+    with tz.no_grad():
+        plain = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, ROLLOUT_LIMITS, vocab)
+    assert plain.states.parents == () and plain.states.backward is None
+    assert plain.states.data.tobytes() == run.states.data.tobytes()
+    assert np.array_equal(plain.tokens, run.tokens) and np.array_equal(plain.state_mask, run.state_mask)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["decoder_asr.attn.w_keys", "decoder_asr.lstm.l0.w_hh", "memory"])
+def test_a_non_finite_rollout_input_raises(name, bad, monkeypatch):
+    graph, store, vocab = rollout_setup(1, 0.0)
+    memory = [("attn", EncoderStates(store["memory"], ROLLOUT_MASK))]
+    store[name].data.flat[0] = bad
+    with pytest.raises(tz.NonFiniteError):
+        models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, ROLLOUT_LIMITS, vocab)
+    # Through the training loss, where the memory is the encoder's output.
+    encoder = models.run_speech_encoder
+
+    def poisoned_encoder(*args, **kwargs):
+        enc = encoder(*args, **kwargs)
+        enc.states.data.flat[0] = bad
+        return enc
+
+    if name == "memory":
+        monkeypatch.setattr(models, "run_speech_encoder", poisoned_encoder)
+    with pytest.raises(tz.NonFiniteError):
+        forward(graph, store, first_batch(tiny_dataset(n=8)))
 
 
 # ---------------------------------------------------------------------------
