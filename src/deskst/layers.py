@@ -129,7 +129,7 @@ def lstm_step(
     return h_new, c_new
 
 
-def lstm_sequence(xs: Tensor, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> Tensor:
+def lstm_sequence(xs: Tensor | np.ndarray, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> Tensor:
     """One BLSTM layer over right-padded (B, T, D_in), returning (B, T, 2H).
 
     Columns [:H] are the forward direction. Columns [H:] are the backward
@@ -137,7 +137,8 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams
     Outputs at padded steps are zero and padded inputs are never read. Each
     ``mask`` row must be 1s followed by 0s (``ShapeError`` otherwise).
     Inputs and weights must be finite (``NonFiniteError``); this is checked
-    on entry, since a NaN in a skipped padded frame would go unseen.
+    on entry, since a NaN in a skipped padded frame would go unseen. A plain
+    array input is a constant: the backward returns None for it.
 
     Fused op with a hand-derived BPTT backward: one graph node per layer.
     Rows are sorted by length once and the backward direction reverses each
@@ -153,6 +154,7 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams
     at the previous step (gathered back from the output for the backward),
     and under ``no_grad`` nothing is kept.
     """
+    constant_input = not isinstance(xs, Tensor)
     xs = as_tensor(xs)
     B, T, D = xs.shape
     if T == 0:
@@ -268,9 +270,11 @@ def lstm_sequence(xs: Tensor, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams
         dw_ih = np.matmul(xd[idx].transpose(0, 2, 1), z)
         dw_hh = np.matmul(h_prev.transpose(0, 2, 1), z[:, first:])
         db = z.sum(axis=1)
-        dxp = np.zeros((2, N + 1, D))
-        np.matmul(z, w_ih.transpose(0, 2, 1), out=dxp[:, :N])
-        dx = dxp.reshape(2 * (N + 1), D)[inv].sum(axis=2)
+        dx = None
+        if not constant_input:
+            dxp = np.zeros((2, N + 1, D))
+            np.matmul(z, w_ih.transpose(0, 2, 1), out=dxp[:, :N])
+            dx = dxp.reshape(2 * (N + 1), D)[inv].sum(axis=2)
         return dx, dw_ih[0], dw_hh[0], db[0], dw_ih[1], dw_hh[1], db[1]
 
     return tz._node(out, (xs, *params), backward)
@@ -284,33 +288,41 @@ def max_pool_time(xs: Tensor, mask: np.ndarray, pool: int) -> tuple[Tensor, np.n
     """Elementwise max over non-overlapping windows of ``pool`` time steps.
 
     A trailing partial window is kept (ceil semantics). Padded positions never
-    win the max; fully-padded windows produce zeros and a 0 mask entry.
-    Returns (pooled (B, T2, D), pooled_mask (B, T2)).
+    win the max, and among equal maxima the first wins; fully-padded windows
+    produce zeros and a 0 mask entry. The windows are scanned one position
+    at a time, as strided views of the input, and the backward writes each
+    position's winners in one masked copy. Returns (pooled (B, T2, D),
+    pooled_mask (B, T2)).
     """
     xs = as_tensor(xs)
     B, T, D = xs.shape
     if pool <= 1:
         return xs, np.asarray(mask, dtype=np.float64)
     T2 = pooled_length(T, pool)
-    pad = T2 * pool - T
-    m = np.asarray(mask, dtype=np.float64)
-    mp = np.pad(m, ((0, 0), (0, pad)))
-    xp = np.pad(xs.data, ((0, 0), (0, pad), (0, 0)))
-    shifted = xp + (mp[:, :, None] - 1.0) * 1e300  # pads lose every comparison
-    windows = shifted.reshape(B, T2, pool, D)
-    arg = windows.argmax(axis=2)  # (B, T2, D) index within window
-    vals = np.take_along_axis(xp.reshape(B, T2, pool, D), arg[:, :, None, :], axis=2)[:, :, 0, :]
-    pooled_mask = (mp.reshape(B, T2, pool).max(axis=2) > 0).astype(np.float64)
-    out = vals * pooled_mask[:, :, None]
+    valid = np.asarray(mask, dtype=np.float64)[:, :, None] > 0
+    vals = xs.data[:, ::pool].copy()  # becomes the output
+    seen = valid[:, ::pool].copy()  # some valid position so far in the window
+    arg = np.zeros((B, T2, D), dtype=np.int16)  # the winning position
+    for p in range(1, pool):
+        cand, ok = xs.data[:, p::pool], valid[:, p::pool]
+        n = cand.shape[1]  # the trailing partial window may lack position p
+        wins = (cand > vals[:, :n]) | ~seen[:, :n]
+        wins &= ok
+        np.copyto(vals[:, :n], cand, where=wins)
+        arg[:, :n] += wins * (p - arg[:, :n])  # integer select, no branch per element
+        seen[:, :n] |= ok
+    pooled_mask = seen[..., 0].astype(np.float64)
+    vals *= pooled_mask[:, :, None]
 
     def backward(g):
         gm = g * pooled_mask[:, :, None]
-        gw = np.zeros((B, T2, pool, D))
-        np.put_along_axis(gw, arg[:, :, None, :], gm[:, :, None, :], axis=2)
-        gx = gw.reshape(B, T2 * pool, D)[:, :T, :]
+        gx = np.zeros((B, T, D))
+        for p in range(pool):
+            n = gx[:, p::pool].shape[1]
+            np.copyto(gx[:, p::pool], gm[:, :n], where=arg[:, :n] == p)
         return (gx,)
 
-    return tz._node(out, (xs,), backward), pooled_mask
+    return tz._node(vals, (xs,), backward), pooled_mask
 
 
 def precompute_attention_keys(memory: Tensor, params: AttentionParams) -> Tensor:
@@ -464,8 +476,9 @@ class DecoderKernel:
             attn.append((pre, w))
         ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs, axis=-1)
         joint = np.concatenate([self.table[prev_ids], top if keep is None else top * keep, ctx], axis=-1)
-        logits = joint @ self.out_w + self.out_b
-        ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        with np.errstate(over="ignore", invalid="ignore"):  # diverged weights; callers check the probabilities
+            logits = joint @ self.out_w + self.out_b
+            ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
         return ex / ex.sum(axis=-1, keepdims=True), ctx, new_feedback, joint, attn
 
     def advance(self, tokens, ctx, h, c, mask=None):
@@ -477,11 +490,14 @@ class DecoderKernel:
         x = np.concatenate([self.table[tokens], ctx], axis=-1)
         h, c, cache = list(h), list(c), []
         for j, (w_ih, w_hh, b) in enumerate(self.cells):
-            z = x @ w_ih + h[j] @ w_hh + b
-            i = 1.0 / (1.0 + np.exp(-z[:, 0 * H : 1 * H]))
-            f = 1.0 / (1.0 + np.exp(-z[:, 1 * H : 2 * H]))
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            o = 1.0 / (1.0 + np.exp(-z[:, 3 * H : 4 * H]))
+            # Diverged weights overflow here: the sigmoids saturate, and
+            # callers check the (h, c) they get for NaN.
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = x @ w_ih + h[j] @ w_hh + b
+                i = 1.0 / (1.0 + np.exp(-z[:, 0 * H : 1 * H]))
+                f = 1.0 / (1.0 + np.exp(-z[:, 1 * H : 2 * H]))
+                g = np.tanh(z[:, 2 * H : 3 * H])
+                o = 1.0 / (1.0 + np.exp(-z[:, 3 * H : 4 * H]))
             c_new = f * c[j] + i * g
             tc = np.tanh(c_new)
             cache.append((x, h[j], c[j], i, f, g, o, tc))

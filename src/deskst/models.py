@@ -430,7 +430,7 @@ def _attn_params(store: ParamStore, prefix: str) -> AttentionParams:
     )
 
 
-def _blstm(h: Tensor, mask: np.ndarray, store: ParamStore, prefix: str) -> Tensor:
+def _blstm(h: Tensor | np.ndarray, mask: np.ndarray, store: ParamStore, prefix: str) -> Tensor:
     return layers.lstm_sequence(h, mask, _lstm_params(store, f"{prefix}.fwd"), _lstm_params(store, f"{prefix}.bwd"))
 
 
@@ -450,7 +450,7 @@ def run_speech_encoder(
     graph: ModelGraph, store: ParamStore, batch: Batch, training: bool = False, rngs=None
 ) -> EncoderStates:
     """BLSTM stack with interleaved temporal max pooling over (B, T, F)."""
-    h = Tensor(batch.frames)
+    h = batch.frames  # a constant: the first layer computes no input gradient
     mask = batch.frame_mask
     for i, pool in enumerate(graph.effective_pools()):
         h = _blstm(h, mask, store, f"encoder.l{i}")
@@ -625,16 +625,12 @@ def run_decoder_greedy_rollout(
 
 
 def _ctc_term(graph: ModelGraph, store: ParamStore, enc: EncoderStates, batch: Batch) -> Tensor:
-    """Sum of per-example CTC losses on the encoder output."""
+    """The batch's summed CTC loss on the encoder output: one batched DP
+    node over the (B, T', V+1) log-probs, the pooled frame lengths and the
+    transcripts."""
     logits = enc.states @ store["ctc_head.w"] + store["ctc_head.b"]
     logp = tz.log_softmax(logits, axis=-1)
-    lengths = enc.lengths
-    src_lengths = batch.src_lengths()
-    total = None
-    for b in range(batch.size):
-        term = ctc_mod.ctc_loss(logp[b, : int(lengths[b]), :], batch.src[b, : int(src_lengths[b])])
-        total = term if total is None else total + term
-    return total
+    return ctc_mod.batched_ctc_loss(logp, enc.lengths, batch.src, batch.src_lengths())
 
 
 def _task_vocab(graph: ModelGraph, task: str) -> Vocabulary:

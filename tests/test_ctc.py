@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deskst import tensor as tz
 from deskst.ctc import (
     CtcInfeasibleError,
+    batched_ctc_loss,
     ctc_brute_force,
     ctc_lattice,
     ctc_loss,
@@ -123,9 +125,12 @@ def test_grad_matches_finite_differences():
 
 
 def ctc_lattice_unchecked(lp, target):
-    from deskst.ctc import _forward_backward
+    """log p_ctc from the DP on inputs the row-mass check would reject."""
+    from deskst.ctc import _Batch, _forward_backward, extend_with_blanks
 
-    return _forward_backward(lp, np.asarray(target, dtype=np.int64), lp.shape[1] - 1).log_prob
+    ext = extend_with_blanks(np.asarray(target, dtype=np.int64), lp.shape[1] - 1)
+    batch = _Batch(lp[None], np.array([lp.shape[0]]), np.array([len(target)]), ext[None])
+    return _forward_backward(batch).log_prob[0]
 
 
 def test_grad_zero_for_symbols_outside_target_and_blank():
@@ -191,3 +196,87 @@ def test_validation_errors():
         ctc_loss(np.zeros((3, 3)), np.array([0]))  # rows not normalized
     with pytest.raises(NumericsError):
         ctc_brute_force(np.full((30, 10), 0.1), np.array([0]))  # too large
+
+
+# ---------------------------------------------------------------------------
+# batched CTC: one DP over a ragged batch
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ragged_batches(draw):
+    """(log-probs (B, T, V+1), frame lengths, targets (B, J), target lengths):
+    B 1-4, T_b 1-6, J_b 1-3 with repeats allowed; padding holds junk."""
+    V = draw(st.integers(1, 2))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        target = draw(st.lists(st.integers(0, V - 1), min_size=1, max_size=3))
+        frames = draw(st.integers(min_frames_required(np.array(target)), 6))
+        rows.append((target, frames))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B, T, J = len(rows), max(f for _, f in rows), max(len(t) for t, _ in rows)
+    lp = rng.normal(size=(B, T, V + 1)) * 3.0  # padded frames: not distributions
+    targets = np.full((B, J), V)  # padded labels: the blank id, invalid as a label
+    for b, (target, frames) in enumerate(rows):
+        lp[b, :frames] = random_logprobs(rng, frames, V + 1, sharp=2.0)
+        targets[b, : len(target)] = target
+    return lp, np.array([f for _, f in rows]), targets, np.array([len(t) for t, _ in rows])
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(ragged_batches())
+def test_batched_loss_is_the_row_order_sum_of_per_row_losses(case):
+    lp, frames, targets, labels = case
+    rows = [(lp[b, : frames[b]], targets[b, : labels[b]]) for b in range(len(frames))]
+    total = ctc_loss(*rows[0]).data
+    for row in rows[1:]:
+        total = total + ctc_loss(*row).data
+    batched = batched_ctc_loss(lp, frames, targets, labels)
+    assert batched.data.tobytes() == total.tobytes()
+    brute = sum(-np.log(ctc_brute_force(np.exp(row_lp), target)) for row_lp, target in rows)
+    assert batched.item() == pytest.approx(brute, rel=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(ragged_batches())
+def test_batched_grad_is_zero_off_each_rows_frames_and_labels(case):
+    lp, frames, targets, labels = case
+    x = Tensor(lp)
+    grad = backward_graph(batched_ctc_loss(x, frames, targets, labels))[id(x)]
+    blank = lp.shape[2] - 1
+    for b in range(len(frames)):
+        assert not grad[b, frames[b] :].any()
+        unused = np.setdiff1d(np.arange(blank), targets[b, : labels[b]])
+        assert not grad[b, :, unused].any()
+        row_grad = ctc_loss_grad(lp[b, : frames[b]], targets[b, : labels[b]])
+        assert grad[b, : frames[b]].tobytes() == row_grad.tobytes()
+
+
+def test_batched_ctc_gradcheck_through_softmax():
+    # two rows of different frame and label counts; the padded frame's
+    # logits get no gradient
+    rng = np.random.default_rng(8)
+    store = store_with(logits=rng.normal(size=(2, 5, 4)))
+    frames, targets, labels = np.array([3, 5]), np.array([[2, 0], [1, 1]]), np.array([1, 2])
+
+    from util import check_grads
+
+    check_grads(lambda: batched_ctc_loss(tz.log_softmax(store["logits"]), frames, targets, labels), store, tol=1e-6)
+
+
+def test_batched_infeasible_row_is_named():
+    lp = np.log(np.full((3, 4, 3), 1 / 3))
+    targets = np.array([[0, 1], [1, 1], [0, 0]])
+    with pytest.raises(CtcInfeasibleError, match="CTC row 2: target needs at least 3 frames, got 2"):
+        batched_ctc_loss(lp, np.array([4, 3, 2]), targets, np.array([2, 2, 2]))
+
+
+def test_batched_validation_reads_valid_frames_and_labels_only():
+    lp = np.log(np.full((2, 3, 3), 1 / 3))
+    lp[0, 2] = 5.0  # padded frame, not a distribution
+    targets = np.array([[0, 7], [1, 0]])  # 7: padded label, out of range
+    assert np.isfinite(batched_ctc_loss(lp, np.array([2, 3]), targets, np.array([1, 2])).item())
+    with pytest.raises(NumericsError, match="CTC row 0: frame rows"):
+        batched_ctc_loss(lp, np.array([3, 3]), targets, np.array([1, 2]))
+    with pytest.raises(NumericsError, match="CTC row 0: target ids"):
+        batched_ctc_loss(lp, np.array([2, 3]), targets, np.array([2, 2]))

@@ -228,6 +228,21 @@ def test_lstm_sequence_input_gradient():
     check_grads(lambda: tz.tsum(lstm_sequence(xs_store["xs"], np.ones((1, 3)), fwd, bwd)), xs_store)
 
 
+def test_lstm_sequence_plain_array_input_gets_no_gradient():
+    # The same layer on Tensor(xs) and on xs itself: the parameter gradients
+    # agree bit for bit, and the plain array's gradient is None.
+    store = blstm_store(15, 3, 4, 2, 3)
+    mask = prefix_mask([4, 2, 3], 4)
+    fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
+    outs = [lstm_sequence(xs, mask, fwd, bwd) for xs in (store["xs"], store["xs"].data)]
+    assert outs[0].data.tobytes() == outs[1].data.tobytes()
+    gout = np.random.default_rng(16).normal(size=outs[0].shape)
+    with_input, without = (out.backward(gout) for out in outs)
+    assert with_input[0] is not None and without[0] is None
+    for a, b in zip(with_input[1:], without[1:]):
+        assert a.tobytes() == b.tobytes()
+
+
 # (batch, steps, input dim, hidden, lengths)
 ORACLE_CASES = {
     "unsorted_lengths_with_ties": (5, 6, 3, 4, [4, 6, 2, 6, 4]),
@@ -415,6 +430,67 @@ def test_pool_gradients():
 
     rng_weights = rng.normal(size=(2, 3, 3))
     check_grads(loss, store)
+
+
+def reference_max_pool_time(xs, mask, pool):
+    """The argmax formulation: pads shifted down by 1e300, one strided
+    argmax per window and a put_along_axis backward; the oracle for
+    ``max_pool_time``."""
+    xs = tz.as_tensor(xs)
+    B, T, D = xs.shape
+    if pool <= 1:
+        return xs, np.asarray(mask, dtype=np.float64)
+    T2 = -(-T // pool)
+    pad = T2 * pool - T
+    mp = np.pad(np.asarray(mask, dtype=np.float64), ((0, 0), (0, pad)))
+    xp = np.pad(xs.data, ((0, 0), (0, pad), (0, 0)))
+    shifted = xp + (mp[:, :, None] - 1.0) * 1e300
+    arg = shifted.reshape(B, T2, pool, D).argmax(axis=2)
+    vals = np.take_along_axis(xp.reshape(B, T2, pool, D), arg[:, :, None, :], axis=2)[:, :, 0, :]
+    pooled_mask = (mp.reshape(B, T2, pool).max(axis=2) > 0).astype(np.float64)
+
+    def backward(g):
+        gw = np.zeros((B, T2, pool, D))
+        np.put_along_axis(gw, arg[:, :, None, :], (g * pooled_mask[:, :, None])[:, :, None, :], axis=2)
+        return (gw.reshape(B, T2 * pool, D)[:, :T, :],)
+
+    return tz._node(vals * pooled_mask[:, :, None], (xs,), backward), pooled_mask
+
+
+def pool_case(name):
+    """(input (B, T, D), mask, pool) for the oracle comparison."""
+    rng = np.random.default_rng(12)
+    if name == "ties_inside_a_window":  # equal maxima, signed zeros included
+        xs = rng.integers(-2, 3, size=(2, 6, 4)).astype(np.float64)
+        xs[0, 0, 0], xs[0, 1, 0] = -0.0, 0.0
+        return xs, np.ones((2, 6)), 2
+    if name == "trailing_partial_window":
+        return rng.normal(size=(3, 7, 3)), prefix_mask([7, 5, 4], 7), 3
+    if name == "fully_padded_window":  # padded frames hold junk, some negative
+        return rng.normal(size=(2, 8, 3)), prefix_mask([8, 3], 8), 2
+    if name == "ragged_pool_3":
+        return rng.normal(size=(4, 10, 5)), prefix_mask([10, 1, 6, 8], 10), 3
+    return rng.normal(size=(2, 4, 3)), prefix_mask([4, 2], 4), 1  # pool_1
+
+
+def backward_graph_grad(out, g, x):
+    """Gradient on ``x`` of sum(out * g), through the recorded graph."""
+    return tz.backward_graph(tz.tsum(out * g))[id(x)] if out is not x else g
+
+
+@pytest.mark.parametrize(
+    "name", ["ties_inside_a_window", "trailing_partial_window", "fully_padded_window", "ragged_pool_3", "pool_1"]
+)
+def test_pool_is_bit_identical_to_the_argmax_oracle(name):
+    xs, mask, pool = pool_case(name)
+    g = np.random.default_rng(13).normal(size=(xs.shape[0], -(-xs.shape[1] // pool), xs.shape[2]))
+    results = []
+    for layer in (max_pool_time, reference_max_pool_time):
+        x = Tensor(xs)
+        out, pooled_mask = layer(x, mask, pool)
+        results.append((out.data, pooled_mask, backward_graph_grad(out, g, x)))
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
