@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .ctc import min_frames_required
+
 __all__ = [
     "Vocabulary",
     "FeatureSequence",
@@ -267,8 +269,10 @@ def batch(
     """Group examples into padded batches, filtering unusable ones.
 
     Examples whose transcript or translation exceeds ``max_len`` tokens are
-    dropped, as are CTC-infeasible ones (extended label length 2J+1 larger
-    than the pooled frame count) when ``ctc_filter`` is set. ``order``
+    dropped, as are CTC-infeasible ones when ``ctc_filter`` is set: those
+    whose transcript needs more frames than the pooled frame count (J plus
+    one blank between adjacent repeated labels, ``ctc.min_frames_required``,
+    the bound the CTC loss enforces). ``order``
     optionally permutes the dataset before grouping.
     """
     if batch_size < 1:
@@ -281,7 +285,7 @@ def batch(
             continue
         if ctc_filter:
             pooled = -(-ex.x.length // pool_product)  # ceil-pool chain == ceil by the product
-            if 2 * ex.f.length + 1 > pooled:
+            if min_frames_required(ex.f.ids) > pooled:
                 infeasible += 1
                 continue
         kept.append(ex)

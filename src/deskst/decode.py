@@ -148,7 +148,7 @@ def beam_search(
     lanes = (np.arange(B), np.zeros(B, dtype=np.int64))  # per state row: utterance and slot
     h, c, feedback = kernel.initial_state(B)
     prev = np.full(B, vocab.bos_id, dtype=np.int64)
-    found: list[list[Hypothesis]] = [[] for _ in range(B)]
+    best: list[tuple | None] = [None] * B  # per utterance, its best finished: (-normalized, tokens, score)
     for _ in range(max_len):
         if not n_active.any():
             break
@@ -166,9 +166,15 @@ def beam_search(
         parents = order[rows, top // V]
         valid = top_scores > -np.inf
         ends = valid & (tokens == vocab.eos_id)
+        length = history.shape[2] + 1
         for b, k in zip(*np.nonzero(ends)):
+            score = float(top_scores[b, k])
+            neg = -(score / max(1, length) ** len_norm)  # -Hypothesis.normalized, without building one
+            if best[b] is not None and neg > best[b][0]:
+                continue
             toks = history[b, parents[b, k]].tolist() + [vocab.eos_id]
-            found[b].append(Hypothesis(tokens=toks, score=float(top_scores[b, k]), finished=True))
+            if best[b] is None or (neg, toks) < best[b][:2]:
+                best[b] = (neg, toks, score)
         live = valid & ~ends
         keep = np.argsort(~live, axis=1, kind="stable")  # survivors first, best first
         n_active = live.sum(axis=1)
@@ -187,14 +193,14 @@ def beam_search(
         feedback = [fb[src] for fb in feedback]
         h, c, _ = kernel.advance(prev, ctx[src], [x[src] for x in h], [x[src] for x in c])
         _check_finite("decoder states", *h, *c)
-    for b in range(B):  # ran out of steps with alive lanes
-        for k in range(n_active[b]):
-            found[b].append(Hypothesis(tokens=history[b, k].tolist(), score=float(scores[b, k]), finished=False))
-    best = []
-    for hyps in found:
-        pool = [h for h in hyps if h.finished] or hyps
-        best.append(min(pool, key=lambda h: (-h.normalized(len_norm), tuple(h.tokens))))
-    return best
+    out = []
+    for b, kept in enumerate(best):
+        if kept is None:  # nothing finished: the best of the lanes alive after max_len steps
+            lanes_left = [Hypothesis(history[b, k].tolist(), float(scores[b, k]), False) for k in range(n_active[b])]
+            out.append(min(lanes_left, key=lambda h: (-h.normalized(len_norm), h.tokens)))
+        else:
+            out.append(Hypothesis(tokens=kept[1], score=kept[2], finished=True))
+    return out
 
 
 def greedy_decode_batch(

@@ -16,10 +16,15 @@ attention decoder's whole teacher-forced loss) and ``greedy_rollout`` (an
 attention decoder's greedy decode, returning its top states). The decoder
 step is written once, in numpy, as ``DecoderKernel``: both fused decoders and
 beam search run it, and its ``backward`` carries gradients back through the
-recorded steps for both fused decoders. The per-step Tensor layers
-(``additive_attention``, ``lstm_step``, ``output_layer``,
-``label_smoothed_ce``) have no caller in the package: the tests compose the
-step-by-step oracles of the fused decoders and of beam search from them.
+recorded steps for both fused decoders. The fused decoders pack their rows
+as ``lstm_sequence`` does: rows sorted once by step bound, longest first,
+and step k computes only the leading rows still running, but at least two
+(numpy sends a one-row 2-D product to gemv, whose bits differ from the
+GEMM's), so the forward is bit-identical to the all-rows loop. The
+per-step Tensor layers (``additive_attention``, ``lstm_step``,
+``output_layer``, ``label_smoothed_ce``) have no caller in the package: the
+tests compose the step-by-step oracles of the fused decoders and of beam
+search from them.
 """
 
 from __future__ import annotations
@@ -238,6 +243,9 @@ def lstm_sequence(xs: Tensor | np.ndarray, mask: np.ndarray, fwd: LstmParams, bw
             nxt = steps[k + 1] if k + 1 < len(steps) else 0
             if nxt:
                 dh[:, :nxt] += z[:, off[k + 1] : off[k + 1] + nxt] @ w_hh_t
+            # Recomputed: keeping the forward's tanh(c) in a (2, N, H)
+            # buffer made one2many+CTC training about 4% slower (the fresh
+            # buffer's pages cost more than these tanh calls).
             tc = np.tanh(cs[:, off[k] : off[k] + n])
             dyk = dy[:, :n]
             np.multiply(dh, tc, out=dyk[..., 3 * H :])
@@ -399,12 +407,19 @@ class DecoderKernel:
     accumulated weights, then applies the output softmax; ``advance`` runs
     the LSTM stack on (token embedding, contexts). The attention keys
     ``memory @ w_keys`` are projected once per memory over the (B, T, D)
-    states. A row is either utterance r itself (``lanes`` None) or one lane
-    of an utterance: ``lanes`` = (utterance, slot) per row, so no memory is
-    copied per lane and each memory's contexts are one (B, K, T) @ (B, T, D)
-    contraction. ``teacher_forced_decoder``, ``greedy_rollout`` and beam
-    search run it forward; ``backward`` carries gradients back through the
-    steps a ``_StepTape`` recorded, for both fused decoders.
+    states. A row is one lane of an utterance when ``lanes`` = (utterance,
+    slot) per row is given, as in beam search: no memory is copied per lane
+    and each memory's contexts are one (B, K, T) @ (B, T, D) contraction.
+    Otherwise the n state rows are the leading n of the kernel's rows. The
+    fused decoders sort their rows by step bound, longest first, and pass
+    that ``order``: kernel row i is memory row order[i]. The kernel holds
+    the keys and validity in its row order, so a step over the rows still
+    running reads a prefix of them; the memory states themselves are not
+    copied, and a step's contexts are one (B, 1, T) @ (B, T, D)
+    contraction, as with lanes.
+    ``teacher_forced_decoder``, ``greedy_rollout`` and beam search run it
+    forward; ``backward`` carries gradients back through the steps a
+    ``_StepTape`` recorded, for both fused decoders.
     """
 
     def __init__(
@@ -414,6 +429,7 @@ class DecoderKernel:
         lstm: Sequence[LstmParams],
         out_w: Tensor,
         out_b: Tensor,
+        order: np.ndarray | None = None,
     ):
         """Inputs must be finite (``NonFiniteError``): tanh saturation and
         masking could hide a poisoned weight or memory state."""
@@ -433,13 +449,19 @@ class DecoderKernel:
         self.hidden = lstm[-1].hidden
         if self.table.shape[1] + sum(enc.states.shape[-1] for enc, _ in memories) != self.cells[0][0].shape[0]:
             raise ShapeError(f"decoder step: LSTM input dim {self.cells[0][0].shape[0]} != embedding + contexts")
-        self.mems = []  # per memory: states, validity, keys, w_query, v, b, u
+        B = memories[0][0].states.shape[0]
+        self.order = np.arange(B) if order is None else order
+        self.inverse = np.argsort(self.order)
+        self.mems = []  # per memory: states, validity and keys in row order, w_query, v, b, u
         for enc, a in memories:
             valid = np.asarray(enc.mask, dtype=np.float64) > 0
             if not valid.any(axis=-1).all():
                 raise ShapeError("masked_softmax: some row has no valid positions")
             M = enc.states.data
-            self.mems.append((M, valid, M @ a.w_keys.data, a.w_query.data, a.v.data, a.b.data, a.u.data))
+            keys = M @ a.w_keys.data
+            if order is not None:
+                valid, keys = valid[order], keys[order]
+            self.mems.append((M, valid, keys, a.w_query.data, a.v.data, a.b.data, a.u.data))
         self.w_keys = [a.w_keys.data for _, a in memories]
 
     def initial_state(self, n: int) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
@@ -454,10 +476,11 @@ class DecoderKernel:
         memory the (tanh pre-activations, weights)). ``keep`` multiplies the
         top state fed to the output layer."""
         n = top.shape[0]
+        utt = slice(0, n) if lanes is None else lanes[0]  # kernel rows
+        at = (self.order[:n], np.zeros(n, dtype=np.int64)) if lanes is None else lanes  # memory rows, slots
         ctxs, new_feedback, attn = [], [], []
         for (M, valid, keys, wq, v, ab, u), fb in zip(self.mems, feedback):
             B, T, D = M.shape
-            utt = slice(None) if lanes is None else lanes[0]
             pre = keys[utt] + (top @ wq).reshape(n, 1, -1)  # a new array, so keys stay intact
             pre += fb.reshape(n, T, 1) * u
             pre += ab
@@ -466,12 +489,9 @@ class DecoderKernel:
             neg = np.where(valid, pre @ v, -np.inf)
             ex = np.where(valid, np.exp(neg - neg.max(axis=-1, keepdims=True)), 0.0)
             w = ex / ex.sum(axis=-1, keepdims=True)
-            if lanes is None:
-                ctxs.append((w.reshape(n, 1, T) @ M).reshape(n, D))
-            else:
-                lane_w = np.zeros((B, int(lanes[1].max(initial=0)) + 1, T))
-                lane_w[lanes] = w
-                ctxs.append((lane_w @ M)[lanes])
+            lane_w = np.zeros((B, int(at[1].max(initial=0)) + 1, T))
+            lane_w[at] = w
+            ctxs.append((lane_w @ M)[at])
             new_feedback.append(fb + w)
             attn.append((pre, w))
         ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs, axis=-1)
@@ -509,41 +529,51 @@ class DecoderKernel:
             x = h[j]
         return h, c, cache
 
-    def backward(self, tape: "_StepTape", tokens, mask, d_emb, dctxs, dtops, dh_after=None):
-        """Carry gradients back through the steps on ``tape``: each step's
-        attention and, for the first n steps that advanced, the LSTM stack
-        on ``tokens`` under ``mask`` (both (n, B)); masked rows pass their
-        state's gradient on unchanged. From outside the recurrence come
-        ``dctxs`` (S, B, sum D) on each step's contexts and ``dtops``
-        (S, B, H) on the top state its prediction read (the output layer's
-        share), and ``dh_after`` (n, B, H) on the top state after each
-        advance. ``d_emb`` gains the embedding gradient at ``tokens`` and
-        ``dctxs`` the LSTM inputs' share, in place. Returns the gradients of
-        the LSTM stack and the attention parameters, in ``inputs`` order,
-        and of each memory's states."""
-        S, n = len(tape.tops), len(tape.advance)
-        B, H, L = tape.tops[0].shape[0], self.hidden, len(self.cells)
+    def backward(self, tape: "_StepTape", d_emb, dctxs, dtops, dh_after=None):
+        """Carry gradients back through the steps on ``tape``, in the
+        kernel's row order: each step's attention over its p_s leading rows
+        and, for the steps that advanced, the LSTM stack over the advance's
+        leading rows under its mask; masked rows, and rows beyond the
+        advance, pass their state's gradient on unchanged. From outside the
+        recurrence come ``dctxs`` (N, sum D) on each step's contexts and
+        ``dtops`` (N, H) on the top state its prediction read (the output
+        layer's share), packed step after step (N = sum p_s), and
+        ``dh_after`` (n, B, H) on the top state after each advance. ``d_emb``
+        gains the embedding gradient at the advances' tokens and ``dctxs``
+        the LSTM inputs' share, in place. Returns the gradients of the LSTM
+        stack and the attention parameters, in ``inputs`` order, and of each
+        memory's states in the caller's row order."""
+        rows = [top.shape[0] for top in tape.tops]
+        off = np.cumsum([0, *rows])
+        S, n = len(rows), len(tape.advance)
+        B, H, L = self.mems[0][0].shape[0], self.hidden, len(self.cells)
         E = self.table.shape[1]
         dh = [np.zeros((B, H)) for _ in range(L)]
         dc = [np.zeros((B, H)) for _ in range(L)]
         dz_steps = [[] for _ in range(L)]  # per layer, steps n-1 .. 0
-        d_cur = np.zeros((n, B, E))
+        d_cur = []  # per advance, steps n-1 .. 0
         dfb = [np.zeros(valid.shape) for _, valid, *_ in self.mems]
         dkeys = [np.zeros_like(keys) for _, _, keys, *_ in self.mems]
         dq_steps = [[] for _ in self.mems]
         dv = [np.zeros(keys.shape[-1]) for _, _, keys, *_ in self.mems]
         du = [np.zeros(keys.shape[-1]) for _, _, keys, *_ in self.mems]
+        # Contiguous transposes: a GEMM reads them faster than a transposed view.
+        cells_t = [(np.ascontiguousarray(w_ih.T), np.ascontiguousarray(w_hh.T)) for w_ih, w_hh, _ in self.cells]
+        wq_t = [np.ascontiguousarray(wq.T) for _, _, _, wq, *_ in self.mems]
         for s in range(S - 1, -1, -1):
+            p, o0 = rows[s], off[s]
             if s < n:  # LSTM stack advance, top layer first
+                tokens, mask, cache = tape.advance[s]
+                a = mask.shape[0]
                 if dh_after is not None:
-                    dh[-1] = dh[-1] + dh_after[s]
-                m = mask[s][:, None]
+                    dh[-1] += dh_after[s]
+                m = mask[:, None]
                 dx = None
                 for j in range(L - 1, -1, -1):
-                    x, h_prev, c_prev, i, f, g, o, tc = tape.advance[s][j]
-                    dh_out = dh[j] if dx is None else dh[j] + dx
+                    x, h_prev, c_prev, i, f, g, o, tc = cache[j]
+                    dh_out = dh[j][:a] if dx is None else dh[j][:a] + dx
                     dh_new = m * dh_out
-                    dc_total = m * dc[j] + dh_new * o * (1.0 - tc * tc)
+                    dc_total = m * dc[j][:a] + dh_new * o * (1.0 - tc * tc)
                     dz = np.concatenate(
                         [
                             dc_total * g * i * (1.0 - i),
@@ -554,74 +584,92 @@ class DecoderKernel:
                         axis=1,
                     )
                     dz_steps[j].append(dz)
-                    dc[j] = dc_total * f + (1.0 - m) * dc[j]
-                    dx = dz @ self.cells[j][0].T
-                    dh[j] = dz @ self.cells[j][1].T + (1.0 - m) * dh_out
-                d_cur[s] = dx[:, :E]
-                dctxs[s] += dx[:, E:]
-            dtop = dtops[s]
-            off = 0
+                    dc[j][:a] = dc_total * f + (1.0 - m) * dc[j][:a]
+                    dx = dz @ cells_t[j][0]
+                    dh[j][:a] = dz @ cells_t[j][1] + (1.0 - m) * dh_out
+                d_cur.append(dx[:, :E])
+                dctxs[o0 : o0 + a] += dx[:, E:]
+            dtop = dtops[o0 : o0 + p]
+            c0 = 0
             for k, (M, valid, keys, wq, v, ab, u) in enumerate(self.mems):
                 pre, w, fb = tape.attn[k][s]
                 A, D = keys.shape[-1], M.shape[-1]
-                dw = (M @ dctxs[s, :, off : off + D, None])[..., 0] + dfb[k]
-                off += D
+                d_ctx = np.zeros((B, D))  # on the memory rows, as the contexts were read
+                d_ctx[self.order[:p]] = dctxs[o0 : o0 + p, c0 : c0 + D]
+                dw = (M @ d_ctx[..., None])[self.order[:p], :, 0] + dfb[k][:p]
+                c0 += D
                 de = w * (dw - (w * dw).sum(axis=-1, keepdims=True))
                 dv[k] += de.reshape(-1) @ pre.reshape(-1, A)
-                da = pre * pre  # de (1 - tanh^2) v, in place: fresh (B, T, A) temporaries are slow
+                # d pre-activation = de (1 - tanh^2) v. v scales every sum
+                # of it, so da leaves it out and the sums take it once.
+                da = pre * pre  # in place: fresh (p, T, A) temporaries are slow
                 np.subtract(1.0, da, out=da)
                 da *= de[..., None]
-                da *= v
-                dkeys[k] += da
-                dq = da.sum(axis=1)
+                dkeys[k][:p] += da
+                dq = (np.ones(da.shape[1]) @ da) * v
                 dq_steps[k].append(dq)
-                dtop = dtop + dq @ wq.T
+                dtop = dtop + dq @ wq_t[k]
                 du[k] += fb.reshape(-1) @ da.reshape(-1, A)
-                dfb[k] = dfb[k] + da @ u
-            dh[-1] = dh[-1] + dtop
+                dfb[k][:p] += da @ (v * u)
+            dh[-1][:p] += dtop
 
-        np.add.at(d_emb, tokens, d_cur)
         grads = []
+        if n:
+            np.add.at(d_emb, np.concatenate([tokens for tokens, _, _ in tape.advance]), np.concatenate(d_cur[::-1]))
         for j in range(L):
             if n == 0:  # no advance ran
                 grads += [np.zeros_like(t) for t in self.cells[j]]
                 continue
-            dz = np.stack(dz_steps[j][::-1]).reshape(n * B, 4 * H)
-            xs = np.stack([step[j][0] for step in tape.advance]).reshape(n * B, -1)
-            hs = np.stack([step[j][1] for step in tape.advance]).reshape(n * B, H)
+            dz = np.concatenate(dz_steps[j][::-1])
+            xs = np.concatenate([cache[j][0] for _, _, cache in tape.advance])
+            hs = np.concatenate([cache[j][1] for _, _, cache in tape.advance])
             grads += [xs.T @ dz, hs.T @ dz, dz.sum(axis=0)]
-        tops_all = np.stack(tape.tops).reshape(S * B, H)
+        tops_all = np.concatenate(tape.tops)
+        ss = np.repeat(np.arange(S), rows)  # packed row -> (step, memory row)
+        rr = self.order[np.arange(off[-1]) - off[ss]]
         d_states = []
-        off = 0
+        c0 = 0
         for k, (M, valid, keys, wq, v, ab, u) in enumerate(self.mems):
             _, T, D = M.shape
             A = keys.shape[-1]
-            dq = np.stack(dq_steps[k][::-1]).reshape(S * B, A)
-            d_wk = M.reshape(B * T, D).T @ dkeys[k].reshape(B * T, A)
-            grads += [tops_all.T @ dq, d_wk, dv[k], dkeys[k].sum(axis=(0, 1)), du[k]]
+            dq = np.concatenate(dq_steps[k][::-1])
+            d_keys = dkeys[k][self.inverse]  # on the memory rows
+            d_keys *= v
+            d_wk = M.reshape(B * T, D).T @ d_keys.reshape(B * T, A)
+            grads += [tops_all.T @ dq, d_wk, dv[k], d_keys.sum(axis=(0, 1)), du[k] * v]
             # context = weights @ memory, summed over steps: (B, T, S) @ (B, S, D)
-            ws = np.stack([w for _, w, _ in tape.attn[k]], axis=2)
-            d_ctx = np.swapaxes(dctxs[..., off : off + D], 0, 1)
-            off += D
-            d_states.append(ws @ d_ctx + dkeys[k] @ self.w_keys[k].T)
+            ws, d_ctx = np.zeros((B, T, S)), np.zeros((B, S, D))
+            ws[rr, :, ss] = np.concatenate([w for _, w, _ in tape.attn[k]])
+            d_ctx[rr, ss] = dctxs[:, c0 : c0 + D]
+            c0 += D
+            d_states.append(ws @ d_ctx + d_keys @ self.w_keys[k].T)
         return grads, d_states
 
 
 class _StepTape:
     """What ``DecoderKernel.backward`` reads of a fused decoder's forward:
     per step, the top state its prediction read and per memory the (tanh
-    pre-activations, weights, feedback before the step); per advance, the
-    per-layer cache ``DecoderKernel.advance`` returns."""
+    pre-activations, weights, feedback before the step); per advance, its
+    tokens, its mask and the per-layer cache ``DecoderKernel.advance``
+    returns. A step's arrays hold the rows it ran, a prefix of the kernel's
+    rows."""
 
     def __init__(self, n_memories: int):
         self.tops: list[np.ndarray] = []
         self.attn: list[list[tuple]] = [[] for _ in range(n_memories)]
-        self.advance: list[list[tuple]] = []
+        self.advance: list[tuple] = []
 
     def predict(self, top, feedback, attn) -> None:
         self.tops.append(top)
         for steps, fb, (pre, w) in zip(self.attn, feedback, attn):
             steps.append((pre, w, fb))
+
+
+def _step_rows(n: int, B: int) -> int:
+    """The rows a packed decoder step computes when its n leading rows run:
+    at least two when B >= 2, since numpy sends a one-row 2-D product to
+    gemv, whose bits differ from the GEMM's that the other rows get."""
+    return max(n, min(2, B))
 
 
 def teacher_forced_decoder(
@@ -642,77 +690,106 @@ def teacher_forced_decoder(
     target (``bos_id`` at s = 0), attends from the top LSTM state over every
     memory with its accumulated weights, predicts ``targets[s]`` through
     the output softmax, then advances the LSTM stack on (target embedding,
-    contexts): one ``DecoderKernel`` step over the B rows. Rows whose step
-    mask is 0 keep their state and add nothing to the loss. ``keep``
-    (S, B, H) multiplies the top state fed to the output layer (inverted
-    dropout). Returns (loss, (S, B) argmax predictions).
+    contexts): one ``DecoderKernel`` step. Rows whose step mask is 0 keep
+    their state and add nothing to the loss. ``keep`` (S, B, H) multiplies
+    the top state fed to the output layer (inverted dropout). Returns (loss,
+    (S, B) argmax predictions, -1 where the step mask is 0).
+
+    Packed rows: a row's step bound is one past its last unmasked step.
+    Rows are sorted by bound, longest first (stable), once; step s predicts
+    over the n_s rows whose bound exceeds s, which are the leading rows, and
+    advances only the rows step s + 1 reads. A step runs at least two rows
+    when B >= 2 (``_step_rows``), so every 2-D product is a GEMM whose rows
+    are bit-identical to the all-rows product. Each step's loss terms are
+    scattered back to the caller's row order before the step's sum.
 
     Fused op with a hand-derived backward: one graph node per decoder run,
     whose parents are the parameters and each memory's states. The step
     repeats the numpy op order of ``additive_attention``, ``output_layer``,
     ``label_smoothed_ce`` and ``lstm_step`` (the oracle in
     ``tests/test_models.py``), so loss and predictions are bit-identical to
-    that composition. Clamped zero probabilities warn and get zero gradient,
-    as in ``label_smoothed_ce``. The backward differentiates the output
-    softmax and the loss over all steps at once, then hands the gradients
-    on the contexts and top states to ``DecoderKernel.backward``.
+    that composition. Clamped zero probabilities of the rows a step runs
+    warn and get zero gradient, as in ``label_smoothed_ce``. The backward
+    differentiates the output softmax and the loss over all packed rows at
+    once, then hands the gradients on the contexts and top states to
+    ``DecoderKernel.backward``.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"label smoothing ratio must be in [0, 1), got {eps}")
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(step_mask, dtype=np.float64)
     S, B = targets.shape
-    kernel = DecoderKernel(memories, emb, lstm, out_w, out_b)
+    live = mask > 0
+    bound = np.where(live.any(axis=0), S - live[::-1].argmax(axis=0), 0)
+    order = np.argsort(-bound, kind="stable")
+    rows = [_step_rows(int(n), B) for n in np.count_nonzero(bound > np.arange(S)[:, None], axis=1)]
+    off = np.cumsum([0, *rows])
+    ss = np.repeat(np.arange(S), rows)  # packed row -> (step, sorted row)
+    rr = np.arange(off[-1]) - off[ss]
+    kernel = DecoderKernel(memories, emb, lstm, out_w, out_b, order)
     table, wo = kernel.table, kernel.out_w
     E, V, H = table.shape[1], wo.shape[1], kernel.hidden
     if targets.size and (targets.min() < 0 or targets.max() >= table.shape[0]):
         raise ShapeError(f"token id out of range for table of {table.shape[0]} rows")
+    targets, mask = targets[:, order], mask[:, order]
     prev_ids = np.concatenate([np.full((1, B), bos_id, dtype=np.int64), targets[:-1]])
+    keep = None if keep is None else keep[:, order]
 
     tape = _StepTape(len(kernel.mems)) if tz.grad_enabled() else None
-    h, c, fb = kernel.initial_state(B)
-    probs = np.empty((S, B, V))
-    total = 0.0
+    h, c, fb = kernel.initial_state(rows[0])
+    probs = np.empty((off[-1], V))
     joints = []  # per step
     for s in range(S):
+        n = rows[s]
         top = h[-1]
-        p, ctx, new_fb, joint, attn = kernel.predict(prev_ids[s], top, fb, keep=None if keep is None else keep[s])
+        p, ctx, new_fb, joint, attn = kernel.predict(prev_ids[s, :n], top, fb, keep=None if keep is None else keep[s, :n])
         if tape is not None:
             tape.predict(top, fb, attn)
             joints.append(joint)
-        fb = new_fb
-        probs[s] = p
-        logp = np.log(np.maximum(p, tz._LOG_FLOOR))
-        picked = np.take_along_axis(logp, targets[s][:, None], axis=-1)[:, 0]
-        total += (((picked * (1.0 - eps) + logp.sum(axis=-1) * (eps / V)) * -1.0) * mask[s]).sum()
+        probs[off[s] : off[s + 1]] = p
         if s == S - 1:
             break  # the state after the last prediction feeds nothing
-        h, c, step_cache = kernel.advance(targets[s], ctx, h, c, mask[s])
+        a = rows[s + 1]
+        h, c, step_cache = kernel.advance(targets[s, :a], ctx[:a], [x[:a] for x in h], [x[:a] for x in c], mask[s, :a])
+        fb = [x[:a] for x in new_fb]
         if tape is not None:
-            tape.advance.append(step_cache)
+            tape.advance.append((targets[s, :a], mask[s, :a], step_cache))
 
+    # Per-row loss terms of all steps at once (row-wise, so the bits of a
+    # per-step computation), in the caller's row order, then summed step by
+    # step. Rows a step did not run add zero.
+    tgt = targets[ss, rr]
+    logp = np.log(np.maximum(probs, tz._LOG_FLOOR))
+    picked = np.take_along_axis(logp, tgt[:, None], axis=-1)[:, 0]
+    terms = np.zeros((S, B))
+    terms[ss, order[rr]] = ((picked * (1.0 - eps) + logp.sum(axis=-1) * (eps / V)) * -1.0) * mask[ss, rr]
+    total = 0.0
+    for step_sum in terms.sum(axis=1):
+        total += step_sum
     tiny = probs < tz._LOG_FLOOR
-    if tiny.any() and (eps > 0.0 or np.take_along_axis(tiny, targets[..., None], axis=-1).any()):
+    if tiny.any() and (eps > 0.0 or np.take_along_axis(tiny, tgt[:, None], axis=-1).any()):
         warnings.warn("clamped zero probability in smoothed cross entropy", SmoothingClampWarning)
-    pred = probs.argmax(axis=-1)
+    pred = np.full((S, B), -1)
+    pred[ss, order[rr]] = probs.argmax(axis=-1)
+    pred[~live] = -1
 
     def backward(gout):
-        # Output softmax and smoothed CE, all steps at once: d loss / d logp
-        # is -g * mask * q with q the smoothed target; clamped entries pass
-        # nothing back, so p * d loss / d p is that term where p is active.
-        q = np.full((S, B, V), eps / V)
-        np.put_along_axis(q, targets[..., None], 1.0 - eps + eps / V, axis=-1)
-        pdp = np.where(tiny, 0.0, q * (-float(gout) * mask)[..., None])
+        # Output softmax and smoothed CE, all packed rows at once: d loss /
+        # d logp is -g * mask * q with q the smoothed target; clamped entries
+        # pass nothing back, so p * d loss / d p is that term where p is active.
+        q = np.full((off[-1], V), eps / V)
+        np.put_along_axis(q, tgt[:, None], 1.0 - eps + eps / V, axis=-1)
+        pdp = np.where(tiny, 0.0, q * (-float(gout) * mask[ss, rr])[:, None])
         dlogits = pdp - probs * pdp.sum(axis=-1, keepdims=True)
-        J = np.stack(joints)
-        d_out_w = J.reshape(S * B, -1).T @ dlogits.reshape(S * B, V)
-        d_out_b = dlogits.sum(axis=(0, 1))
+        J = np.concatenate(joints)
+        d_out_w = J.T @ dlogits
+        d_out_b = dlogits.sum(axis=0)
         djoint = dlogits @ wo.T
         d_emb = np.zeros_like(table)
-        np.add.at(d_emb, prev_ids, djoint[..., :E])
-        dtops = djoint[..., E : E + H] if keep is None else djoint[..., E : E + H] * keep
-        dctxs = djoint[..., E + H :].copy()  # gains the LSTM input's share
-        grads, d_states = kernel.backward(tape, targets[: S - 1], mask, d_emb, dctxs, dtops)
+        np.add.at(d_emb, prev_ids[ss, rr], djoint[:, :E])
+        dtops = djoint[:, E : E + H] if keep is None else djoint[:, E : E + H] * keep[ss, rr]
+        dctxs = djoint[:, E + H :].copy()  # gains the LSTM input's share
+        grads, d_states = kernel.backward(tape, d_emb, dctxs, dtops)
         return (d_emb, *grads, d_out_w, d_out_b, *d_states)
 
     return tz._node(total, kernel.inputs, backward), pred
@@ -734,15 +811,21 @@ def greedy_rollout(
     """Greedy decode of an attention decoder, keeping its top LSTM states.
 
     Step k embeds the previous token (``bos_id`` at k = 0), predicts through
-    one ``DecoderKernel`` step over the B rows, takes the argmax as the
-    step's token and advances the LSTM stack on it. Row b runs until it
-    emits ``eos_id`` or has run ``limits[b]`` steps; after that its step
-    mask is 0, its token ``pad_id`` and its state frozen. The loop stops
-    when no row runs, after K <= max(limits) steps. With ``rng``, each step
-    that runs draws one (B, H) inverted-dropout mask at ``rate`` for the
-    top state fed to the output layer, so the stream moves by exactly the
-    steps taken. Returns ((B, K, H) top states after each step, (B, K) step
-    mask, (B, K) tokens).
+    one ``DecoderKernel`` step, takes the argmax as the step's token and
+    advances the LSTM stack on it. Row b runs until it emits ``eos_id`` or
+    has run ``limits[b]`` steps; after that its step mask is 0, its token
+    ``pad_id`` and its state frozen. The loop stops when no row runs, after
+    K <= max(limits) steps. With ``rng``, each step that runs draws one
+    (B, H) inverted-dropout mask at ``rate`` for the top state fed to the
+    output layer, so the stream moves by exactly the steps taken. Returns
+    ((B, K, H) top states after each step, (B, K) step mask, (B, K) tokens).
+
+    Packed rows: rows are sorted by limit, longest first (stable), once, and
+    step k runs the leading rows up to the last one still running (at
+    least two when B >= 2, as in ``teacher_forced_decoder``). Rows inside
+    that prefix that stopped at [EOS] run masked; rows beyond it are not
+    computed, and their returned states repeat the state after their last
+    step, so the gradient on those padded steps reaches that step.
 
     Fused op with a hand-derived backward: one graph node whose parents are
     the parameters and each memory's states. The argmax is a constant, so
@@ -754,48 +837,59 @@ def greedy_rollout(
     ``tests/test_models.py``). Under ``no_grad`` nothing is kept.
     """
     limits = np.asarray(limits, dtype=np.int64)
-    B, max_steps = limits.shape[0], int(limits.max(initial=0))
-    if max_steps < 1:
+    B = limits.shape[0]
+    if limits.max(initial=0) < 1:
         raise ShapeError("greedy rollout: no row may run a step")
-    kernel = DecoderKernel(memories, emb, lstm, out_w, out_b)
+    order = np.argsort(-limits, kind="stable")
+    limits = limits[order]
+    kernel = DecoderKernel(memories, emb, lstm, out_w, out_b, order)
+    H = kernel.hidden
     tape = _StepTape(len(kernel.mems)) if tz.grad_enabled() else None
+    alive = limits > 0
     h, c, fb = kernel.initial_state(B)
     prev = np.full(B, bos_id, dtype=np.int64)
-    alive = np.ones(B, dtype=bool)
     states, masks, tokens = [], [], []
-    k = 0
-    while alive.any() and k < max_steps:
-        mask = (alive & (k < limits)).astype(np.float64)
-        keep = None if rng is None else dropout_keep((B, kernel.hidden), rate, rng)
+    while alive.any():
+        k = len(states)
+        r = _step_rows(B - int(alive[::-1].argmax()), B)
+        h, c, fb = ([x[:r] for x in xs] for xs in (h, c, fb))
+        mask = alive.astype(np.float64)
+        keep = None if rng is None else dropout_keep((B, H), rate, rng)[order[:r]]
         top = h[-1]
-        p, ctx, new_fb, _, attn = kernel.predict(prev, top, fb, keep=keep)
+        p, ctx, new_fb, _, attn = kernel.predict(prev[:r], top, fb, keep=keep)
         if not np.isfinite(p).all():
             raise NonFiniteError("non-finite output probabilities in the greedy rollout")
-        chosen = np.where(mask > 0, p.argmax(axis=-1), pad_id)
-        h, c, step_cache = kernel.advance(chosen, ctx, h, c, mask)
+        chosen = np.full(B, pad_id, dtype=np.int64)
+        chosen[:r] = np.where(alive[:r], p.argmax(axis=-1), pad_id)
+        h, c, step_cache = kernel.advance(chosen[:r], ctx, h, c, mask[:r])
         if tape is not None:
             tape.predict(top, fb, attn)
-            tape.advance.append(step_cache)
+            tape.advance.append((chosen[:r], mask[:r], step_cache))
         fb = new_fb
         states.append(h[-1])
         masks.append(mask)
         tokens.append(chosen)
         alive &= (chosen != eos_id) & (k + 1 < limits)
         prev = chosen
-        k += 1
-    step_mask, step_tokens = np.stack(masks), np.stack(tokens)  # (K, B)
+    K = len(states)
+    out = np.zeros((B, K, H))  # rows beyond a step's prefix repeat their last state
+    for k, top in enumerate(states):
+        r = top.shape[0]
+        out[:r, k] = top
+        if k:
+            out[r:, k] = out[r:, k - 1]
+    step_mask, step_tokens = np.stack(masks, axis=1)[kernel.inverse], np.stack(tokens, axis=1)[kernel.inverse]
 
     def backward(gout):
         # Nothing outside the recurrence reads the contexts or the top states
         # the predictions read: the argmax passes no gradient.
-        K, C = len(states), sum(M.shape[-1] for M, *_ in kernel.mems)
+        N, C = sum(top.shape[0] for top in tape.tops), sum(M.shape[-1] for M, *_ in kernel.mems)
         d_emb = np.zeros_like(kernel.table)
-        no_ctx, no_top = np.zeros((K, B, C)), np.zeros((K, B, kernel.hidden))
-        grads, d_states = kernel.backward(tape, step_tokens, step_mask, d_emb, no_ctx, no_top, np.swapaxes(gout, 0, 1))
+        dh_after = np.swapaxes(gout[order], 0, 1)
+        grads, d_states = kernel.backward(tape, d_emb, np.zeros((N, C)), np.zeros((N, H)), dh_after)
         return (d_emb, *grads, None, None, *d_states)
 
-    out = tz._node(np.stack(states, axis=1), kernel.inputs, backward)
-    return out, step_mask.T, step_tokens.T
+    return tz._node(out[kernel.inverse], kernel.inputs, backward), step_mask, step_tokens
 
 
 def dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:

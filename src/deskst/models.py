@@ -17,7 +17,10 @@ Each teacher-forced decoder run is one fused graph node,
 ``layers.teacher_forced_decoder``; ``run_decoder_teacher_forced`` lays out
 its step targets, masks and dropout multipliers. The tied topologies' greedy
 rollout is one fused node too, ``layers.greedy_rollout``, and beam search
-runs the same numpy step, ``layers.DecoderKernel``. ``_DecoderCore``, the
+runs the same numpy step, ``layers.DecoderKernel``. Both fused decoders
+sort the batch rows by step bound (target length + 1, rollout limit) inside
+the op and run each step over the rows still running only, at least two;
+what they return is in the batch's row order. ``_DecoderCore``, the
 per-step Tensor layers composed one position at a time, has no caller in the
 package: the tests build the step-by-step oracles of both fused decoders and
 of beam search from it, and perfbench's tracer patches it.
@@ -591,7 +594,7 @@ def run_decoder_teacher_forced(
         cfg.label_smoothing,
         keep,
     )
-    hits = int(((pred == target_ids) & (step_mask > 0)).sum())
+    hits = int((pred == target_ids).sum())  # pred is -1 at padded steps
     return DecoderRun(loss=loss, hits=hits, steps=int(step_mask.sum()))
 
 

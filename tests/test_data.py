@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from deskst import data
+from deskst.ctc import min_frames_required
 from deskst.data import DataError, Vocabulary, batch, generate, load_dataset, save_dataset, split
 
 
@@ -96,16 +97,20 @@ def test_batch_filters_long_and_ctc_infeasible():
     _, report = batch(ds, 4, max_len=5)
     assert report.dropped_too_long > 0
     assert report.kept + report.dropped_too_long == 30
-    # 3-5 frames per token with pool 2 puts examples on both sides of the
-    # 2J+1 <= T' feasibility line
-    mixed = generate(seed=5, n_examples=40, vocab_size=6, frames_per_token_range=(3, 5))
-    kept_batches, report2 = batch(mixed, 4, pool_product=2, ctc_filter=True)
+    # 2-4 frames per token with pool 3 puts examples on both sides of the
+    # feasibility line min_frames_required(transcript) <= T', some only
+    # through the blank that a repeated label needs; a 2J+1 <= T' rule
+    # would drop every one of them
+    mixed = generate(seed=5, n_examples=40, vocab_size=6, frames_per_token_range=(2, 4))
+    kept_batches, report2 = batch(mixed, 4, pool_product=3, ctc_filter=True)
     assert report2.dropped_ctc_infeasible > 0 and report2.kept > 0
     kept_ids = {i for b in kept_batches for i in b.ids}
+    pooled = {ex.id: -(-ex.x.length // 3) for ex in mixed.examples}
     for ex in mixed.examples:
-        pooled = -(-ex.x.length // 2)
-        infeasible = 2 * ex.f.length + 1 > pooled
+        infeasible = min_frames_required(ex.f.ids) > pooled[ex.id]
         assert infeasible == (ex.id not in kept_ids)
+    assert any(ex.f.length <= pooled[ex.id] < min_frames_required(ex.f.ids) for ex in mixed.examples)
+    assert all(2 * ex.f.length + 1 > pooled[ex.id] for ex in mixed.examples)
     with pytest.raises(DataError):
         batch(ds, 4, max_len=1)
 

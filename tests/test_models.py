@@ -2,8 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deskst import data, models, tensor as tz
+from deskst import data, layers, models, tensor as tz
 from deskst.data import Vocabulary
 from deskst.layers import EncoderStates, label_smoothed_ce
 from deskst.models import ADAPTER_POSITIONS, LossBreakdown, ModelConfig, build, forward, init_store
@@ -515,32 +516,33 @@ ROLLOUT_LIMITS = np.array([12, 1, 9, 10])
 ROLLOUT_MASK = np.array([[1.0] * 6, [1.0] * 4 + [0.0] * 2, [1.0] * 5 + [0.0], [1.0] * 3 + [0.0] * 3])
 
 
-def rollout_setup(dec_layers, dropout):
+def rollout_setup(dec_layers, dropout, mask=ROLLOUT_MASK, eos_bias=None, seed=17):
     """tied_triangle's decoder_asr with non-zero biases and its [EOS] bias,
-    and a padded (4, 6, 10) memory held in the store as ``memory``."""
+    and a padded (B, T, 10) memory, valid where ``mask`` is 1, held in the
+    store as ``memory``."""
     ds = tiny_dataset(n=8)
     graph = build(tiny_config(ds, dec_layers=dec_layers, dropout=dropout), "tied_triangle")
     store = init_store(graph, 21)
-    rng = np.random.default_rng(17)
+    rng = np.random.default_rng(seed)
     for name in sorted(graph.zero_init):
         store.set(name, rng.normal(size=graph.shapes[name]) * 0.3)
     vocab = models._task_vocab(graph, "asr")
     out_b = store["decoder_asr.out.b"].data.copy()
-    out_b[vocab.eos_id] += ROLLOUT_EOS_BIAS[dec_layers]
+    out_b[vocab.eos_id] += ROLLOUT_EOS_BIAS[dec_layers] if eos_bias is None else eos_bias
     store.set("decoder_asr.out.b", out_b)
-    memory = rng.normal(size=(*ROLLOUT_MASK.shape, 10))
+    memory = rng.normal(size=(*mask.shape, 10))
     store.create("memory", memory.shape, "zeros")
     store.set("memory", memory)
     return graph, store, vocab
 
 
-def rollout_and_grads(rollout, graph, store, vocab, rows):
+def rollout_and_grads(rollout, graph, store, vocab, rows, mask=ROLLOUT_MASK, limits=ROLLOUT_LIMITS):
     """The training rollout over ``rows`` of the memory, the gradients of a
     random projection of all its states (padded steps included), and the
     next draw on decoder_asr's dropout stream."""
     rngs = models.dropout_streams(5)
-    memory = EncoderStates(tz.take_slice(store["memory"], rows), ROLLOUT_MASK[rows])
-    run = rollout(graph, store, "decoder_asr", [("attn", memory)], ROLLOUT_LIMITS[rows], vocab, True, rngs)
+    memory = EncoderStates(tz.take_slice(store["memory"], rows), mask[rows])
+    run = rollout(graph, store, "decoder_asr", [("attn", memory)], limits[rows], vocab, True, rngs)
     upstream = np.random.default_rng(4).normal(size=run.states.shape)
     grads = backward(tz.tsum(run.states * upstream), store)
     return run, grads, rngs["decoder_asr"].random()
@@ -604,6 +606,150 @@ def test_a_non_finite_rollout_input_raises(name, bad, monkeypatch):
         monkeypatch.setattr(models, "run_speech_encoder", poisoned_encoder)
     with pytest.raises(tz.NonFiniteError):
         forward(graph, store, first_batch(tiny_dataset(n=8)))
+
+
+# ---------------------------------------------------------------------------
+# packed rows: the fused decoders run each step over its live rows only
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ragged_rows(draw):
+    """(memory lengths, target lengths, rollout limits, parameter seed,
+    decoder depth, [EOS] bias) for B = 1..5 rows; half the cases have a
+    unique longest row, so the last steps have one live row."""
+    B = draw(st.integers(1, 5))
+    rows = st.lists(st.integers(0, 4), min_size=B, max_size=B)
+    mem_lengths = [1 + x for x in draw(rows)]
+    lengths, limits = draw(rows), [1 + x for x in draw(rows)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, B - 1))
+        lengths[i] = max(lengths) + draw(st.integers(1, 2))
+        limits[i] = max(limits) + draw(st.integers(1, 2))
+    return mem_lengths, lengths, np.array(limits), draw(st.integers(0, 999)), draw(st.sampled_from([1, 2])), draw(
+        st.floats(0.0, 2.0)
+    )
+
+
+def packed_case(mem_lengths, dec_layers, seed, eos_bias, dropout=0.2):
+    mask = (np.arange(max(mem_lengths)) < np.array(mem_lengths)[:, None]).astype(np.float64)
+    graph, store, vocab = rollout_setup(dec_layers, dropout, mask, eos_bias, seed)
+    return graph, store, vocab, mask
+
+
+def padded_targets(lengths, vocab, seed):
+    targets = np.random.default_rng(seed).integers(0, vocab.content_size, size=(len(lengths), max(lengths)))
+    return targets, (np.arange(max(lengths)) < np.array(lengths)[:, None]).astype(np.float64)
+
+
+def assert_grads_close(got, want, names, tol=1e-12):
+    """Within ``tol`` of the group's largest gradient entry."""
+    scale = max(np.abs(want[n]).max() for n in names)
+    for name in names:
+        err = np.abs(got[name] - want[name]).max()
+        assert err <= tol * scale, (name, err, scale)
+
+
+def teacher_forced_run(run, graph, store, vocab, mask, targets, target_mask, training=True, rows=slice(None)):
+    """A decoder_asr teacher-forced run over ``rows`` of the memory and its gradients."""
+    memory = [("attn", EncoderStates(tz.take_slice(store["memory"], rows), mask[rows]))]
+    out = run(graph, store, "decoder_asr", memory, targets[rows], target_mask[rows], vocab, training,
+              models.dropout_streams(5))
+    return out, backward(out.loss, store)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(ragged_rows())
+def test_packed_decoders_match_stepwise_oracles(case):
+    mem_lengths, lengths, limits, seed, dec_layers, eos_bias = case
+    graph, store, vocab, mask = packed_case(mem_lengths, dec_layers, seed, eos_bias)
+    names = [n for n in store.names() if n.startswith("decoder_asr.")]
+    targets, target_mask = padded_targets(lengths, vocab, seed)
+    fused, g_fused = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mask, targets,
+                                        target_mask)
+    oracle, g_oracle = teacher_forced_run(stepwise_teacher_forced, graph, store, vocab, mask, targets, target_mask)
+    assert fused.loss.item() == oracle.loss.item()
+    assert (fused.hits, fused.steps) == (oracle.hits, oracle.steps)
+    assert_grads_close(g_fused, g_oracle, names)
+    assert_grads_close(g_fused, g_oracle, ["memory"])
+
+    fused, g_fused, next_fused = rollout_and_grads(models.run_decoder_greedy_rollout, graph, store, vocab,
+                                                   slice(None), mask, limits)
+    oracle, g_oracle, next_oracle = rollout_and_grads(stepwise_greedy_rollout, graph, store, vocab, slice(None),
+                                                      mask, limits)
+    assert np.array_equal(fused.tokens, oracle.tokens) and np.array_equal(fused.state_mask, oracle.state_mask)
+    assert fused.states.data.tobytes() == oracle.states.data.tobytes()
+    assert next_fused == next_oracle
+    assert_grads_close(g_fused, g_oracle, names)
+    assert_grads_close(g_fused, g_oracle, ["memory"])
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(ragged_rows(), st.randoms(use_true_random=False))
+def test_permuting_rows_permutes_memory_gradients_and_nothing_else(case, random):
+    mem_lengths, lengths, limits, seed, dec_layers, eos_bias = case
+    graph, store, vocab, mask = packed_case(mem_lengths, dec_layers, seed, eos_bias, dropout=0.0)
+    names = [n for n in store.names() if n.startswith("decoder_asr.")]
+    perm = np.array(random.sample(range(len(lengths)), len(lengths)))
+    targets, target_mask = padded_targets(lengths, vocab, seed)
+    base, g_base = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mask, targets,
+                                      target_mask, False)
+    moved, g_moved = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mask, targets,
+                                        target_mask, False, perm)
+    assert moved.loss.item() == pytest.approx(base.loss.item(), rel=1e-14)  # per-row terms; the row sum reorders
+    assert (moved.hits, moved.steps) == (base.hits, base.steps)
+    # The op's memory-state gradient follows its rows; take_slice scatters
+    # it back to the store's rows, where it must not move by a bit.
+    assert g_moved["memory"].tobytes() == g_base["memory"].tobytes()
+    assert_grads_close(g_moved, g_base, names)
+
+    upstream = None
+    for rows in (np.arange(len(perm)), perm):
+        memory = EncoderStates(tz.take_slice(store["memory"], rows), mask[rows])
+        run = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", [("attn", memory)], limits[rows], vocab)
+        if upstream is None:
+            upstream = np.random.default_rng(4).normal(size=run.states.shape)
+            base, g_base = run, backward(tz.tsum(run.states * upstream), store)
+        else:
+            moved, g_moved = run, backward(tz.tsum(run.states * upstream[perm]), store)
+    assert np.array_equal(moved.tokens, base.tokens[perm]) and np.array_equal(moved.state_mask, base.state_mask[perm])
+    assert moved.states.data.tobytes() == base.states.data[perm].tobytes()
+    assert g_moved["memory"].tobytes() == g_base["memory"].tobytes()
+    assert_grads_close(g_moved, g_base, names)
+
+
+def test_each_decoder_step_runs_its_live_rows_and_at_least_two(monkeypatch):
+    """n_k is the number of rows still running at step k; a step computes
+    max(n_k, 2) of them (all of them when B = 1): a one-row product would be
+    a gemv, whose bits differ from the GEMM's."""
+    counts = []
+    predict = layers.DecoderKernel.predict
+
+    def counted(self, prev_ids, top, *args, **kwargs):
+        counts.append(top.shape[0])
+        return predict(self, prev_ids, top, *args, **kwargs)
+
+    monkeypatch.setattr(layers.DecoderKernel, "predict", counted)
+    graph, store, vocab, mask = packed_case([3, 5, 2, 4, 5], 1, 3, 0.5)
+    memory = [("attn", EncoderStates(store["memory"], mask))]
+    for lengths in ([2, 5, 1, 3, 2], [4]):  # a unique longest row; one row
+        B = len(lengths)
+        targets, target_mask = padded_targets(lengths, vocab, 0)
+        counts.clear()
+        rows = [("attn", EncoderStates(tz.take_slice(store["memory"], slice(0, B)), mask[:B]))]
+        models.run_decoder_teacher_forced(graph, store, "decoder_asr", rows, targets, target_mask, vocab)
+        live = [int((np.array(lengths) + 1 > k).sum()) for k in range(max(lengths) + 1)]
+        assert counts == [max(n, min(2, B)) for n in live]
+        assert live[-1] == 1 and counts[-1] == min(2, B)
+
+    limits = np.array([3, 9, 2, 4, 6])
+    counts.clear()
+    run = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, limits, vocab)
+    order = np.argsort(-limits, kind="stable")
+    running = run.state_mask[order].T > 0  # (K, B), rows longest limit first
+    live = [len(limits) - int(r[::-1].argmax()) for r in running]
+    assert counts == [max(n, 2) for n in live]
+    assert min(live) < len(limits)  # some steps skip rows
 
 
 # ---------------------------------------------------------------------------
