@@ -3,8 +3,11 @@ pre-training transplants, and emit comparison tables.
 
 Configuration is a flat key=value file with sectioned keys (model.*, data.*,
 train.*, transplant.*, eval.*); every key can be overridden on the command
-line with a flag of the same name (e.g. --model.enc_layers 4). A run
-directory is reproducible from its config.json alone.
+line with a flag of the same name (e.g. --model.enc_layers 4). Every key is
+parsed and checked once, into a RunConfig, before a command does anything
+else. A run directory is reproducible from its config.json alone at a fixed
+BLAS thread count (e.g. OPENBLAS_NUM_THREADS=1): across thread counts
+metrics.jsonl has matched, but checkpoints differed in their last bits.
 
 Exit codes: 0 success, 2 configuration error, 3 training divergence,
 4 I/O or checkpoint error, 1 anything else.
@@ -15,8 +18,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -37,99 +43,37 @@ class ConfigError(Exception):
     pass
 
 
-DEFAULTS: dict[str, str] = {
-    "model.topology": "direct",
-    "model.emb_size": "32",
-    "model.enc_hidden": "64",
-    "model.enc_layers": "3",
-    "model.dec_hidden": "64",
-    "model.dec_layers": "1",
-    "model.attn_dim": "64",
-    "model.pool_schedule": "2,1,1",
-    "model.loss_weight": "0.5",
-    "model.ctc": "off",
-    "model.dropout": "0.1",
-    "model.label_smoothing": "0.1",
-    "data.vocab_size": "12",
-    "data.n_train": "500",
-    "data.n_dev": "50",
-    "data.n_test": "50",
-    "data.len_min": "3",
-    "data.len_max": "8",
-    "data.frames_min": "5",
-    "data.frames_max": "7",
-    "data.noise_sigma": "0.3",
-    "data.seed": "0",
-    "data.task_seed": "0",
-    "train.seed": "0",
-    "train.epochs": "30",
-    "train.batch_size": "16",
-    "train.lr": "0.0008",
-    "train.lr_decay": "0.9",
-    "train.lr_patience": "6",
-    "train.eval_every": "1",
-    "train.max_len": "75",
-    "train.growth": "",
-    "train.dev_beam": "1",
-    "transplant.scheme": "none",
-    "transplant.adapter": "off",
-    "transplant.asr_checkpoint": "",
-    "transplant.mt_checkpoint": "",
-    "eval.split": "test",
-    "eval.beam": "12",
-    "eval.direction": "",
-    "eval.len_norm": "0.6",
-    "eval.case_sensitive": "on",
-    "eval.max_len": "0",
-}
+@dataclass(frozen=True)
+class TransplantConfig:
+    scheme: str = "none"
+    adapter: bool = False
+    asr_checkpoint: str = ""
+    mt_checkpoint: str = ""
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
-    return out
+@dataclass(frozen=True)
+class EvalConfig:
+    split: str = "test"
+    beam: int = 12
+    direction: str = ""  # empty: the topology's default direction
+    case_sensitive: bool = True
+    max_len: int = 0  # 0 picks 2 * data.len_max + 2
 
 
-def resolve_config(args: argparse.Namespace, overrides: list[str]) -> dict[str, str]:
-    """defaults <- config file <- free --section.key flags <- named flags."""
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        for key, value in parse_config_file(args.config).items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
-            cfg[key] = value
-    if len(overrides) % 2:
-        raise ConfigError(f"dangling override {overrides[-1]!r}; expected --key value pairs")
-    for flag, value in zip(overrides[::2], overrides[1::2]):
-        if not flag.startswith("--"):
-            raise ConfigError(f"unexpected argument {flag!r}")
-        key = flag[2:]
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = value
-    if getattr(args, "seed", None) is not None:
-        cfg["train.seed"] = str(args.seed)
-    if getattr(args, "beam", None) is not None:
-        cfg["eval.beam"] = str(args.beam)
-    if getattr(args, "ctc", None):
-        cfg["model.ctc"] = args.ctc
-    if getattr(args, "topology", None):
-        cfg["model.topology"] = args.topology
-    if getattr(args, "scheme", None):
-        cfg["transplant.scheme"] = args.scheme
-    if getattr(args, "adapter", None):
-        cfg["transplant.adapter"] = args.adapter
-    return cfg
+@dataclass(frozen=True)
+class RunConfig:
+    """A parsed and checked config. eval.len_norm is train.len_norm."""
+
+    model: models.ModelConfig
+    data: data_mod.DataConfig = data_mod.DataConfig()
+    train: TrainSchedule = TrainSchedule()
+    transplant: TransplantConfig = TransplantConfig()
+    eval: EvalConfig = EvalConfig()
+    topology: str = "direct"
+    seed: int = 0  # train.seed
 
 
-def _flag(cfg: dict[str, str], key: str) -> bool:
+def _flag(cfg, key) -> bool:
     value = cfg[key].lower()
     if value in ("on", "true", "1", "yes"):
         return True
@@ -159,122 +103,194 @@ def _ints(cfg, key) -> tuple[int, ...]:
         raise ConfigError(f"{key} must be comma-separated integers, got {cfg[key]!r}") from exc
 
 
-def _growth(cfg) -> tuple[tuple[int, int], ...]:
+def _growth(cfg, key) -> tuple[tuple[int, int], ...]:
     """train.growth as (epoch, encoder layers) steps. The first step is
     epoch 0, the starting depth; epochs and depths strictly increase, up to
     model.enc_layers."""
-    text = cfg["train.growth"]
+    text = cfg[key]
     if not text:
         return ()
     try:
         steps = tuple((int(epoch), int(layers)) for epoch, layers in (part.split(":") for part in text.split(",")))
     except ValueError as exc:
-        raise ConfigError(f"train.growth must be epoch:layers steps such as 0:2,5:3, got {text!r}") from exc
+        raise ConfigError(f"{key} must be epoch:layers steps such as 0:2,5:3, got {text!r}") from exc
     epochs, depths = zip(*steps)
     if epochs[0] != 0:
-        raise ConfigError(f"train.growth must start with 0:N, the starting encoder layers, got {text!r}")
+        raise ConfigError(f"{key} must start with 0:N, the starting encoder layers, got {text!r}")
     if any(a >= b for seq in (epochs, depths) for a, b in zip(seq, seq[1:])):
-        raise ConfigError(f"train.growth epochs and layer counts must strictly increase, got {text!r}")
+        raise ConfigError(f"{key} epochs and layer counts must strictly increase, got {text!r}")
     if depths[0] < 1 or depths[-1] > _int(cfg, "model.enc_layers"):
-        raise ConfigError(f"train.growth layer counts must lie in [1, model.enc_layers], got {text!r}")
+        raise ConfigError(f"{key} layer counts must lie in [1, model.enc_layers], got {text!r}")
     return steps
 
 
-def build_dataset(cfg: dict[str, str]) -> tuple[data_mod.Dataset, data_mod.Dataset, data_mod.Dataset]:
-    n_train, n_dev, n_test = (_int(cfg, f"data.n_{p}") for p in ("train", "dev", "test"))
-    total = n_train + n_dev + n_test
-    full = data_mod.generate(
-        seed=_int(cfg, "data.seed"),
-        n_examples=total,
-        vocab_size=_int(cfg, "data.vocab_size"),
-        len_range=(_int(cfg, "data.len_min"), _int(cfg, "data.len_max")),
-        frames_per_token_range=(_int(cfg, "data.frames_min"), _int(cfg, "data.frames_max")),
-        noise_sigma=_float(cfg, "data.noise_sigma"),
-        task_seed=_int(cfg, "data.task_seed"),
-    )
-    fractions = (n_train / total, n_dev / total, n_test / total)
-    train, dev, test = data_mod.split(full, fractions, seed=_int(cfg, "data.seed"))
-    return train, dev, test
+class Key(NamedTuple):
+    """A key's parser; its range check as (test, what it demands) or the library argument that checks it;
+    and the field it sets ("run.x" is RunConfig.x) when that is not the key."""
+
+    parse: Callable[[dict[str, str], str], Any] = lambda cfg, key: cfg[key]
+    check: tuple[Callable[[Any], bool], str] | None = None
+    field: str = ""
+    library: str = ""
 
 
-def build_model_config(cfg: dict[str, str], ds: data_mod.Dataset, pools: tuple[int, ...]) -> models.ModelConfig:
-    try:
-        return models.ModelConfig.desk(
-            ds.src_vocab,
-            ds.tgt_vocab,
-            emb_size=_int(cfg, "model.emb_size"),
-            enc_hidden=_int(cfg, "model.enc_hidden"),
-            enc_layers=_int(cfg, "model.enc_layers"),
-            dec_hidden=_int(cfg, "model.dec_hidden"),
-            dec_layers=_int(cfg, "model.dec_layers"),
-            attn_dim=_int(cfg, "model.attn_dim"),
-            pool_schedule=pools,
-            loss_weight=_float(cfg, "model.loss_weight"),
-            ctc_enabled=_flag(cfg, "model.ctc"),
-            dropout=_float(cfg, "model.dropout"),
-            label_smoothing=_float(cfg, "model.label_smoothing"),
-        )
-    except NumericsError as exc:
-        raise ConfigError(str(exc)) from exc
+def _one_of(*options: str) -> tuple[Callable[[Any], bool], str]:
+    return lambda value: value in options, "one of " + ", ".join(options)
+
+
+_POSITIVE = (lambda value: value >= 1, ">= 1")
+_NON_NEGATIVE = (lambda value: value >= 0, ">= 0")
+_FRACTION = (lambda value: 0 <= value < 1, "in [0, 1)")
+_FINITE_NON_NEGATIVE = (lambda value: 0 <= value < math.inf, "finite and >= 0")
+
+KEYS: dict[str, Key] = {
+    "model.topology": Key(check=_one_of(*models.TOPOLOGIES), field="run.topology"),
+    "model.emb_size": Key(_int, _POSITIVE),
+    "model.enc_hidden": Key(_int, _POSITIVE),
+    "model.enc_layers": Key(_int, _POSITIVE),
+    "model.dec_hidden": Key(_int, _POSITIVE),
+    "model.dec_layers": Key(_int, _POSITIVE),
+    "model.attn_dim": Key(_int, _POSITIVE),
+    "model.pool_schedule": Key(_ints, library="pool_schedule"),
+    "model.loss_weight": Key(_float, library="loss_weight"),
+    "model.ctc": Key(_flag, field="model.ctc_enabled"),
+    "model.dropout": Key(_float, _FRACTION),
+    "model.label_smoothing": Key(_float, _FRACTION),
+    "data.vocab_size": Key(_int, library="vocab_size"),
+    "data.n_train": Key(_int, _POSITIVE),
+    "data.n_dev": Key(_int, _POSITIVE),
+    "data.n_test": Key(_int, _NON_NEGATIVE),
+    "data.len_min": Key(_int, library="len_range"),
+    "data.len_max": Key(_int, library="len_range"),
+    "data.frames_min": Key(_int, library="frames_per_token_range"),
+    "data.frames_max": Key(_int, library="frames_per_token_range"),
+    "data.noise_sigma": Key(_float, _FINITE_NON_NEGATIVE),
+    "data.seed": Key(_int, _NON_NEGATIVE),
+    "data.task_seed": Key(_int, _NON_NEGATIVE),
+    "train.seed": Key(_int, _NON_NEGATIVE, "run.seed"),
+    "train.epochs": Key(_int, _NON_NEGATIVE),  # 0 scores the initialization only
+    "train.batch_size": Key(_int, _POSITIVE),
+    "train.lr": Key(_float, (lambda value: 0 < value < math.inf, "finite and > 0"), "train.learning_rate"),
+    "train.lr_decay": Key(_float, (lambda value: 0 < value <= 1, "in (0, 1]")),
+    "train.lr_patience": Key(_int, _POSITIVE),
+    "train.eval_every": Key(_int, _POSITIVE),
+    "train.max_len": Key(_int, _POSITIVE),
+    "train.growth": Key(_growth),
+    "train.dev_beam": Key(_int, _POSITIVE),
+    "transplant.scheme": Key(check=_one_of(*transplant.SCHEME_NAMES)),
+    "transplant.adapter": Key(_flag),
+    "transplant.asr_checkpoint": Key(),
+    "transplant.mt_checkpoint": Key(),
+    "eval.split": Key(check=_one_of("train", "dev", "test")),
+    "eval.beam": Key(_int, _POSITIVE),
+    "eval.direction": Key(check=(lambda value: value in ("", "st", "asr", "mt"), "st, asr, mt or empty")),
+    "eval.len_norm": Key(_float, _FINITE_NON_NEGATIVE, "train.len_norm"),
+    "eval.case_sensitive": Key(_flag),
+    "eval.max_len": Key(_int, (lambda value: value >= 0, ">= 0 (0 picks 2 * data.len_max + 2)")),
+}
+
+
+def _default(key: str) -> str:
+    """The default of the field a key sets, as config text."""
+    section, name = (KEYS[key].field or key).split(".")
+    run = RunConfig(models.ModelConfig(0, 0, 0))  # vocabulary sizes have no default
+    value = getattr(run if section == "run" else getattr(run, section), name)
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+DEFAULTS: dict[str, str] = {key: _default(key) for key in KEYS}
+
+
+def parse_config(cfg: dict[str, str]) -> RunConfig:
+    """Parse and check every key of cfg, over DEFAULTS for the keys it
+    lacks; a ConfigError names the first bad key."""
+    cfg = {**DEFAULTS, **cfg}
+    fields: dict[str, dict[str, Any]] = {"run": {}, "model": {}, "data": {}, "train": {}, "transplant": {}, "eval": {}}
+    for key, (parse, check, field, _) in KEYS.items():
+        value = parse(cfg, key)
+        if check is not None and not check[0](value):
+            raise ConfigError(f"{key} must be {check[1]}, got {cfg[key]!r}")
+        section, name = (field or key).split(".")
+        fields[section][name] = value
+    data = data_mod.DataConfig(**fields["data"])
+    try:  # the library's messages start with the argument they reject
+        model = models.ModelConfig.desk(*data.vocabularies(), **fields["model"])
+    except (data_mod.DataError, NumericsError) as exc:
+        argument, _, rest = str(exc).partition(" ")
+        raise ConfigError("/".join(key for key, row in KEYS.items() if row.library == argument) + " " + rest) from exc
+    sections = TrainSchedule(**fields["train"]), TransplantConfig(**fields["transplant"]), EvalConfig(**fields["eval"])
+    return RunConfig(model, data, *sections, **fields["run"])
+
+
+def parse_config_file(path: str | Path) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        out[key] = value
+    return out
+
+
+def given_config(args: argparse.Namespace, overrides: list[str]) -> dict[str, str]:
+    """The keys a command line sets: config file <- free --section.key flags <- named flags."""
+    given = parse_config_file(args.config) if args.config else {}
+    if len(overrides) % 2:
+        raise ConfigError(f"dangling override {overrides[-1]!r}; expected --key value pairs")
+    for flag, value in zip(overrides[::2], overrides[1::2]):
+        if not flag.startswith("--"):
+            raise ConfigError(f"unexpected argument {flag!r}")
+        given[flag[2:]] = value
+    unknown = [key for key in given if key not in KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    given.update((key, value) for key, value in vars(args).items() if key in KEYS and value is not None)
+    return given
 
 
 def build_schedule(cfg: dict[str, str]) -> TrainSchedule:
-    for key in ("train.dev_beam", "train.eval_every"):
-        if _int(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]!r}")
-    return TrainSchedule(
-        epochs=_int(cfg, "train.epochs"),
-        batch_size=_int(cfg, "train.batch_size"),
-        learning_rate=_float(cfg, "train.lr"),
-        lr_decay=_float(cfg, "train.lr_decay"),
-        lr_patience=_int(cfg, "train.lr_patience"),
-        eval_every=_int(cfg, "train.eval_every"),
-        max_len=_int(cfg, "train.max_len"),
-        growth=_growth(cfg),
-        dev_beam=_int(cfg, "train.dev_beam"),
-        len_norm=_float(cfg, "eval.len_norm"),
-    )
+    return parse_config(cfg).train
 
 
-def _load_donors(cfg: dict[str, str]) -> tuple[transplant.Checkpoint | None, transplant.Checkpoint | None]:
-    asr = mt = None
-    if cfg["transplant.asr_checkpoint"]:
-        asr = transplant.load(cfg["transplant.asr_checkpoint"])
-    if cfg["transplant.mt_checkpoint"]:
-        mt = transplant.load(cfg["transplant.mt_checkpoint"])
-    return asr, mt
+def build_model(run: RunConfig) -> tuple[models.ModelGraph, models.ParamStore, transplant.TransplantReport | None]:
+    """Graph (with scheme/adapter applied, at train.growth's starting depth)
+    and its fresh or grafted store."""
+    position = models.WIRING[run.topology].adapter if run.transplant.adapter else None
+    if run.transplant.adapter and position is None:
+        raise ConfigError(f"topology {run.topology!r} has no adapter position; set transplant.adapter off")
+    growth = run.train.growth
+    try:
+        graph = models.build(run.model, run.topology, growth[0][1] if growth else None, position)
+    except NumericsError as exc:
+        raise ConfigError(str(exc)) from exc
+    store = models.init_store(graph, run.seed)
+    report = None
+    donors = run.transplant
+    if donors.scheme != "none":
+        asr = transplant.load(donors.asr_checkpoint) if donors.asr_checkpoint else None
+        mt = transplant.load(donors.mt_checkpoint) if donors.mt_checkpoint else None
+        scheme = transplant.resolve_scheme(donors.scheme, run.topology, asr_checkpoint=asr, mt_checkpoint=mt)
+        report = transplant.apply_transplant(graph, store, scheme)
+    return graph, store, report
 
 
 def initialize_run(cfg: dict[str, str]):
-    """Dataset, graph (with scheme/adapter applied, at train.growth's starting
-    depth), and fresh/grafted store."""
-    pools, growth = _ints(cfg, "model.pool_schedule"), _growth(cfg)  # checked before any data is generated
-    train, dev, test = build_dataset(cfg)
-    mc = build_model_config(cfg, train, pools)
-    topology = cfg["model.topology"]
-    try:
-        graph = models.build(mc, topology, active_enc_layers=growth[0][1] if growth else None)
-        if _flag(cfg, "transplant.adapter"):
-            if models.WIRING[topology].adapter is None:
-                raise ConfigError(f"topology {topology!r} has no adapter position; set transplant.adapter off")
-            graph = models.with_adapter(graph, models.WIRING[topology].adapter)
-    except NumericsError as exc:
-        raise ConfigError(str(exc)) from exc
-    store = models.init_store(graph, _int(cfg, "train.seed"))
-    report = None
-    scheme_name = cfg["transplant.scheme"]
-    if scheme_name != "none":
-        asr, mt = _load_donors(cfg)
-        scheme = transplant.resolve_scheme(scheme_name, topology, asr_checkpoint=asr, mt_checkpoint=mt)
-        report = transplant.apply_transplant(graph, store, scheme)
-    return train, dev, test, graph, store, report
+    """(train, dev, test, graph, store, transplant report) of a string config, as perfbench sets up."""
+    run = parse_config(cfg)
+    graph, store, report = build_model(run)
+    return (*run.data.splits(), graph, store, report)
 
 
 def cmd_generate_data(args, overrides) -> int:
-    cfg = resolve_config(args, overrides)
+    run = parse_config(given_config(args, overrides))
     out = Path(args.out or "data")
     out.mkdir(parents=True, exist_ok=True)
-    train, dev, test = build_dataset(cfg)
+    train, dev, test = run.data.splits()
     for name, ds in (("train", train), ("dev", dev), ("test", test)):
         data_mod.save_dataset(ds, out / f"{name}.jsonl")
         print(f"wrote {out / (name + '.jsonl')} ({len(ds)} examples)")
@@ -282,16 +298,17 @@ def cmd_generate_data(args, overrides) -> int:
 
 
 def cmd_train(args, overrides) -> int:
-    cfg = resolve_config(args, overrides)
+    cfg = {**DEFAULTS, **given_config(args, overrides)}
+    run = parse_config(cfg)
+    graph, store, report = build_model(run)
+    train, dev, _ = run.data.splits()
     out = Path(args.out or "runs/run")
-    schedule = build_schedule(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    train, dev, test, graph, store, report = initialize_run(cfg)
     if report is not None:
         print(f"transplant: {report.summary()}")
         (out / "transplant.json").write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-    record, best = training.train_model(graph, store, train, dev, schedule, out_dir=out, seed=_int(cfg, "train.seed"))
+    record, best = training.train_model(graph, store, train, dev, run.train, out_dir=out, seed=run.seed)
     row = record.best_row
     print(
         f"best checkpoint: {row['checkpoint']} (epoch {row['epoch']}) "
@@ -301,48 +318,37 @@ def cmd_train(args, overrides) -> int:
     return EXIT_OK
 
 
-def _best_checkpoint_path(run_dir: Path) -> Path:
-    marker = run_dir / "best"
-    if not marker.exists():
-        raise ConfigError(f"{run_dir} has no best-checkpoint marker")
-    name = json.loads(marker.read_text())["checkpoint"]
-    return run_dir / name
-
-
 def cmd_eval(args, overrides) -> int:
-    cfg = resolve_config(args, overrides)
+    given = given_config(args, overrides)
     run_dir = None
     if args.run:
         run_dir = Path(args.run)
-        run_cfg = json.loads((run_dir / "config.json").read_text())
-        run_cfg.update({k: cfg[k] for k in cfg if k.startswith("eval.")})
-        cfg = run_cfg
-        ckpt_path = _best_checkpoint_path(run_dir)
+        fixed = [key for key in given if not key.startswith("eval.")]
+        if fixed:
+            raise ConfigError(f"{fixed[0]} is fixed by the run's config.json; eval --run takes --beam and eval.* only")
+        evals = {key: value for key, value in {**DEFAULTS, **given}.items() if key.startswith("eval.")}
+        run = parse_config({**json.loads((run_dir / "config.json").read_text()), **evals})
+        marker = run_dir / "best"
+        if not marker.exists():
+            raise ConfigError(f"{run_dir} has no best-checkpoint marker")
+        ckpt_path = run_dir / json.loads(marker.read_text())["checkpoint"]
     elif args.checkpoint:
+        run = parse_config(given)
         ckpt_path = Path(args.checkpoint)
     else:
         raise ConfigError("eval needs --run DIR or --checkpoint FILE")
     graph, store = transplant.restore(ckpt_path)
-    train, dev, test = build_dataset(cfg)
-    split = {"train": train, "dev": dev, "test": test}.get(cfg["eval.split"])
-    if split is None:
-        raise ConfigError(f"eval.split must be train/dev/test, got {cfg['eval.split']!r}")
+    train, dev, test = run.data.splits()
+    split = {"train": train, "dev": dev, "test": test}[run.eval.split]
     if not split.examples:
-        raise ConfigError(f"eval.split {cfg['eval.split']!r} has no examples to score")
+        raise ConfigError(f"eval.split {run.eval.split!r} has no examples to score")
     if graph.config.src_vocab_size != split.src_vocab.size or graph.config.tgt_vocab_size != split.tgt_vocab.size:
         raise ConfigError(
             f"vocabulary mismatch: checkpoint ({graph.config.src_vocab_size}/{graph.config.tgt_vocab_size}) "
             f"vs dataset ({split.src_vocab.size}/{split.tgt_vocab.size})"
         )
-    beam = _int(cfg, "eval.beam")
-    if beam < 1:
-        raise ConfigError(f"eval.beam must be >= 1, got {beam}")
-    len_norm = _float(cfg, "eval.len_norm")
-    max_len = _int(cfg, "eval.max_len")
-    if max_len < 0:
-        raise ConfigError(f"eval.max_len must be >= 0 (0 picks 2 * data.len_max + 2), got {max_len}")
-    max_len = max_len or 2 * _int(cfg, "data.len_max") + 2
-    case = _flag(cfg, "eval.case_sensitive")
+    beam, len_norm = run.eval.beam, run.train.len_norm
+    max_len = run.eval.max_len or 2 * run.data.len_max + 2
 
     if args.mt_checkpoint:  # cascade: this checkpoint is ASR, the flag is MT
         mt_graph, mt_store = transplant.restore(args.mt_checkpoint)
@@ -354,27 +360,26 @@ def cmd_eval(args, overrides) -> int:
         ]
         task = "cascade"
     else:
-        task = cfg["eval.direction"] or default_direction(graph.topology)
+        task = run.eval.direction or default_direction(graph.topology)
         hyps = training.decode_corpus(graph, store, split, task, beam, max_len, len_norm)
         _, refs = training.output_side(split, task)
-    report = metrics_mod.score_corpus(hyps, refs, case_sensitive=case)
-    result = {"task": task, "split": cfg["eval.split"], "beam": beam, **report.to_dict()}
+    report = metrics_mod.score_corpus(hyps, refs, case_sensitive=run.eval.case_sensitive)
+    result = {"task": task, "split": run.eval.split, "beam": beam, **report.to_dict()}
     out_dir = Path(args.out) if args.out else (run_dir or ckpt_path.parent)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"hyps_{cfg['eval.split']}.txt").write_text("".join(h + "\n" for h in hyps))
-    (out_dir / f"eval_{cfg['eval.split']}.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    (out_dir / f"hyps_{run.eval.split}.txt").write_text("".join(h + "\n" for h in hyps))
+    (out_dir / f"eval_{run.eval.split}.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 
 
-def _run_label(cfg: dict[str, str]) -> str:
-    cfg = {**DEFAULTS, **cfg}
-    label = cfg["model.topology"]
-    if _flag(cfg, "model.ctc"):
+def _run_label(run: RunConfig) -> str:
+    label = run.topology
+    if run.model.ctc_enabled:
         label += " +CTC"
-    if cfg["transplant.scheme"] != "none":
-        label += f" [{cfg['transplant.scheme']}]"
-    if _flag(cfg, "transplant.adapter"):
+    if run.transplant.scheme != "none":
+        label += f" [{run.transplant.scheme}]"
+    if run.transplant.adapter:
         label += " +adapter"
     return label
 
@@ -383,7 +388,7 @@ def cmd_compare(args, overrides) -> int:
     run_dirs = [Path(p) for p in args.runs]
     if len(run_dirs) < 2:
         raise ConfigError("compare needs at least two run directories")
-    groups: dict[str, dict] = {}
+    groups: dict[str, list[dict]] = {}
     for run in run_dirs:
         try:
             cfg = json.loads((run / "config.json").read_text())
@@ -399,15 +404,12 @@ def cmd_compare(args, overrides) -> int:
             test = json.loads(test_file.read_text())
             entry["test_bleu"] = test["bleu"]
             entry["test_ter"] = test["ter"]
-        label = _run_label(cfg)
-        groups.setdefault(label, {"runs": [], "seeds": []})
-        groups[label]["runs"].append(entry)
-        groups[label]["seeds"].append(cfg.get("train.seed"))
+        groups.setdefault(_run_label(parse_config(cfg)), []).append(entry)
     table = []
-    for label, group in groups.items():
-        row = {"method": label, "n_seeds": len(group["runs"])}
+    for label, entries in groups.items():
+        row = {"method": label, "n_seeds": len(entries)}
         for col in ("dev_bleu", "dev_ter", "test_bleu", "test_ter"):
-            values = [r[col] for r in group["runs"] if col in r]
+            values = [r[col] for r in entries if col in r]
             row[col] = round(float(np.median(values)), 2) if values else None
         table.append(row)
     out_dir = Path(args.out or ".")
@@ -431,10 +433,10 @@ def _cell(value) -> str:
 
 
 def cmd_transplant(args, overrides) -> int:
-    cfg = resolve_config(args, overrides)
-    if cfg["transplant.scheme"] == "none":
+    run = parse_config(given_config(args, overrides))
+    if run.transplant.scheme == "none":
         raise ConfigError("transplant needs --scheme NAME (one of %s)" % (transplant.SCHEME_NAMES,))
-    train, dev, test, graph, store, report = initialize_run(cfg)
+    graph, store, report = build_model(run)
     out = Path(args.out or "transplanted.ckpt")
     out.parent.mkdir(parents=True, exist_ok=True)
     transplant.save(graph, store, out)
@@ -446,22 +448,22 @@ def cmd_transplant(args, overrides) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """The named flags are aliases of config keys, which parse_config checks."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int, help="run seed (train.seed)")
+    p.add_argument("--seed", dest="train.seed", help="run seed")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--beam", type=int, help="beam size (eval.beam)")
-    p.add_argument("--ctc", choices=["on", "off"], help="auxiliary CTC loss")
-    p.add_argument("--topology", choices=models.TOPOLOGIES, help="model topology")
-    p.add_argument("--scheme", help="transplant scheme name")
-    p.add_argument("--adapter", choices=["on", "off"], help="insert the adapter layer")
+    p.add_argument("--beam", dest="eval.beam", help="beam size")
+    p.add_argument("--ctc", dest="model.ctc", help="auxiliary CTC loss: on or off")
+    p.add_argument("--topology", dest="model.topology", help="one of " + ", ".join(models.TOPOLOGIES))
+    p.add_argument("--scheme", dest="transplant.scheme", help="transplant scheme name")
+    p.add_argument("--adapter", dest="transplant.adapter", help="insert the adapter layer: on or off")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="deskst", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("train", "generate-data", "transplant"):
-        p = sub.add_parser(name)
-        _add_common(p)
+        _add_common(sub.add_parser(name))
     p = sub.add_parser("eval")
     _add_common(p)
     p.add_argument("--run", help="run directory (uses its config and best checkpoint)")
@@ -472,18 +474,15 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", help="output directory")
 
     args, overrides = parser.parse_known_args(argv)
+    commands = {
+        "train": cmd_train,
+        "generate-data": cmd_generate_data,
+        "transplant": cmd_transplant,
+        "eval": cmd_eval,
+        "compare": cmd_compare,
+    }
     try:
-        if args.command == "train":
-            return cmd_train(args, overrides)
-        if args.command == "generate-data":
-            return cmd_generate_data(args, overrides)
-        if args.command == "eval":
-            return cmd_eval(args, overrides)
-        if args.command == "compare":
-            return cmd_compare(args, overrides)
-        if args.command == "transplant":
-            return cmd_transplant(args, overrides)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return commands[args.command](args, overrides)
     except (ConfigError, transplant.TransplantError, data_mod.DataError, DirectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

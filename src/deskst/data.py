@@ -26,8 +26,10 @@ __all__ = [
     "Dataset",
     "Batch",
     "DataError",
+    "task_vocabularies",
     "generate",
     "split",
+    "DataConfig",
     "batch",
     "pad_sequences",
     "save_dataset",
@@ -133,6 +135,20 @@ class Dataset:
         return inverse[np.asarray(e_ids)]
 
 
+def task_vocabularies(
+    vocab_size: int, len_range: tuple[int, int], frames_per_token_range: tuple[int, int]
+) -> tuple[Vocabulary, Vocabulary]:
+    """Check generate's task arguments and return its source and target
+    vocabularies. Each error message starts with the argument's name."""
+    if vocab_size < 4:
+        raise DataError(f"vocab_size must be at least 4, got {vocab_size}")
+    if not 1 <= len_range[0] <= len_range[1]:
+        raise DataError(f"len_range must satisfy 1 <= min <= max, got {len_range}")
+    if not 2 <= frames_per_token_range[0] <= frames_per_token_range[1]:
+        raise DataError(f"frames_per_token_range must satisfy 2 <= min <= max, got {frames_per_token_range}")
+    return Vocabulary.make("s", vocab_size), Vocabulary.make("t", vocab_size)
+
+
 def generate(
     seed: int,
     n_examples: int,
@@ -149,16 +165,9 @@ def generate(
     translation mapping and can serve as ASR / MT / ST corpora for the same
     task.
     """
-    if vocab_size < 4:
-        raise DataError("vocab_size must be at least 4")
+    src_vocab, tgt_vocab = task_vocabularies(vocab_size, len_range, frames_per_token_range)
     lo, hi = len_range
     rlo, rhi = frames_per_token_range
-    if lo < 1 or hi < lo:
-        raise DataError(f"bad length range {len_range}")
-    if rlo < 2 or rhi < rlo:
-        raise DataError(f"frames per token must be >= 2, got {frames_per_token_range}")
-    src_vocab = Vocabulary.make("s", vocab_size)
-    tgt_vocab = Vocabulary.make("t", vocab_size)
     cipher = np.random.default_rng(task_seed).permutation(vocab_size)
     rng = np.random.default_rng(seed)
     examples = []
@@ -209,6 +218,41 @@ def split(dataset: Dataset, fractions: tuple[float, ...], seed: int) -> list[Dat
         )
         start = end
     return parts
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """A generated corpus split into train, dev and test: generate's
+    arguments and the split sizes. One seed draws and splits the corpus."""
+
+    vocab_size: int = 12
+    n_train: int = 500
+    n_dev: int = 50
+    n_test: int = 50
+    len_min: int = 3
+    len_max: int = 8
+    frames_min: int = 5
+    frames_max: int = 7
+    noise_sigma: float = 0.3
+    seed: int = 0
+    task_seed: int = 0
+
+    def vocabularies(self) -> tuple[Vocabulary, Vocabulary]:
+        return task_vocabularies(self.vocab_size, (self.len_min, self.len_max), (self.frames_min, self.frames_max))
+
+    def splits(self) -> tuple[Dataset, Dataset, Dataset]:
+        total = self.n_train + self.n_dev + self.n_test
+        full = generate(
+            seed=self.seed,
+            n_examples=total,
+            vocab_size=self.vocab_size,
+            len_range=(self.len_min, self.len_max),
+            frames_per_token_range=(self.frames_min, self.frames_max),
+            noise_sigma=self.noise_sigma,
+            task_seed=self.task_seed,
+        )
+        train, dev, test = split(full, (self.n_train / total, self.n_dev / total, self.n_test / total), seed=self.seed)
+        return train, dev, test
 
 
 @dataclass

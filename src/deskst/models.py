@@ -152,6 +152,7 @@ class ModelConfig:
     label_smoothing: float = 0.1
 
     def __post_init__(self):
+        """Each error message starts with the field's name."""
         if not 0.0 <= self.loss_weight <= 1.0:
             raise NumericsError(f"loss_weight must lie in [0, 1], got {self.loss_weight}")
         if len(self.pool_schedule) != self.enc_layers:
@@ -159,9 +160,9 @@ class ModelConfig:
                 f"pool_schedule has {len(self.pool_schedule)} entries for {self.enc_layers} encoder layers"
             )
         if any(p < 1 for p in self.pool_schedule):
-            raise NumericsError("pool sizes must be >= 1")
+            raise NumericsError(f"pool_schedule sizes must be >= 1, got {self.pool_schedule}")
         if not self.pool_schedule:
-            raise NumericsError("pool schedule must be non-empty")
+            raise NumericsError("pool_schedule must be non-empty")
 
     @property
     def pool_product(self) -> int:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +60,7 @@ def test_eval_rejects_a_negative_max_len_before_decoding(tmp_path, capsys, monke
     monkeypatch.setattr(decode, "beam_search", no_decoding)
     assert run_eval(tmp_path, checkpoint(tmp_path, "direct"), "--eval.max_len", "-3") == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: eval.max_len must be >= 0") and err.endswith("got -3\n") and err.count("\n") == 1
+    assert err.startswith("error: eval.max_len must be >= 0") and err.endswith("got '-3'\n") and err.count("\n") == 1
     assert not (tmp_path / "eval").exists()
 
 
@@ -108,6 +112,19 @@ def test_train_rejects_an_adapter_the_topology_has_no_position_for(tmp_path, cap
         ("train.growth", "0:1,3:2,3:3", "train.growth epochs and layer counts must strictly increase"),
         ("train.growth", "0:0,2:1", "train.growth layer counts must lie in [1, model.enc_layers]"),
         ("train.growth", "0:2,2:4", "train.growth layer counts must lie in [1, model.enc_layers]"),
+        ("model.dropout", "1.5", "model.dropout must be in [0, 1)"),
+        ("model.label_smoothing", "1.5", "model.label_smoothing must be in [0, 1)"),
+        ("model.enc_hidden", "0", "model.enc_hidden must be >= 1"),
+        ("model.attn_dim", "-1", "model.attn_dim must be >= 1"),
+        ("model.dec_layers", "0", "model.dec_layers must be >= 1"),
+        ("data.noise_sigma", "-1", "data.noise_sigma must be finite and >= 0"),
+        ("train.lr", "nan", "train.lr must be finite and > 0"),
+        ("model.topology", "transformer", "model.topology must be one of direct, "),
+        ("model.ctc", "maybe", "model.ctc must be on or off"),
+        ("data.seed", "-1", "data.seed must be >= 0"),
+        ("train.lr_decay", "0", "train.lr_decay must be in (0, 1]"),
+        ("transplant.scheme", "asr", "transplant.scheme must be one of none, asr_enc, "),
+        ("eval.direction", "ts", "eval.direction must be st, asr, mt or empty"),
     ],
 )
 def test_train_rejects_a_malformed_value_before_generating_data(tmp_path, capsys, monkeypatch, key, value, message):
@@ -118,12 +135,77 @@ def test_train_rejects_a_malformed_value_before_generating_data(tmp_path, capsys
     assert cli.main(["train", "--out", str(tmp_path / "run"), f"--{key}", value]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.endswith(f"got {value!r}\n") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("model.loss_weight", "1.5", "model.loss_weight"),
+        ("model.pool_schedule", "0,1,1", "model.pool_schedule"),
+        ("model.pool_schedule", "2,1", "model.pool_schedule"),
+        ("data.vocab_size", "3", "data.vocab_size"),
+        ("data.len_min", "0", "data.len_min/data.len_max"),
+        ("data.frames_max", "4", "data.frames_min/data.frames_max"),
+    ],
+)
+def test_a_value_the_library_rejects_is_reported_under_its_key(tmp_path, capsys, monkeypatch, key, value, named):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the configuration was checked")
+
+    monkeypatch.setattr(cli.data_mod, "generate", no_data)
+    assert cli.main(["train", "--out", str(tmp_path / "run"), f"--{key}", value]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_bad_value_exits_2_with_one_line_through_the_entry_point(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "deskst.cli", "train", "--model.dropout", "1.5"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr == "error: model.dropout must be in [0, 1), got '1.5'\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("eval.beam", "0"), ("eval.case_sensitive", "maybe"), ("eval.split", "valid"), ("eval.direction", "ts"), ("eval.len_norm", "nan")],
+)
+def test_eval_checks_its_values_before_reading_the_checkpoint(tmp_path, capsys, monkeypatch, key, value):
+    def no_restore(path):
+        raise AssertionError("checkpoint read before the configuration was checked")
+
+    monkeypatch.setattr(transplant, "restore", no_restore)
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"), f"--{key}", value]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.endswith(f"got {value!r}\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--data.n_test", "9"], "data.n_test"),
+        (["--model.enc_hidden", "8"], "model.enc_hidden"),
+        (["--seed", "3"], "train.seed"),
+        (["--topology", "mt"], "model.topology"),
+        (["--ctc", "on"], "model.ctc"),
+        (["--scheme", "asr_enc"], "transplant.scheme"),
+        (["--adapter", "on"], "transplant.adapter"),
+    ],
+)
+def test_eval_of_a_run_rejects_an_override_its_config_fixes(tmp_path, capsys, flags, key):
+    assert cli.main(["eval", "--run", str(tmp_path / "run"), "--beam", "2", *flags]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} is fixed by the run's config.json") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["ON", "True", "YES", "1"])
 def test_compare_labels_a_flag_as_training_reads_it(value):
     cfg = {"model.topology": "direct", "model.ctc": value, "transplant.adapter": value}
-    assert cli._run_label(cfg) == "direct +CTC +adapter"
+    assert cli._run_label(cli.parse_config(cfg)) == "direct +CTC +adapter"
 
 
 def test_cli_end_to_end(tmp_path, capsys, monkeypatch):
@@ -136,11 +218,14 @@ def test_cli_end_to_end(tmp_path, capsys, monkeypatch):
     last = json.loads((grown_run / "metrics.jsonl").read_text().splitlines()[-1])["checkpoint"]
     assert transplant.load(grown_run / last).graph.active_enc_layers == 2
     assert transplant.load(ctc_run / "ckpt-0").graph.config.ctc_enabled
+    for run in (ctc_run, grown_run):  # config.json and the checkpoint header describe one model
+        parsed = cli.parse_config(json.loads((run / "config.json").read_text()))
+        assert parsed.model == transplant.load(run / "ckpt-0").graph.config
 
     restored = []
     restore = transplant.restore
     monkeypatch.setattr(transplant, "restore", lambda path: restored.append(path) or restore(path))
-    assert cli.main(["eval", "--run", str(ctc_run), "--beam", "2"]) == cli.EXIT_OK
+    assert cli.main(["eval", "--run", str(ctc_run), "--beam", "2", "--eval.max_len", "4"]) == cli.EXIT_OK
     assert restored == [ctc_run / json.loads((ctc_run / "best").read_text())["checkpoint"]]
     assert json.loads((ctc_run / "eval_test.json").read_text())["task"] == "st"
 
@@ -159,7 +244,7 @@ def test_cli_end_to_end(tmp_path, capsys, monkeypatch):
 
 def test_generate_data_writes_the_splits_load_dataset_reads_back(tmp_path, capsys):
     assert cli.main(["generate-data", "--out", str(tmp_path), *TINY_DATA]) == cli.EXIT_OK
-    for name, split in zip(("train", "dev", "test"), cli.build_dataset(tiny_config())):
+    for name, split in zip(("train", "dev", "test"), cli.parse_config(tiny_config()).data.splits()):
         back = data.load_dataset(tmp_path / f"{name}.jsonl")
         assert (back.src_vocab, back.tgt_vocab) == (split.src_vocab, split.tgt_vocab)
         assert np.array_equal(back.cipher, split.cipher)
@@ -167,6 +252,55 @@ def test_generate_data_writes_the_splits_load_dataset_reads_back(tmp_path, capsy
         for a, b in zip(back.examples, split.examples):
             assert np.array_equal(a.x.frames, b.x.frames)
             assert np.array_equal(a.f.ids, b.f.ids) and np.array_equal(a.e.ids, b.e.ids)
+
+
+def test_defaults_are_pinned():
+    """config.json's bytes depend on these values."""
+    assert cli.DEFAULTS == {
+        "model.topology": "direct",
+        "model.emb_size": "32",
+        "model.enc_hidden": "64",
+        "model.enc_layers": "3",
+        "model.dec_hidden": "64",
+        "model.dec_layers": "1",
+        "model.attn_dim": "64",
+        "model.pool_schedule": "2,1,1",
+        "model.loss_weight": "0.5",
+        "model.ctc": "off",
+        "model.dropout": "0.1",
+        "model.label_smoothing": "0.1",
+        "data.vocab_size": "12",
+        "data.n_train": "500",
+        "data.n_dev": "50",
+        "data.n_test": "50",
+        "data.len_min": "3",
+        "data.len_max": "8",
+        "data.frames_min": "5",
+        "data.frames_max": "7",
+        "data.noise_sigma": "0.3",
+        "data.seed": "0",
+        "data.task_seed": "0",
+        "train.seed": "0",
+        "train.epochs": "30",
+        "train.batch_size": "16",
+        "train.lr": "0.0008",
+        "train.lr_decay": "0.9",
+        "train.lr_patience": "6",
+        "train.eval_every": "1",
+        "train.max_len": "75",
+        "train.growth": "",
+        "train.dev_beam": "1",
+        "transplant.scheme": "none",
+        "transplant.adapter": "off",
+        "transplant.asr_checkpoint": "",
+        "transplant.mt_checkpoint": "",
+        "eval.split": "test",
+        "eval.beam": "12",
+        "eval.direction": "",
+        "eval.len_norm": "0.6",
+        "eval.case_sensitive": "on",
+        "eval.max_len": "0",
+    }
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
