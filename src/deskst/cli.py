@@ -260,12 +260,9 @@ def build_schedule(cfg: dict[str, str]) -> TrainSchedule:
 def build_model(run: RunConfig) -> tuple[models.ModelGraph, models.ParamStore, transplant.TransplantReport | None]:
     """Graph (with scheme/adapter applied, at train.growth's starting depth)
     and its fresh or grafted store."""
-    position = models.WIRING[run.topology].adapter if run.transplant.adapter else None
-    if run.transplant.adapter and position is None:
-        raise ConfigError(f"topology {run.topology!r} has no adapter position; set transplant.adapter off")
     growth = run.train.growth
     try:
-        graph = models.build(run.model, run.topology, growth[0][1] if growth else None, position)
+        graph = models.build(run.model, run.topology, growth[0][1] if growth else None, run.transplant.adapter)
     except NumericsError as exc:
         raise ConfigError(str(exc)) from exc
     store = models.init_store(graph, run.seed)
@@ -326,8 +323,7 @@ def cmd_eval(args, overrides) -> int:
         fixed = [key for key in given if not key.startswith("eval.")]
         if fixed:
             raise ConfigError(f"{fixed[0]} is fixed by the run's config.json; eval --run takes --beam and eval.* only")
-        evals = {key: value for key, value in {**DEFAULTS, **given}.items() if key.startswith("eval.")}
-        run = parse_config({**json.loads((run_dir / "config.json").read_text()), **evals})
+        run = parse_config({**json.loads((run_dir / "config.json").read_text()), **given})
         marker = run_dir / "best"
         if not marker.exists():
             raise ConfigError(f"{run_dir} has no best-checkpoint marker")

@@ -149,14 +149,49 @@ def task_vocabularies(
     return Vocabulary.make("s", vocab_size), Vocabulary.make("t", vocab_size)
 
 
+@dataclass(frozen=True)
+class DataConfig:
+    """A generated corpus split into train, dev and test: generate's
+    arguments and the split sizes. One seed draws and splits the corpus."""
+
+    vocab_size: int = 12
+    n_train: int = 500
+    n_dev: int = 50
+    n_test: int = 50
+    len_min: int = 3
+    len_max: int = 8
+    frames_min: int = 5
+    frames_max: int = 7
+    noise_sigma: float = 0.3
+    seed: int = 0
+    task_seed: int = 0
+
+    def vocabularies(self) -> tuple[Vocabulary, Vocabulary]:
+        return task_vocabularies(self.vocab_size, (self.len_min, self.len_max), (self.frames_min, self.frames_max))
+
+    def splits(self) -> tuple[Dataset, Dataset, Dataset]:
+        total = self.n_train + self.n_dev + self.n_test
+        full = generate(
+            seed=self.seed,
+            n_examples=total,
+            vocab_size=self.vocab_size,
+            len_range=(self.len_min, self.len_max),
+            frames_per_token_range=(self.frames_min, self.frames_max),
+            noise_sigma=self.noise_sigma,
+            task_seed=self.task_seed,
+        )
+        train, dev, test = split(full, (self.n_train / total, self.n_dev / total, self.n_test / total), seed=self.seed)
+        return train, dev, test
+
+
 def generate(
     seed: int,
     n_examples: int,
     vocab_size: int,
-    len_range: tuple[int, int] = (3, 8),
-    frames_per_token_range: tuple[int, int] = (5, 7),
-    noise_sigma: float = 0.3,
-    task_seed: int = 0,
+    len_range: tuple[int, int] = (DataConfig.len_min, DataConfig.len_max),
+    frames_per_token_range: tuple[int, int] = (DataConfig.frames_min, DataConfig.frames_max),
+    noise_sigma: float = DataConfig.noise_sigma,
+    task_seed: int = DataConfig.task_seed,
 ) -> Dataset:
     """Build a deterministic synthetic dataset.
 
@@ -218,41 +253,6 @@ def split(dataset: Dataset, fractions: tuple[float, ...], seed: int) -> list[Dat
         )
         start = end
     return parts
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    """A generated corpus split into train, dev and test: generate's
-    arguments and the split sizes. One seed draws and splits the corpus."""
-
-    vocab_size: int = 12
-    n_train: int = 500
-    n_dev: int = 50
-    n_test: int = 50
-    len_min: int = 3
-    len_max: int = 8
-    frames_min: int = 5
-    frames_max: int = 7
-    noise_sigma: float = 0.3
-    seed: int = 0
-    task_seed: int = 0
-
-    def vocabularies(self) -> tuple[Vocabulary, Vocabulary]:
-        return task_vocabularies(self.vocab_size, (self.len_min, self.len_max), (self.frames_min, self.frames_max))
-
-    def splits(self) -> tuple[Dataset, Dataset, Dataset]:
-        total = self.n_train + self.n_dev + self.n_test
-        full = generate(
-            seed=self.seed,
-            n_examples=total,
-            vocab_size=self.vocab_size,
-            len_range=(self.len_min, self.len_max),
-            frames_per_token_range=(self.frames_min, self.frames_max),
-            noise_sigma=self.noise_sigma,
-            task_seed=self.task_seed,
-        )
-        train, dev, test = split(full, (self.n_train / total, self.n_dev / total, self.n_test / total), seed=self.seed)
-        return train, dev, test
 
 
 @dataclass

@@ -20,11 +20,15 @@ recorded steps for both fused decoders. The fused decoders pack their rows
 as ``lstm_sequence`` does: rows sorted once by step bound, longest first,
 and step k computes only the leading rows still running, but at least two
 (numpy sends a one-row 2-D product to gemv, whose bits differ from the
-GEMM's), so the forward is bit-identical to the all-rows loop. The
-per-step Tensor layers (``additive_attention``, ``lstm_step``,
-``output_layer``, ``label_smoothed_ce``) have no caller in the package: the
-tests compose the step-by-step oracles of the fused decoders and of beam
-search from them.
+GEMM's). The forward is then bit-identical to the all-rows loop wherever the
+BLAS computes a GEMM row independently of the call's row count. OpenBLAS
+0.3.31 (Haswell kernel) does not when that count is not a multiple of 4 and
+the column count N has N mod 8 in {1, 2, 3}: no such dependence was found at
+the desk sizes (V = 16, 4H = 256, A = 64), but the tests' V = 9 output layer
+can move a loss by one ulp. The per-step Tensor layers
+(``additive_attention``, ``lstm_step``, ``output_layer``,
+``label_smoothed_ce``) have no caller in the package: the tests compose the
+step-by-step oracles of the fused decoders and of beam search from them.
 """
 
 from __future__ import annotations
@@ -668,7 +672,9 @@ class _StepTape:
 def _step_rows(n: int, B: int) -> int:
     """The rows a packed decoder step computes when its n leading rows run:
     at least two when B >= 2, since numpy sends a one-row 2-D product to
-    gemv, whose bits differ from the GEMM's that the other rows get."""
+    gemv, whose bits differ from the GEMM's that the other rows get. Two rows
+    avoid gemv only; a GEMM row's bits may still depend on the row count
+    (see the module docstring)."""
     return max(n, min(2, B))
 
 
@@ -699,17 +705,20 @@ def teacher_forced_decoder(
     Rows are sorted by bound, longest first (stable), once; step s predicts
     over the n_s rows whose bound exceeds s, which are the leading rows, and
     advances only the rows step s + 1 reads. A step runs at least two rows
-    when B >= 2 (``_step_rows``), so every 2-D product is a GEMM whose rows
-    are bit-identical to the all-rows product. Each step's loss terms are
-    scattered back to the caller's row order before the step's sum.
+    when B >= 2 (``_step_rows``), so every 2-D product is a GEMM. Its rows
+    match the all-rows product bit for bit where the BLAS makes them
+    independent of the row count, which the module docstring qualifies.
+    Each step's loss terms are scattered back to the caller's row order
+    before the step's sum.
 
     Fused op with a hand-derived backward: one graph node per decoder run,
     whose parents are the parameters and each memory's states. The step
     repeats the numpy op order of ``additive_attention``, ``output_layer``,
     ``label_smoothed_ce`` and ``lstm_step`` (the oracle in
     ``tests/test_models.py``), so loss and predictions are bit-identical to
-    that composition. Clamped zero probabilities of the rows a step runs
-    warn and get zero gradient, as in ``label_smoothed_ce``. The backward
+    that composition under the same BLAS condition. Clamped zero
+    probabilities of the rows a step runs warn and get zero gradient, as in
+    ``label_smoothed_ce``. The backward
     differentiates the output softmax and the loss over all packed rows at
     once, then hands the gradients on the contexts and top states to
     ``DecoderKernel.backward``.
@@ -834,7 +843,8 @@ def greedy_rollout(
     and the attention with its feedback by ``DecoderKernel.backward``. The
     step repeats the numpy op order of the per-step Tensor layers, so states
     and tokens are bit-identical to that composition (the oracle in
-    ``tests/test_models.py``). Under ``no_grad`` nothing is kept.
+    ``tests/test_models.py``) under the BLAS condition of the module
+    docstring. Under ``no_grad`` nothing is kept.
     """
     limits = np.asarray(limits, dtype=np.int64)
     B = limits.shape[0]

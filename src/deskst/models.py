@@ -9,9 +9,12 @@ prefix, a task, its loss weight and the memories it attends over.
 A ``ModelGraph`` is immutable wiring: a manifest of parameter names/shapes
 grouped under canonical component prefixes (encoder., text_encoder.,
 decoder_st., decoder_asr., ctc_head., adapter.) so that checkpoints
-transplant across topologies. ``forward`` is pure in (graph, store, batch)
-and returns a ``LossBreakdown`` whose ``combined`` field is the
-differentiable training objective.
+transplant across topologies. ``build``'s ``adapter`` flag adds one BLSTM at
+the topology's ``WIRING`` adapter position. A tensor starts at zero exactly
+when its leaf name is ``b`` (a bias) or ``u`` (an attention feedback
+weight), and uniform in +-1/sqrt(fan-in) otherwise. ``forward`` is pure in
+(graph, store, batch) and returns a ``LossBreakdown`` whose ``combined``
+field is the differentiable training objective.
 
 Each teacher-forced decoder run is one fused graph node,
 ``layers.teacher_forced_decoder``; ``run_decoder_teacher_forced`` lays out
@@ -28,7 +31,7 @@ of beam search from it, and perfbench's tracer patches it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +70,6 @@ __all__ = [
     "encode",
     "head_memories",
     "build",
-    "with_adapter",
     "init_store",
     "grow_encoder",
     "route_for",
@@ -129,8 +131,6 @@ WIRING: dict[str, Wiring] = {
 
 TOPOLOGIES = tuple(WIRING)
 
-ADAPTER_POSITIONS = {topology: w.adapter for topology, w in WIRING.items() if w.adapter is not None}
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -188,9 +188,13 @@ class ModelGraph:
     topology: str
     config: ModelConfig
     active_enc_layers: int
-    adapter_position: str | None  # None | "encoder_top" | "asr_decoder_top"
+    adapter_position: str | None  # the topology's WIRING position if the graph has an adapter, else None
     shapes: dict[str, tuple[int, ...]]
-    zero_init: frozenset[str]
+
+    @property
+    def zero_init(self) -> frozenset[str]:
+        """The tensors that start at zero."""
+        return frozenset(filter(_starts_at_zero, self.shapes))
 
     def names(self) -> list[str]:
         return list(self.shapes)
@@ -237,67 +241,74 @@ class LossBreakdown:
                 out[key] = t.item()
         return out
 
-    def accuracy(self, task: str) -> float:
-        hits, total = self.token_hits.get(task, (0, 0))
-        return hits / total if total else 0.0
-
 
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
 
 
-def _lstm_shapes(shapes, zero, prefix, d_in, hidden):
+def _starts_at_zero(name: str) -> bool:
+    """Biases b and attention feedback weights u start at zero."""
+    return name.rsplit(".", 1)[-1] in ("b", "u")
+
+
+def _lstm_shapes(shapes, prefix, d_in, hidden):
     shapes[f"{prefix}.w_ih"] = (d_in, 4 * hidden)
     shapes[f"{prefix}.w_hh"] = (hidden, 4 * hidden)
     shapes[f"{prefix}.b"] = (4 * hidden,)
-    zero.add(f"{prefix}.b")
 
 
-def _blstm_layer_shapes(shapes, zero, prefix, d_in, hidden):
-    _lstm_shapes(shapes, zero, f"{prefix}.fwd", d_in, hidden)
-    _lstm_shapes(shapes, zero, f"{prefix}.bwd", d_in, hidden)
+def _blstm_layer_shapes(shapes, prefix, d_in, hidden):
+    _lstm_shapes(shapes, f"{prefix}.fwd", d_in, hidden)
+    _lstm_shapes(shapes, f"{prefix}.bwd", d_in, hidden)
 
 
-def _encoder_shapes(shapes, zero, prefix, in_dim, cfg: ModelConfig, layers: int):
+def _encoder_shapes(shapes, prefix, in_dim, cfg: ModelConfig, layers: int):
     for i in range(layers):
         d_in = in_dim if i == 0 else 2 * cfg.enc_hidden
-        _blstm_layer_shapes(shapes, zero, f"{prefix}.l{i}", d_in, cfg.enc_hidden)
+        _blstm_layer_shapes(shapes, f"{prefix}.l{i}", d_in, cfg.enc_hidden)
 
 
-def _attention_shapes(shapes, zero, prefix, dec_hidden, mem_dim, attn_dim):
+def _attention_shapes(shapes, prefix, dec_hidden, mem_dim, attn_dim):
     shapes[f"{prefix}.w_query"] = (dec_hidden, attn_dim)
     shapes[f"{prefix}.w_keys"] = (mem_dim, attn_dim)
     shapes[f"{prefix}.v"] = (attn_dim,)
     shapes[f"{prefix}.b"] = (attn_dim,)
     shapes[f"{prefix}.u"] = (attn_dim,)
-    zero.add(f"{prefix}.b")
-    zero.add(f"{prefix}.u")
 
 
-def _decoder_shapes(shapes, zero, prefix, vocab_total, cfg: ModelConfig, mem_dims: dict[str, int]):
+def _decoder_shapes(shapes, prefix, vocab_total, cfg: ModelConfig, mem_dims: dict[str, int]):
     shapes[f"{prefix}.emb"] = (vocab_total, cfg.emb_size)
     ctx = sum(mem_dims.values())
     for j in range(cfg.dec_layers):
         d_in = cfg.emb_size + ctx if j == 0 else cfg.dec_hidden
-        _lstm_shapes(shapes, zero, f"{prefix}.lstm.l{j}", d_in, cfg.dec_hidden)
+        _lstm_shapes(shapes, f"{prefix}.lstm.l{j}", d_in, cfg.dec_hidden)
     for att_name, mem_dim in mem_dims.items():
-        _attention_shapes(shapes, zero, f"{prefix}.{att_name}", cfg.dec_hidden, mem_dim, cfg.attn_dim)
+        _attention_shapes(shapes, f"{prefix}.{att_name}", cfg.dec_hidden, mem_dim, cfg.attn_dim)
     shapes[f"{prefix}.out.w"] = (cfg.emb_size + cfg.dec_hidden + ctx, vocab_total)
     shapes[f"{prefix}.out.b"] = (vocab_total,)
-    zero.add(f"{prefix}.out.b")
 
 
 def build(
     config: ModelConfig,
     topology: str,
     active_enc_layers: int | None = None,
-    adapter_position: str | None = None,
+    adapter: bool = False,
 ) -> ModelGraph:
-    """Wire a topology into a parameter manifest under canonical prefixes."""
+    """Wire a topology into a parameter manifest under canonical prefixes.
+
+    ``adapter`` adds one width-preserving BLSTM under adapter. at the
+    topology's ``WIRING`` position: encoder_top (attention then consumes
+    adapter outputs; the CTC head stays on the raw encoder) or
+    asr_decoder_top (the second decoder's decoder-side attention consumes
+    adapter outputs).
+    """
     if topology not in WIRING:
         raise NumericsError(f"unknown topology {topology!r}")
     routes = WIRING[topology].routes
+    position = WIRING[topology].adapter if adapter else None
+    if adapter and position is None:
+        raise NumericsError(f"topology {topology!r} has no adapter position")
     sources = {route.source for route in routes}
     if config.ctc_enabled and "speech" not in sources:
         raise NumericsError(f"CTC requires a speech encoder; {topology!r} has none")
@@ -306,78 +317,40 @@ def build(
         raise NumericsError(f"active encoder layers {active} outside [1, {config.enc_layers}]")
 
     shapes: dict[str, tuple[int, ...]] = {}
-    zero: set[str] = set()
     mem_dims = {"attn": 2 * config.enc_hidden, "attn_dec": config.dec_hidden}
 
     if "speech" in sources:
-        _encoder_shapes(shapes, zero, "encoder", config.feature_dim, config, active)
+        _encoder_shapes(shapes, "encoder", config.feature_dim, config, active)
     if "text" in sources:
         shapes["text_encoder.emb"] = (config.src_vocab_size, config.emb_size)
-        _encoder_shapes(shapes, zero, "text_encoder", config.emb_size, config, config.enc_layers)
+        _encoder_shapes(shapes, "text_encoder", config.emb_size, config, config.enc_layers)
     for head in (head for route in routes for head in route.heads):
         if f"{head.decoder}.emb" not in shapes:  # many2one's routes share decoder_st
             vocab_total = config.src_vocab_size if head.task == "asr" else config.tgt_vocab_size
-            _decoder_shapes(shapes, zero, head.decoder, vocab_total, config, {m: mem_dims[m] for m in head.memories})
+            _decoder_shapes(shapes, head.decoder, vocab_total, config, {m: mem_dims[m] for m in head.memories})
     if config.ctc_enabled:
         shapes["ctc_head.w"] = (mem_dims["attn"], config.src_vocab_size)
         shapes["ctc_head.b"] = (config.src_vocab_size,)
-        zero.add("ctc_head.b")
-
-    graph = ModelGraph(
-        topology=topology,
-        config=config,
-        active_enc_layers=active,
-        adapter_position=None,
-        shapes=shapes,
-        zero_init=frozenset(zero),
-    )
-    if adapter_position is not None:
-        graph = with_adapter(graph, adapter_position)
-    return graph
+    if adapter:  # over the memory it feeds: attn at encoder_top, attn_dec at asr_decoder_top
+        width = mem_dims["attn" if position == "encoder_top" else "attn_dec"]
+        if width % 2:
+            raise NumericsError(f"adapter input width {width} must be even")
+        _blstm_layer_shapes(shapes, "adapter.l0", width, width // 2)
+    return ModelGraph(topology, config, active, position, shapes)
 
 
-def with_adapter(graph: ModelGraph, position: str) -> ModelGraph:
-    """Add one width-preserving BLSTM under the adapter. prefix.
-
-    The only valid position is the topology's ``WIRING`` entry: encoder_top
-    (attention then consumes adapter outputs; the CTC head stays on the raw
-    encoder) or asr_decoder_top (the second decoder's decoder-side attention
-    consumes adapter outputs).
-    """
-    if graph.adapter_position is not None:
-        raise NumericsError("graph already has an adapter")
-    if position is None or position != WIRING[graph.topology].adapter:
-        raise NumericsError(f"adapter position {position!r} is invalid for topology {graph.topology!r}")
-    add_shapes, add_zero = adapter_shapes(graph, position)
-    shapes = dict(graph.shapes)
-    shapes.update(add_shapes)
-    return replace(
-        graph,
-        adapter_position=position,
-        shapes=shapes,
-        zero_init=frozenset(set(graph.zero_init) | add_zero),
-    )
-
-
-def adapter_shapes(graph: ModelGraph, position: str) -> tuple[dict[str, tuple[int, ...]], set[str]]:
-    """Parameter manifest of one adapter BLSTM for the given position."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    zero: set[str] = set()
-    widths = {"encoder_top": 2 * graph.config.enc_hidden, "asr_decoder_top": graph.config.dec_hidden}
-    if position not in widths:
-        raise NumericsError(f"unknown adapter position {position!r}")
-    width = widths[position]
-    if width % 2:
-        raise NumericsError(f"adapter input width {width} must be even")
-    _blstm_layer_shapes(shapes, zero, "adapter.l0", width, width // 2)
-    return shapes, zero
+def _create_missing(graph: ModelGraph, store: ParamStore) -> None:
+    """Create each manifest tensor the store lacks; values depend only on
+    (store seed, name)."""
+    for name, shape in graph.shapes.items():
+        if name not in store:
+            store.create(name, shape, "zeros" if _starts_at_zero(name) else "uniform-fanin")
 
 
 def init_store(graph: ModelGraph, seed: int) -> ParamStore:
-    """Fresh parameters for a graph; values depend only on (seed, name)."""
+    """Fresh parameters for a graph."""
     store = ParamStore(seed)
-    for name, shape in graph.shapes.items():
-        store.create(name, shape, "zeros" if name in graph.zero_init else "uniform-fanin")
+    _create_missing(graph, store)
     return store
 
 
@@ -390,15 +363,8 @@ def grow_encoder(graph: ModelGraph, store: ParamStore, new_layer_count: int) -> 
         )
     if new_layer_count > graph.config.enc_layers:
         raise NumericsError(f"encoder is configured for at most {graph.config.enc_layers} layers")
-    grown = build(
-        graph.config,
-        graph.topology,
-        active_enc_layers=new_layer_count,
-        adapter_position=graph.adapter_position,
-    )
-    for name, shape in grown.shapes.items():
-        if name not in store:
-            store.create(name, shape, "zeros" if name in grown.zero_init else "uniform-fanin")
+    grown = build(graph.config, graph.topology, new_layer_count, graph.adapter_position is not None)
+    _create_missing(grown, store)
     return grown
 
 

@@ -112,10 +112,16 @@ def save(graph: ModelGraph, store: ParamStore, path: str | Path, dev_history: li
     os.replace(tmp, path)
 
 
-def _config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    d["pool_schedule"] = tuple(d["pool_schedule"])
-    return ModelConfig(**d)
+def _graph_from_header(header: dict) -> ModelGraph:
+    """The graph a header describes; KeyError, TypeError or NumericsError
+    when it describes none. The stored adapter position must be the
+    topology's own."""
+    config = ModelConfig(**{**header["config"], "pool_schedule": tuple(header["config"]["pool_schedule"])})
+    position = header["adapter_position"]
+    graph = models.build(config, header["topology"], header["active_enc_layers"], adapter=position is not None)
+    if graph.adapter_position != position:
+        raise NumericsError(f"adapter position {position!r} is not topology {graph.topology!r}'s")
+    return graph
 
 
 def load(path: str | Path) -> Checkpoint:
@@ -131,30 +137,33 @@ def load(path: str | Path) -> Checkpoint:
     except json.JSONDecodeError as exc:
         raise CorruptCheckpointError(f"{path}: unreadable header ({exc})") from exc
     offset += header_len
+    if not isinstance(header, dict):
+        raise CorruptCheckpointError(f"{path}: header is not a JSON object")
     if header.get("version") != FORMAT_VERSION:
         raise VersionMismatchError(f"{path}: format version {header.get('version')} != {FORMAT_VERSION}")
-    expected = sum(int(np.prod(p["shape"])) for p in header["params"]) * _DTYPE.itemsize
+    try:
+        graph = _graph_from_header(header)
+        index = [(p["name"], tuple(p["shape"])) for p in header["params"]]
+        dev_history, seed = header["dev_history"], header["seed"]
+        expected = sum(int(np.prod(shape)) for _, shape in index) * _DTYPE.itemsize
+    except KeyError as exc:
+        raise CorruptCheckpointError(f"{path}: header lacks key {exc}") from exc
+    except (TypeError, NumericsError) as exc:
+        raise CorruptCheckpointError(f"{path}: header describes no valid model ({exc})") from exc
     if len(blob) - offset != expected:
         raise CorruptCheckpointError(
             f"{path}: payload is {len(blob) - offset} bytes but header describes {expected}"
         )
-    graph = models.build(
-        _config_from_dict(header["config"]),
-        header["topology"],
-        active_enc_layers=header["active_enc_layers"],
-        adapter_position=header["adapter_position"],
-    )
     values: dict[str, np.ndarray] = {}
-    for p in header["params"]:
-        shape = tuple(p["shape"])
+    for name, shape in index:
         n = int(np.prod(shape))
-        values[p["name"]] = np.frombuffer(blob, dtype=_DTYPE, count=n, offset=offset).reshape(shape).copy()
+        values[name] = np.frombuffer(blob, dtype=_DTYPE, count=n, offset=offset).reshape(shape).copy()
         offset += n * _DTYPE.itemsize
-        if not np.isfinite(values[p["name"]]).all():
-            raise CorruptCheckpointError(f"{path}: parameter {p['name']} holds a non-finite value")
+        if not np.isfinite(values[name]).all():
+            raise CorruptCheckpointError(f"{path}: parameter {name} holds a non-finite value")
     if set(values) != set(graph.shapes) or any(values[n].shape != graph.shapes[n] for n in values):
         raise CorruptCheckpointError(f"{path}: tensor index does not match the rebuilt graph")
-    return Checkpoint(graph=graph, values=values, dev_history=header["dev_history"], seed=header["seed"])
+    return Checkpoint(graph=graph, values=values, dev_history=dev_history, seed=seed)
 
 
 def restore(path: str | Path) -> tuple[ModelGraph, ParamStore]:

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deskst import cli, data, decode, transplant
+from deskst import cli, data, decode, training, transplant
+
+from util import rewrite_header
 
 TINY_DATA = ["--data.n_train", "4", "--data.n_dev", "2", "--data.n_test", "3", "--data.len_max", "3"]
 TINY_MODEL = {
@@ -200,6 +202,43 @@ def test_eval_of_a_run_rejects_an_override_its_config_fixes(tmp_path, capsys, fl
     assert cli.main(["eval", "--run", str(tmp_path / "run"), "--beam", "2", *flags]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} is fixed by the run's config.json") and err.count("\n") == 1
+
+
+def test_eval_of_a_run_reads_its_eval_values_from_its_config(tmp_path, monkeypatch):
+    model = [arg for key, value in TINY_MODEL.items() for arg in (f"--{key}", value)]
+    run = tmp_path / "run"
+    flags = ["--train.epochs", "0", "--eval.beam", "4", "--eval.len_norm", "1.0"]
+    assert cli.main(["train", "--out", str(run), *TINY_DATA, *model, *flags]) == cli.EXIT_OK
+    calls = []
+    decode_corpus = training.decode_corpus
+
+    def recording_decode_corpus(graph, store, ds, direction, beam, max_len, len_norm=0.6):
+        calls.append((beam, len_norm))
+        return decode_corpus(graph, store, ds, direction, beam, max_len, len_norm)
+
+    monkeypatch.setattr(training, "decode_corpus", recording_decode_corpus)
+    for flags, beam in (([], 4), (["--beam", "2"], 2)):
+        assert cli.main(["eval", "--run", str(run), "--eval.max_len", "4", *flags]) == cli.EXIT_OK
+        assert json.loads((run / "eval_test.json").read_text())["beam"] == beam
+        assert calls.pop() == (beam, 1.0)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda header: header.update(topology="nope"),
+        lambda header: header["config"].update(loss_weight=7.0),
+        lambda header: header.update(adapter_position="asr_decoder_top"),
+    ],
+    ids=["topology", "loss_weight", "adapter_position"],
+)
+def test_a_checkpoint_header_that_describes_no_model_exits_4(tmp_path, capsys, edit):
+    ckpt = checkpoint(tmp_path, "direct")
+    rewrite_header(ckpt, edit)
+    assert run_eval(tmp_path, ckpt) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: header ") and err.count("\n") == 1
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("value", ["ON", "True", "YES", "1"])

@@ -6,7 +6,7 @@ import pytest
 from deskst import data, decode, layers, models
 from deskst.decode import Hypothesis, beam_decode, beam_search, cascade, cascade_batch, greedy_decode_batch
 from deskst.layers import EncoderStates
-from deskst.models import ADAPTER_POSITIONS, ModelConfig, build, init_store
+from deskst.models import ModelConfig, build, init_store
 from deskst.tensor import NonFiniteError, NumericsError, Tensor, no_grad
 
 
@@ -15,7 +15,7 @@ def tiny_setup(seed=0, topology="direct", vocab=4, adapter=False, **cfg_over):
     kw = dict(emb_size=5, enc_hidden=4, enc_layers=1, dec_hidden=5, attn_dim=4, pool_schedule=(2,), dropout=0.0)
     kw.update(cfg_over)
     cfg = ModelConfig.desk(ds.src_vocab, ds.tgt_vocab, **kw)
-    graph = build(cfg, topology, adapter_position=ADAPTER_POSITIONS[topology] if adapter else None)
+    graph = build(cfg, topology, adapter=adapter)
     store = init_store(graph, seed)
     return ds, graph, store
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from deskst import data, layers, models, tensor as tz
 from deskst.data import Vocabulary
 from deskst.layers import EncoderStates, label_smoothed_ce
-from deskst.models import ADAPTER_POSITIONS, LossBreakdown, ModelConfig, build, forward, init_store
+from deskst.models import LossBreakdown, ModelConfig, build, forward, init_store
 from deskst.numerics import OptimizerState, adam_step, backward
 from deskst.tensor import NumericsError
 
@@ -117,16 +117,18 @@ def test_manifests_match_recorded_digests():
     ds = tiny_dataset()
     for topology in models.TOPOLOGIES:
         for ctc in (False, True):
-            for adapter in (None, "encoder_top", "asr_decoder_top"):
-                key = (topology, ctc, adapter)
-                if key not in MANIFEST_DIGESTS:  # not a legal combination
+            for adapter in (False, True):
+                position = models.WIRING[topology].adapter
+                key = (topology, ctc, position if adapter else None)
+                if (adapter and position is None) or key not in MANIFEST_DIGESTS:  # not a legal combination
                     with pytest.raises(NumericsError):
-                        build(tiny_config(ds, ctc_enabled=ctc), topology, adapter_position=adapter)
+                        build(tiny_config(ds, ctc_enabled=ctc), topology, adapter=adapter)
                     continue
-                graph = build(tiny_config(ds, ctc_enabled=ctc), topology, adapter_position=adapter)
+                graph = build(tiny_config(ds, ctc_enabled=ctc), topology, adapter=adapter)
+                assert graph.adapter_position == key[2]
                 assert manifest_digest(graph) == MANIFEST_DIGESTS[key], key
     cfg = tiny_config(ds, ctc_enabled=True, enc_layers=3, pool_schedule=(2, 1, 1))
-    graph = build(cfg, "many2one", active_enc_layers=1, adapter_position="encoder_top")
+    graph = build(cfg, "many2one", active_enc_layers=1, adapter=True)
     grown = models.grow_encoder(graph, init_store(graph, 0), 2)
     assert manifest_digest(grown) == GROWN_MANIFEST_DIGEST
 
@@ -345,7 +347,7 @@ def test_tied_gradcheck_through_a_fixed_rollout(topology, adapter, monkeypatch):
     # entry costs two forward passes); everything its attn_dec memory comes
     # from is checked: the rollout, the encoder and any adapter.
     ds = tiny_dataset(vocab=4)
-    graph = build(gradcheck_config(ds), topology, adapter_position=adapter)
+    graph = build(gradcheck_config(ds), topology, adapter=adapter is not None)
     store = init_store(graph, 8)
     rng = np.random.default_rng(1)
     for name in sorted(graph.zero_init):  # non-zero biases and feedback weights u
@@ -387,7 +389,7 @@ def test_text_encoder_gradcheck():
 def test_adapter_gradcheck():
     # encoder_top adapter: one BLSTM over padded encoder states, which get a gradient too
     ds = tiny_dataset(vocab=4)
-    graph = models.with_adapter(build(tiny_config(ds, enc_hidden=2), "direct"), "encoder_top")
+    graph = build(tiny_config(ds, enc_hidden=2), "direct", adapter=True)
     rng = np.random.default_rng(3)
     store = encoder_path_store(init_store(graph, 0), "adapter.", 4, states=rng.normal(size=(2, 4, 4)))
     mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
@@ -480,11 +482,11 @@ def test_fused_decoder_matches_stepwise_oracle(topology, mode, monkeypatch):
     assert len(set(batch.tgt_lengths())) > 1 and len(set(batch.src_lengths())) > 1  # padded targets
     rng = np.random.default_rng(17)
     for ctc in (False,) if topology == "mt" else (False, True):
-        for adapter in (None, ADAPTER_POSITIONS[topology]) if topology in ADAPTER_POSITIONS else (None,):
+        for adapter in (False, True) if models.WIRING[topology].adapter else (False,):
             for dec_layers in (1, 2):
                 case = (ctc, adapter, dec_layers)
                 graph = build(tiny_config(ds, ctc_enabled=ctc, dec_layers=dec_layers, dropout=0.2), topology,
-                              adapter_position=adapter)
+                              adapter=adapter)
                 store = init_store(graph, 21)
                 for name in graph.zero_init:  # non-zero biases and feedback weights u
                     store.set(name, rng.normal(size=graph.shapes[name]) * 0.3)

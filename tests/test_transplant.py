@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from deskst import data, models, transplant
-from deskst.models import ModelConfig, build, init_store, with_adapter
+from deskst.models import ModelConfig, build, init_store
 from deskst.tensor import NumericsError
 from deskst.transplant import (
     Checkpoint,
@@ -15,13 +17,15 @@ from deskst.transplant import (
     save,
 )
 
+from util import rewrite_header
 
-def setup_model(topology="direct", seed=0, vocab=5, ctc=False, **cfg_over):
+
+def setup_model(topology="direct", seed=0, vocab=5, ctc=False, adapter=False, **cfg_over):
     ds = data.generate(seed=seed, n_examples=4, vocab_size=vocab, len_range=(2, 3), frames_per_token_range=(5, 6))
     kw = dict(emb_size=5, enc_hidden=4, enc_layers=2, dec_hidden=6, attn_dim=4, pool_schedule=(2, 1), ctc_enabled=ctc)
     kw.update(cfg_over)
     cfg = ModelConfig.desk(ds.src_vocab, ds.tgt_vocab, **kw)
-    graph = build(cfg, topology)
+    graph = build(cfg, topology, adapter=adapter)
     return ds, graph, init_store(graph, seed)
 
 
@@ -95,6 +99,76 @@ def test_non_finite_payload_rejected_naming_the_parameter(tmp_path):
     last = sorted(store.names())[-1]
     with pytest.raises(CorruptCheckpointError, match=f"parameter {last} holds a non-finite value"):
         load(tmp_path / "nan.ckpt")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda header: header.update(topology="nope"), "unknown topology 'nope'"),
+        (lambda header: header["config"].update(loss_weight=7.0), "loss_weight must lie in [0, 1]"),
+        (lambda header: header["config"].pop("src_vocab_size"), "src_vocab_size"),
+        (lambda header: header.update(active_enc_layers=3), "active encoder layers 3 outside [1, 2]"),
+        (lambda header: header.pop("seed"), "header lacks key 'seed'"),
+        (lambda header: header.pop("adapter_position"), "header lacks key 'adapter_position'"),
+        (lambda header: header["params"][0].pop("name"), "header lacks key 'name'"),
+    ],
+)
+def test_a_header_that_describes_no_model_is_corrupt(tmp_path, edit, message):
+    _, graph, store = setup_model()
+    path = tmp_path / "x.ckpt"
+    save(graph, store, path)
+    rewrite_header(path, edit)
+    with pytest.raises(CorruptCheckpointError) as info:
+        load(path)
+    assert message in str(info.value)
+
+
+def test_a_header_that_is_not_an_object_is_corrupt(tmp_path):
+    _, graph, store = setup_model()
+    path = tmp_path / "x.ckpt"
+    save(graph, store, path)
+    blob = path.read_bytes()
+    start = len(transplant.MAGIC) + 8
+    payload = blob[start + int.from_bytes(blob[start - 8 : start], "little") :]
+    path.write_bytes(transplant.MAGIC + (2).to_bytes(8, "little") + b"[]" + payload)
+    with pytest.raises(CorruptCheckpointError, match="header is not a JSON object"):
+        load(path)
+
+
+def recorded_checkpoints(tmp_path):
+    """Freshly initialized checkpoints at the tiny dims: direct with CTC and
+    the adapter, tied_triangle with the adapter, and many2one grown from one
+    encoder layer to two."""
+    out = {}
+    for name, topology, ctc in (("direct+ctc+adapter", "direct", True), ("tied_triangle+adapter", "tied_triangle", False)):
+        _, graph, _ = setup_model(topology, seed=3, ctc=ctc, adapter=True)
+        save(graph, init_store(graph, 7), tmp_path / name, dev_history=[{"epoch": 0, "bleu": 1.5}])
+        out[name] = tmp_path / name
+    _, graph, _ = setup_model("many2one", seed=3, ctc=True)
+    small = build(graph.config, "many2one", active_enc_layers=1)
+    store = init_store(small, 7)
+    save(models.grow_encoder(small, store, 2), store, tmp_path / "many2one grown")
+    out["many2one grown"] = tmp_path / "many2one grown"
+    return out
+
+
+# sha256 of each file, recorded before ModelGraph took the adapter as a flag
+# and zero-init by name: checkpoint format v1 keeps these bytes.
+CHECKPOINT_DIGESTS = {
+    "direct+ctc+adapter": "70d85fb170ff31d27e6315e13ed990ebab1cf6bd1bbebd23f6d942eb194568cf",
+    "tied_triangle+adapter": "3c77181ad31e6ff2f488096ceb305cbb3eafa05f712a8717703074e58a325044",
+    "many2one grown": "1156b09013c9b29b98a49f69310f76fab766646932b90511fff225d2b202f704",
+}
+
+
+def test_checkpoint_bytes_match_recorded_digests(tmp_path):
+    paths = recorded_checkpoints(tmp_path)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == CHECKPOINT_DIGESTS
+    for path in paths.values():  # and load, then save, writes them back unchanged
+        ckpt = load(path)
+        save(ckpt.graph, ckpt.to_store(), tmp_path / "again", dev_history=ckpt.dev_history)
+        assert (tmp_path / "again").read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +307,7 @@ def test_scheme_validation_errors():
 
 def test_adapter_adds_exactly_one_blstm_layer():
     _, graph, _ = setup_model("direct", seed=17)
-    with_a = with_adapter(graph, "encoder_top")
+    _, with_a, _ = setup_model("direct", seed=17, adapter=True)
     added = set(with_a.shapes) - set(graph.shapes)
     assert added == {
         "adapter.l0.fwd.w_ih",
@@ -249,27 +323,26 @@ def test_adapter_adds_exactly_one_blstm_layer():
     assert with_a.shapes["adapter.l0.fwd.w_ih"] == (width, 4 * (width // 2))
 
 
-def test_adapter_position_validation():
-    _, direct_graph, _ = setup_model("direct", seed=18)
-    with pytest.raises(NumericsError):
-        with_adapter(direct_graph, "asr_decoder_top")
-    _, tied_graph, _ = setup_model("tied_cascade", seed=18)
-    with pytest.raises(NumericsError):
-        with_adapter(tied_graph, "encoder_top")
-    adapted = with_adapter(tied_graph, "asr_decoder_top")
-    assert adapted.shapes["adapter.l0.fwd.w_ih"][0] == tied_graph.config.dec_hidden
-    with pytest.raises(NumericsError):
-        with_adapter(adapted, "asr_decoder_top")  # only one adapter
-    _, asr_graph, _ = setup_model("asr", seed=18)
-    with pytest.raises(NumericsError):
-        with_adapter(asr_graph, "encoder_top")
+def test_adapter_position_validation(tmp_path):
+    # build puts the adapter at the topology's WIRING position; load rejects any other
+    _, direct_graph, _ = setup_model("direct", seed=18, adapter=True)
+    assert direct_graph.adapter_position == "encoder_top"
+    _, tied_graph, store = setup_model("tied_cascade", seed=18, adapter=True)
+    assert tied_graph.adapter_position == "asr_decoder_top"
+    assert tied_graph.shapes["adapter.l0.fwd.w_ih"][0] == tied_graph.config.dec_hidden
+    with pytest.raises(NumericsError, match="topology 'asr' has no adapter position"):
+        setup_model("asr", seed=18, adapter=True)
+    path = tmp_path / "tied.ckpt"
+    save(tied_graph, store, path)
+    for position in ("encoder_top", "elsewhere"):
+        rewrite_header(path, lambda header: header.update(adapter_position=position))
+        with pytest.raises(CorruptCheckpointError, match="is not topology 'tied_cascade'"):
+            load(path)
 
 
 def test_adapter_never_grafted():
     _, asr_graph, asr_store = setup_model("asr", seed=19)
-    _, st_graph, _ = setup_model("direct", seed=20)
-    st_graph = with_adapter(st_graph, "encoder_top")
-    st_store = init_store(st_graph, 20)
+    _, st_graph, st_store = setup_model("direct", seed=20, adapter=True)
     fresh_adapter = {n: st_store[n].data.copy() for n in st_store.names() if n.startswith("adapter.")}
     scheme = resolve_scheme("asr_enc", "direct", asr_checkpoint=checkpoint_of(asr_graph, asr_store))
     apply_transplant(st_graph, st_store, scheme)
@@ -284,9 +357,7 @@ def test_adapter_never_grafted():
 
 
 def test_adapter_changes_attention_inputs():
-    ds, graph, _ = setup_model("direct", seed=21)
-    adapted = with_adapter(graph, "encoder_top")
-    store = init_store(adapted, 21)
+    ds, adapted, store = setup_model("direct", seed=21, adapter=True)
     batches, _ = data.batch(ds, 2)
     from deskst.models import forward
 
@@ -298,9 +369,7 @@ def test_adapter_changes_attention_inputs():
 
 
 def test_adapter_on_top_of_asr_decoder_feeds_second_decoder():
-    ds, graph, _ = setup_model("tied_triangle", seed=22)
-    adapted = with_adapter(graph, "asr_decoder_top")
-    store = init_store(adapted, 22)
+    ds, adapted, store = setup_model("tied_triangle", seed=22, adapter=True)
     batches, _ = data.batch(ds, 2)
     from deskst.models import forward
     from deskst.numerics import backward

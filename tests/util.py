@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from deskst.numerics import ParamStore, grad_check
+from deskst.transplant import MAGIC
 
 
 def store_with(seed: int = 0, **arrays: np.ndarray) -> ParamStore:
@@ -23,3 +27,15 @@ def check_grads(loss_fn, store: ParamStore, tol: float = 1e-4, eps: float = 1e-5
     err = report.max_rel_error
     assert err <= tol, f"gradient mismatch: {report.worst()}"
     return err
+
+
+def rewrite_header(path: Path, edit) -> None:
+    """Pass a checkpoint's JSON header through ``edit`` (which changes it in
+    place) and write it back in front of the unchanged payload."""
+    blob = path.read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(blob[len(MAGIC) : start], "little")
+    header = json.loads(blob[start:end])
+    edit(header)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + len(text).to_bytes(8, "little") + text + blob[end:])
