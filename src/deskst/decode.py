@@ -135,9 +135,9 @@ def beam_search(
         raise NumericsError(f"max_len must be >= 1, got {max_len}")
     direction = direction or default_direction(graph.topology)
     B, K = batch.size, beam
-    with no_grad():
+    with no_grad():  # the kernel then records no steps
         memories, prefix, vocab = prepare_memories(graph, store, batch, direction)
-    kernel = layers.DecoderKernel(*models._decoder_params(graph, store, prefix, memories))
+        kernel = layers.DecoderKernel(*models._decoder_params(graph, store, prefix, memories))
     V = vocab.size
     rows = np.arange(B)[:, None]
     slots = np.arange(K)
@@ -152,7 +152,7 @@ def beam_search(
     for _ in range(max_len):
         if not n_active.any():
             break
-        probs, ctx, feedback, _, _ = kernel.predict(prev, h[-1], feedback, lanes)
+        probs, ctx, feedback = kernel.predict(prev, h[-1], feedback, lanes)
         _check_finite("output probabilities", probs)
         logp = np.zeros((B, K, V))
         logp[lanes] = np.log(np.maximum(probs, _LOGP_FLOOR))
@@ -191,7 +191,7 @@ def beam_search(
         src = row_of[lanes[0], parents[lanes]]
         prev = step_tokens[lanes]
         feedback = [fb[src] for fb in feedback]
-        h, c, _ = kernel.advance(prev, ctx[src], [x[src] for x in h], [x[src] for x in c])
+        h, c = kernel.advance(prev, ctx[src], [x[src] for x in h], [x[src] for x in c])
         _check_finite("decoder states", *h, *c)
     out = []
     for b, kept in enumerate(best):

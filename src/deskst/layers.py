@@ -15,8 +15,9 @@ per run: ``lstm_sequence`` (a BLSTM layer), ``teacher_forced_decoder`` (an
 attention decoder's whole teacher-forced loss) and ``greedy_rollout`` (an
 attention decoder's greedy decode, returning its top states). The decoder
 step is written once, in numpy, as ``DecoderKernel``: both fused decoders and
-beam search run it, and its ``backward`` carries gradients back through the
-recorded steps for both fused decoders. The fused decoders pack their rows
+beam search run it. A kernel built while gradients are recorded keeps its
+own record of the steps it ran, and its ``backward`` carries gradients back
+through them for both fused decoders. The fused decoders pack their rows
 as ``lstm_sequence`` does: rows sorted once by step bound, longest first,
 and step k computes only the leading rows still running, but at least two
 (numpy sends a one-row 2-D product to gemv, whose bits differ from the
@@ -422,8 +423,14 @@ class DecoderKernel:
     copied, and a step's contexts are one (B, 1, T) @ (B, T, D)
     contraction, as with lanes.
     ``teacher_forced_decoder``, ``greedy_rollout`` and beam search run it
-    forward; ``backward`` carries gradients back through the steps a
-    ``_StepTape`` recorded, for both fused decoders.
+    forward. A kernel built while ``tensor.grad_enabled()`` records each
+    step: per ``predict``, the top state, the output layer's input and per
+    memory the (tanh pre-activations, weights, feedback before the step);
+    per ``advance``, its tokens, its mask and its per-layer cache. A step's
+    arrays hold the rows it ran, a prefix of the kernel's rows. ``backward``
+    carries gradients back through the recorded steps, for both fused
+    decoders. A kernel built under ``no_grad``, as in beam search, records
+    nothing.
     """
 
     def __init__(
@@ -467,6 +474,9 @@ class DecoderKernel:
                 valid, keys = valid[order], keys[order]
             self.mems.append((M, valid, keys, a.w_query.data, a.v.data, a.b.data, a.u.data))
         self.w_keys = [a.w_keys.data for _, a in memories]
+        self.recording = tz.grad_enabled()
+        self.predictions: list[tuple] = []  # per predict: (top, joint, [(pre, w, feedback) per memory])
+        self.advances: list[tuple] = []  # per advance: (tokens, mask, [cache per layer])
 
     def initial_state(self, n: int) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
         """Zero (h, c) per LSTM layer and zero feedback per memory for n rows."""
@@ -476,9 +486,8 @@ class DecoderKernel:
 
     def predict(self, prev_ids, top, feedback, lanes=None, keep=None):
         """Attend and predict: returns (probs (n, V), contexts (n, sum D),
-        the feedback after this step, the output layer's input, and per
-        memory the (tanh pre-activations, weights)). ``keep`` multiplies the
-        top state fed to the output layer."""
+        the feedback after this step). ``keep`` multiplies the top state fed
+        to the output layer."""
         n = top.shape[0]
         utt = slice(0, n) if lanes is None else lanes[0]  # kernel rows
         at = (self.order[:n], np.zeros(n, dtype=np.int64)) if lanes is None else lanes  # memory rows, slots
@@ -497,18 +506,20 @@ class DecoderKernel:
             lane_w[at] = w
             ctxs.append((lane_w @ M)[at])
             new_feedback.append(fb + w)
-            attn.append((pre, w))
+            attn.append((pre, w, fb))
         ctx = ctxs[0] if len(ctxs) == 1 else np.concatenate(ctxs, axis=-1)
         joint = np.concatenate([self.table[prev_ids], top if keep is None else top * keep, ctx], axis=-1)
         with np.errstate(over="ignore", invalid="ignore"):  # diverged weights; callers check the probabilities
             logits = joint @ self.out_w + self.out_b
             ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        return ex / ex.sum(axis=-1, keepdims=True), ctx, new_feedback, joint, attn
+        if self.recording:
+            self.predictions.append((top, joint, attn))
+        return ex / ex.sum(axis=-1, keepdims=True), ctx, new_feedback
 
     def advance(self, tokens, ctx, h, c, mask=None):
         """Run the LSTM stack on (embedding of ``tokens``, contexts). Rows
-        whose ``mask`` is 0 keep their state. Returns the new (h, c) lists and
-        per layer (input, h, c, i, f, g, o, tanh c_new)."""
+        whose ``mask`` is 0 keep their state. Returns the new (h, c) lists;
+        the record keeps per layer (input, h, c, i, f, g, o, tanh c_new)."""
         H = self.hidden
         m = None if mask is None else mask[:, None]
         x = np.concatenate([self.table[tokens], ctx], axis=-1)
@@ -531,10 +542,12 @@ class DecoderKernel:
                 h[j] = m * (o * tc) + (1.0 - m) * h[j]
                 c[j] = m * c_new + (1.0 - m) * c[j]
             x = h[j]
-        return h, c, cache
+        if self.recording:
+            self.advances.append((tokens, mask, cache))
+        return h, c
 
-    def backward(self, tape: "_StepTape", d_emb, dctxs, dtops, dh_after=None):
-        """Carry gradients back through the steps on ``tape``, in the
+    def backward(self, d_emb, dctxs, dtops, dh_after=None):
+        """Carry gradients back through the recorded steps, in the
         kernel's row order: each step's attention over its p_s leading rows
         and, for the steps that advanced, the LSTM stack over the advance's
         leading rows under its mask; masked rows, and rows beyond the
@@ -547,9 +560,9 @@ class DecoderKernel:
         the LSTM inputs' share, in place. Returns the gradients of the LSTM
         stack and the attention parameters, in ``inputs`` order, and of each
         memory's states in the caller's row order."""
-        rows = [top.shape[0] for top in tape.tops]
+        rows = [top.shape[0] for top, _, _ in self.predictions]
         off = np.cumsum([0, *rows])
-        S, n = len(rows), len(tape.advance)
+        S, n = len(rows), len(self.advances)
         B, H, L = self.mems[0][0].shape[0], self.hidden, len(self.cells)
         E = self.table.shape[1]
         dh = [np.zeros((B, H)) for _ in range(L)]
@@ -567,7 +580,7 @@ class DecoderKernel:
         for s in range(S - 1, -1, -1):
             p, o0 = rows[s], off[s]
             if s < n:  # LSTM stack advance, top layer first
-                tokens, mask, cache = tape.advance[s]
+                tokens, mask, cache = self.advances[s]
                 a = mask.shape[0]
                 if dh_after is not None:
                     dh[-1] += dh_after[s]
@@ -596,7 +609,7 @@ class DecoderKernel:
             dtop = dtops[o0 : o0 + p]
             c0 = 0
             for k, (M, valid, keys, wq, v, ab, u) in enumerate(self.mems):
-                pre, w, fb = tape.attn[k][s]
+                pre, w, fb = self.predictions[s][2][k]
                 A, D = keys.shape[-1], M.shape[-1]
                 d_ctx = np.zeros((B, D))  # on the memory rows, as the contexts were read
                 d_ctx[self.order[:p]] = dctxs[o0 : o0 + p, c0 : c0 + D]
@@ -619,16 +632,16 @@ class DecoderKernel:
 
         grads = []
         if n:
-            np.add.at(d_emb, np.concatenate([tokens for tokens, _, _ in tape.advance]), np.concatenate(d_cur[::-1]))
+            np.add.at(d_emb, np.concatenate([tokens for tokens, _, _ in self.advances]), np.concatenate(d_cur[::-1]))
         for j in range(L):
             if n == 0:  # no advance ran
                 grads += [np.zeros_like(t) for t in self.cells[j]]
                 continue
             dz = np.concatenate(dz_steps[j][::-1])
-            xs = np.concatenate([cache[j][0] for _, _, cache in tape.advance])
-            hs = np.concatenate([cache[j][1] for _, _, cache in tape.advance])
+            xs = np.concatenate([cache[j][0] for _, _, cache in self.advances])
+            hs = np.concatenate([cache[j][1] for _, _, cache in self.advances])
             grads += [xs.T @ dz, hs.T @ dz, dz.sum(axis=0)]
-        tops_all = np.concatenate(tape.tops)
+        tops_all = np.concatenate([top for top, _, _ in self.predictions])
         ss = np.repeat(np.arange(S), rows)  # packed row -> (step, memory row)
         rr = self.order[np.arange(off[-1]) - off[ss]]
         d_states = []
@@ -643,30 +656,11 @@ class DecoderKernel:
             grads += [tops_all.T @ dq, d_wk, dv[k], d_keys.sum(axis=(0, 1)), du[k] * v]
             # context = weights @ memory, summed over steps: (B, T, S) @ (B, S, D)
             ws, d_ctx = np.zeros((B, T, S)), np.zeros((B, S, D))
-            ws[rr, :, ss] = np.concatenate([w for _, w, _ in tape.attn[k]])
+            ws[rr, :, ss] = np.concatenate([attn[k][1] for _, _, attn in self.predictions])
             d_ctx[rr, ss] = dctxs[:, c0 : c0 + D]
             c0 += D
             d_states.append(ws @ d_ctx + d_keys @ self.w_keys[k].T)
         return grads, d_states
-
-
-class _StepTape:
-    """What ``DecoderKernel.backward`` reads of a fused decoder's forward:
-    per step, the top state its prediction read and per memory the (tanh
-    pre-activations, weights, feedback before the step); per advance, its
-    tokens, its mask and the per-layer cache ``DecoderKernel.advance``
-    returns. A step's arrays hold the rows it ran, a prefix of the kernel's
-    rows."""
-
-    def __init__(self, n_memories: int):
-        self.tops: list[np.ndarray] = []
-        self.attn: list[list[tuple]] = [[] for _ in range(n_memories)]
-        self.advance: list[tuple] = []
-
-    def predict(self, top, feedback, attn) -> None:
-        self.tops.append(top)
-        for steps, fb, (pre, w) in zip(self.attn, feedback, attn):
-            steps.append((pre, w, fb))
 
 
 def _step_rows(n: int, B: int) -> int:
@@ -744,25 +738,17 @@ def teacher_forced_decoder(
     prev_ids = np.concatenate([np.full((1, B), bos_id, dtype=np.int64), targets[:-1]])
     keep = None if keep is None else keep[:, order]
 
-    tape = _StepTape(len(kernel.mems)) if tz.grad_enabled() else None
     h, c, fb = kernel.initial_state(rows[0])
     probs = np.empty((off[-1], V))
-    joints = []  # per step
     for s in range(S):
         n = rows[s]
-        top = h[-1]
-        p, ctx, new_fb, joint, attn = kernel.predict(prev_ids[s, :n], top, fb, keep=None if keep is None else keep[s, :n])
-        if tape is not None:
-            tape.predict(top, fb, attn)
-            joints.append(joint)
+        p, ctx, new_fb = kernel.predict(prev_ids[s, :n], h[-1], fb, keep=None if keep is None else keep[s, :n])
         probs[off[s] : off[s + 1]] = p
         if s == S - 1:
             break  # the state after the last prediction feeds nothing
         a = rows[s + 1]
-        h, c, step_cache = kernel.advance(targets[s, :a], ctx[:a], [x[:a] for x in h], [x[:a] for x in c], mask[s, :a])
+        h, c = kernel.advance(targets[s, :a], ctx[:a], [x[:a] for x in h], [x[:a] for x in c], mask[s, :a])
         fb = [x[:a] for x in new_fb]
-        if tape is not None:
-            tape.advance.append((targets[s, :a], mask[s, :a], step_cache))
 
     # Per-row loss terms of all steps at once (row-wise, so the bits of a
     # per-step computation), in the caller's row order, then summed step by
@@ -790,7 +776,7 @@ def teacher_forced_decoder(
         np.put_along_axis(q, tgt[:, None], 1.0 - eps + eps / V, axis=-1)
         pdp = np.where(tiny, 0.0, q * (-float(gout) * mask[ss, rr])[:, None])
         dlogits = pdp - probs * pdp.sum(axis=-1, keepdims=True)
-        J = np.concatenate(joints)
+        J = np.concatenate([joint for _, joint, _ in kernel.predictions])
         d_out_w = J.T @ dlogits
         d_out_b = dlogits.sum(axis=0)
         djoint = dlogits @ wo.T
@@ -798,7 +784,7 @@ def teacher_forced_decoder(
         np.add.at(d_emb, prev_ids[ss, rr], djoint[:, :E])
         dtops = djoint[:, E : E + H] if keep is None else djoint[:, E : E + H] * keep[ss, rr]
         dctxs = djoint[:, E + H :].copy()  # gains the LSTM input's share
-        grads, d_states = kernel.backward(tape, d_emb, dctxs, dtops)
+        grads, d_states = kernel.backward(d_emb, dctxs, dtops)
         return (d_emb, *grads, d_out_w, d_out_b, *d_states)
 
     return tz._node(total, kernel.inputs, backward), pred
@@ -854,7 +840,6 @@ def greedy_rollout(
     limits = limits[order]
     kernel = DecoderKernel(memories, emb, lstm, out_w, out_b, order)
     H = kernel.hidden
-    tape = _StepTape(len(kernel.mems)) if tz.grad_enabled() else None
     alive = limits > 0
     h, c, fb = kernel.initial_state(B)
     prev = np.full(B, bos_id, dtype=np.int64)
@@ -865,16 +850,12 @@ def greedy_rollout(
         h, c, fb = ([x[:r] for x in xs] for xs in (h, c, fb))
         mask = alive.astype(np.float64)
         keep = None if rng is None else dropout_keep((B, H), rate, rng)[order[:r]]
-        top = h[-1]
-        p, ctx, new_fb, _, attn = kernel.predict(prev[:r], top, fb, keep=keep)
+        p, ctx, new_fb = kernel.predict(prev[:r], h[-1], fb, keep=keep)
         if not np.isfinite(p).all():
             raise NonFiniteError("non-finite output probabilities in the greedy rollout")
         chosen = np.full(B, pad_id, dtype=np.int64)
         chosen[:r] = np.where(alive[:r], p.argmax(axis=-1), pad_id)
-        h, c, step_cache = kernel.advance(chosen[:r], ctx, h, c, mask[:r])
-        if tape is not None:
-            tape.predict(top, fb, attn)
-            tape.advance.append((chosen[:r], mask[:r], step_cache))
+        h, c = kernel.advance(chosen[:r], ctx, h, c, mask[:r])
         fb = new_fb
         states.append(h[-1])
         masks.append(mask)
@@ -893,10 +874,10 @@ def greedy_rollout(
     def backward(gout):
         # Nothing outside the recurrence reads the contexts or the top states
         # the predictions read: the argmax passes no gradient.
-        N, C = sum(top.shape[0] for top in tape.tops), sum(M.shape[-1] for M, *_ in kernel.mems)
+        N, C = sum(top.shape[0] for top, _, _ in kernel.predictions), sum(M.shape[-1] for M, *_ in kernel.mems)
         d_emb = np.zeros_like(kernel.table)
         dh_after = np.swapaxes(gout[order], 0, 1)
-        grads, d_states = kernel.backward(tape, d_emb, np.zeros((N, C)), np.zeros((N, H)), dh_after)
+        grads, d_states = kernel.backward(d_emb, np.zeros((N, C)), np.zeros((N, H)), dh_after)
         return (d_emb, *grads, None, None, *d_states)
 
     return tz._node(out[kernel.inverse], kernel.inputs, backward), step_mask, step_tokens
@@ -909,13 +890,9 @@ def dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator) 
     return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout during training; identity at inference."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return as_tensor(x)
-    return x * dropout_keep(x.shape, rate, rng)
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout at ``rate``: the identity at rate 0, drawing nothing."""
+    return as_tensor(x) if rate == 0.0 else x * dropout_keep(x.shape, rate, rng)
 
 
 def embed(token_id: np.ndarray | int, table: Tensor) -> Tensor:

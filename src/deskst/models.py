@@ -14,7 +14,10 @@ the topology's ``WIRING`` adapter position. A tensor starts at zero exactly
 when its leaf name is ``b`` (a bias) or ``u`` (an attention feedback
 weight), and uniform in +-1/sqrt(fan-in) otherwise. ``forward`` is pure in
 (graph, store, batch) and returns a ``LossBreakdown`` whose ``combined``
-field is the differentiable training objective.
+field is the differentiable training objective. Dropout runs exactly when
+``forward`` passes its ``rngs`` streams on, which it does in ``training``
+only: below it, a function takes the streams or None, and draws a mask
+whenever it has them and ``config.dropout`` is non-zero.
 
 Each teacher-forced decoder run is one fused graph node,
 ``layers.teacher_forced_decoder``; ``run_decoder_teacher_forced`` lays out
@@ -404,21 +407,19 @@ def _blstm(h: Tensor | np.ndarray, mask: np.ndarray, store: ParamStore, prefix: 
     return layers.lstm_sequence(h, mask, _lstm_params(store, f"{prefix}.fwd"), _lstm_params(store, f"{prefix}.bwd"))
 
 
-def _dropout_rng(graph, training, rngs, component) -> np.random.Generator | None:
+def _dropout_rng(graph, rngs, component) -> np.random.Generator | None:
     """The component's dropout stream, or None when no dropout applies."""
-    if rngs is None or not training or graph.config.dropout == 0.0:
+    if rngs is None or graph.config.dropout == 0.0:
         return None
     return rngs[component]
 
 
-def _maybe_dropout(x, graph, training, rngs, component):
-    rng = _dropout_rng(graph, training, rngs, component)
-    return x if rng is None else dropout(x, graph.config.dropout, training, rng)
+def _maybe_dropout(x, graph, rngs, component):
+    rng = _dropout_rng(graph, rngs, component)
+    return x if rng is None else dropout(x, graph.config.dropout, rng)
 
 
-def run_speech_encoder(
-    graph: ModelGraph, store: ParamStore, batch: Batch, training: bool = False, rngs=None
-) -> EncoderStates:
+def run_speech_encoder(graph: ModelGraph, store: ParamStore, batch: Batch, rngs=None) -> EncoderStates:
     """BLSTM stack with interleaved temporal max pooling over (B, T, F)."""
     h = batch.frames  # a constant: the first layer computes no input gradient
     mask = batch.frame_mask
@@ -426,27 +427,25 @@ def run_speech_encoder(
         h = _blstm(h, mask, store, f"encoder.l{i}")
         if pool > 1:
             h, mask = max_pool_time(h, mask, pool)
-        h = _maybe_dropout(h, graph, training, rngs, "encoder")
+        h = _maybe_dropout(h, graph, rngs, "encoder")
     return EncoderStates(states=h, mask=mask)
 
 
 def run_text_encoder(
-    graph: ModelGraph, store: ParamStore, ids: np.ndarray, mask: np.ndarray, training: bool = False, rngs=None
+    graph: ModelGraph, store: ParamStore, ids: np.ndarray, mask: np.ndarray, rngs=None
 ) -> EncoderStates:
     """Embed source tokens and run the (unpooled) BLSTM stack."""
     h = embed(ids, store["text_encoder.emb"])
     for i in range(graph.config.enc_layers):
         h = _blstm(h, mask, store, f"text_encoder.l{i}")
-        h = _maybe_dropout(h, graph, training, rngs, "text_encoder")
+        h = _maybe_dropout(h, graph, rngs, "text_encoder")
     return EncoderStates(states=h, mask=mask)
 
 
-def apply_adapter(
-    graph: ModelGraph, store: ParamStore, states: EncoderStates, training: bool = False, rngs=None
-) -> EncoderStates:
+def apply_adapter(graph: ModelGraph, store: ParamStore, states: EncoderStates, rngs=None) -> EncoderStates:
     """One fresh BLSTM between transplanted components; width-preserving."""
     h = _blstm(states.states, states.mask, store, "adapter.l0")
-    h = _maybe_dropout(h, graph, training, rngs, "adapter")
+    h = _maybe_dropout(h, graph, rngs, "adapter")
     return EncoderStates(states=h, mask=states.mask)
 
 
@@ -496,7 +495,7 @@ class _DecoderCore:
             new_feedback.append(att.feedback)
         ctx = contexts[0] if len(contexts) == 1 else tz.concat(contexts, axis=-1)
         e_prev = embed(prev_ids, self.emb_table)
-        top_for_out = _maybe_dropout(top, self.graph, training, rngs, self.prefix.split(".")[0])
+        top_for_out = _maybe_dropout(top, self.graph, rngs if training else None, self.prefix.split(".")[0])
         probs = output_layer(e_prev, top_for_out, ctx, self.out_w, self.out_b)
         return probs, ctx, new_feedback
 
@@ -532,7 +531,6 @@ def run_decoder_teacher_forced(
     targets: np.ndarray,
     target_mask: np.ndarray,
     vocab: Vocabulary,
-    training: bool = False,
     rngs=None,
 ) -> DecoderRun:
     """Sum of label-smoothed step losses under teacher forcing.
@@ -551,7 +549,7 @@ def run_decoder_teacher_forced(
     cols = np.concatenate([targets, np.full((B, 1), vocab.eos_id, dtype=np.int64)], axis=1)[:, :S].T
     target_ids = np.where(steps < lengths, cols, vocab.eos_id).astype(np.int64)
     cfg = graph.config
-    rng = _dropout_rng(graph, training, rngs, prefix)
+    rng = _dropout_rng(graph, rngs, prefix)
     keep = None if rng is None else dropout_keep((S, B, cfg.dec_hidden), cfg.dropout, rng)
     loss, pred = teacher_forced_decoder(
         *_decoder_params(graph, store, prefix, memories),
@@ -572,16 +570,15 @@ def run_decoder_greedy_rollout(
     memories: list[tuple[str, EncoderStates]],
     limits: np.ndarray,
     vocab: Vocabulary,
-    training: bool = False,
     rngs=None,
 ) -> DecoderRun:
     """Greedy decode collecting the (B, K, D) top-state sequence as one
     ``layers.greedy_rollout`` node: gradients flow through the states, and
     the argmax token choices are constants. Row b stops after [EOS] or
     ``limits[b]`` steps (``head_memories`` caps it at ceil(1.5 J) for the
-    loss and at the pooled frame count when decoding). In training, each
-    step that runs draws one (B, D) dropout mask on the decoder's stream,
-    so the stream moves by exactly the steps taken."""
+    loss and at the pooled frame count when decoding). With ``rngs``, each
+    step that runs draws one (B, D) dropout mask on the decoder's stream, so
+    the stream moves by exactly the steps taken."""
     states, state_mask, tokens = greedy_rollout(
         *_decoder_params(graph, store, prefix, memories),
         limits,
@@ -589,7 +586,7 @@ def run_decoder_greedy_rollout(
         vocab.eos_id,
         vocab.pad_id,
         graph.config.dropout,
-        _dropout_rng(graph, training, rngs, prefix),
+        _dropout_rng(graph, rngs, prefix),
     )
     return DecoderRun(loss=None, hits=0, steps=0, states=states, state_mask=state_mask, tokens=tokens)
 
@@ -619,18 +616,18 @@ def route_for(topology: str, mode: str | None = None) -> Route:
     raise NumericsError(f"topology {topology!r} has no {mode!r} mode; its modes are {[r.source for r in routes]}")
 
 
-def encode(graph, store, batch: Batch, source: str, training=False, rngs=None) -> tuple[EncoderStates, EncoderStates]:
+def encode(graph, store, batch: Batch, source: str, rngs=None) -> tuple[EncoderStates, EncoderStates]:
     """The source encoder's states and the ``attn`` memory: the same states,
     through the adapter when it sits at encoder_top (on the speech encoder)."""
     if source == "text":
-        enc = run_text_encoder(graph, store, batch.src, batch.src_mask, training, rngs)
+        enc = run_text_encoder(graph, store, batch.src, batch.src_mask, rngs)
         return enc, enc
-    enc = run_speech_encoder(graph, store, batch, training, rngs)
-    return enc, apply_adapter(graph, store, enc, training, rngs) if graph.adapter_position == "encoder_top" else enc
+    enc = run_speech_encoder(graph, store, batch, rngs)
+    return enc, apply_adapter(graph, store, enc, rngs) if graph.adapter_position == "encoder_top" else enc
 
 
 def head_memories(
-    graph, store, batch: Batch, head: Head, enc, attn, training=False, rngs=None, decoding=False
+    graph, store, batch: Batch, head: Head, enc, attn, rngs=None, decoding=False
 ) -> list[tuple[str, EncoderStates]]:
     """A head's (name, memory) list. ``attn_dec`` is decoder_asr's greedy
     rollout over ``attn``, through the adapter when it sits at
@@ -641,11 +638,11 @@ def head_memories(
     if "attn_dec" in head.memories:
         limits = np.maximum(1, enc.lengths if decoding else np.ceil(1.5 * batch.src_lengths()).astype(np.int64))
         rollout = run_decoder_greedy_rollout(
-            graph, store, "decoder_asr", [("attn", attn)], limits, _task_vocab(graph, "asr"), training, rngs
+            graph, store, "decoder_asr", [("attn", attn)], limits, _task_vocab(graph, "asr"), rngs
         )
         memories["attn_dec"] = EncoderStates(rollout.states, rollout.state_mask)
         if graph.adapter_position == "asr_decoder_top":
-            memories["attn_dec"] = apply_adapter(graph, store, memories["attn_dec"], training, rngs)
+            memories["attn_dec"] = apply_adapter(graph, store, memories["attn_dec"], rngs)
     return [(name, memories[name]) for name in head.memories]
 
 
@@ -654,16 +651,18 @@ def forward(graph, store, batch: Batch, mode: str | None = None, training=False,
 
     Heads run in table order. The loss sums weight * (head loss, plus CTC on
     the CTC head) over heads, st/mt term first and a weight of 1 left out:
-    e.g. lam * st + (1 - lam) * (asr + ctc).
+    e.g. lam * st + (1 - lam) * (asr + ctc). Dropout runs only in
+    ``training``, drawing on ``rngs``.
     """
     route = route_for(graph.topology, mode)
-    enc, attn = encode(graph, store, batch, route.source, training, rngs)
+    rngs = rngs if training else None
+    enc, attn = encode(graph, store, batch, route.source, rngs)
     runs = {}
     for head in route.heads:
-        memories = head_memories(graph, store, batch, head, enc, attn, training, rngs)
+        memories = head_memories(graph, store, batch, head, enc, attn, rngs)
         targets, target_mask = (batch.src, batch.src_mask) if head.task == "asr" else (batch.tgt, batch.tgt_mask)
         runs[head] = run_decoder_teacher_forced(
-            graph, store, head.decoder, memories, targets, target_mask, _task_vocab(graph, head.task), training, rngs
+            graph, store, head.decoder, memories, targets, target_mask, _task_vocab(graph, head.task), rngs
         )
     parts = LossBreakdown(combined=None)
     ctc_head = None

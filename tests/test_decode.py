@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from deskst import data, decode, layers, models
+from deskst import data, decode, layers, models, tensor as tz
 from deskst.decode import Hypothesis, beam_decode, beam_search, cascade, cascade_batch, greedy_decode_batch
 from deskst.layers import EncoderStates
 from deskst.models import ModelConfig, build, init_store
@@ -369,6 +369,21 @@ def test_tied_decode_runs():
         ds, graph, store = tiny_setup(seed=5, topology=topo)
         hyp = beam_decode(graph, store, ds.examples[0].x.frames, beam=3, max_len=5)
         assert hyp.tokens
+
+
+def test_beam_search_kernels_record_nothing_and_leave_gradients_on(monkeypatch):
+    kernels, init = [], layers.DecoderKernel.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        kernels.append(self)
+
+    monkeypatch.setattr(layers.DecoderKernel, "__init__", kept)
+    ds, graph, store = tiny_setup(seed=5, topology="tied_triangle")
+    beam_search(graph, store, data.batch(ds, len(ds))[0][0], 3, 5)
+    assert tz.grad_enabled()
+    assert len(kernels) == 2  # the rollout's and the beam's
+    assert all(not k.predictions and not k.advances for k in kernels)
 
 
 def test_cascade_pipeline():

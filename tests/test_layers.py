@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -659,7 +661,8 @@ def decoder_store(seed, layers=2, E=3, H=4, A=3, V=5, mem_dims=(3, 2)):
     return store_with(**arrays)
 
 
-def run_decoder(store, eps=0.1, layers=2):
+def decoder_inputs(store, layers=2):
+    """(memories, embedding, LSTM stack, output weight, output bias) of a ``decoder_store``."""
     memories = [
         (
             EncoderStates(store[f"m{k}.states"], mask),
@@ -668,9 +671,11 @@ def run_decoder(store, eps=0.1, layers=2):
         for k, mask in enumerate(DEC_MASKS)
     ]
     cells = [lstm_params_from(store, f"l{j}") for j in range(layers)]
-    return teacher_forced_decoder(
-        memories, store["emb"], cells, store["out_w"], store["out_b"], DEC_TARGETS, DEC_STEP_MASK, 0, eps
-    )
+    return memories, store["emb"], cells, store["out_w"], store["out_b"]
+
+
+def run_decoder(store, eps=0.1, layers=2):
+    return teacher_forced_decoder(*decoder_inputs(store, layers), DEC_TARGETS, DEC_STEP_MASK, 0, eps)
 
 
 def test_teacher_forced_decoder_gradients():
@@ -712,17 +717,32 @@ def test_teacher_forced_decoder_no_grad_is_parentless_with_same_value():
     assert np.array_equal(plain_pred, pred)
 
 
+def test_decoder_kernel_records_its_steps_when_built_under_gradient_recording():
+    store = decoder_store(4)
+    B = DEC_TARGETS.shape[1]
+    tokens = np.array([1, 2])
+    for grad in (True, False):
+        with contextlib.nullcontext() if grad else tz.no_grad():
+            kernel = layers.DecoderKernel(*decoder_inputs(store))
+        h, c, fb = kernel.initial_state(B)  # the steps run with gradients recorded either way
+        for _ in range(3):
+            _, ctx, fb = kernel.predict(tokens, h[-1], fb)
+            h, c = kernel.advance(tokens, ctx, h, c, np.ones(B))
+        kernel.predict(tokens, h[-1], fb)
+        assert (len(kernel.predictions), len(kernel.advances)) == ((4, 3) if grad else (0, 0))
+
+
 def test_dropout_identity_cases():
     x = Tensor(np.random.default_rng(0).normal(size=(10, 10)))
     rng = np.random.default_rng(1)
-    assert np.array_equal(dropout(x, 0.0, True, rng).data, x.data)
-    assert np.array_equal(dropout(x, 0.5, False, rng).data, x.data)
+    assert np.array_equal(dropout(x, 0.0, rng).data, x.data)
+    assert rng.random() == np.random.default_rng(1).random()  # nothing drawn
 
 
 def test_dropout_zeroed_fraction_and_scaling():
     x = Tensor(np.ones((200, 100)))
     rng = np.random.default_rng(2)
-    out = dropout(x, 0.3, True, rng)
+    out = dropout(x, 0.3, rng)
     zero_frac = (out.data == 0.0).mean()
     assert abs(zero_frac - 0.3) < 0.05
     kept = out.data[out.data != 0.0]

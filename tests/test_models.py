@@ -327,6 +327,21 @@ def test_direct_gradcheck_with_ctc():
     check_grads(lambda: forward(graph, store, batch).combined, store)
 
 
+@pytest.mark.parametrize("topology,mode,ctc", [("one2many", None, True), ("many2one", "text", False),
+                                               ("many2one", "speech", True)])
+def test_multi_decoder_gradcheck(topology, mode, ctc):
+    # Both decoders of one2many through the fused backward, and each of
+    # many2one's modes into its shared decoder, biases and u non-zero.
+    ds = tiny_dataset(vocab=4)
+    graph = build(gradcheck_config(ds, ctc_enabled=ctc), topology)
+    store = init_store(graph, 8)
+    rng = np.random.default_rng(2)
+    for name in sorted(graph.zero_init):
+        store.set(name, rng.normal(size=graph.shapes[name]) * 0.3)
+    batch = first_batch(ds, size=2, ctc=ctc)
+    check_grads(lambda: forward(graph, store, batch, mode=mode).combined, store)
+
+
 class WithoutPrefix:
     """The entries of a store outside one component, for ``check_grads``,
     which reads a store only through ``items()``; the loss still reads the
@@ -407,7 +422,7 @@ def test_adapter_gradcheck():
 # ---------------------------------------------------------------------------
 
 
-def stepwise_teacher_forced(graph, store, prefix, memories, targets, target_mask, vocab, training=False, rngs=None):
+def stepwise_teacher_forced(graph, store, prefix, memories, targets, target_mask, vocab, rngs=None):
     """The teacher-forced loop one position at a time, built from the
     per-step layers: the oracle of ``layers.teacher_forced_decoder``."""
     B, I = targets.shape
@@ -422,7 +437,7 @@ def stepwise_teacher_forced(graph, store, prefix, memories, targets, target_mask
             break
         col = targets[:, s] if s < I else np.full(B, vocab.eos_id, dtype=np.int64)
         target_ids = np.where(s < lengths, col, vocab.eos_id).astype(np.int64)
-        probs, ctx, feedback = core.step(prev_ids, layers_state, feedback, training, rngs)
+        probs, ctx, feedback = core.step(prev_ids, layers_state, feedback, True, rngs)
         step_loss = label_smoothed_ce(probs, target_ids, graph.config.label_smoothing, step_mask)
         total = step_loss if total is None else total + step_loss
         hits += int(((probs.data.argmax(axis=-1) == target_ids) & (step_mask > 0)).sum())
@@ -432,7 +447,7 @@ def stepwise_teacher_forced(graph, store, prefix, memories, targets, target_mask
     return models.DecoderRun(loss=total, hits=hits, steps=steps)
 
 
-def stepwise_greedy_rollout(graph, store, prefix, memories, limits, vocab, training=False, rngs=None):
+def stepwise_greedy_rollout(graph, store, prefix, memories, limits, vocab, rngs=None):
     """The greedy rollout one position at a time, built from the per-step
     layers: the oracle of ``layers.greedy_rollout``."""
     B = limits.shape[0]
@@ -444,7 +459,7 @@ def stepwise_greedy_rollout(graph, store, prefix, memories, limits, vocab, train
     k = 0
     while alive.any() and k < int(limits.max()):
         step_mask = (alive & (k < limits)).astype(np.float64)
-        probs, ctx, feedback = core.step(prev_ids, layers_state, feedback, training, rngs)
+        probs, ctx, feedback = core.step(prev_ids, layers_state, feedback, True, rngs)
         chosen = np.where(step_mask > 0, probs.data.argmax(axis=-1), vocab.pad_id)
         layers_state = core.advance(chosen, ctx, layers_state, step_mask)
         states.append(layers_state[-1][0])
@@ -488,7 +503,7 @@ def test_fused_decoder_matches_stepwise_oracle(topology, mode, monkeypatch):
                 graph = build(tiny_config(ds, ctc_enabled=ctc, dec_layers=dec_layers, dropout=0.2), topology,
                               adapter=adapter)
                 store = init_store(graph, 21)
-                for name in graph.zero_init:  # non-zero biases and feedback weights u
+                for name in sorted(graph.zero_init):  # non-zero biases and feedback weights u
                     store.set(name, rng.normal(size=graph.shapes[name]) * 0.3)
 
                 def run():
@@ -544,7 +559,7 @@ def rollout_and_grads(rollout, graph, store, vocab, rows, mask=ROLLOUT_MASK, lim
     next draw on decoder_asr's dropout stream."""
     rngs = models.dropout_streams(5)
     memory = EncoderStates(tz.take_slice(store["memory"], rows), mask[rows])
-    run = rollout(graph, store, "decoder_asr", [("attn", memory)], limits[rows], vocab, True, rngs)
+    run = rollout(graph, store, "decoder_asr", [("attn", memory)], limits[rows], vocab, rngs)
     upstream = np.random.default_rng(4).normal(size=run.states.shape)
     grads = backward(tz.tsum(run.states * upstream), store)
     return run, grads, rngs["decoder_asr"].random()
@@ -655,8 +670,8 @@ def assert_grads_close(got, want, names, tol=1e-12):
 def teacher_forced_run(run, graph, store, vocab, mask, targets, target_mask, training=True, rows=slice(None)):
     """A decoder_asr teacher-forced run over ``rows`` of the memory and its gradients."""
     memory = [("attn", EncoderStates(tz.take_slice(store["memory"], rows), mask[rows]))]
-    out = run(graph, store, "decoder_asr", memory, targets[rows], target_mask[rows], vocab, training,
-              models.dropout_streams(5))
+    out = run(graph, store, "decoder_asr", memory, targets[rows], target_mask[rows], vocab,
+              models.dropout_streams(5) if training else None)
     return out, backward(out.loss, store)
 
 
@@ -854,3 +869,30 @@ def test_one2many_lambda1_trains_identically_to_direct():
     s_multi = train("one2many")
     for name in s_direct.names():
         assert np.array_equal(s_direct[name].data, s_multi[name].data), name
+
+
+@pytest.mark.parametrize("topology,mode,adapter", [("tied_triangle", None, True), ("direct", None, True),
+                                                   ("many2one", "text", False)])
+def test_dropout_runs_only_when_training_at_a_nonzero_rate(topology, mode, adapter):
+    # Outside training, or at rate 0, forward with dropout streams is forward
+    # without them, bit for bit, and moves none of the streams.
+    ds = tiny_dataset(n=8)
+    batch = first_batch(ds, size=4, ctc=True)
+
+    def run(graph, store, **kwargs):
+        parts = forward(graph, store, batch, mode=mode, **kwargs)
+        return parts, backward(parts.combined, store)
+
+    for training, rate in ((False, 0.2), (True, 0.0)):
+        graph = build(tiny_config(ds, ctc_enabled=True, dropout=rate), topology, adapter=adapter)
+        store = init_store(graph, 21)
+        plain, g_plain = run(graph, store)
+        rngs = models.dropout_streams(5)
+        switched, g_switched = run(graph, store, training=training, rngs=rngs)
+        assert switched.floats() == plain.floats() and switched.token_hits == plain.token_hits
+        assert all(g_switched[n].tobytes() == g_plain[n].tobytes() for n in store.names())
+        fresh = models.dropout_streams(5)
+        assert all(rngs[c].random() == fresh[c].random() for c in fresh), (training, rate)
+        if rate:  # the same streams in training do drop units
+            dropped, _ = run(graph, store, training=True, rngs=models.dropout_streams(5))
+            assert dropped.floats() != plain.floats()
