@@ -146,13 +146,12 @@ def beam_search(
     order = np.broadcast_to(slots, (B, K))  # lanes by lexicographic rank, dummies last
     n_active = np.ones(B, dtype=np.int64)
     lanes = (np.arange(B), np.zeros(B, dtype=np.int64))  # per state row: utterance and slot
-    h, c, feedback = kernel.initial_state(B)
     prev = np.full(B, vocab.bos_id, dtype=np.int64)
     best: list[tuple | None] = [None] * B  # per utterance, its best finished: (-normalized, tokens, score)
     for _ in range(max_len):
         if not n_active.any():
             break
-        probs, ctx, feedback = kernel.predict(prev, h[-1], feedback, lanes)
+        probs = kernel.predict(prev, lanes)
         _check_finite("output probabilities", probs)
         logp = np.zeros((B, K, V))
         logp[lanes] = np.log(np.maximum(probs, _LOGP_FLOOR))
@@ -190,9 +189,8 @@ def beam_search(
         lanes = np.nonzero(alive)
         src = row_of[lanes[0], parents[lanes]]
         prev = step_tokens[lanes]
-        feedback = [fb[src] for fb in feedback]
-        h, c = kernel.advance(prev, ctx[src], [x[src] for x in h], [x[src] for x in c])
-        _check_finite("decoder states", *h, *c)
+        kernel.advance(prev, rows=src)
+        _check_finite("decoder states", *kernel.h, *kernel.c)
     out = []
     for b, kept in enumerate(best):
         if kept is None:  # nothing finished: the best of the lanes alive after max_len steps

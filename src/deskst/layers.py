@@ -15,21 +15,29 @@ per run: ``lstm_sequence`` (a BLSTM layer), ``teacher_forced_decoder`` (an
 attention decoder's whole teacher-forced loss) and ``greedy_rollout`` (an
 attention decoder's greedy decode, returning its top states). The decoder
 step is written once, in numpy, as ``DecoderKernel``: both fused decoders and
-beam search run it. A kernel built while gradients are recorded keeps its
-own record of the steps it ran, and its ``backward`` carries gradients back
-through them for both fused decoders. The fused decoders pack their rows
-as ``lstm_sequence`` does: rows sorted once by step bound, longest first,
-and step k computes only the leading rows still running, but at least two
-(numpy sends a one-row 2-D product to gemv, whose bits differ from the
-GEMM's). The forward is then bit-identical to the all-rows loop wherever the
-BLAS computes a GEMM row independently of the call's row count. OpenBLAS
-0.3.31 (Haswell kernel) does not when that count is not a multiple of 4 and
-the column count N has N mod 8 in {1, 2, 3}: no such dependence was found at
-the desk sizes (V = 16, 4H = 256, A = 64), but the tests' V = 9 output layer
-can move a loss by one ulp. The per-step Tensor layers
-(``additive_attention``, ``lstm_step``, ``output_layer``,
-``label_smoothed_ce``) have no caller in the package: the tests compose the
-step-by-step oracles of the fused decoders and of beam search from them.
+beam search run it, and it holds the decoder's state between steps. A
+kernel built while gradients are recorded keeps its own record of the steps
+it ran, and its ``backward`` carries gradients back through them for both
+fused decoders.
+
+Row packing. The fused decoders pack their rows as ``lstm_sequence`` does:
+rows are sorted once by step bound (a target length + 1, a rollout limit),
+longest first, stably, and step k computes only the leading rows still
+running, but at least two when B >= 2 (``_step_rows``): numpy sends a
+one-row 2-D product to gemv, whose bits differ from the GEMM's. A row inside
+that prefix that has stopped runs masked; rows beyond it are not computed.
+What the ops return is in the caller's row order. The forward is then
+bit-identical to the all-rows loop wherever the BLAS computes a GEMM row
+independently of the call's row count. OpenBLAS 0.3.31 (Haswell kernel)
+does not when that count is not a multiple of 4 and the column count N has
+N mod 8 in {1, 2, 3}: no such dependence was found at the desk sizes
+(V = 16, 4H = 256, A = 64), but the tests' V = 9 output layer can move a
+loss by one ulp.
+
+The per-step Tensor layers (``additive_attention``, ``lstm_step``,
+``output_layer``, ``label_smoothed_ce``) have no caller in the package: the
+tests compose the step-by-step oracles of the fused decoders and of beam
+search from them.
 """
 
 from __future__ import annotations
@@ -406,27 +414,28 @@ def label_smoothed_ce(
 
 
 class DecoderKernel:
-    """One attention-decoder step in numpy, over the rows of a state batch.
+    """One attention-decoder step in numpy, holding the decoder's state:
+    (h, c) per LSTM layer, the accumulated attention weights (feedback) per
+    memory and the last prediction's contexts, all zero-initialized over the
+    memories' B rows.
 
     ``predict`` attends from the top LSTM state over every memory with its
-    accumulated weights, then applies the output softmax; ``advance`` runs
-    the LSTM stack on (token embedding, contexts). The attention keys
+    feedback, then applies the output softmax; ``advance`` runs the LSTM
+    stack on (token embedding, contexts). The attention keys
     ``memory @ w_keys`` are projected once per memory over the (B, T, D)
     states. A row is one lane of an utterance when ``lanes`` = (utterance,
     slot) per row is given, as in beam search: no memory is copied per lane
     and each memory's contexts are one (B, K, T) @ (B, T, D) contraction.
-    Otherwise the n state rows are the leading n of the kernel's rows. The
-    fused decoders sort their rows by step bound, longest first, and pass
-    that ``order``: kernel row i is memory row order[i]. The kernel holds
-    the keys and validity in its row order, so a step over the rows still
-    running reads a prefix of them; the memory states themselves are not
-    copied, and a step's contexts are one (B, 1, T) @ (B, T, D)
-    contraction, as with lanes.
-    ``teacher_forced_decoder``, ``greedy_rollout`` and beam search run it
-    forward. A kernel built while ``tensor.grad_enabled()`` records each
-    step: per ``predict``, the top state, the output layer's input and per
-    memory the (tanh pre-activations, weights, feedback before the step);
-    per ``advance``, its tokens, its mask and its per-layer cache. A step's
+    Otherwise a step runs the leading state rows, and kernel row i is memory
+    row ``order[i]`` (the fused decoders' packed order, see the module
+    docstring): the keys and validity are held in that order, so a step
+    reads a prefix of them, and its contexts are one (B, 1, T) @ (B, T, D)
+    contraction over the uncopied memory states.
+
+    A kernel built while ``tensor.grad_enabled()`` records each step: per
+    ``predict``, the top state, the output layer's input and per memory the
+    (tanh pre-activations, weights, feedback before the step); per
+    ``advance``, its tokens, its mask and its per-layer cache. A step's
     arrays hold the rows it ran, a prefix of the kernel's rows. ``backward``
     carries gradients back through the recorded steps, for both fused
     decoders. A kernel built under ``no_grad``, as in beam search, records
@@ -474,26 +483,27 @@ class DecoderKernel:
                 valid, keys = valid[order], keys[order]
             self.mems.append((M, valid, keys, a.w_query.data, a.v.data, a.b.data, a.u.data))
         self.w_keys = [a.w_keys.data for _, a in memories]
+        self.h = [np.zeros((B, self.hidden)) for _ in self.cells]  # per LSTM layer
+        self.c = [np.zeros((B, self.hidden)) for _ in self.cells]
+        self.feedback = [np.zeros(valid.shape) for _, valid, *_ in self.mems]  # per memory
+        self.ctx = None  # the last prediction's contexts
         self.recording = tz.grad_enabled()
         self.predictions: list[tuple] = []  # per predict: (top, joint, [(pre, w, feedback) per memory])
         self.advances: list[tuple] = []  # per advance: (tokens, mask, [cache per layer])
 
-    def initial_state(self, n: int) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-        """Zero (h, c) per LSTM layer and zero feedback per memory for n rows."""
-        h = [np.zeros((n, self.hidden)) for _ in self.cells]
-        c = [np.zeros((n, self.hidden)) for _ in self.cells]
-        return h, c, [np.zeros((n, M.shape[1])) for M, *_ in self.mems]
-
-    def predict(self, prev_ids, top, feedback, lanes=None, keep=None):
-        """Attend and predict: returns (probs (n, V), contexts (n, sum D),
-        the feedback after this step). ``keep`` multiplies the top state fed
-        to the output layer."""
-        n = top.shape[0]
+    def predict(self, prev_ids, lanes=None, keep=None):
+        """Attend from the leading n = len(prev_ids) state rows and predict:
+        returns their probabilities (n, V), and keeps their contexts and the
+        feedback after this step. ``keep`` multiplies the top state fed to
+        the output layer."""
+        n = len(prev_ids)
+        top = self.h[-1][:n]
         utt = slice(0, n) if lanes is None else lanes[0]  # kernel rows
         at = (self.order[:n], np.zeros(n, dtype=np.int64)) if lanes is None else lanes  # memory rows, slots
         ctxs, new_feedback, attn = [], [], []
-        for (M, valid, keys, wq, v, ab, u), fb in zip(self.mems, feedback):
+        for (M, valid, keys, wq, v, ab, u), fb in zip(self.mems, self.feedback):
             B, T, D = M.shape
+            fb = fb[:n]
             pre = keys[utt] + (top @ wq).reshape(n, 1, -1)  # a new array, so keys stay intact
             pre += fb.reshape(n, T, 1) * u
             pre += ab
@@ -514,19 +524,24 @@ class DecoderKernel:
             ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
         if self.recording:
             self.predictions.append((top, joint, attn))
-        return ex / ex.sum(axis=-1, keepdims=True), ctx, new_feedback
+        self.ctx, self.feedback = ctx, new_feedback
+        return ex / ex.sum(axis=-1, keepdims=True)
 
-    def advance(self, tokens, ctx, h, c, mask=None):
-        """Run the LSTM stack on (embedding of ``tokens``, contexts). Rows
-        whose ``mask`` is 0 keep their state. Returns the new (h, c) lists;
+    def advance(self, tokens, mask=None, rows=None):
+        """Run the LSTM stack on (embedding of ``tokens``, the last
+        prediction's contexts) over its leading len(tokens) rows, or over the
+        rows ``rows`` names (beam search's parents, unrecorded). Rows whose
+        ``mask`` is 0 keep their state. The advanced rows become the state;
         the record keeps per layer (input, h, c, i, f, g, o, tanh c_new)."""
         H = self.hidden
         m = None if mask is None else mask[:, None]
-        x = np.concatenate([self.table[tokens], ctx], axis=-1)
-        h, c, cache = list(h), list(c), []
+        pick = slice(0, len(tokens)) if rows is None else rows
+        x = np.concatenate([self.table[tokens], self.ctx[pick]], axis=-1)
+        h, c, cache = [t[pick] for t in self.h], [t[pick] for t in self.c], []
+        self.feedback = [fb[pick] for fb in self.feedback]
         for j, (w_ih, w_hh, b) in enumerate(self.cells):
             # Diverged weights overflow here: the sigmoids saturate, and
-            # callers check the (h, c) they get for NaN.
+            # callers check the kernel's (h, c) for NaN.
             with np.errstate(over="ignore", invalid="ignore"):
                 z = x @ w_ih + h[j] @ w_hh + b
                 i = 1.0 / (1.0 + np.exp(-z[:, 0 * H : 1 * H]))
@@ -544,9 +559,9 @@ class DecoderKernel:
             x = h[j]
         if self.recording:
             self.advances.append((tokens, mask, cache))
-        return h, c
+        self.h, self.c = h, c
 
-    def backward(self, d_emb, dctxs, dtops, dh_after=None):
+    def backward(self, d_emb, dctxs, dtops, d_out, dh_after=None):
         """Carry gradients back through the recorded steps, in the
         kernel's row order: each step's attention over its p_s leading rows
         and, for the steps that advanced, the LSTM stack over the advance's
@@ -557,9 +572,10 @@ class DecoderKernel:
         layer's share), packed step after step (N = sum p_s), and
         ``dh_after`` (n, B, H) on the top state after each advance. ``d_emb``
         gains the embedding gradient at the advances' tokens and ``dctxs``
-        the LSTM inputs' share, in place. Returns the gradients of the LSTM
-        stack and the attention parameters, in ``inputs`` order, and of each
-        memory's states in the caller's row order."""
+        the LSTM inputs' share, in place. ``d_out`` is the caller's (output
+        weight, output bias) gradient pair. Returns the gradient of every
+        ``inputs`` entry, in order, each memory's states in the caller's row
+        order."""
         rows = [top.shape[0] for top, _, _ in self.predictions]
         off = np.cumsum([0, *rows])
         S, n = len(rows), len(self.advances)
@@ -660,14 +676,11 @@ class DecoderKernel:
             d_ctx[rr, ss] = dctxs[:, c0 : c0 + D]
             c0 += D
             d_states.append(ws @ d_ctx + d_keys @ self.w_keys[k].T)
-        return grads, d_states
+        return (d_emb, *grads, *d_out, *d_states)
 
 
 def _step_rows(n: int, B: int) -> int:
-    """The rows a packed decoder step computes when its n leading rows run:
-    at least two when B >= 2, since numpy sends a one-row 2-D product to
-    gemv, whose bits differ from the GEMM's that the other rows get. Two rows
-    avoid gemv only; a GEMM row's bits may still depend on the row count
+    """The rows a packed decoder step computes when its n leading rows run
     (see the module docstring)."""
     return max(n, min(2, B))
 
@@ -679,94 +692,83 @@ def teacher_forced_decoder(
     out_w: Tensor,
     out_b: Tensor,
     targets: np.ndarray,
-    step_mask: np.ndarray,
+    lengths: np.ndarray,
     bos_id: int,
+    eos_id: int,
     eps: float,
-    keep: np.ndarray | None = None,
-) -> tuple[Tensor, np.ndarray]:
+    rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[Tensor, int]:
     """Summed label-smoothed CE of an attention decoder under teacher forcing.
 
-    ``targets`` and ``step_mask`` are (S, B). Step s embeds the previous
-    target (``bos_id`` at s = 0), attends from the top LSTM state over every
-    memory with its accumulated weights, predicts ``targets[s]`` through
-    the output softmax, then advances the LSTM stack on (target embedding,
-    contexts): one ``DecoderKernel`` step. Rows whose step mask is 0 keep
-    their state and add nothing to the loss. ``keep`` (S, B, H) multiplies
-    the top state fed to the output layer (inverted dropout). Returns (loss,
-    (S, B) argmax predictions, -1 where the step mask is 0).
+    Row b of the (B, J) ``targets`` has ``lengths[b]`` tokens. Step s embeds
+    the previous target (``bos_id`` at s = 0), predicts target token s, or
+    ``eos_id`` at s = ``lengths[b]``, and advances the LSTM stack on it: one
+    ``DecoderKernel`` step. Row b runs steps 0 .. ``lengths[b]``; later steps
+    add nothing to the loss. With ``rng``, one (S, B, H) inverted-dropout
+    mask at ``rate`` is drawn for the top state fed to the output layer, S
+    being the longest row's step count: the same values as S per-step (B, H)
+    draws, leaving the stream where they would. Returns (loss, the number of
+    run steps whose argmax is the target).
 
-    Packed rows: a row's step bound is one past its last unmasked step.
-    Rows are sorted by bound, longest first (stable), once; step s predicts
-    over the n_s rows whose bound exceeds s, which are the leading rows, and
-    advances only the rows step s + 1 reads. A step runs at least two rows
-    when B >= 2 (``_step_rows``), so every 2-D product is a GEMM. Its rows
-    match the all-rows product bit for bit where the BLAS makes them
-    independent of the row count, which the module docstring qualifies.
-    Each step's loss terms are scattered back to the caller's row order
-    before the step's sum.
-
-    Fused op with a hand-derived backward: one graph node per decoder run,
-    whose parents are the parameters and each memory's states. The step
-    repeats the numpy op order of ``additive_attention``, ``output_layer``,
-    ``label_smoothed_ce`` and ``lstm_step`` (the oracle in
-    ``tests/test_models.py``), so loss and predictions are bit-identical to
-    that composition under the same BLAS condition. Clamped zero
-    probabilities of the rows a step runs warn and get zero gradient, as in
-    ``label_smoothed_ce``. The backward
+    Rows are packed by step bound, as the module docstring describes, and
+    each step's loss terms are summed in the caller's row order. Fused op
+    with a hand-derived backward: one graph node per decoder run, whose
+    parents are ``DecoderKernel.inputs``. The step repeats the numpy op
+    order of ``additive_attention``, ``output_layer``, ``label_smoothed_ce``
+    and ``lstm_step`` (the oracle in ``tests/test_models.py``), so loss and
+    hits are bit-identical to that composition under the module docstring's
+    BLAS condition. Clamped zero probabilities of the rows a step runs warn
+    and get zero gradient, as in ``label_smoothed_ce``. The backward
     differentiates the output softmax and the loss over all packed rows at
     once, then hands the gradients on the contexts and top states to
     ``DecoderKernel.backward``.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"label smoothing ratio must be in [0, 1), got {eps}")
-    targets = np.asarray(targets, dtype=np.int64)
-    mask = np.asarray(step_mask, dtype=np.float64)
-    S, B = targets.shape
-    live = mask > 0
-    bound = np.where(live.any(axis=0), S - live[::-1].argmax(axis=0), 0)
-    order = np.argsort(-bound, kind="stable")
-    rows = [_step_rows(int(n), B) for n in np.count_nonzero(bound > np.arange(S)[:, None], axis=1)]
+    lengths = np.asarray(lengths, dtype=np.int64)
+    B = lengths.shape[0]
+    S = int(lengths.max()) + 1  # steps 0..L predict L tokens plus [EOS]
+    steps = np.arange(S)[:, None]
+    order = np.argsort(-lengths, kind="stable")
+    mask = (steps <= lengths[order]).astype(np.float64)  # (S, B), rows in order
+    rows = [_step_rows(int(n), B) for n in np.count_nonzero(mask, axis=1)]
     off = np.cumsum([0, *rows])
     ss = np.repeat(np.arange(S), rows)  # packed row -> (step, sorted row)
     rr = np.arange(off[-1]) - off[ss]
     kernel = DecoderKernel(memories, emb, lstm, out_w, out_b, order)
     table, wo = kernel.table, kernel.out_w
     E, V, H = table.shape[1], wo.shape[1], kernel.hidden
-    if targets.size and (targets.min() < 0 or targets.max() >= table.shape[0]):
+    cols = np.concatenate([np.asarray(targets, dtype=np.int64)[order], np.full((B, 1), eos_id)], axis=1)[:, :S].T
+    targets = np.where(steps < lengths[order], cols, eos_id)
+    if targets.min() < 0 or targets.max() >= table.shape[0]:
         raise ShapeError(f"token id out of range for table of {table.shape[0]} rows")
-    targets, mask = targets[:, order], mask[:, order]
     prev_ids = np.concatenate([np.full((1, B), bos_id, dtype=np.int64), targets[:-1]])
-    keep = None if keep is None else keep[:, order]
+    keep = None if rng is None else dropout_keep((S, B, H), rate, rng)[:, order]
 
-    h, c, fb = kernel.initial_state(rows[0])
     probs = np.empty((off[-1], V))
     for s in range(S):
         n = rows[s]
-        p, ctx, new_fb = kernel.predict(prev_ids[s, :n], h[-1], fb, keep=None if keep is None else keep[s, :n])
-        probs[off[s] : off[s + 1]] = p
-        if s == S - 1:
-            break  # the state after the last prediction feeds nothing
-        a = rows[s + 1]
-        h, c = kernel.advance(targets[s, :a], ctx[:a], [x[:a] for x in h], [x[:a] for x in c], mask[s, :a])
-        fb = [x[:a] for x in new_fb]
+        probs[off[s] : off[s + 1]] = kernel.predict(prev_ids[s, :n], keep=None if keep is None else keep[s, :n])
+        if s < S - 1:  # the state after the last prediction feeds nothing
+            a = rows[s + 1]
+            kernel.advance(targets[s, :a], mask[s, :a])
 
     # Per-row loss terms of all steps at once (row-wise, so the bits of a
     # per-step computation), in the caller's row order, then summed step by
     # step. Rows a step did not run add zero.
-    tgt = targets[ss, rr]
+    tgt, live = targets[ss, rr], mask[ss, rr]
     logp = np.log(np.maximum(probs, tz._LOG_FLOOR))
     picked = np.take_along_axis(logp, tgt[:, None], axis=-1)[:, 0]
     terms = np.zeros((S, B))
-    terms[ss, order[rr]] = ((picked * (1.0 - eps) + logp.sum(axis=-1) * (eps / V)) * -1.0) * mask[ss, rr]
+    terms[ss, order[rr]] = ((picked * (1.0 - eps) + logp.sum(axis=-1) * (eps / V)) * -1.0) * live
     total = 0.0
     for step_sum in terms.sum(axis=1):
         total += step_sum
     tiny = probs < tz._LOG_FLOOR
     if tiny.any() and (eps > 0.0 or np.take_along_axis(tiny, tgt[:, None], axis=-1).any()):
         warnings.warn("clamped zero probability in smoothed cross entropy", SmoothingClampWarning)
-    pred = np.full((S, B), -1)
-    pred[ss, order[rr]] = probs.argmax(axis=-1)
-    pred[~live] = -1
+    hits = int(((probs.argmax(axis=-1) == tgt) & (live > 0)).sum())
 
     def backward(gout):
         # Output softmax and smoothed CE, all packed rows at once: d loss /
@@ -774,20 +776,17 @@ def teacher_forced_decoder(
         # pass nothing back, so p * d loss / d p is that term where p is active.
         q = np.full((off[-1], V), eps / V)
         np.put_along_axis(q, tgt[:, None], 1.0 - eps + eps / V, axis=-1)
-        pdp = np.where(tiny, 0.0, q * (-float(gout) * mask[ss, rr])[:, None])
+        pdp = np.where(tiny, 0.0, q * (-float(gout) * live)[:, None])
         dlogits = pdp - probs * pdp.sum(axis=-1, keepdims=True)
         J = np.concatenate([joint for _, joint, _ in kernel.predictions])
-        d_out_w = J.T @ dlogits
-        d_out_b = dlogits.sum(axis=0)
         djoint = dlogits @ wo.T
         d_emb = np.zeros_like(table)
         np.add.at(d_emb, prev_ids[ss, rr], djoint[:, :E])
         dtops = djoint[:, E : E + H] if keep is None else djoint[:, E : E + H] * keep[ss, rr]
         dctxs = djoint[:, E + H :].copy()  # gains the LSTM input's share
-        grads, d_states = kernel.backward(d_emb, dctxs, dtops)
-        return (d_emb, *grads, d_out_w, d_out_b, *d_states)
+        return kernel.backward(d_emb, dctxs, dtops, (J.T @ dlogits, dlogits.sum(axis=0)))
 
-    return tz._node(total, kernel.inputs, backward), pred
+    return tz._node(total, kernel.inputs, backward), hits
 
 
 def greedy_rollout(
@@ -815,12 +814,9 @@ def greedy_rollout(
     output layer, so the stream moves by exactly the steps taken. Returns
     ((B, K, H) top states after each step, (B, K) step mask, (B, K) tokens).
 
-    Packed rows: rows are sorted by limit, longest first (stable), once, and
-    step k runs the leading rows up to the last one still running (at
-    least two when B >= 2, as in ``teacher_forced_decoder``). Rows inside
-    that prefix that stopped at [EOS] run masked; rows beyond it are not
-    computed, and their returned states repeat the state after their last
-    step, so the gradient on those padded steps reaches that step.
+    Rows are packed by limit (see the module docstring). A row a step does
+    not compute returns the state after its last computed step, so the
+    gradient on those padded steps reaches that step.
 
     Fused op with a hand-derived backward: one graph node whose parents are
     the parameters and each memory's states. The argmax is a constant, so
@@ -841,23 +837,20 @@ def greedy_rollout(
     kernel = DecoderKernel(memories, emb, lstm, out_w, out_b, order)
     H = kernel.hidden
     alive = limits > 0
-    h, c, fb = kernel.initial_state(B)
     prev = np.full(B, bos_id, dtype=np.int64)
     states, masks, tokens = [], [], []
     while alive.any():
         k = len(states)
         r = _step_rows(B - int(alive[::-1].argmax()), B)
-        h, c, fb = ([x[:r] for x in xs] for xs in (h, c, fb))
         mask = alive.astype(np.float64)
         keep = None if rng is None else dropout_keep((B, H), rate, rng)[order[:r]]
-        p, ctx, new_fb = kernel.predict(prev[:r], h[-1], fb, keep=keep)
+        p = kernel.predict(prev[:r], keep=keep)
         if not np.isfinite(p).all():
             raise NonFiniteError("non-finite output probabilities in the greedy rollout")
         chosen = np.full(B, pad_id, dtype=np.int64)
         chosen[:r] = np.where(alive[:r], p.argmax(axis=-1), pad_id)
-        h, c = kernel.advance(chosen[:r], ctx, h, c, mask[:r])
-        fb = new_fb
-        states.append(h[-1])
+        kernel.advance(chosen[:r], mask[:r])
+        states.append(kernel.h[-1])
         masks.append(mask)
         tokens.append(chosen)
         alive &= (chosen != eos_id) & (k + 1 < limits)
@@ -877,8 +870,7 @@ def greedy_rollout(
         N, C = sum(top.shape[0] for top, _, _ in kernel.predictions), sum(M.shape[-1] for M, *_ in kernel.mems)
         d_emb = np.zeros_like(kernel.table)
         dh_after = np.swapaxes(gout[order], 0, 1)
-        grads, d_states = kernel.backward(d_emb, np.zeros((N, C)), np.zeros((N, H)), dh_after)
-        return (d_emb, *grads, None, None, *d_states)
+        return kernel.backward(d_emb, np.zeros((N, C)), np.zeros((N, H)), (None, None), dh_after)
 
     return tz._node(out[kernel.inverse], kernel.inputs, backward), step_mask, step_tokens
 

@@ -20,13 +20,12 @@ only: below it, a function takes the streams or None, and draws a mask
 whenever it has them and ``config.dropout`` is non-zero.
 
 Each teacher-forced decoder run is one fused graph node,
-``layers.teacher_forced_decoder``; ``run_decoder_teacher_forced`` lays out
-its step targets, masks and dropout multipliers. The tied topologies' greedy
-rollout is one fused node too, ``layers.greedy_rollout``, and beam search
-runs the same numpy step, ``layers.DecoderKernel``. Both fused decoders
-sort the batch rows by step bound (target length + 1, rollout limit) inside
-the op and run each step over the rows still running only, at least two;
-what they return is in the batch's row order. ``_DecoderCore``, the
+``layers.teacher_forced_decoder``, and so is the tied topologies' greedy
+rollout, ``layers.greedy_rollout``; beam search runs the same numpy step,
+``layers.DecoderKernel``. ``models`` passes each op its rows (target tokens
+and lengths, or rollout limits) and the decoder's dropout stream; the op
+lays out its steps, draws its dropout masks and returns its results in the
+batch's row order. ``_DecoderCore``, the
 per-step Tensor layers composed one position at a time, has no caller in the
 package: the tests build the step-by-step oracles of both fused decoders and
 of beam search from it, and perfbench's tracer patches it.
@@ -48,7 +47,6 @@ from .layers import (
     LstmParams,
     additive_attention,  # noqa: F401  (a models binding that perfbench tracing wraps; only _DecoderCore calls it)
     dropout,
-    dropout_keep,
     embed,
     greedy_rollout,
     label_smoothed_ce,  # noqa: F401  (a models binding that perfbench tracing wraps)
@@ -533,34 +531,24 @@ def run_decoder_teacher_forced(
     vocab: Vocabulary,
     rngs=None,
 ) -> DecoderRun:
-    """Sum of label-smoothed step losses under teacher forcing.
-
-    Step s predicts target token s (or EOS at each sequence's end); padded
-    steps contribute nothing to the loss or the accuracy counts. The whole
-    run is one ``teacher_forced_decoder`` node. Its dropout masks for all S
-    steps come from one draw on the decoder's stream, which yields the same
-    values and leaves the stream where S per-step draws would.
+    """Sum of label-smoothed step losses under teacher forcing, as one
+    ``layers.teacher_forced_decoder`` node, with dropout on the decoder's
+    stream. Step s predicts target token s (or EOS at each sequence's end);
+    padded steps contribute nothing to the loss or the accuracy counts.
     """
-    B = targets.shape[0]
     lengths = target_mask.sum(axis=1).astype(np.int64)
-    S = int(lengths.max()) + 1  # steps 0..L predict L tokens plus EOS
-    steps = np.arange(S)[:, None]
-    step_mask = (steps <= lengths).astype(np.float64)  # (S, B)
-    cols = np.concatenate([targets, np.full((B, 1), vocab.eos_id, dtype=np.int64)], axis=1)[:, :S].T
-    target_ids = np.where(steps < lengths, cols, vocab.eos_id).astype(np.int64)
     cfg = graph.config
-    rng = _dropout_rng(graph, rngs, prefix)
-    keep = None if rng is None else dropout_keep((S, B, cfg.dec_hidden), cfg.dropout, rng)
-    loss, pred = teacher_forced_decoder(
+    loss, hits = teacher_forced_decoder(
         *_decoder_params(graph, store, prefix, memories),
-        target_ids,
-        step_mask,
+        targets,
+        lengths,
         vocab.bos_id,
+        vocab.eos_id,
         cfg.label_smoothing,
-        keep,
+        cfg.dropout,
+        _dropout_rng(graph, rngs, prefix),
     )
-    hits = int((pred == target_ids).sum())  # pred is -1 at padded steps
-    return DecoderRun(loss=loss, hits=hits, steps=int(step_mask.sum()))
+    return DecoderRun(loss=loss, hits=hits, steps=int(lengths.sum()) + len(lengths))  # L + 1 steps per row
 
 
 def run_decoder_greedy_rollout(

@@ -14,8 +14,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-ArrayLike = "np.ndarray | float | int | Tensor"
-
 
 class NumericsError(Exception):
     """Base error for tensor/numerics failures."""

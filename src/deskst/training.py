@@ -20,7 +20,7 @@ from . import models, transplant
 from .data import Batch, Dataset, Vocabulary, batch as make_batches
 from .decode import beam_decode  # noqa: F401  (a training binding that perfbench tracing wraps)
 from .decode import beam_search, default_direction
-from .models import LossBreakdown, ModelGraph
+from .models import ModelGraph
 from .numerics import LrSchedule, OptimizerState, ParamStore, adam_step, backward, plateau_update, rng_for
 from .tensor import NonFiniteError, no_grad
 

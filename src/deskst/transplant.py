@@ -226,8 +226,9 @@ def resolve_scheme(
 ) -> TransplantScheme:
     """Turn a named pre-training scheme into concrete grafts for a topology.
 
-    asr_dec lands on the ST decoder for the direct model (cross-language
-    decoder pre-training) and on the ASR decoder wherever one exists.
+    asr_dec lands on the ASR decoder wherever the topology's ``WIRING`` has
+    one, and on the ST decoder otherwise (cross-language decoder
+    pre-training: direct, mt, many2one).
     """
     if name not in SCHEME_NAMES:
         raise TransplantError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
@@ -244,7 +245,8 @@ def resolve_scheme(
         if part == "asr_enc":
             grafts.append(Graft(donor, "encoder.", "encoder."))
         elif part == "asr_dec":
-            target = "decoder_st." if topology in ("direct", "mt") else "decoder_asr."
+            decoders = {head.decoder for route in models.WIRING[topology].routes for head in route.heads}
+            target = "decoder_asr." if "decoder_asr" in decoders else "decoder_st."
             grafts.append(Graft(donor, "decoder_asr.", target))
         elif part == "mt_enc":
             grafts.append(Graft(donor, "text_encoder.", "text_encoder."))
@@ -307,9 +309,8 @@ def apply_transplant(
                 )
         report.unused_source.extend(sorted(src_names - matched_sources))
     for name in target_store.names():
-        if name not in staged and name not in report.fresh and name not in report.reinitialized:
-            if not any(name.startswith(g.target_prefix) for g in scheme.grafts):
-                report.fresh.append(name)
+        if not any(name.startswith(g.target_prefix) for g in scheme.grafts):
+            report.fresh.append(name)
     for name, value in staged.items():
         target_store.set(name, value)
     return report

@@ -632,11 +632,11 @@ def test_label_smoothing_invalid_ratio():
 # fused teacher-forced decoder (the step-by-step oracle is in test_models.py)
 # ---------------------------------------------------------------------------
 
-# Two memories with padded positions; (S, B) targets with padded steps, and
-# one masked step inside a sequence, whose frozen state later steps read.
+# Two memories with padded positions; (B, J) targets with padded positions,
+# so the second row stops (at [EOS], id 4) while the first runs on.
 DEC_MASKS = (np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]]), np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
-DEC_TARGETS = np.array([[1, 2], [3, 4], [2, 1], [4, 1]])
-DEC_STEP_MASK = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+DEC_TARGETS = np.array([[1, 3, 2], [2, 1, 1]])
+DEC_LENGTHS = np.array([3, 1])
 
 
 def decoder_store(seed, layers=2, E=3, H=4, A=3, V=5, mem_dims=(3, 2)):
@@ -675,7 +675,7 @@ def decoder_inputs(store, layers=2):
 
 
 def run_decoder(store, eps=0.1, layers=2):
-    return teacher_forced_decoder(*decoder_inputs(store, layers), DEC_TARGETS, DEC_STEP_MASK, 0, eps)
+    return teacher_forced_decoder(*decoder_inputs(store, layers), DEC_TARGETS, DEC_LENGTHS, 0, 4, eps)
 
 
 def test_teacher_forced_decoder_gradients():
@@ -708,27 +708,26 @@ def test_teacher_forced_decoder_rejects_poisoned_input(name, bad):
 
 def test_teacher_forced_decoder_no_grad_is_parentless_with_same_value():
     store = decoder_store(3)
-    loss, pred = run_decoder(store)
+    loss, hits = run_decoder(store)
     assert loss.parents
     with tz.no_grad():
-        plain, plain_pred = run_decoder(store)
+        plain, plain_hits = run_decoder(store)
     assert plain.parents == () and plain.backward is None
     assert plain.item() == loss.item()
-    assert np.array_equal(plain_pred, pred)
+    assert plain_hits == hits
 
 
 def test_decoder_kernel_records_its_steps_when_built_under_gradient_recording():
     store = decoder_store(4)
-    B = DEC_TARGETS.shape[1]
+    B = DEC_TARGETS.shape[0]
     tokens = np.array([1, 2])
     for grad in (True, False):
         with contextlib.nullcontext() if grad else tz.no_grad():
             kernel = layers.DecoderKernel(*decoder_inputs(store))
-        h, c, fb = kernel.initial_state(B)  # the steps run with gradients recorded either way
-        for _ in range(3):
-            _, ctx, fb = kernel.predict(tokens, h[-1], fb)
-            h, c = kernel.advance(tokens, ctx, h, c, np.ones(B))
-        kernel.predict(tokens, h[-1], fb)
+        for _ in range(3):  # the steps run with gradients recorded either way
+            kernel.predict(tokens)
+            kernel.advance(tokens, np.ones(B))
+        kernel.predict(tokens)
         assert (len(kernel.predictions), len(kernel.advances)) == ((4, 3) if grad else (0, 0))
 
 

@@ -742,9 +742,9 @@ def test_each_decoder_step_runs_its_live_rows_and_at_least_two(monkeypatch):
     counts = []
     predict = layers.DecoderKernel.predict
 
-    def counted(self, prev_ids, top, *args, **kwargs):
-        counts.append(top.shape[0])
-        return predict(self, prev_ids, top, *args, **kwargs)
+    def counted(self, prev_ids, *args, **kwargs):
+        counts.append(len(prev_ids))
+        return predict(self, prev_ids, *args, **kwargs)
 
     monkeypatch.setattr(layers.DecoderKernel, "predict", counted)
     graph, store, vocab, mask = packed_case([3, 5, 2, 4, 5], 1, 3, 0.5)
@@ -774,43 +774,55 @@ def test_each_decoder_step_runs_its_live_rows_and_at_least_two(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_padded_batch_loss_equals_sum_of_singles():
+def has_speech_route(topology):
+    return any(route.source == "speech" for route in models.WIRING[topology].routes)
+
+
+@pytest.mark.parametrize("topology,mode", ORACLE_CASES)
+def test_padded_batch_loss_equals_sum_of_singles(topology, mode):
     ds = tiny_dataset(n=5)
-    cfg = tiny_config(ds, ctc_enabled=True)
-    graph = build(cfg, "direct")
+    ctc = has_speech_route(topology)  # CTC wherever it can run
+    graph = build(tiny_config(ds, ctc_enabled=ctc), topology)
     store = init_store(graph, 9)
-    batches, _ = data.batch(ds, 5, pool_product=2, ctc_filter=True)
-    combined = forward(graph, store, batches[0]).floats()
-    singles, _ = data.batch(ds, 1, pool_product=2, ctc_filter=True)
-    total = {k: 0.0 for k in combined}
+    batches, _ = data.batch(ds, 5, pool_product=2, ctc_filter=ctc)
+    combined = forward(graph, store, batches[0], mode=mode)
+    singles, _ = data.batch(ds, 1, pool_product=2, ctc_filter=ctc)
+    total = {k: 0.0 for k in combined.floats()}
+    hits = {task: (0, 0) for task in combined.token_hits}
     for b in singles:
-        parts = forward(graph, store, b).floats()
+        parts = forward(graph, store, b, mode=mode)
         for k in total:
-            total[k] += parts[k]
+            total[k] += parts.floats()[k]
+        for task, (h, n) in parts.token_hits.items():
+            hits[task] = (hits[task][0] + h, hits[task][1] + n)
     for k in total:
-        assert combined[k] == pytest.approx(total[k], abs=1e-9), k
+        assert combined.floats()[k] == pytest.approx(total[k], abs=1e-9), k
+    assert combined.token_hits == hits
 
 
-def test_doubling_pad_length_leaves_loss_unchanged():
+@pytest.mark.parametrize("topology,mode", ORACLE_CASES)
+def test_doubling_pad_length_leaves_loss_unchanged(topology, mode):
     ds = tiny_dataset(n=3)
-    graph = build(tiny_config(ds), "direct")
+    ctc = has_speech_route(topology)
+    graph = build(tiny_config(ds, ctc_enabled=ctc), topology)
     store = init_store(graph, 10)
-    batches, _ = data.batch(ds, 3)
+    batches, _ = data.batch(ds, 3, pool_product=2, ctc_filter=ctc)
     b = batches[0]
-    loss = forward(graph, store, b).combined.item()
+    parts = forward(graph, store, b, mode=mode)
     B, T, F = b.frames.shape
-    I = b.tgt.shape[1]
+    J, I = b.src.shape[1], b.tgt.shape[1]
     wide = data.Batch(
         ids=b.ids,
         frames=np.concatenate([b.frames, np.zeros((B, T, F))], axis=1),
         frame_mask=np.concatenate([b.frame_mask, np.zeros((B, T))], axis=1),
-        src=b.src,
-        src_mask=b.src_mask,
+        src=np.concatenate([b.src, np.full((B, J), ds.src_vocab.pad_id)], axis=1),
+        src_mask=np.concatenate([b.src_mask, np.zeros((B, J))], axis=1),
         tgt=np.concatenate([b.tgt, np.full((B, I), ds.tgt_vocab.pad_id)], axis=1),
         tgt_mask=np.concatenate([b.tgt_mask, np.zeros((B, I))], axis=1),
     )
-    loss_wide = forward(graph, store, wide).combined.item()
-    assert loss_wide == pytest.approx(loss, abs=1e-12)
+    parts_wide = forward(graph, store, wide, mode=mode)
+    assert parts_wide.combined.item() == pytest.approx(parts.combined.item(), abs=1e-12)
+    assert parts_wide.token_hits == parts.token_hits
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,26 @@ def test_asr_dec_lands_on_st_decoder_for_direct():
             assert np.array_equal(st_store[name].data, asr_store[donor].data), name
 
 
+def test_asr_dec_lands_on_st_decoder_for_many2one():
+    # many2one has no ASR decoder: the donor's decoder grafts onto the ST
+    # decoder that both of its routes share.
+    _, asr_graph, asr_store = setup_model("asr", seed=7)
+    _, graph, store = setup_model("many2one", seed=8)
+    donor = checkpoint_of(asr_graph, asr_store)
+    scheme = resolve_scheme("asr_enc+asr_dec", "many2one", asr_checkpoint=donor)
+    report = apply_transplant(graph, store, scheme)
+    decoder = [n for n in store.names() if n.startswith("decoder_st.")]
+    assert decoder and set(decoder) <= set(report.grafted)
+    for name in decoder:
+        assert np.array_equal(store[name].data, asr_store["decoder_asr." + name[len("decoder_st.") :]].data), name
+    expected = {"direct": "st", "asr": "asr", "mt": "st", "one2many": "asr", "many2one": "st",
+                "tied_cascade": "asr", "tied_triangle": "asr"}
+    assert set(expected) == set(models.TOPOLOGIES)
+    for topology, task in expected.items():  # the ASR decoder wherever one exists, else the ST decoder
+        _, graft = resolve_scheme("asr_enc+asr_dec", topology, asr_checkpoint=donor).grafts
+        assert graft.target_prefix == f"decoder_{task}.", topology
+
+
 def test_cross_vocab_decoder_graft_reinitializes_embedding_and_output():
     _, asr_graph, asr_store = setup_model("asr", seed=9, vocab=7)  # source vocab 11 total
     ds, st_graph, st_store = setup_model("direct", seed=10, vocab=7)
