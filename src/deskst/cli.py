@@ -43,6 +43,20 @@ class ConfigError(Exception):
     pass
 
 
+class CorruptRunFileError(Exception):
+    """A run-directory file that is not valid JSON (exit 4, as a corrupt checkpoint)."""
+
+
+def _read_json(path: Path, lines: bool = False) -> Any:
+    """The JSON value in ``path``, or with ``lines`` the list of its lines'
+    values (metrics.jsonl). A missing file raises FileNotFoundError."""
+    try:
+        text = path.read_text()
+        return [json.loads(line) for line in text.splitlines()] if lines else json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise CorruptRunFileError(f"{path} is not valid JSON ({exc})") from exc
+
+
 @dataclass(frozen=True)
 class TransplantConfig:
     scheme: str = "none"
@@ -323,11 +337,11 @@ def cmd_eval(args, overrides) -> int:
         fixed = [key for key in given if not key.startswith("eval.")]
         if fixed:
             raise ConfigError(f"{fixed[0]} is fixed by the run's config.json; eval --run takes --beam and eval.* only")
-        run = parse_config({**json.loads((run_dir / "config.json").read_text()), **given})
+        run = parse_config({**_read_json(run_dir / "config.json"), **given})
         marker = run_dir / "best"
         if not marker.exists():
             raise ConfigError(f"{run_dir} has no best-checkpoint marker")
-        ckpt_path = run_dir / json.loads(marker.read_text())["checkpoint"]
+        ckpt_path = run_dir / _read_json(marker)["checkpoint"]
     elif args.checkpoint:
         run = parse_config(given)
         ckpt_path = Path(args.checkpoint)
@@ -387,8 +401,8 @@ def cmd_compare(args, overrides) -> int:
     groups: dict[str, list[dict]] = {}
     for run in run_dirs:
         try:
-            cfg = json.loads((run / "config.json").read_text())
-            rows = [json.loads(line) for line in (run / "metrics.jsonl").read_text().splitlines()]
+            cfg = _read_json(run / "config.json")
+            rows = _read_json(run / "metrics.jsonl", lines=True)
         except FileNotFoundError as exc:
             raise ConfigError(f"{run} is not a completed run directory ({exc})") from exc
         if not rows:
@@ -397,7 +411,7 @@ def cmd_compare(args, overrides) -> int:
         entry = {"dev_bleu": best["dev"]["bleu"], "dev_ter": best["dev"]["ter"]}
         test_file = run / "eval_test.json"
         if test_file.exists():
-            test = json.loads(test_file.read_text())
+            test = _read_json(test_file)
             entry["test_bleu"] = test["bleu"]
             entry["test_ter"] = test["ter"]
         groups.setdefault(_run_label(parse_config(cfg)), []).append(entry)
@@ -485,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (OSError, transplant.CheckpointError) as exc:
+    except (OSError, transplant.CheckpointError, CorruptRunFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ctc import min_frames_required
+from .layers import pooled_length
 
 __all__ = [
     "Vocabulary",
@@ -257,25 +258,19 @@ def split(dataset: Dataset, fractions: tuple[float, ...], seed: int) -> list[Dat
 
 @dataclass
 class Batch:
-    """Padded example group; masks are float 0/1, padding is all-zero."""
+    """Right-padded example group with each stream's (B,) lengths; padding is zero frames or pad ids."""
 
     ids: list[int]
     frames: np.ndarray  # (B, Tmax, F)
-    frame_mask: np.ndarray  # (B, Tmax)
+    frame_lengths: np.ndarray  # (B,) int64
     src: np.ndarray  # (B, Jmax) transcript ids, pad_id beyond length
-    src_mask: np.ndarray  # (B, Jmax)
+    src_lengths: np.ndarray  # (B,) int64
     tgt: np.ndarray  # (B, Imax)
-    tgt_mask: np.ndarray  # (B, Imax)
+    tgt_lengths: np.ndarray  # (B,) int64
 
     @property
     def size(self) -> int:
         return len(self.ids)
-
-    def src_lengths(self) -> np.ndarray:
-        return self.src_mask.sum(axis=1).astype(np.int64)
-
-    def tgt_lengths(self) -> np.ndarray:
-        return self.tgt_mask.sum(axis=1).astype(np.int64)
 
 
 @dataclass
@@ -287,19 +282,19 @@ class FilterReport:
 
 def pad_sequences(seqs: list[np.ndarray], fill) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad sequences along their first axis into one (B, Lmax, ...)
-    array of the first sequence's dtype, plus its float 0/1 (B, Lmax) mask."""
-    lengths = np.array([len(s) for s in seqs])
+    array of the first sequence's dtype, plus their (B,) int64 lengths."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     padded = np.full((len(seqs), lengths.max(), *seqs[0].shape[1:]), fill, dtype=seqs[0].dtype)
     for i, s in enumerate(seqs):
         padded[i, : len(s)] = s
-    return padded, (np.arange(padded.shape[1]) < lengths[:, None]).astype(np.float64)
+    return padded, lengths
 
 
 def _pad_batch(examples: list[ExamplePair], pad_src: int, pad_tgt: int) -> Batch:
-    frames, frame_mask = pad_sequences([ex.x.frames for ex in examples], 0.0)
-    src, src_mask = pad_sequences([ex.f.ids for ex in examples], pad_src)
-    tgt, tgt_mask = pad_sequences([ex.e.ids for ex in examples], pad_tgt)
-    return Batch([ex.id for ex in examples], frames, frame_mask, src, src_mask, tgt, tgt_mask)
+    frames, frame_lengths = pad_sequences([ex.x.frames for ex in examples], 0.0)
+    src, src_lengths = pad_sequences([ex.f.ids for ex in examples], pad_src)
+    tgt, tgt_lengths = pad_sequences([ex.e.ids for ex in examples], pad_tgt)
+    return Batch([ex.id for ex in examples], frames, frame_lengths, src, src_lengths, tgt, tgt_lengths)
 
 
 def batch(
@@ -328,8 +323,8 @@ def batch(
             too_long += 1
             continue
         if ctc_filter:
-            pooled = -(-ex.x.length // pool_product)  # ceil-pool chain == ceil by the product
-            if min_frames_required(ex.f.ids) > pooled:
+            # A chain of ceil pools equals one ceil pool by the product.
+            if min_frames_required(ex.f.ids) > pooled_length(ex.x.length, pool_product):
                 infeasible += 1
                 continue
         kept.append(ex)

@@ -80,11 +80,11 @@ def _input_batch(graph: ModelGraph, xs: list, direction: str) -> Batch:
     if text and any(x.ndim != 1 or x.size == 0 for x in xs):
         raise NumericsError("text input must be non-empty 1-D id sequences")
     B = len(xs)
-    padded, mask = pad_sequences(xs, models._task_vocab(graph, "asr").pad_id if text else 0)
-    no_ids, no_mask = np.zeros((B, 1), dtype=np.int64), np.zeros((B, 1))
+    padded, lengths = pad_sequences(xs, models._task_vocab(graph, "asr").pad_id if text else 0)
+    no_ids, empty = np.zeros((B, 1), dtype=np.int64), np.zeros(B, dtype=np.int64)
     if text:
-        return Batch(list(range(B)), np.zeros((B, 1, graph.config.feature_dim)), no_mask, padded, mask, no_ids, no_mask)
-    return Batch(list(range(B)), padded, mask, no_ids, no_mask, no_ids, no_mask)
+        return Batch(list(range(B)), np.zeros((B, 1, graph.config.feature_dim)), empty, padded, lengths, no_ids, empty)
+    return Batch(list(range(B)), padded, lengths, no_ids, empty, no_ids, empty)
 
 
 def prepare_memories(

@@ -3,12 +3,10 @@ attention with alignment feedback, output projection, dropout, and
 label-smoothed cross entropy.
 
 All layers are pure functions over (inputs, parameters). Sequence inputs are
-batched as (B, T, D) with a float 0/1 ``mask`` of shape (B, T). Batches are
-right-padded: each mask row is 1s followed by 0s. ``data.batch`` pads on the
-right, ``max_pool_time`` keeps that shape, and a greedy rollout's state mask
-only drops the steps after [EOS] or the length cap; ``lstm_sequence`` rejects
-any other mask with ``ShapeError``. Padded steps are no-ops, so a padded
-batch reproduces per-example results exactly.
+right-padded (B, T, D) arrays with (B,) int64 ``lengths``: row b is valid at
+steps 0 .. lengths[b] - 1. ``max_pool_time`` returns the pooled lengths (a
+ceil, ``pooled_length``) and a greedy rollout the steps each row ran. Padded
+steps are no-ops, so a padded batch reproduces per-example results exactly.
 
 Three recurrences are fused ops with hand-derived backwards, one graph node
 per run: ``lstm_sequence`` (a BLSTM layer), ``teacher_forced_decoder`` (an
@@ -102,14 +100,10 @@ class AttentionParams:
 
 @dataclass
 class EncoderStates:
-    """Pooled encoder representation h_1..h_T' with its validity mask."""
+    """Pooled encoder representation h_1..h_T' with each row's valid length."""
 
     states: Tensor  # (B, T', D_mem)
-    mask: np.ndarray  # (B, T') float 0/1
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.mask.sum(axis=1).astype(np.int64)
+    lengths: np.ndarray  # (B,) int64
 
 
 @dataclass
@@ -147,13 +141,13 @@ def lstm_step(
     return h_new, c_new
 
 
-def lstm_sequence(xs: Tensor | np.ndarray, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> Tensor:
+def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> Tensor:
     """One BLSTM layer over right-padded (B, T, D_in), returning (B, T, 2H).
 
     Columns [:H] are the forward direction. Columns [H:] are the backward
     one, which reads each row from its last valid step back to its first.
-    Outputs at padded steps are zero and padded inputs are never read. Each
-    ``mask`` row must be 1s followed by 0s (``ShapeError`` otherwise).
+    Outputs at padded steps are zero and padded inputs are never read.
+    ``lengths`` must be B integers in [0, T] (``ShapeError`` otherwise).
     Inputs and weights must be finite (``NonFiniteError``); this is checked
     on entry, since a NaN in a skipped padded frame would go unseen. A plain
     array input is a constant: the backward returns None for it.
@@ -181,10 +175,9 @@ def lstm_sequence(xs: Tensor | np.ndarray, mask: np.ndarray, fwd: LstmParams, bw
     params = (fwd.w_ih, fwd.w_hh, fwd.b, bwd.w_ih, bwd.w_hh, bwd.b)
     if [p.shape for p in params] != [(D, 4 * H), (H, 4 * H), (4 * H,)] * 2:
         raise ShapeError(f"lstm_sequence: weights {[p.shape for p in params]} do not fit input dim {D}, hidden {H}")
-    m = np.asarray(mask, dtype=np.float64)
-    lengths = np.count_nonzero(m, axis=-1)
-    if m.shape != (B, T) or not np.array_equal(m, np.arange(T) < lengths[:, None]):
-        raise ShapeError("lstm_sequence: mask rows must be 1s followed by 0s")
+    lengths = np.asarray(lengths)
+    if lengths.shape != (B,) or lengths.dtype.kind not in "iu" or not ((0 <= lengths) & (lengths <= T)).all():
+        raise ShapeError(f"lstm_sequence: lengths must be {B} integers in [0, {T}]")
     for t in (xs, *params):
         if not np.isfinite(t.data).all():
             raise NonFiniteError(f"non-finite input to lstm_sequence (shape={t.shape})")
@@ -301,49 +294,45 @@ def lstm_sequence(xs: Tensor | np.ndarray, mask: np.ndarray, fwd: LstmParams, bw
     return tz._node(out, (xs, *params), backward)
 
 
-def pooled_length(length: int, pool: int) -> int:
-    return -(-length // pool)  # ceil division
+def pooled_length(length, pool: int):
+    return -(-length // pool)  # ceil division, of an int or an array
 
 
-def max_pool_time(xs: Tensor, mask: np.ndarray, pool: int) -> tuple[Tensor, np.ndarray]:
+def max_pool_time(xs: Tensor, lengths: np.ndarray, pool: int) -> tuple[Tensor, np.ndarray]:
     """Elementwise max over non-overlapping windows of ``pool`` time steps.
 
     A trailing partial window is kept (ceil semantics). Padded positions never
     win the max, and among equal maxima the first wins; fully-padded windows
-    produce zeros and a 0 mask entry. The windows are scanned one position
-    at a time, as strided views of the input, and the backward writes each
-    position's winners in one masked copy. Returns (pooled (B, T2, D),
-    pooled_mask (B, T2)).
+    produce zeros. The windows are scanned one position at a time, as
+    strided views of the input, and the backward writes each position's
+    winners in one masked copy. Returns (pooled (B, T2, D), pooled lengths).
     """
     xs = as_tensor(xs)
     B, T, D = xs.shape
     if pool <= 1:
-        return xs, np.asarray(mask, dtype=np.float64)
+        return xs, lengths
     T2 = pooled_length(T, pool)
-    valid = np.asarray(mask, dtype=np.float64)[:, :, None] > 0
+    valid = (np.arange(T) < lengths[:, None])[:, :, None]
     vals = xs.data[:, ::pool].copy()  # becomes the output
-    seen = valid[:, ::pool].copy()  # some valid position so far in the window
+    seen = valid[:, ::pool]  # the window holds a valid position: its first, as padding is a suffix
     arg = np.zeros((B, T2, D), dtype=np.int16)  # the winning position
     for p in range(1, pool):
         cand, ok = xs.data[:, p::pool], valid[:, p::pool]
         n = cand.shape[1]  # the trailing partial window may lack position p
-        wins = (cand > vals[:, :n]) | ~seen[:, :n]
-        wins &= ok
+        wins = (cand > vals[:, :n]) & ok
         np.copyto(vals[:, :n], cand, where=wins)
         arg[:, :n] += wins * (p - arg[:, :n])  # integer select, no branch per element
-        seen[:, :n] |= ok
-    pooled_mask = seen[..., 0].astype(np.float64)
-    vals *= pooled_mask[:, :, None]
+    vals *= seen
 
     def backward(g):
-        gm = g * pooled_mask[:, :, None]
+        gm = g * seen
         gx = np.zeros((B, T, D))
         for p in range(pool):
             n = gx[:, p::pool].shape[1]
             np.copyto(gx[:, p::pool], gm[:, :n], where=arg[:, :n] == p)
         return (gx,)
 
-    return tz._node(vals, (xs,), backward), pooled_mask
+    return tz._node(vals, (xs,), backward), pooled_length(lengths, pool)
 
 
 def precompute_attention_keys(memory: Tensor, params: AttentionParams) -> Tensor:
@@ -370,7 +359,7 @@ def additive_attention(
     fb = tz.reshape(feedback, (*feedback.shape, 1))  # (B, T, 1)
     pre = tz.tanh(keys + tz.reshape(query, (query.shape[0], 1, query.shape[1])) + fb * params.u + params.b)
     energies = pre @ params.v  # (B, T)
-    weights = tz.masked_softmax(energies, enc.mask, axis=-1)
+    weights = tz.masked_softmax(energies, np.arange(energies.shape[-1]) < enc.lengths[:, None], axis=-1)
     context = tz.reshape(
         tz.matmul(tz.reshape(weights, (weights.shape[0], 1, weights.shape[1])), enc.states),
         (weights.shape[0], enc.states.shape[-1]),
@@ -474,10 +463,10 @@ class DecoderKernel:
         self.inverse = np.argsort(self.order)
         self.mems = []  # per memory: states, validity and keys in row order, w_query, v, b, u
         for enc, a in memories:
-            valid = np.asarray(enc.mask, dtype=np.float64) > 0
+            M = enc.states.data
+            valid = np.arange(M.shape[1]) < enc.lengths[:, None]
             if not valid.any(axis=-1).all():
                 raise ShapeError("masked_softmax: some row has no valid positions")
-            M = enc.states.data
             keys = M @ a.w_keys.data
             if order is not None:
                 valid, keys = valid[order], keys[order]
@@ -812,7 +801,7 @@ def greedy_rollout(
     K <= max(limits) steps. With ``rng``, each step that runs draws one
     (B, H) inverted-dropout mask at ``rate`` for the top state fed to the
     output layer, so the stream moves by exactly the steps taken. Returns
-    ((B, K, H) top states after each step, (B, K) step mask, (B, K) tokens).
+    ((B, K, H) top states after each step, (B,) steps run, (B, K) tokens).
 
     Rows are packed by limit (see the module docstring). A row a step does
     not compute returns the state after its last computed step, so the
@@ -838,21 +827,21 @@ def greedy_rollout(
     H = kernel.hidden
     alive = limits > 0
     prev = np.full(B, bos_id, dtype=np.int64)
-    states, masks, tokens = [], [], []
+    states, tokens = [], []
+    ran = np.zeros(B, dtype=np.int64)
     while alive.any():
         k = len(states)
         r = _step_rows(B - int(alive[::-1].argmax()), B)
-        mask = alive.astype(np.float64)
         keep = None if rng is None else dropout_keep((B, H), rate, rng)[order[:r]]
         p = kernel.predict(prev[:r], keep=keep)
         if not np.isfinite(p).all():
             raise NonFiniteError("non-finite output probabilities in the greedy rollout")
         chosen = np.full(B, pad_id, dtype=np.int64)
         chosen[:r] = np.where(alive[:r], p.argmax(axis=-1), pad_id)
-        kernel.advance(chosen[:r], mask[:r])
+        kernel.advance(chosen[:r], alive[:r].astype(np.float64))
         states.append(kernel.h[-1])
-        masks.append(mask)
         tokens.append(chosen)
+        ran += alive
         alive &= (chosen != eos_id) & (k + 1 < limits)
         prev = chosen
     K = len(states)
@@ -862,7 +851,7 @@ def greedy_rollout(
         out[:r, k] = top
         if k:
             out[r:, k] = out[r:, k - 1]
-    step_mask, step_tokens = np.stack(masks, axis=1)[kernel.inverse], np.stack(tokens, axis=1)[kernel.inverse]
+    steps_run, step_tokens = ran[kernel.inverse], np.stack(tokens, axis=1)[kernel.inverse]
 
     def backward(gout):
         # Nothing outside the recurrence reads the contexts or the top states
@@ -872,7 +861,7 @@ def greedy_rollout(
         dh_after = np.swapaxes(gout[order], 0, 1)
         return kernel.backward(d_emb, np.zeros((N, C)), np.zeros((N, H)), (None, None), dh_after)
 
-    return tz._node(out[kernel.inverse], kernel.inputs, backward), step_mask, step_tokens
+    return tz._node(out[kernel.inverse], kernel.inputs, backward), steps_run, step_tokens
 
 
 def dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:

@@ -160,6 +160,8 @@ class ModelConfig:
             raise NumericsError(
                 f"pool_schedule has {len(self.pool_schedule)} entries for {self.enc_layers} encoder layers"
             )
+        if not all(isinstance(p, (int, np.integer)) for p in self.pool_schedule):
+            raise NumericsError(f"pool_schedule sizes must be integers, got {self.pool_schedule}")
         if any(p < 1 for p in self.pool_schedule):
             raise NumericsError(f"pool_schedule sizes must be >= 1, got {self.pool_schedule}")
         if not self.pool_schedule:
@@ -401,8 +403,8 @@ def _attn_params(store: ParamStore, prefix: str) -> AttentionParams:
     )
 
 
-def _blstm(h: Tensor | np.ndarray, mask: np.ndarray, store: ParamStore, prefix: str) -> Tensor:
-    return layers.lstm_sequence(h, mask, _lstm_params(store, f"{prefix}.fwd"), _lstm_params(store, f"{prefix}.bwd"))
+def _blstm(h: Tensor | np.ndarray, lengths: np.ndarray, store: ParamStore, prefix: str) -> Tensor:
+    return layers.lstm_sequence(h, lengths, _lstm_params(store, f"{prefix}.fwd"), _lstm_params(store, f"{prefix}.bwd"))
 
 
 def _dropout_rng(graph, rngs, component) -> np.random.Generator | None:
@@ -420,31 +422,31 @@ def _maybe_dropout(x, graph, rngs, component):
 def run_speech_encoder(graph: ModelGraph, store: ParamStore, batch: Batch, rngs=None) -> EncoderStates:
     """BLSTM stack with interleaved temporal max pooling over (B, T, F)."""
     h = batch.frames  # a constant: the first layer computes no input gradient
-    mask = batch.frame_mask
+    lengths = batch.frame_lengths
     for i, pool in enumerate(graph.effective_pools()):
-        h = _blstm(h, mask, store, f"encoder.l{i}")
+        h = _blstm(h, lengths, store, f"encoder.l{i}")
         if pool > 1:
-            h, mask = max_pool_time(h, mask, pool)
+            h, lengths = max_pool_time(h, lengths, pool)
         h = _maybe_dropout(h, graph, rngs, "encoder")
-    return EncoderStates(states=h, mask=mask)
+    return EncoderStates(states=h, lengths=lengths)
 
 
 def run_text_encoder(
-    graph: ModelGraph, store: ParamStore, ids: np.ndarray, mask: np.ndarray, rngs=None
+    graph: ModelGraph, store: ParamStore, ids: np.ndarray, lengths: np.ndarray, rngs=None
 ) -> EncoderStates:
     """Embed source tokens and run the (unpooled) BLSTM stack."""
     h = embed(ids, store["text_encoder.emb"])
     for i in range(graph.config.enc_layers):
-        h = _blstm(h, mask, store, f"text_encoder.l{i}")
+        h = _blstm(h, lengths, store, f"text_encoder.l{i}")
         h = _maybe_dropout(h, graph, rngs, "text_encoder")
-    return EncoderStates(states=h, mask=mask)
+    return EncoderStates(states=h, lengths=lengths)
 
 
 def apply_adapter(graph: ModelGraph, store: ParamStore, states: EncoderStates, rngs=None) -> EncoderStates:
     """One fresh BLSTM between transplanted components; width-preserving."""
-    h = _blstm(states.states, states.mask, store, "adapter.l0")
+    h = _blstm(states.states, states.lengths, store, "adapter.l0")
     h = _maybe_dropout(h, graph, rngs, "adapter")
-    return EncoderStates(states=h, mask=states.mask)
+    return EncoderStates(states=h, lengths=states.lengths)
 
 
 @dataclass
@@ -453,7 +455,7 @@ class DecoderRun:
     hits: int
     steps: int
     states: Tensor | None = None  # (B, K, D) collected top hidden states
-    state_mask: np.ndarray | None = None
+    lengths: np.ndarray | None = None  # (B,) steps each rollout row ran
     tokens: np.ndarray | None = None  # (B, K) greedy emissions
 
 
@@ -527,7 +529,7 @@ def run_decoder_teacher_forced(
     prefix: str,
     memories: list[tuple[str, EncoderStates]],
     targets: np.ndarray,
-    target_mask: np.ndarray,
+    lengths: np.ndarray,
     vocab: Vocabulary,
     rngs=None,
 ) -> DecoderRun:
@@ -536,7 +538,6 @@ def run_decoder_teacher_forced(
     stream. Step s predicts target token s (or EOS at each sequence's end);
     padded steps contribute nothing to the loss or the accuracy counts.
     """
-    lengths = target_mask.sum(axis=1).astype(np.int64)
     cfg = graph.config
     loss, hits = teacher_forced_decoder(
         *_decoder_params(graph, store, prefix, memories),
@@ -567,7 +568,7 @@ def run_decoder_greedy_rollout(
     loss and at the pooled frame count when decoding). With ``rngs``, each
     step that runs draws one (B, D) dropout mask on the decoder's stream, so
     the stream moves by exactly the steps taken."""
-    states, state_mask, tokens = greedy_rollout(
+    states, lengths, tokens = greedy_rollout(
         *_decoder_params(graph, store, prefix, memories),
         limits,
         vocab.bos_id,
@@ -576,7 +577,7 @@ def run_decoder_greedy_rollout(
         graph.config.dropout,
         _dropout_rng(graph, rngs, prefix),
     )
-    return DecoderRun(loss=None, hits=0, steps=0, states=states, state_mask=state_mask, tokens=tokens)
+    return DecoderRun(loss=None, hits=0, steps=0, states=states, lengths=lengths, tokens=tokens)
 
 
 def _ctc_term(graph: ModelGraph, store: ParamStore, enc: EncoderStates, batch: Batch) -> Tensor:
@@ -585,7 +586,7 @@ def _ctc_term(graph: ModelGraph, store: ParamStore, enc: EncoderStates, batch: B
     transcripts."""
     logits = enc.states @ store["ctc_head.w"] + store["ctc_head.b"]
     logp = tz.log_softmax(logits, axis=-1)
-    return ctc_mod.batched_ctc_loss(logp, enc.lengths, batch.src, batch.src_lengths())
+    return ctc_mod.batched_ctc_loss(logp, enc.lengths, batch.src, batch.src_lengths)
 
 
 def _task_vocab(graph: ModelGraph, task: str) -> Vocabulary:
@@ -608,7 +609,7 @@ def encode(graph, store, batch: Batch, source: str, rngs=None) -> tuple[EncoderS
     """The source encoder's states and the ``attn`` memory: the same states,
     through the adapter when it sits at encoder_top (on the speech encoder)."""
     if source == "text":
-        enc = run_text_encoder(graph, store, batch.src, batch.src_mask, rngs)
+        enc = run_text_encoder(graph, store, batch.src, batch.src_lengths, rngs)
         return enc, enc
     enc = run_speech_encoder(graph, store, batch, rngs)
     return enc, apply_adapter(graph, store, enc, rngs) if graph.adapter_position == "encoder_top" else enc
@@ -624,11 +625,11 @@ def head_memories(
     pooled frame count."""
     memories = {"attn": attn}
     if "attn_dec" in head.memories:
-        limits = np.maximum(1, enc.lengths if decoding else np.ceil(1.5 * batch.src_lengths()).astype(np.int64))
+        limits = np.maximum(1, enc.lengths if decoding else np.ceil(1.5 * batch.src_lengths).astype(np.int64))
         rollout = run_decoder_greedy_rollout(
             graph, store, "decoder_asr", [("attn", attn)], limits, _task_vocab(graph, "asr"), rngs
         )
-        memories["attn_dec"] = EncoderStates(rollout.states, rollout.state_mask)
+        memories["attn_dec"] = EncoderStates(rollout.states, rollout.lengths)
         if graph.adapter_position == "asr_decoder_top":
             memories["attn_dec"] = apply_adapter(graph, store, memories["attn_dec"], rngs)
     return [(name, memories[name]) for name in head.memories]
@@ -648,9 +649,9 @@ def forward(graph, store, batch: Batch, mode: str | None = None, training=False,
     runs = {}
     for head in route.heads:
         memories = head_memories(graph, store, batch, head, enc, attn, rngs)
-        targets, target_mask = (batch.src, batch.src_mask) if head.task == "asr" else (batch.tgt, batch.tgt_mask)
+        targets, lengths = (batch.src, batch.src_lengths) if head.task == "asr" else (batch.tgt, batch.tgt_lengths)
         runs[head] = run_decoder_teacher_forced(
-            graph, store, head.decoder, memories, targets, target_mask, _task_vocab(graph, head.task), rngs
+            graph, store, head.decoder, memories, targets, lengths, _task_vocab(graph, head.task), rngs
         )
     parts = LossBreakdown(combined=None)
     ctc_head = None

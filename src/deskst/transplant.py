@@ -145,6 +145,8 @@ def load(path: str | Path) -> Checkpoint:
         graph = _graph_from_header(header)
         index = [(p["name"], tuple(p["shape"])) for p in header["params"]]
         dev_history, seed = header["dev_history"], header["seed"]
+        if type(seed) is not int or seed < 0:  # a JSON true is a bool, not a seed
+            raise NumericsError(f"seed must be a non-negative integer, got {seed!r}")
         expected = sum(int(np.prod(shape)) for _, shape in index) * _DTYPE.itemsize
     except KeyError as exc:
         raise CorruptCheckpointError(f"{path}: header lacks key {exc}") from exc

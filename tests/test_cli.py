@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -229,8 +230,11 @@ def test_eval_of_a_run_reads_its_eval_values_from_its_config(tmp_path, monkeypat
         lambda header: header.update(topology="nope"),
         lambda header: header["config"].update(loss_weight=7.0),
         lambda header: header.update(adapter_position="asr_decoder_top"),
+        lambda header: header.update(seed="x"),
+        lambda header: header.update(seed=-1),
+        lambda header: header["config"].update(pool_schedule=[2.0]),
     ],
-    ids=["topology", "loss_weight", "adapter_position"],
+    ids=["topology", "loss_weight", "adapter_position", "seed", "negative_seed", "pool_schedule"],
 )
 def test_a_checkpoint_header_that_describes_no_model_exits_4(tmp_path, capsys, edit):
     ckpt = checkpoint(tmp_path, "direct")
@@ -239,6 +243,36 @@ def test_a_checkpoint_header_that_describes_no_model_exits_4(tmp_path, capsys, e
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}: header ") and err.count("\n") == 1
     assert not (tmp_path / "eval").exists()
+
+
+def trained_run(path):
+    """A run directory of the tiny model trained for no epochs."""
+    model = [arg for key, value in TINY_MODEL.items() for arg in (f"--{key}", value)]
+    assert cli.main(["train", "--out", str(path), *TINY_DATA, *model, "--train.epochs", "0"]) == cli.EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("name", ["config.json", "best"])
+def test_eval_of_a_run_file_that_is_not_json_exits_4(tmp_path, capsys, name):
+    run = trained_run(tmp_path / "run")
+    (run / name).write_text('{"checkpoint": ')
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(run)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / name} is not valid JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["config.json", "metrics.jsonl"])
+def test_compare_of_a_run_file_that_is_not_json_exits_4(tmp_path, capsys, name):
+    run = trained_run(tmp_path / "run")
+    other = shutil.copytree(run, tmp_path / "other")
+    text = (other / name).read_text()
+    (other / name).write_text(text[: len(text) - 5])  # truncated
+    capsys.readouterr()
+    assert cli.main(["compare", str(run), str(other), "--out", str(tmp_path / "cmp")]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {other / name} is not valid JSON") and err.count("\n") == 1
+    assert not (tmp_path / "cmp").exists()
 
 
 @pytest.mark.parametrize("value", ["ON", "True", "YES", "1"])

@@ -86,9 +86,9 @@ def test_batch_shapes_and_masks():
     assert [b.size for b in batches] == [3, 3, 1]
     b = batches[0]
     for i in range(b.size):
-        T = int(b.frame_mask[i].sum())
+        T = int(b.frame_lengths[i])
         assert np.all(b.frames[i, T:] == 0.0)
-        J = int(b.src_mask[i].sum())
+        J = int(b.src_lengths[i])
         assert np.all(b.src[i, J:] == ds.src_vocab.pad_id)
 
 

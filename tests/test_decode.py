@@ -28,7 +28,7 @@ def reference_beam_decode(graph, store, x, beam, max_len, len_norm=0.6, directio
     with no_grad():
         base_memories, prefix, vocab = decode.prepare_memories(graph, store, batch, direction)
         memories = [
-            (name, EncoderStates(Tensor(np.repeat(m.states.data, beam, axis=0)), np.repeat(m.mask, beam, axis=0)))
+            (name, EncoderStates(Tensor(np.repeat(m.states.data, beam, axis=0)), np.repeat(m.lengths, beam)))
             for name, m in base_memories
         ]
         core = models._DecoderCore(graph, store, prefix, memories, vocab.size)

@@ -92,14 +92,14 @@ def test_lstm_step_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 
-def masked_lstm_pass(xs, mask, params, reverse=False):
+def masked_lstm_pass(xs, lengths, params, reverse=False):
     """One LSTM direction as a masked loop over every padded step: the
     per-direction fused op that ``lstm_sequence`` replaced, kept as its
     oracle. Two passes, concatenated, are the BLSTM layer."""
     xs = tz.as_tensor(xs)
     B, T, _ = xs.shape
     H = params.hidden
-    m = np.asarray(mask, dtype=np.float64)
+    m = prefix_mask(lengths, T)
     xd = xs.data
     w_ih, w_hh, b = params.w_ih.data, params.w_hh.data, params.b.data
 
@@ -156,8 +156,8 @@ def masked_lstm_pass(xs, mask, params, reverse=False):
     return tz._node(out, (xs, params.w_ih, params.w_hh, params.b), backward)
 
 
-def two_pass_blstm(xs, mask, fwd, bwd):
-    return tz.concat([masked_lstm_pass(xs, mask, fwd), masked_lstm_pass(xs, mask, bwd, reverse=True)], axis=-1)
+def two_pass_blstm(xs, lengths, fwd, bwd):
+    return tz.concat([masked_lstm_pass(xs, lengths, fwd), masked_lstm_pass(xs, lengths, bwd, reverse=True)], axis=-1)
 
 
 def blstm_store(seed, batch, steps, din, hidden):
@@ -168,8 +168,8 @@ def blstm_store(seed, batch, steps, din, hidden):
     return store
 
 
-def run_blstm(store, mask, layer=lstm_sequence):
-    return layer(store["xs"], mask, lstm_params_from(store, "f"), lstm_params_from(store, "b"))
+def run_blstm(store, lengths, layer=lstm_sequence):
+    return layer(store["xs"], lengths, lstm_params_from(store, "f"), lstm_params_from(store, "b"))
 
 
 def prefix_mask(lengths, steps):
@@ -186,7 +186,7 @@ def test_lstm_sequence_matches_stepwise():
     store = random_lstm_store(2, 3, 5, names=("f", "b"))
     fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
     xs = np.random.default_rng(3).normal(size=(2, 4, 3))
-    seq = lstm_sequence(Tensor(xs), np.ones((2, 4)), fwd, bwd)
+    seq = lstm_sequence(Tensor(xs), np.array([4, 4]), fwd, bwd)
     for params, steps, half in ((fwd, range(4), slice(None, 5)), (bwd, range(3, -1, -1), slice(5, None))):
         h, c = Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5)))
         for t in steps:
@@ -199,9 +199,9 @@ def test_lstm_sequence_padding_is_noop():
     fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
     rng = np.random.default_rng(5)
     xs = rng.normal(size=(1, 3, 3))
-    full = lstm_sequence(Tensor(xs), np.ones((1, 3)), fwd, bwd)
+    full = lstm_sequence(Tensor(xs), np.array([3]), fwd, bwd)
     padded_input = np.concatenate([xs, rng.normal(size=(1, 2, 3))], axis=1)
-    padded = lstm_sequence(Tensor(padded_input), prefix_mask([3], 5), fwd, bwd)
+    padded = lstm_sequence(Tensor(padded_input), np.array([3]), fwd, bwd)
     # the forward half, and the backward half, whose state must stay zero
     # until it enters the valid region
     assert padded.data[:, :3, :5] == pytest.approx(full.data[..., :5], abs=0)
@@ -213,11 +213,11 @@ def test_lstm_sequence_gradients_with_mask_and_reverse():
     # Rows padded by different amounts, so both directions cross padding;
     # the input is in the store, so its gradient is checked too.
     store = blstm_store(6, 3, 4, 2, 3)
-    mask = prefix_mask([3, 4, 1], 4)
+    lengths = np.array([3, 4, 1])
     weights = np.random.default_rng(7).normal(size=(3, 4, 6))
 
     def loss():
-        out = run_blstm(store, mask)
+        out = run_blstm(store, lengths)
         return tz.tsum(out * weights) + tz.tsum(out[..., 3:] * out[..., 3:])
 
     check_grads(loss, store)
@@ -227,16 +227,16 @@ def test_lstm_sequence_input_gradient():
     store = random_lstm_store(8, 2, 3, names=("f", "b"))
     xs_store = store_with(xs=np.random.default_rng(9).normal(size=(1, 3, 2)))
     fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
-    check_grads(lambda: tz.tsum(lstm_sequence(xs_store["xs"], np.ones((1, 3)), fwd, bwd)), xs_store)
+    check_grads(lambda: tz.tsum(lstm_sequence(xs_store["xs"], np.array([3]), fwd, bwd)), xs_store)
 
 
 def test_lstm_sequence_plain_array_input_gets_no_gradient():
     # The same layer on Tensor(xs) and on xs itself: the parameter gradients
     # agree bit for bit, and the plain array's gradient is None.
     store = blstm_store(15, 3, 4, 2, 3)
-    mask = prefix_mask([4, 2, 3], 4)
+    lengths = np.array([4, 2, 3])
     fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
-    outs = [lstm_sequence(xs, mask, fwd, bwd) for xs in (store["xs"], store["xs"].data)]
+    outs = [lstm_sequence(xs, lengths, fwd, bwd) for xs in (store["xs"], store["xs"].data)]
     assert outs[0].data.tobytes() == outs[1].data.tobytes()
     gout = np.random.default_rng(16).normal(size=outs[0].shape)
     with_input, without = (out.backward(gout) for out in outs)
@@ -264,7 +264,7 @@ def test_lstm_sequence_matches_two_pass_oracle(case):
     gout = np.random.default_rng(11).normal(size=(batch, steps, 2 * hidden))
     results = []
     for layer in (lstm_sequence, two_pass_blstm):
-        out = run_blstm(store, mask, layer)
+        out = run_blstm(store, np.array(lengths), layer)
         results.append((out.data, backward(tz.tsum(out * gout), store)))
     (out, grads), (want, want_grads) = results
     assert_close_to_scale(out, want, 1e-14)
@@ -277,28 +277,28 @@ def test_lstm_sequence_matches_two_pass_oracle(case):
 
 def test_lstm_sequence_no_grad_is_parentless_with_same_value():
     store = blstm_store(12, 3, 5, 2, 3)
-    mask = prefix_mask([2, 5, 4], 5)
-    out = run_blstm(store, mask)
+    lengths = np.array([2, 5, 4])
+    out = run_blstm(store, lengths)
     assert out.parents
     with tz.no_grad():
-        plain = run_blstm(store, mask)
+        plain = run_blstm(store, lengths)
     assert plain.parents == () and plain.backward is None
     assert np.array_equal(plain.data, out.data)
 
 
 @pytest.mark.parametrize(
-    "mask",
+    "lengths",
     [
-        [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]],  # a gap
-        [[0.0, 1.0, 1.0], [1.0, 1.0, 1.0]],  # left-padded
-        [[1.0, 0.5, 0.0], [1.0, 1.0, 1.0]],  # not 0/1
-        [[1.0, 1.0], [1.0, 1.0]],  # wrong shape
+        pytest.param([[3, 3], [3, 3]], id="wrong_shape"),
+        pytest.param([-1, 3], id="negative"),
+        pytest.param([3, 4], id="beyond_T"),
+        pytest.param([3.0, 2.0], id="not_integers"),
     ],
 )
-def test_lstm_sequence_rejects_a_mask_that_is_not_a_prefix(mask):
+def test_lstm_sequence_rejects_lengths_outside_0_to_T(lengths):
     store = blstm_store(13, 2, 3, 2, 3)
     with pytest.raises(ShapeError):
-        run_blstm(store, np.array(mask))
+        run_blstm(store, np.array(lengths))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -308,22 +308,22 @@ def test_lstm_sequence_rejects_non_finite_input(name, bad):
     store = blstm_store(14, 2, 3, 2, 3)
     store[name].data.flat[-1] = bad
     with pytest.raises(NonFiniteError):
-        run_blstm(store, prefix_mask([3, 1], 3))
+        run_blstm(store, np.array([3, 1]))
 
 
 def test_lstm_sequence_rejects_weights_that_do_not_fit():
     store = blstm_store(16, 2, 3, 2, 3)
     fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
-    mask = prefix_mask([3, 2], 3)
+    lengths = np.array([3, 2])
     with pytest.raises(ShapeError):  # input dim 3 against weights for 2
-        lstm_sequence(Tensor(np.zeros((2, 3, 3))), mask, fwd, bwd)
+        lstm_sequence(Tensor(np.zeros((2, 3, 3))), lengths, fwd, bwd)
     with pytest.raises(ShapeError):  # directions of different widths
-        lstm_sequence(store["xs"], mask, fwd, lstm_params_from(random_lstm_store(17, 2, 2), "cell"))
+        lstm_sequence(store["xs"], lengths, fwd, lstm_params_from(random_lstm_store(17, 2, 2), "cell"))
 
 
 def test_lstm_sequence_backward_runs_once():
     store = blstm_store(15, 2, 3, 2, 3)
-    out = run_blstm(store, prefix_mask([3, 2], 3))
+    out = run_blstm(store, np.array([3, 2]))
     out.backward(np.ones(out.shape))
     with pytest.raises(NumericsError):
         out.backward(np.ones(out.shape))
@@ -333,7 +333,7 @@ def test_blstm_single_step_is_two_cells():
     store = random_lstm_store(10, 3, 4, names=("f", "b"))
     fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
     x = np.random.default_rng(11).normal(size=(1, 1, 3))
-    out = lstm_sequence(Tensor(x), np.ones((1, 1)), fwd, bwd)
+    out = lstm_sequence(Tensor(x), np.array([1]), fwd, bwd)
     hf, _ = lstm_step(Tensor(x[:, 0]), (Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))), fwd)
     hb, _ = lstm_step(Tensor(x[:, 0]), (Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))), bwd)
     assert out.data[0, 0] == pytest.approx(np.concatenate([hf.data[0], hb.data[0]]))
@@ -345,9 +345,9 @@ def test_blstm_direction_swap_symmetry():
     store = random_lstm_store(12, 3, 4, names=("f", "b"))
     fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
     xs = np.random.default_rng(13).normal(size=(1, 5, 3))
-    mask = np.ones((1, 5))
-    out = lstm_sequence(Tensor(xs), mask, fwd, bwd)
-    out_swapped = lstm_sequence(Tensor(xs[:, ::-1].copy()), mask, bwd, fwd)
+    lengths = np.array([5])
+    out = lstm_sequence(Tensor(xs), lengths, fwd, bwd)
+    out_swapped = lstm_sequence(Tensor(xs[:, ::-1].copy()), lengths, bwd, fwd)
     H = 4
     assert out_swapped.data[:, ::-1, :H] == pytest.approx(out.data[:, :, H:], abs=1e-12)
     assert out_swapped.data[:, ::-1, H:] == pytest.approx(out.data[:, :, :H], abs=1e-12)
@@ -356,7 +356,7 @@ def test_blstm_direction_swap_symmetry():
 def test_blstm_empty_sequence_rejected():
     store = random_lstm_store(14, 3, 4, names=("f", "b"))
     with pytest.raises(ShapeError):
-        lstm_sequence(Tensor(np.zeros((1, 0, 3))), np.zeros((1, 0)), lstm_params_from(store, "f"), lstm_params_from(store, "b"))
+        lstm_sequence(Tensor(np.zeros((1, 0, 3))), np.array([0]), lstm_params_from(store, "f"), lstm_params_from(store, "b"))
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +366,23 @@ def test_blstm_empty_sequence_rejected():
 
 def test_pool_scalars():
     xs = Tensor(np.array([1.0, 3.0, 2.0, 5.0]).reshape(1, 4, 1))
-    out, mask = max_pool_time(xs, np.ones((1, 4)), 2)
+    out, lengths = max_pool_time(xs, np.array([4]), 2)
     assert out.data.reshape(-1).tolist() == [3.0, 5.0]
-    assert mask.tolist() == [[1.0, 1.0]]
+    assert lengths.tolist() == [2]
 
 
 def test_pool_t16_three_pools_gives_2():
     xs = Tensor(np.random.default_rng(0).normal(size=(1, 16, 2)))
-    mask = np.ones((1, 16))
+    lengths = np.array([16])
     for _ in range(3):
-        xs, mask = max_pool_time(xs, mask, 2)
+        xs, lengths = max_pool_time(xs, lengths, 2)
     assert xs.shape[1] == 2
-    assert mask.sum() == 2
+    assert lengths.sum() == 2
 
 
 def test_pool_odd_tail_forms_own_window():
     xs = Tensor(np.arange(5.0).reshape(1, 5, 1))
-    out, mask = max_pool_time(xs, np.ones((1, 5)), 2)
+    out, lengths = max_pool_time(xs, np.array([5]), 2)
     assert out.shape[1] == 3
     assert out.data.reshape(-1).tolist() == [1.0, 3.0, 4.0]
 
@@ -390,10 +390,10 @@ def test_pool_odd_tail_forms_own_window():
 def test_pool_ceil_chain_matches_formula():
     for T in [1, 2, 5, 8, 9, 16, 23]:
         xs = Tensor(np.zeros((1, T, 1)))
-        mask = np.ones((1, T))
+        lengths = np.array([T])
         expect = T
         for _ in range(3):
-            xs, mask = max_pool_time(xs, mask, 2)
+            xs, lengths = max_pool_time(xs, lengths, 2)
             expect = -(-expect // 2)
         assert xs.shape[1] == expect
         if T % 8 == 0:
@@ -402,13 +402,14 @@ def test_pool_ceil_chain_matches_formula():
 
 def test_pool_idempotent_on_constant_and_commutes_with_monotone():
     xs = np.full((1, 6, 3), 2.5)
-    once, m1 = max_pool_time(Tensor(xs), np.ones((1, 6)), 2)
+    once, _ = max_pool_time(Tensor(xs), np.array([6]), 2)
     assert np.all(once.data == 2.5)
     rng = np.random.default_rng(1)
     raw = rng.normal(size=(2, 7, 3))
-    mask = np.array([[1.0] * 7, [1.0] * 5 + [0.0] * 2])
-    pooled_then_map, _ = max_pool_time(Tensor(np.exp(raw)), mask, 2)
-    mapped_then_pool, pm = max_pool_time(Tensor(raw), mask, 2)
+    lengths = np.array([7, 5])
+    pooled_then_map, _ = max_pool_time(Tensor(np.exp(raw)), lengths, 2)
+    mapped_then_pool, pl = max_pool_time(Tensor(raw), lengths, 2)
+    pm = prefix_mask(pl, mapped_then_pool.shape[1])
     assert pooled_then_map.data == pytest.approx(np.exp(mapped_then_pool.data) * pm[:, :, None], abs=1e-12)
 
 
@@ -416,35 +417,36 @@ def test_pool_respects_padding_with_negative_values():
     # all-negative valid frames must not lose the max to zero padding
     xs = np.full((1, 3, 2), -4.0)
     padded = np.concatenate([xs, np.zeros((1, 1, 2))], axis=1)
-    out, mask = max_pool_time(Tensor(padded), np.array([[1.0, 1.0, 1.0, 0.0]]), 2)
+    out, lengths = max_pool_time(Tensor(padded), np.array([3]), 2)
     assert np.all(out.data == -4.0)
-    assert mask.tolist() == [[1.0, 1.0]]
+    assert lengths.tolist() == [2]
 
 
 def test_pool_gradients():
     rng = np.random.default_rng(2)
     store = store_with(xs=rng.normal(size=(2, 5, 3)))
-    mask = np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2])
+    lengths = np.array([5, 3])
 
     def loss():
-        out, _ = max_pool_time(store["xs"], mask, 2)
+        out, _ = max_pool_time(store["xs"], lengths, 2)
         return tz.tsum(out * rng_weights)
 
     rng_weights = rng.normal(size=(2, 3, 3))
     check_grads(loss, store)
 
 
-def reference_max_pool_time(xs, mask, pool):
+def reference_max_pool_time(xs, lengths, pool):
     """The argmax formulation: pads shifted down by 1e300, one strided
     argmax per window and a put_along_axis backward; the oracle for
-    ``max_pool_time``."""
+    ``max_pool_time``. Its pooled lengths count the windows that hold a
+    valid frame."""
     xs = tz.as_tensor(xs)
     B, T, D = xs.shape
     if pool <= 1:
-        return xs, np.asarray(mask, dtype=np.float64)
+        return xs, lengths
     T2 = -(-T // pool)
     pad = T2 * pool - T
-    mp = np.pad(np.asarray(mask, dtype=np.float64), ((0, 0), (0, pad)))
+    mp = np.pad(prefix_mask(lengths, T), ((0, 0), (0, pad)))
     xp = np.pad(xs.data, ((0, 0), (0, pad), (0, 0)))
     shifted = xp + (mp[:, :, None] - 1.0) * 1e300
     arg = shifted.reshape(B, T2, pool, D).argmax(axis=2)
@@ -456,23 +458,23 @@ def reference_max_pool_time(xs, mask, pool):
         np.put_along_axis(gw, arg[:, :, None, :], (g * pooled_mask[:, :, None])[:, :, None, :], axis=2)
         return (gw.reshape(B, T2 * pool, D)[:, :T, :],)
 
-    return tz._node(vals * pooled_mask[:, :, None], (xs,), backward), pooled_mask
+    return tz._node(vals * pooled_mask[:, :, None], (xs,), backward), pooled_mask.sum(axis=1).astype(np.int64)
 
 
 def pool_case(name):
-    """(input (B, T, D), mask, pool) for the oracle comparison."""
+    """(input (B, T, D), lengths, pool) for the oracle comparison."""
     rng = np.random.default_rng(12)
     if name == "ties_inside_a_window":  # equal maxima, signed zeros included
         xs = rng.integers(-2, 3, size=(2, 6, 4)).astype(np.float64)
         xs[0, 0, 0], xs[0, 1, 0] = -0.0, 0.0
-        return xs, np.ones((2, 6)), 2
+        return xs, np.array([6, 6]), 2
     if name == "trailing_partial_window":
-        return rng.normal(size=(3, 7, 3)), prefix_mask([7, 5, 4], 7), 3
+        return rng.normal(size=(3, 7, 3)), np.array([7, 5, 4]), 3
     if name == "fully_padded_window":  # padded frames hold junk, some negative
-        return rng.normal(size=(2, 8, 3)), prefix_mask([8, 3], 8), 2
+        return rng.normal(size=(2, 8, 3)), np.array([8, 3]), 2
     if name == "ragged_pool_3":
-        return rng.normal(size=(4, 10, 5)), prefix_mask([10, 1, 6, 8], 10), 3
-    return rng.normal(size=(2, 4, 3)), prefix_mask([4, 2], 4), 1  # pool_1
+        return rng.normal(size=(4, 10, 5)), np.array([10, 1, 6, 8]), 3
+    return rng.normal(size=(2, 4, 3)), np.array([4, 2]), 1  # pool_1
 
 
 def backward_graph_grad(out, g, x):
@@ -484,13 +486,13 @@ def backward_graph_grad(out, g, x):
     "name", ["ties_inside_a_window", "trailing_partial_window", "fully_padded_window", "ragged_pool_3", "pool_1"]
 )
 def test_pool_is_bit_identical_to_the_argmax_oracle(name):
-    xs, mask, pool = pool_case(name)
+    xs, lengths, pool = pool_case(name)
     g = np.random.default_rng(13).normal(size=(xs.shape[0], -(-xs.shape[1] // pool), xs.shape[2]))
     results = []
     for layer in (max_pool_time, reference_max_pool_time):
         x = Tensor(xs)
-        out, pooled_mask = layer(x, mask, pool)
-        results.append((out.data, pooled_mask, backward_graph_grad(out, g, x)))
+        out, pooled_lengths = layer(x, lengths, pool)
+        results.append((out.data, pooled_lengths, backward_graph_grad(out, g, x)))
     for got, want in zip(*results):
         assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -519,7 +521,7 @@ def test_attention_uniform_when_energies_equal():
     store = store_with(
         w_query=np.zeros((3, 4)), w_keys=np.zeros((5, 4)), v=np.zeros(4), b=np.zeros(4), u=np.zeros(4)
     )
-    enc = EncoderStates(Tensor(np.random.default_rng(0).normal(size=(1, 6, 5))), np.ones((1, 6)))
+    enc = EncoderStates(Tensor(np.random.default_rng(0).normal(size=(1, 6, 5))), np.array([6]))
     att = additive_attention(Tensor(np.zeros((1, 3))), enc, Tensor(np.zeros((1, 6))), attention_params(store))
     assert att.weights.data == pytest.approx(np.full((1, 6), 1 / 6))
 
@@ -527,7 +529,7 @@ def test_attention_uniform_when_energies_equal():
 def test_attention_single_position():
     store = attention_store(1, 3, 5, 4)
     enc_states = np.random.default_rng(2).normal(size=(1, 1, 5))
-    enc = EncoderStates(Tensor(enc_states), np.ones((1, 1)))
+    enc = EncoderStates(Tensor(enc_states), np.array([1]))
     att = additive_attention(Tensor(np.zeros((1, 3))), enc, Tensor(np.zeros((1, 1))), attention_params(store))
     np.testing.assert_allclose(att.weights.data, [[1.0]], atol=1e-15)
     np.testing.assert_allclose(att.context.data, enc_states[:, 0], atol=1e-12)
@@ -536,7 +538,7 @@ def test_attention_single_position():
 def test_attention_feedback_accumulates_weights():
     store = attention_store(3, 3, 5, 4)
     rng = np.random.default_rng(4)
-    enc = EncoderStates(Tensor(rng.normal(size=(2, 4, 5))), np.ones((2, 4)))
+    enc = EncoderStates(Tensor(rng.normal(size=(2, 4, 5))), np.array([4, 4]))
     fb = Tensor(np.zeros((2, 4)))
     total = np.zeros((2, 4))
     for _ in range(3):
@@ -552,12 +554,12 @@ def test_attention_gradients():
     store = attention_store(5, 3, 4, 3)
     rng = np.random.default_rng(6)
     enc_data = rng.normal(size=(2, 3, 4))
-    mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    lengths = np.array([2, 3])
     s_prev = rng.normal(size=(2, 3))
     fb0 = rng.random((2, 3))
 
     def loss():
-        enc = EncoderStates(Tensor(enc_data), mask)
+        enc = EncoderStates(Tensor(enc_data), lengths)
         att = additive_attention(Tensor(s_prev), enc, Tensor(fb0), attention_params(store))
         att2 = additive_attention(Tensor(s_prev), enc, att.feedback, attention_params(store))
         return tz.tsum(att.context * att2.context) + tz.tsum(att2.weights * np.arange(3.0))
@@ -634,7 +636,7 @@ def test_label_smoothing_invalid_ratio():
 
 # Two memories with padded positions; (B, J) targets with padded positions,
 # so the second row stops (at [EOS], id 4) while the first runs on.
-DEC_MASKS = (np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]]), np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
+DEC_MEMORY_LENGTHS = (np.array([4, 2]), np.array([2, 3]))
 DEC_TARGETS = np.array([[1, 3, 2], [2, 1, 1]])
 DEC_LENGTHS = np.array([3, 1])
 
@@ -651,8 +653,8 @@ def decoder_store(seed, layers=2, E=3, H=4, A=3, V=5, mem_dims=(3, 2)):
         arrays[f"l{j}.w_ih"] = rng.normal(size=(d_in, 4 * H)) * 0.4
         arrays[f"l{j}.w_hh"] = rng.normal(size=(H, 4 * H)) * 0.4
         arrays[f"l{j}.b"] = rng.normal(size=4 * H) * 0.1
-    for k, (mask, d) in enumerate(zip(DEC_MASKS, mem_dims)):
-        arrays[f"m{k}.states"] = rng.normal(size=(*mask.shape, d))
+    for k, (lengths, d) in enumerate(zip(DEC_MEMORY_LENGTHS, mem_dims)):
+        arrays[f"m{k}.states"] = rng.normal(size=(len(lengths), lengths.max(), d))
         arrays[f"a{k}.w_query"] = rng.normal(size=(H, A)) * 0.5
         arrays[f"a{k}.w_keys"] = rng.normal(size=(d, A)) * 0.5
         arrays[f"a{k}.v"] = rng.normal(size=A)
@@ -665,10 +667,10 @@ def decoder_inputs(store, layers=2):
     """(memories, embedding, LSTM stack, output weight, output bias) of a ``decoder_store``."""
     memories = [
         (
-            EncoderStates(store[f"m{k}.states"], mask),
+            EncoderStates(store[f"m{k}.states"], lengths),
             AttentionParams(*(store[f"a{k}.{n}"] for n in ("w_query", "w_keys", "v", "b", "u"))),
         )
-        for k, mask in enumerate(DEC_MASKS)
+        for k, lengths in enumerate(DEC_MEMORY_LENGTHS)
     ]
     cells = [lstm_params_from(store, f"l{j}") for j in range(layers)]
     return memories, store["emb"], cells, store["out_w"], store["out_b"]

@@ -157,7 +157,7 @@ def test_zero_parameter_direct_gives_uniform_loss():
         store.set(name, np.zeros(graph.shapes[name]))
     batch = first_batch(ds)
     parts = forward(graph, store, batch)
-    steps = int((batch.tgt_lengths() + 1).sum())
+    steps = int((batch.tgt_lengths + 1).sum())
     assert parts.st_loss.item() == pytest.approx(steps * np.log(cfg.tgt_vocab_size), rel=1e-9)
 
 
@@ -268,13 +268,13 @@ def test_tied_rollout_support_and_triangle_weights():
     batch = first_batch(ds)
     enc = models.run_speech_encoder(graph, store, batch)
     src_vocab = ds.src_vocab
-    limits = np.maximum(1, np.ceil(1.5 * batch.src_lengths()).astype(np.int64))
+    limits = np.maximum(1, np.ceil(1.5 * batch.src_lengths).astype(np.int64))
     rollout = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", [("attn", enc)], limits, src_vocab)
     # attention support for the second decoder == greedy output length
     # (steps up to and including EOS, truncated at the per-example limit)
-    lengths = rollout.state_mask.sum(axis=1).astype(int)
+    lengths = rollout.lengths
     for b in range(batch.size):
-        live = rollout.state_mask[b] > 0
+        live = np.arange(rollout.tokens.shape[1]) < lengths[b]
         expect = int(limits[b])
         for k, tok in enumerate(rollout.tokens[b]):
             if live[k] and tok == src_vocab.eos_id:
@@ -287,7 +287,7 @@ def test_tied_rollout_support_and_triangle_weights():
     tstore = init_store(tri, 6)
     enc_t = models.run_speech_encoder(tri, tstore, batch)
     roll_t = models.run_decoder_greedy_rollout(tri, tstore, "decoder_asr", [("attn", enc_t)], limits, src_vocab)
-    dec_mem = EncoderStates(roll_t.states, roll_t.state_mask)
+    dec_mem = EncoderStates(roll_t.states, roll_t.lengths)
     core = models._DecoderCore(tri, tstore, "decoder_st", [("attn", enc_t), ("attn_dec", dec_mem)], ds.tgt_vocab.size)
     layers_state, feedback = core.initial_state(batch.size)
     probs, ctx, feedback = core.step(np.full(batch.size, ds.tgt_vocab.bos_id), layers_state, feedback, False, None)
@@ -327,13 +327,24 @@ def test_direct_gradcheck_with_ctc():
     check_grads(lambda: forward(graph, store, batch).combined, store)
 
 
-@pytest.mark.parametrize("topology,mode,ctc", [("one2many", None, True), ("many2one", "text", False),
-                                               ("many2one", "speech", True)])
-def test_multi_decoder_gradcheck(topology, mode, ctc):
-    # Both decoders of one2many through the fused backward, and each of
-    # many2one's modes into its shared decoder, biases and u non-zero.
+@pytest.mark.parametrize(
+    "topology,mode,ctc,adapter",
+    [
+        ("one2many", None, True, False),
+        ("many2one", "text", False, False),
+        ("many2one", "speech", True, False),
+        ("asr", None, True, False),
+        ("mt", None, False, False),
+        ("direct", None, True, True),
+    ],
+)
+def test_end_to_end_gradcheck(topology, mode, ctc, adapter):
+    # Both decoders of one2many through the fused backward, each of
+    # many2one's modes into its shared decoder, the ASR head with CTC, the
+    # text encoder alone, and the encoder_top adapter, which attention reads
+    # while CTC reads the raw encoder; biases and u non-zero.
     ds = tiny_dataset(vocab=4)
-    graph = build(gradcheck_config(ds, ctc_enabled=ctc), topology)
+    graph = build(gradcheck_config(ds, ctc_enabled=ctc), topology, adapter=adapter)
     store = init_store(graph, 8)
     rng = np.random.default_rng(2)
     for name in sorted(graph.zero_init):
@@ -379,7 +390,7 @@ def test_tied_gradcheck_through_a_fixed_rollout(topology, adapter, monkeypatch):
     check_grads(lambda: forward(graph, store, batch).combined, checked)
     assert len(runs) > 2 * sum(v.data.size for _, v in checked.items())
     assert all(np.array_equal(run.tokens, runs[0].tokens) for run in runs)
-    assert runs[0].state_mask.shape[1] > 1 and 0 < runs[0].state_mask.sum() < runs[0].state_mask.size  # a frozen step
+    assert runs[0].tokens.shape[1] > 1 and 0 < runs[0].lengths.sum() < runs[0].tokens.size  # a frozen step
 
 
 def encoder_path_store(store, prefix, seed, **extra):
@@ -396,9 +407,9 @@ def test_text_encoder_gradcheck():
     graph = build(tiny_config(ds, emb_size=3, enc_hidden=2, pool_schedule=(1, 1)), "many2one")
     store = encoder_path_store(init_store(graph, 0), "text_encoder.", 1)
     ids = np.array([[3, 4, 5], [5, 3, ds.src_vocab.pad_id]])
-    mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    lengths = np.array([3, 2])
     proj = np.random.default_rng(2).normal(size=(2, 3, 4))
-    check_grads(lambda: tz.tsum(models.run_text_encoder(graph, store, ids, mask).states * proj), store)
+    check_grads(lambda: tz.tsum(models.run_text_encoder(graph, store, ids, lengths).states * proj), store)
 
 
 def test_adapter_gradcheck():
@@ -407,11 +418,11 @@ def test_adapter_gradcheck():
     graph = build(tiny_config(ds, enc_hidden=2), "direct", adapter=True)
     rng = np.random.default_rng(3)
     store = encoder_path_store(init_store(graph, 0), "adapter.", 4, states=rng.normal(size=(2, 4, 4)))
-    mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+    lengths = np.array([4, 2])
     proj = rng.normal(size=(2, 4, 4))
 
     def loss():
-        enc = EncoderStates(store["states"], mask)
+        enc = EncoderStates(store["states"], lengths)
         return tz.tsum(models.apply_adapter(graph, store, enc).states * proj)
 
     check_grads(loss, store)
@@ -422,11 +433,10 @@ def test_adapter_gradcheck():
 # ---------------------------------------------------------------------------
 
 
-def stepwise_teacher_forced(graph, store, prefix, memories, targets, target_mask, vocab, rngs=None):
+def stepwise_teacher_forced(graph, store, prefix, memories, targets, lengths, vocab, rngs=None):
     """The teacher-forced loop one position at a time, built from the
     per-step layers: the oracle of ``layers.teacher_forced_decoder``."""
     B, I = targets.shape
-    lengths = target_mask.sum(axis=1).astype(np.int64)
     core = models._DecoderCore(graph, store, prefix, memories, vocab.size)
     layers_state, feedback = core.initial_state(B)
     prev_ids = np.full(B, vocab.bos_id, dtype=np.int64)
@@ -473,7 +483,7 @@ def stepwise_greedy_rollout(graph, store, prefix, memories, limits, vocab, rngs=
         hits=0,
         steps=0,
         states=tz.stack(states, axis=1),
-        state_mask=np.stack(state_masks, axis=1),
+        lengths=np.stack(state_masks, axis=1).sum(axis=1).astype(np.int64),
         tokens=np.stack(tokens, axis=1),
     )
 
@@ -494,7 +504,7 @@ ORACLE_CASES = [
 def test_fused_decoder_matches_stepwise_oracle(topology, mode, monkeypatch):
     ds = tiny_dataset(n=8)
     batch = first_batch(ds, size=4, ctc=True)
-    assert len(set(batch.tgt_lengths())) > 1 and len(set(batch.src_lengths())) > 1  # padded targets
+    assert len(set(batch.tgt_lengths)) > 1 and len(set(batch.src_lengths)) > 1  # padded targets
     rng = np.random.default_rng(17)
     for ctc in (False,) if topology == "mt" else (False, True):
         for adapter in (False, True) if models.WIRING[topology].adapter else (False,):
@@ -530,13 +540,13 @@ def test_fused_decoder_matches_stepwise_oracle(topology, mode, monkeypatch):
 # every row stops before the largest limit.
 ROLLOUT_EOS_BIAS = {1: 1.3, 2: 0.15}
 ROLLOUT_LIMITS = np.array([12, 1, 9, 10])
-ROLLOUT_MASK = np.array([[1.0] * 6, [1.0] * 4 + [0.0] * 2, [1.0] * 5 + [0.0], [1.0] * 3 + [0.0] * 3])
+ROLLOUT_MEMORY_LENGTHS = np.array([6, 4, 5, 3])
 
 
-def rollout_setup(dec_layers, dropout, mask=ROLLOUT_MASK, eos_bias=None, seed=17):
+def rollout_setup(dec_layers, dropout, mem_lengths=ROLLOUT_MEMORY_LENGTHS, eos_bias=None, seed=17):
     """tied_triangle's decoder_asr with non-zero biases and its [EOS] bias,
-    and a padded (B, T, 10) memory, valid where ``mask`` is 1, held in the
-    store as ``memory``."""
+    and a padded (B, T, 10) memory, row b valid at its first
+    ``mem_lengths[b]`` steps, held in the store as ``memory``."""
     ds = tiny_dataset(n=8)
     graph = build(tiny_config(ds, dec_layers=dec_layers, dropout=dropout), "tied_triangle")
     store = init_store(graph, 21)
@@ -547,18 +557,18 @@ def rollout_setup(dec_layers, dropout, mask=ROLLOUT_MASK, eos_bias=None, seed=17
     out_b = store["decoder_asr.out.b"].data.copy()
     out_b[vocab.eos_id] += ROLLOUT_EOS_BIAS[dec_layers] if eos_bias is None else eos_bias
     store.set("decoder_asr.out.b", out_b)
-    memory = rng.normal(size=(*mask.shape, 10))
+    memory = rng.normal(size=(len(mem_lengths), max(mem_lengths), 10))
     store.create("memory", memory.shape, "zeros")
     store.set("memory", memory)
     return graph, store, vocab
 
 
-def rollout_and_grads(rollout, graph, store, vocab, rows, mask=ROLLOUT_MASK, limits=ROLLOUT_LIMITS):
+def rollout_and_grads(rollout, graph, store, vocab, rows, mem_lengths=ROLLOUT_MEMORY_LENGTHS, limits=ROLLOUT_LIMITS):
     """The training rollout over ``rows`` of the memory, the gradients of a
     random projection of all its states (padded steps included), and the
     next draw on decoder_asr's dropout stream."""
     rngs = models.dropout_streams(5)
-    memory = EncoderStates(tz.take_slice(store["memory"], rows), mask[rows])
+    memory = EncoderStates(tz.take_slice(store["memory"], rows), mem_lengths[rows])
     run = rollout(graph, store, "decoder_asr", [("attn", memory)], limits[rows], vocab, rngs)
     upstream = np.random.default_rng(4).normal(size=run.states.shape)
     grads = backward(tz.tsum(run.states * upstream), store)
@@ -573,7 +583,7 @@ def test_fused_rollout_matches_stepwise_oracle(dec_layers, dropout):
         fused, g_fused, next_fused = rollout_and_grads(models.run_decoder_greedy_rollout, graph, store, vocab, rows)
         oracle, g_oracle, next_oracle = rollout_and_grads(stepwise_greedy_rollout, graph, store, vocab, rows)
         assert np.array_equal(fused.tokens, oracle.tokens), rows
-        assert np.array_equal(fused.state_mask, oracle.state_mask), rows
+        assert np.array_equal(fused.lengths, oracle.lengths), rows
         assert fused.states.data.tobytes() == oracle.states.data.tobytes(), rows  # frozen padded steps included
         assert next_fused == next_oracle  # the dropout stream moved by the steps taken
         names = [n for n in store.names() if n.startswith("decoder_asr.")]
@@ -584,7 +594,7 @@ def test_fused_rollout_matches_stepwise_oracle(dec_layers, dropout):
                 assert err <= 1e-12 * scale, (rows, name, err, scale)
         assert not g_fused["decoder_asr.out.w"].any() and not g_fused["decoder_asr.out.b"].any()  # argmax is constant
         if rows == slice(None):
-            lengths = fused.state_mask.sum(axis=1).astype(int)
+            lengths = fused.lengths
             assert len(set(lengths)) > 2 and lengths[1] == 1  # rows stop at different steps; limit 1 holds
             assert any(fused.tokens[b, lengths[b] - 1] == vocab.eos_id for b in range(4))
             if dropout:
@@ -593,21 +603,21 @@ def test_fused_rollout_matches_stepwise_oracle(dec_layers, dropout):
 
 def test_fused_rollout_under_no_grad_is_parentless_with_same_values():
     graph, store, vocab = rollout_setup(2, 0.0)
-    memory = [("attn", EncoderStates(store["memory"], ROLLOUT_MASK))]
+    memory = [("attn", EncoderStates(store["memory"], ROLLOUT_MEMORY_LENGTHS))]
     run = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, ROLLOUT_LIMITS, vocab)
     assert run.states.parents
     with tz.no_grad():
         plain = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, ROLLOUT_LIMITS, vocab)
     assert plain.states.parents == () and plain.states.backward is None
     assert plain.states.data.tobytes() == run.states.data.tobytes()
-    assert np.array_equal(plain.tokens, run.tokens) and np.array_equal(plain.state_mask, run.state_mask)
+    assert np.array_equal(plain.tokens, run.tokens) and np.array_equal(plain.lengths, run.lengths)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("name", ["decoder_asr.attn.w_keys", "decoder_asr.lstm.l0.w_hh", "memory"])
 def test_a_non_finite_rollout_input_raises(name, bad, monkeypatch):
     graph, store, vocab = rollout_setup(1, 0.0)
-    memory = [("attn", EncoderStates(store["memory"], ROLLOUT_MASK))]
+    memory = [("attn", EncoderStates(store["memory"], ROLLOUT_MEMORY_LENGTHS))]
     store[name].data.flat[0] = bad
     with pytest.raises(tz.NonFiniteError):
         models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, ROLLOUT_LIMITS, vocab)
@@ -649,14 +659,14 @@ def ragged_rows(draw):
 
 
 def packed_case(mem_lengths, dec_layers, seed, eos_bias, dropout=0.2):
-    mask = (np.arange(max(mem_lengths)) < np.array(mem_lengths)[:, None]).astype(np.float64)
-    graph, store, vocab = rollout_setup(dec_layers, dropout, mask, eos_bias, seed)
-    return graph, store, vocab, mask
+    mem_lengths = np.array(mem_lengths)
+    graph, store, vocab = rollout_setup(dec_layers, dropout, mem_lengths, eos_bias, seed)
+    return graph, store, vocab, mem_lengths
 
 
 def padded_targets(lengths, vocab, seed):
     targets = np.random.default_rng(seed).integers(0, vocab.content_size, size=(len(lengths), max(lengths)))
-    return targets, (np.arange(max(lengths)) < np.array(lengths)[:, None]).astype(np.float64)
+    return targets, np.array(lengths)
 
 
 def assert_grads_close(got, want, names, tol=1e-12):
@@ -667,10 +677,10 @@ def assert_grads_close(got, want, names, tol=1e-12):
         assert err <= tol * scale, (name, err, scale)
 
 
-def teacher_forced_run(run, graph, store, vocab, mask, targets, target_mask, training=True, rows=slice(None)):
+def teacher_forced_run(run, graph, store, vocab, mem_lengths, targets, lengths, training=True, rows=slice(None)):
     """A decoder_asr teacher-forced run over ``rows`` of the memory and its gradients."""
-    memory = [("attn", EncoderStates(tz.take_slice(store["memory"], rows), mask[rows]))]
-    out = run(graph, store, "decoder_asr", memory, targets[rows], target_mask[rows], vocab,
+    memory = [("attn", EncoderStates(tz.take_slice(store["memory"], rows), mem_lengths[rows]))]
+    out = run(graph, store, "decoder_asr", memory, targets[rows], lengths[rows], vocab,
               models.dropout_streams(5) if training else None)
     return out, backward(out.loss, store)
 
@@ -679,22 +689,22 @@ def teacher_forced_run(run, graph, store, vocab, mask, targets, target_mask, tra
 @given(ragged_rows())
 def test_packed_decoders_match_stepwise_oracles(case):
     mem_lengths, lengths, limits, seed, dec_layers, eos_bias = case
-    graph, store, vocab, mask = packed_case(mem_lengths, dec_layers, seed, eos_bias)
+    graph, store, vocab, mem_lengths = packed_case(mem_lengths, dec_layers, seed, eos_bias)
     names = [n for n in store.names() if n.startswith("decoder_asr.")]
-    targets, target_mask = padded_targets(lengths, vocab, seed)
-    fused, g_fused = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mask, targets,
-                                        target_mask)
-    oracle, g_oracle = teacher_forced_run(stepwise_teacher_forced, graph, store, vocab, mask, targets, target_mask)
+    targets, lengths = padded_targets(lengths, vocab, seed)
+    fused, g_fused = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mem_lengths, targets,
+                                        lengths)
+    oracle, g_oracle = teacher_forced_run(stepwise_teacher_forced, graph, store, vocab, mem_lengths, targets, lengths)
     assert fused.loss.item() == oracle.loss.item()
     assert (fused.hits, fused.steps) == (oracle.hits, oracle.steps)
     assert_grads_close(g_fused, g_oracle, names)
     assert_grads_close(g_fused, g_oracle, ["memory"])
 
     fused, g_fused, next_fused = rollout_and_grads(models.run_decoder_greedy_rollout, graph, store, vocab,
-                                                   slice(None), mask, limits)
+                                                   slice(None), mem_lengths, limits)
     oracle, g_oracle, next_oracle = rollout_and_grads(stepwise_greedy_rollout, graph, store, vocab, slice(None),
-                                                      mask, limits)
-    assert np.array_equal(fused.tokens, oracle.tokens) and np.array_equal(fused.state_mask, oracle.state_mask)
+                                                      mem_lengths, limits)
+    assert np.array_equal(fused.tokens, oracle.tokens) and np.array_equal(fused.lengths, oracle.lengths)
     assert fused.states.data.tobytes() == oracle.states.data.tobytes()
     assert next_fused == next_oracle
     assert_grads_close(g_fused, g_oracle, names)
@@ -705,14 +715,14 @@ def test_packed_decoders_match_stepwise_oracles(case):
 @given(ragged_rows(), st.randoms(use_true_random=False))
 def test_permuting_rows_permutes_memory_gradients_and_nothing_else(case, random):
     mem_lengths, lengths, limits, seed, dec_layers, eos_bias = case
-    graph, store, vocab, mask = packed_case(mem_lengths, dec_layers, seed, eos_bias, dropout=0.0)
+    graph, store, vocab, mem_lengths = packed_case(mem_lengths, dec_layers, seed, eos_bias, dropout=0.0)
     names = [n for n in store.names() if n.startswith("decoder_asr.")]
     perm = np.array(random.sample(range(len(lengths)), len(lengths)))
-    targets, target_mask = padded_targets(lengths, vocab, seed)
-    base, g_base = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mask, targets,
-                                      target_mask, False)
-    moved, g_moved = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mask, targets,
-                                        target_mask, False, perm)
+    targets, lengths = padded_targets(lengths, vocab, seed)
+    base, g_base = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mem_lengths, targets,
+                                      lengths, False)
+    moved, g_moved = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mem_lengths, targets,
+                                        lengths, False, perm)
     assert moved.loss.item() == pytest.approx(base.loss.item(), rel=1e-14)  # per-row terms; the row sum reorders
     assert (moved.hits, moved.steps) == (base.hits, base.steps)
     # The op's memory-state gradient follows its rows; take_slice scatters
@@ -722,14 +732,14 @@ def test_permuting_rows_permutes_memory_gradients_and_nothing_else(case, random)
 
     upstream = None
     for rows in (np.arange(len(perm)), perm):
-        memory = EncoderStates(tz.take_slice(store["memory"], rows), mask[rows])
+        memory = EncoderStates(tz.take_slice(store["memory"], rows), mem_lengths[rows])
         run = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", [("attn", memory)], limits[rows], vocab)
         if upstream is None:
             upstream = np.random.default_rng(4).normal(size=run.states.shape)
             base, g_base = run, backward(tz.tsum(run.states * upstream), store)
         else:
             moved, g_moved = run, backward(tz.tsum(run.states * upstream[perm]), store)
-    assert np.array_equal(moved.tokens, base.tokens[perm]) and np.array_equal(moved.state_mask, base.state_mask[perm])
+    assert np.array_equal(moved.tokens, base.tokens[perm]) and np.array_equal(moved.lengths, base.lengths[perm])
     assert moved.states.data.tobytes() == base.states.data[perm].tobytes()
     assert g_moved["memory"].tobytes() == g_base["memory"].tobytes()
     assert_grads_close(g_moved, g_base, names)
@@ -747,14 +757,14 @@ def test_each_decoder_step_runs_its_live_rows_and_at_least_two(monkeypatch):
         return predict(self, prev_ids, *args, **kwargs)
 
     monkeypatch.setattr(layers.DecoderKernel, "predict", counted)
-    graph, store, vocab, mask = packed_case([3, 5, 2, 4, 5], 1, 3, 0.5)
-    memory = [("attn", EncoderStates(store["memory"], mask))]
+    graph, store, vocab, mem_lengths = packed_case([3, 5, 2, 4, 5], 1, 3, 0.5)
+    memory = [("attn", EncoderStates(store["memory"], mem_lengths))]
     for lengths in ([2, 5, 1, 3, 2], [4]):  # a unique longest row; one row
         B = len(lengths)
-        targets, target_mask = padded_targets(lengths, vocab, 0)
+        targets, target_lengths = padded_targets(lengths, vocab, 0)
         counts.clear()
-        rows = [("attn", EncoderStates(tz.take_slice(store["memory"], slice(0, B)), mask[:B]))]
-        models.run_decoder_teacher_forced(graph, store, "decoder_asr", rows, targets, target_mask, vocab)
+        rows = [("attn", EncoderStates(tz.take_slice(store["memory"], slice(0, B)), mem_lengths[:B]))]
+        models.run_decoder_teacher_forced(graph, store, "decoder_asr", rows, targets, target_lengths, vocab)
         live = [int((np.array(lengths) + 1 > k).sum()) for k in range(max(lengths) + 1)]
         assert counts == [max(n, min(2, B)) for n in live]
         assert live[-1] == 1 and counts[-1] == min(2, B)
@@ -763,7 +773,7 @@ def test_each_decoder_step_runs_its_live_rows_and_at_least_two(monkeypatch):
     counts.clear()
     run = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, limits, vocab)
     order = np.argsort(-limits, kind="stable")
-    running = run.state_mask[order].T > 0  # (K, B), rows longest limit first
+    running = np.arange(run.tokens.shape[1])[:, None] < run.lengths[order]  # (K, B), rows longest limit first
     live = [len(limits) - int(r[::-1].argmax()) for r in running]
     assert counts == [max(n, 2) for n in live]
     assert min(live) < len(limits)  # some steps skip rows
@@ -814,11 +824,11 @@ def test_doubling_pad_length_leaves_loss_unchanged(topology, mode):
     wide = data.Batch(
         ids=b.ids,
         frames=np.concatenate([b.frames, np.zeros((B, T, F))], axis=1),
-        frame_mask=np.concatenate([b.frame_mask, np.zeros((B, T))], axis=1),
+        frame_lengths=b.frame_lengths,
         src=np.concatenate([b.src, np.full((B, J), ds.src_vocab.pad_id)], axis=1),
-        src_mask=np.concatenate([b.src_mask, np.zeros((B, J))], axis=1),
+        src_lengths=b.src_lengths,
         tgt=np.concatenate([b.tgt, np.full((B, I), ds.tgt_vocab.pad_id)], axis=1),
-        tgt_mask=np.concatenate([b.tgt_mask, np.zeros((B, I))], axis=1),
+        tgt_lengths=b.tgt_lengths,
     )
     parts_wide = forward(graph, store, wide, mode=mode)
     assert parts_wide.combined.item() == pytest.approx(parts.combined.item(), abs=1e-12)

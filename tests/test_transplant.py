@@ -109,6 +109,11 @@ def test_non_finite_payload_rejected_naming_the_parameter(tmp_path):
         (lambda header: header["config"].pop("src_vocab_size"), "src_vocab_size"),
         (lambda header: header.update(active_enc_layers=3), "active encoder layers 3 outside [1, 2]"),
         (lambda header: header.pop("seed"), "header lacks key 'seed'"),
+        (lambda header: header.update(seed="x"), "seed must be a non-negative integer, got 'x'"),
+        (lambda header: header.update(seed=-1), "seed must be a non-negative integer, got -1"),
+        (lambda header: header.update(seed=1.5), "seed must be a non-negative integer, got 1.5"),
+        (lambda header: header.update(seed=None), "seed must be a non-negative integer, got None"),
+        (lambda header: header["config"].update(pool_schedule=[2.0, 1]), "pool_schedule sizes must be integers"),
         (lambda header: header.pop("adapter_position"), "header lacks key 'adapter_position'"),
         (lambda header: header["params"][0].pop("name"), "header lacks key 'name'"),
     ],
