@@ -44,7 +44,8 @@ class ConfigError(Exception):
 
 
 class CorruptRunFileError(Exception):
-    """A run-directory file that is not valid JSON (exit 4, as a corrupt checkpoint)."""
+    """A run-directory file that is not valid JSON, or lacks a value a command
+    reads (exit 4, as a corrupt checkpoint)."""
 
 
 def _read_json(path: Path, lines: bool = False) -> Any:
@@ -55,6 +56,12 @@ def _read_json(path: Path, lines: bool = False) -> Any:
         return [json.loads(line) for line in text.splitlines()] if lines else json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise CorruptRunFileError(f"{path} is not valid JSON ({exc})") from exc
+
+
+def _holds(value: Any, key: str, kind: type | tuple[type, ...]) -> bool:
+    """Whether a JSON value is an object whose ``key`` is of type ``kind``
+    (a bool counts as no number)."""
+    return isinstance(value, dict) and isinstance(value.get(key), kind) and not isinstance(value[key], bool)
 
 
 @dataclass(frozen=True)
@@ -341,7 +348,10 @@ def cmd_eval(args, overrides) -> int:
         marker = run_dir / "best"
         if not marker.exists():
             raise ConfigError(f"{run_dir} has no best-checkpoint marker")
-        ckpt_path = run_dir / _read_json(marker)["checkpoint"]
+        best = _read_json(marker)
+        if not _holds(best, "checkpoint", str):
+            raise CorruptRunFileError(f"{marker} names no checkpoint (no string 'checkpoint' key)")
+        ckpt_path = run_dir / best["checkpoint"]
     elif args.checkpoint:
         run = parse_config(given)
         ckpt_path = Path(args.checkpoint)
@@ -407,6 +417,10 @@ def cmd_compare(args, overrides) -> int:
             raise ConfigError(f"{run} is not a completed run directory ({exc})") from exc
         if not rows:
             raise ConfigError(f"{run} has an empty metrics.jsonl")
+        if not all(
+            _holds(row, "dev", dict) and all(_holds(row["dev"], key, (int, float)) for key in ("bleu", "ter")) for row in rows
+        ):
+            raise CorruptRunFileError(f"{run / 'metrics.jsonl'} has a line without numeric dev.bleu and dev.ter")
         best = RunRecord(rows).best_row
         entry = {"dev_bleu": best["dev"]["bleu"], "dev_ter": best["dev"]["ter"]}
         test_file = run / "eval_test.json"

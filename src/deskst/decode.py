@@ -9,8 +9,16 @@ computed. Each step keeps an utterance's top K (lane, token) candidates under
 the key (-score, the lane's lexicographic rank among its utterance's lanes,
 token id), i.e. equal scores are ordered by token sequence: the lowest id
 wins ties, so beam=1 reproduces greedy and zero-parameter models decode
-deterministically. Decoder weights and memories are checked on entry, and
-each step's probabilities and states after it (``NonFiniteError``).
+deterministically. Finished hypotheses leave the beam, and an utterance
+stops once no live lane can reach its best finished one (the stopping rule of
+Huang, Zhao & Ma 2017): a step's log-probabilities are at most 0, so no
+extension of a lane scores above the lane, and no hypothesis outgrows max_len,
+so for len_norm >= 0 no live lane ends above its score / max_len**len_norm.
+The stop fires only when the best finished normalized score is strictly
+above that bound, since an exact tie can still win on token order; it
+removes steps and lanes without changing any output. Decoder weights and
+memories are checked on entry, and each step's probabilities and the states
+the next step reads (``NonFiniteError``).
 """
 
 from __future__ import annotations
@@ -125,14 +133,19 @@ def beam_search(
     """Each utterance's best finished hypothesis under the length-normalized
     score score / len(tokens)^len_norm.
 
-    Finished hypotheses leave the beam; if none of an utterance's
-    hypotheses finishes within max_len, its best unfinished one is returned
-    with finished=False.
+    Finished hypotheses leave the beam, and an utterance stops once no live
+    lane can reach its best finished one: once that hypothesis's normalized
+    score is strictly above the best live score / max_len**len_norm, which
+    bounds every extension because scores only fall. If none of an
+    utterance's hypotheses finishes within max_len, its best unfinished one
+    is returned with finished=False.
     """
     if beam < 1:
         raise NumericsError("beam must be >= 1")
     if max_len < 1:
         raise NumericsError(f"max_len must be >= 1, got {max_len}")
+    if not (np.isfinite(len_norm) and len_norm >= 0):
+        raise NumericsError(f"len_norm must be finite and >= 0, got {len_norm}")
     direction = direction or default_direction(graph.topology)
     B, K = batch.size, beam
     with no_grad():  # the kernel then records no steps
@@ -148,9 +161,8 @@ def beam_search(
     lanes = (np.arange(B), np.zeros(B, dtype=np.int64))  # per state row: utterance and slot
     prev = np.full(B, vocab.bos_id, dtype=np.int64)
     best: list[tuple | None] = [None] * B  # per utterance, its best finished: (-normalized, tokens, score)
+    horizon = max_len**len_norm  # the largest length normalizer
     for _ in range(max_len):
-        if not n_active.any():
-            break
         probs = kernel.predict(prev, lanes)
         _check_finite("output probabilities", probs)
         logp = np.zeros((B, K, V))
@@ -176,13 +188,16 @@ def beam_search(
                 best[b] = (neg, toks, score)
         live = valid & ~ends
         keep = np.argsort(~live, axis=1, kind="stable")  # survivors first, best first
-        n_active = live.sum(axis=1)
-        alive = slots < n_active[:, None]
         scores = top_scores[rows, keep]
+        won = [kept is not None and -kept[0] > bound for kept, bound in zip(best, scores[:, 0] / horizon)]
+        n_active = np.where(won, 0, live.sum(axis=1))
+        alive = slots < n_active[:, None]
         parents = np.where(alive, parents[rows, keep], 0)
         step_tokens = np.where(alive, tokens[rows, keep], vocab.pad_id)
         history = np.concatenate([history[rows, parents], step_tokens[:, :, None]], axis=2)
         order = np.argsort(np.where(alive, top[rows, keep], K * V), axis=1, kind="stable")
+        if length == max_len or not n_active.any():
+            break  # no step follows
         # Only surviving lanes advance, each from its parent's state row.
         row_of = np.zeros((B, K), dtype=np.int64)
         row_of[lanes] = np.arange(len(prev))

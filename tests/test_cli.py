@@ -275,6 +275,26 @@ def test_compare_of_a_run_file_that_is_not_json_exits_4(tmp_path, capsys, name):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_eval_of_a_best_marker_that_names_no_checkpoint_exits_4(tmp_path, capsys):
+    run = trained_run(tmp_path / "run")
+    (run / "best").write_text("{}")
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(run)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / 'best'} names no checkpoint") and err.count("\n") == 1
+
+
+def test_compare_of_a_metrics_line_that_is_no_row_exits_4(tmp_path, capsys):
+    run = trained_run(tmp_path / "run")
+    other = shutil.copytree(run, tmp_path / "other")
+    (other / "metrics.jsonl").write_text("[1]\n")
+    capsys.readouterr()
+    assert cli.main(["compare", str(run), str(other), "--out", str(tmp_path / "cmp")]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {other / 'metrics.jsonl'} has a line without") and err.count("\n") == 1
+    assert not (tmp_path / "cmp").exists()
+
+
 @pytest.mark.parametrize("value", ["ON", "True", "YES", "1"])
 def test_compare_labels_a_flag_as_training_reads_it(value):
     cfg = {"model.topology": "direct", "model.ctc": value, "transplant.adapter": value}

@@ -179,6 +179,15 @@ def test_beam_search_matches_reference_on_mixed_length_batch(beam):
         assert any(not h.finished for h in got)  # ran out of steps beside an utterance done at step 1
 
 
+@pytest.mark.parametrize("len_norm", [0.0, 0.6, 2.0])
+@pytest.mark.parametrize("beam", [1, 3, 12])
+def test_beam_search_matches_reference_across_length_penalties(beam, len_norm):
+    """The early stop is exact at every length penalty: the oracle always
+    runs to max_len."""
+    ds, graph, store = _early_and_late_eos_model()
+    assert_matches_reference(graph, store, ds, beam, 5, "st", len_norm=len_norm)
+
+
 @pytest.mark.parametrize("beam,expect", [(1, [0, 0, 0]), (3, [0, 0, 0]), (8**3 + 1, "eos")])
 def test_beam_search_zero_parameter_model_ties_go_to_lowest_id(beam, expect):
     ds, graph, store = tiny_setup(seed=12)
@@ -244,6 +253,38 @@ def test_finished_hypotheses_leave_the_beam(monkeypatch):
     assert all(h.tokens == [1, 3, eos] for h in got)
 
 
+def test_an_utterance_stops_once_its_best_finished_hypothesis_has_won(monkeypatch):
+    """[EOS] finishes at step 1 at log 0.9 = -0.11, above the best live
+    lane's bound log(0.1 / 7) / 6**0.6 = -1.45, so one step decides the
+    batch; the oracle runs all six."""
+    ds, graph, store = tiny_setup(seed=14)
+    vocab = ds.tgt_vocab
+    eos = vocab.eos_id
+    script_outputs(monkeypatch, vocab, {vocab.bos_id: {eos: 0.9}})
+    calls, predict = [], layers.DecoderKernel.predict
+
+    def counted(self, prev_ids, *args, **kwargs):
+        calls.append(len(prev_ids))  # lane rows
+        return predict(self, prev_ids, *args, **kwargs)
+
+    monkeypatch.setattr(layers.DecoderKernel, "predict", counted)
+    got = assert_matches_reference(graph, store, ds, 3, 6, "st")
+    assert all(h.tokens == [eos] and h.finished for h in got)
+    assert calls == [len(ds)]  # one step of max_len 6, one lane per utterance (the oracle steps no kernel)
+
+
+def test_a_tie_at_the_bound_does_not_stop_the_search(monkeypatch):
+    """With len_norm 0, [EOS] finishes at log 0.5 beside the live lane [0],
+    whose bound is exactly log 0.5. [0, EOS] then ties [EOS] and wins on token
+    order, so a stop at equality would return the wrong hypothesis."""
+    ds, graph, store = tiny_setup(seed=14)
+    vocab = ds.tgt_vocab
+    eos = vocab.eos_id
+    script_outputs(monkeypatch, vocab, {vocab.bos_id: {0: 0.5, eos: 0.5}, 0: {eos: 1.0}})
+    got = assert_matches_reference(graph, store, ds, 2, 4, "st", len_norm=0.0)
+    assert all(h.tokens == [0, eos] and h.score == np.log(0.5) for h in got)
+
+
 @pytest.mark.parametrize("beam", [1, 4])
 def test_utterance_alone_decodes_as_inside_a_padded_batch(beam):
     ds, graph, store = _early_and_late_eos_model()
@@ -265,6 +306,13 @@ def test_beam_search_rejects_max_len_below_one(max_len):
     ds, graph, store = tiny_setup()
     with pytest.raises(NumericsError, match="max_len must be >= 1"):
         beam_search(graph, store, data.batch(ds, 2)[0][0], 3, max_len)
+
+
+@pytest.mark.parametrize("len_norm", [-0.5, -np.inf, np.inf, np.nan])
+def test_beam_search_rejects_a_negative_or_non_finite_len_norm(len_norm):
+    ds, graph, store = tiny_setup()
+    with pytest.raises(NumericsError, match="len_norm must be finite and >= 0"):
+        beam_search(graph, store, data.batch(ds, 2)[0][0], 3, 4, len_norm)
 
 
 def test_greedy_zero_parameter_model_is_deterministic_lowest_id():
