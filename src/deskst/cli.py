@@ -58,6 +58,15 @@ def _read_json(path: Path, lines: bool = False) -> Any:
         raise CorruptRunFileError(f"{path} is not valid JSON ({exc})") from exc
 
 
+def _read_config(run_dir: Path) -> dict[str, str]:
+    """A run's config.json: an object of string values, as ``train`` writes it."""
+    path = run_dir / "config.json"
+    cfg = _read_json(path)
+    if not (isinstance(cfg, dict) and all(isinstance(value, str) for value in cfg.values())):
+        raise CorruptRunFileError(f"{path} holds no object of string values")
+    return cfg
+
+
 def _holds(value: Any, key: str, kind: type | tuple[type, ...]) -> bool:
     """Whether a JSON value is an object whose ``key`` is of type ``kind``
     (a bool counts as no number)."""
@@ -242,6 +251,13 @@ def parse_config(cfg: dict[str, str]) -> RunConfig:
         argument, _, rest = str(exc).partition(" ")
         raise ConfigError("/".join(key for key, row in KEYS.items() if row.library == argument) + " " + rest) from exc
     sections = TrainSchedule(**fields["train"]), TransplantConfig(**fields["transplant"]), EvalConfig(**fields["eval"])
+    # The longest decode: eval's, or train's dev decode at 2 * its longest target + 2.
+    longest = max(fields["eval"]["max_len"], 2 * data.len_max + 2)
+    try:
+        float(longest) ** fields["train"]["len_norm"]
+    except OverflowError:
+        message = f"eval.len_norm must keep {longest}**len_norm a finite float, got {cfg['eval.len_norm']!r}"
+        raise ConfigError(message) from None
     return RunConfig(model, data, *sections, **fields["run"])
 
 
@@ -344,7 +360,7 @@ def cmd_eval(args, overrides) -> int:
         fixed = [key for key in given if not key.startswith("eval.")]
         if fixed:
             raise ConfigError(f"{fixed[0]} is fixed by the run's config.json; eval --run takes --beam and eval.* only")
-        run = parse_config({**_read_json(run_dir / "config.json"), **given})
+        run = parse_config({**_read_config(run_dir), **given})
         marker = run_dir / "best"
         if not marker.exists():
             raise ConfigError(f"{run_dir} has no best-checkpoint marker")
@@ -411,7 +427,7 @@ def cmd_compare(args, overrides) -> int:
     groups: dict[str, list[dict]] = {}
     for run in run_dirs:
         try:
-            cfg = _read_json(run / "config.json")
+            cfg = _read_config(run)
             rows = _read_json(run / "metrics.jsonl", lines=True)
         except FileNotFoundError as exc:
             raise ConfigError(f"{run} is not a completed run directory ({exc})") from exc
@@ -426,6 +442,8 @@ def cmd_compare(args, overrides) -> int:
         test_file = run / "eval_test.json"
         if test_file.exists():
             test = _read_json(test_file)
+            if not all(_holds(test, key, (int, float)) for key in ("bleu", "ter")):
+                raise CorruptRunFileError(f"{test_file} has no numeric bleu and ter")
             entry["test_bleu"] = test["bleu"]
             entry["test_ter"] = test["ter"]
         groups.setdefault(_run_label(parse_config(cfg)), []).append(entry)

@@ -96,22 +96,28 @@ def _input_batch(graph: ModelGraph, xs: list, direction: str) -> Batch:
 
 
 def prepare_memories(
-    graph: ModelGraph, store: ParamStore, batch: Batch, direction: str
+    graph: ModelGraph, store: ParamStore, batch: Batch, direction: str, encoding: models.Encoding | None = None
 ) -> tuple[list[tuple[str, EncoderStates]], str, Vocabulary]:
     """Encode inputs for a decode direction: the memories of the head whose
     task is ``direction``.
 
     Returns (memories, decoder prefix, output-side vocabulary). For the tied
     topologies the first decoder is rolled out greedily (capped at the pooled
-    frame count) to build the second decoder's memory.
+    frame count) to build the second decoder's memory. ``encoding``, the
+    head's route's ``models.encode`` of this batch, stands in for running the
+    encoder; one of another source or input raises
+    ``models.EncodingMismatchError``.
     """
     if direction not in ("st", "asr", "mt"):
         raise DirectionError(f"unknown decode direction {direction!r}")
     for route in models.WIRING[graph.topology].routes:
         for head in route.heads:
             if head.task == direction:
-                enc, attn = models.encode(graph, store, batch, route.source)
-                memories = models.head_memories(graph, store, batch, head, enc, attn, decoding=True)
+                if encoding is None:
+                    encoding = models.encode(graph, store, batch, route.source)
+                else:
+                    encoding.check(batch, route.source)
+                memories = models.head_memories(graph, store, batch, head, encoding.enc, encoding.attn, decoding=True)
                 return memories, head.decoder, models._task_vocab(graph, direction)
     raise DirectionError(f"topology {graph.topology!r} does not decode direction {direction!r}")
 
@@ -129,6 +135,7 @@ def beam_search(
     max_len: int,
     len_norm: float = 0.6,
     direction: str | None = None,
+    encoding: models.Encoding | None = None,
 ) -> list[Hypothesis]:
     """Each utterance's best finished hypothesis under the length-normalized
     score score / len(tokens)^len_norm.
@@ -138,7 +145,10 @@ def beam_search(
     score is strictly above the best live score / max_len**len_norm, which
     bounds every extension because scores only fall. If none of an
     utterance's hypotheses finishes within max_len, its best unfinished one
-    is returned with finished=False.
+    is returned with finished=False. A len_norm for which max_len**len_norm
+    is no finite float raises ``NumericsError``. ``encoding`` is passed on to
+    ``prepare_memories``: the batch's encoder states, computed once by a
+    caller that also uses them elsewhere.
     """
     if beam < 1:
         raise NumericsError("beam must be >= 1")
@@ -146,10 +156,14 @@ def beam_search(
         raise NumericsError(f"max_len must be >= 1, got {max_len}")
     if not (np.isfinite(len_norm) and len_norm >= 0):
         raise NumericsError(f"len_norm must be finite and >= 0, got {len_norm}")
+    try:
+        horizon = float(max_len) ** float(len_norm)  # the largest length normalizer
+    except OverflowError:
+        raise NumericsError(f"max_len**len_norm overflows a float: max_len {max_len}, len_norm {len_norm}") from None
     direction = direction or default_direction(graph.topology)
     B, K = batch.size, beam
     with no_grad():  # the kernel then records no steps
-        memories, prefix, vocab = prepare_memories(graph, store, batch, direction)
+        memories, prefix, vocab = prepare_memories(graph, store, batch, direction, encoding)
         kernel = layers.DecoderKernel(*models._decoder_params(graph, store, prefix, memories))
     V = vocab.size
     rows = np.arange(B)[:, None]
@@ -161,7 +175,6 @@ def beam_search(
     lanes = (np.arange(B), np.zeros(B, dtype=np.int64))  # per state row: utterance and slot
     prev = np.full(B, vocab.bos_id, dtype=np.int64)
     best: list[tuple | None] = [None] * B  # per utterance, its best finished: (-normalized, tokens, score)
-    horizon = max_len**len_norm  # the largest length normalizer
     for _ in range(max_len):
         probs = kernel.predict(prev, lanes)
         _check_finite("output probabilities", probs)

@@ -4,7 +4,10 @@ decoders -> weighted losses", described as data in ``WIRING`` and read by
 and ``encode``/``head_memories`` (the memories, shared with decoding). A
 topology has one route per input mode, the first being the default; a route
 names its source encoder and its heads in run order; a head is a decoder
-prefix, a task, its loss weight and the memories it attends over.
+prefix, a task, its loss weight and the memories it attends over. A caller
+that runs several passes over one batch can ``encode`` it once and hand the
+``Encoding`` to ``forward`` and ``decode.beam_search``, which check that it
+is of the batch's input.
 
 A ``ModelGraph`` is immutable wiring: a manifest of parameter names/shapes
 grouped under canonical component prefixes (encoder., text_encoder.,
@@ -68,6 +71,8 @@ __all__ = [
     "ModelConfig",
     "ModelGraph",
     "LossBreakdown",
+    "Encoding",
+    "EncodingMismatchError",
     "encode",
     "head_memories",
     "build",
@@ -605,14 +610,43 @@ def route_for(topology: str, mode: str | None = None) -> Route:
     raise NumericsError(f"topology {topology!r} has no {mode!r} mode; its modes are {[r.source for r in routes]}")
 
 
-def encode(graph, store, batch: Batch, source: str, rngs=None) -> tuple[EncoderStates, EncoderStates]:
+class EncodingMismatchError(NumericsError):
+    """An ``Encoding`` passed in is not of the input it is used for."""
+
+
+def _source_input(batch: Batch, source: str) -> tuple[np.ndarray, np.ndarray]:
+    """The batch stream a source encoder reads, and its lengths."""
+    return (batch.src, batch.src_lengths) if source == "text" else (batch.frames, batch.frame_lengths)
+
+
+@dataclass(frozen=True)
+class Encoding:
+    """``encode``'s output for one batch: the source encoder's states
+    ``enc`` and the ``attn`` memory, with the source and the input they were
+    computed from, so that a caller that encodes once can hand them on."""
+
+    source: str  # "speech" | "text"
+    inputs: tuple[np.ndarray, np.ndarray]  # ``_source_input`` of the encoded batch
+    enc: EncoderStates
+    attn: EncoderStates
+
+    def check(self, batch: Batch, source: str) -> None:
+        """Raise ``EncodingMismatchError`` unless this encodes ``batch``'s
+        ``source`` input."""
+        if self.source != source or not all(map(np.array_equal, self.inputs, _source_input(batch, source))):
+            raise EncodingMismatchError(f"a {self.source} encoding of another input was passed for a {source} batch")
+
+
+def encode(graph, store, batch: Batch, source: str, rngs=None) -> Encoding:
     """The source encoder's states and the ``attn`` memory: the same states,
     through the adapter when it sits at encoder_top (on the speech encoder)."""
+    inputs = _source_input(batch, source)
     if source == "text":
-        enc = run_text_encoder(graph, store, batch.src, batch.src_lengths, rngs)
-        return enc, enc
+        enc = run_text_encoder(graph, store, *inputs, rngs)
+        return Encoding(source, inputs, enc, enc)
     enc = run_speech_encoder(graph, store, batch, rngs)
-    return enc, apply_adapter(graph, store, enc, rngs) if graph.adapter_position == "encoder_top" else enc
+    attn = apply_adapter(graph, store, enc, rngs) if graph.adapter_position == "encoder_top" else enc
+    return Encoding(source, inputs, enc, attn)
 
 
 def head_memories(
@@ -635,17 +669,26 @@ def head_memories(
     return [(name, memories[name]) for name in head.memories]
 
 
-def forward(graph, store, batch: Batch, mode: str | None = None, training=False, rngs=None) -> LossBreakdown:
+def forward(
+    graph, store, batch: Batch, mode: str | None = None, training=False, rngs=None, encoding: Encoding | None = None
+) -> LossBreakdown:
     """The combined training loss of the route ``mode`` (default: the first).
 
     Heads run in table order. The loss sums weight * (head loss, plus CTC on
     the CTC head) over heads, st/mt term first and a weight of 1 left out:
     e.g. lam * st + (1 - lam) * (asr + ctc). Dropout runs only in
-    ``training``, drawing on ``rngs``.
+    ``training``, drawing on ``rngs``. ``encoding``, the route's ``encode``
+    of this batch, stands in for running the encoder (it carries whatever
+    dropout and gradient recording it was computed under); one of another
+    input raises ``EncodingMismatchError``.
     """
     route = route_for(graph.topology, mode)
     rngs = rngs if training else None
-    enc, attn = encode(graph, store, batch, route.source, rngs)
+    if encoding is None:
+        encoding = encode(graph, store, batch, route.source, rngs)
+    else:
+        encoding.check(batch, route.source)
+    enc, attn = encoding.enc, encoding.attn
     runs = {}
     for head in route.heads:
         memories = head_memories(graph, store, batch, head, enc, attn, rngs)

@@ -96,14 +96,25 @@ def decode_corpus(
     beam: int,
     max_len: int,
     len_norm: float = 0.6,
+    encodings: list[models.Encoding] | None = None,
 ) -> list[str]:
     """Beam-search every example (beam=1 is greedy) to a whitespace-joined
-    content-token sentence."""
+    content-token sentence.
+
+    ``encodings``, one ``models.encode`` per ``decode_batches(ds)`` batch in
+    order, stand in for encoding the batches again; a list of another length,
+    or an entry of another batch or source, raises
+    ``models.EncodingMismatchError``."""
     vocab, _ = output_side(ds, direction)
+    batches = decode_batches(ds)
+    if encodings is None:
+        encodings = [None] * len(batches)
+    elif len(encodings) != len(batches):
+        raise models.EncodingMismatchError(f"{len(encodings)} encodings for {len(batches)} decode batches")
     return [
         vocab.to_words(hyp.content(vocab))
-        for b in decode_batches(ds)
-        for hyp in beam_search(graph, store, b, beam, max_len, len_norm, direction)
+        for b, encoding in zip(batches, encodings)
+        for hyp in beam_search(graph, store, b, beam, max_len, len_norm, direction, encoding)
     ]
 
 
@@ -113,24 +124,35 @@ def evaluate_model(
     dev: Dataset,
     schedule: TrainSchedule,
 ) -> dict:
-    """Teacher-forced accuracy/loss plus decode metrics on the dev set."""
+    """Teacher-forced accuracy/loss plus decode metrics on the dev set.
+
+    Each filtered dev batch is encoded once, for the teacher-forced pass.
+    When the filter keeps every example, those batches are exactly
+    ``decode_batches(dev)``, and the task's decode and the asr decode for WER
+    reuse the same encodings; when it drops any, each decode encodes its own
+    batches. Nothing outlives the call: the weights change between calls.
+    """
     task = default_direction(graph.topology)
     cfg = graph.config
-    dev_batches, _ = make_batches(
+    dev_batches, report = make_batches(
         dev, 32, max_len=schedule.max_len, pool_product=cfg.pool_product, ctc_filter=cfg.ctc_enabled
     )
+    source = models.route_for(graph.topology).source
+    encodings = []
     hits = steps = 0
     loss_sum = 0.0
     with no_grad():
         for b in dev_batches:
-            parts = models.forward(graph, store, b)
+            encodings.append(models.encode(graph, store, b, source))
+            parts = models.forward(graph, store, b, encoding=encodings[-1])
             h, s = parts.token_hits[task]
             hits += h
             steps += s
             loss_sum += parts.combined.item()
     max_target = max(ex.e.length for ex in dev.examples) if dev.examples else 8
     max_len = 2 * max_target + 2
-    hyps = decode_corpus(graph, store, dev, task, schedule.dev_beam, max_len, schedule.len_norm)
+    shared = encodings if report.kept == len(dev) else None
+    hyps = decode_corpus(graph, store, dev, task, schedule.dev_beam, max_len, schedule.len_norm, shared)
     _, refs = output_side(dev, task)
     out = {
         "token_accuracy": round(hits / steps, 6) if steps else 0.0,
@@ -139,7 +161,7 @@ def evaluate_model(
         "ter": round(metrics_mod.ter(hyps, refs), 4),
     }
     if "decoder_asr." in graph.component_prefixes():
-        asr_hyps = hyps if task == "asr" else decode_corpus(graph, store, dev, "asr", 1, max_len)
+        asr_hyps = hyps if task == "asr" else decode_corpus(graph, store, dev, "asr", 1, max_len, encodings=shared)
         out["wer"] = round(metrics_mod.wer(asr_hyps, output_side(dev, "asr")[1]), 4)
     return out
 

@@ -295,6 +295,48 @@ def test_compare_of_a_metrics_line_that_is_no_row_exits_4(tmp_path, capsys):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_eval_of_a_config_that_is_no_object_of_strings_exits_4(tmp_path, capsys):
+    run = trained_run(tmp_path / "run")
+    (run / "config.json").write_text("[1]")
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(run)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err == f"error: {run / 'config.json'} holds no object of string values\n"
+    assert not (run / "eval_test.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [("config.json", "[1]", "holds no object of string values"), ("eval_test.json", "{}", "has no numeric bleu and ter")],
+)
+def test_compare_of_a_run_file_of_the_wrong_shape_exits_4(tmp_path, capsys, name, text, message):
+    run = trained_run(tmp_path / "run")
+    other = shutil.copytree(run, tmp_path / "other")
+    (other / name).write_text(text)
+    capsys.readouterr()
+    assert cli.main(["compare", str(run), str(other), "--out", str(tmp_path / "cmp")]) == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: {other / name} {message}\n"
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_train_rejects_a_len_norm_that_overflows_the_longest_decode_before_writing(tmp_path, capsys):
+    model = [arg for key, value in TINY_MODEL.items() for arg in (f"--{key}", value)]
+    argv = ["train", "--out", str(tmp_path / "run"), *TINY_DATA, *model, "--eval.len_norm", "400"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: eval.len_norm must keep 8**len_norm a finite float, got '400'\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_of_a_run_rejects_a_len_norm_that_overflows_its_decode(tmp_path, capsys):
+    run = trained_run(tmp_path / "run")
+    capsys.readouterr()
+    for flags, longest in ((["--eval.len_norm", "400"], 8), (["--eval.len_norm", "300", "--eval.max_len", "12"], 12)):
+        assert cli.main(["eval", "--run", str(run), *flags]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: eval.len_norm must keep {longest}**len_norm a finite float, got {flags[1]!r}\n"
+    assert not (run / "eval_test.json").exists()
+    assert cli.main(["eval", "--run", str(run), "--eval.len_norm", "300"]) == cli.EXIT_OK  # 8**300 is a finite float
+
+
 @pytest.mark.parametrize("value", ["ON", "True", "YES", "1"])
 def test_compare_labels_a_flag_as_training_reads_it(value):
     cfg = {"model.topology": "direct", "model.ctc": value, "transplant.adapter": value}

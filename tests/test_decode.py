@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -130,6 +131,43 @@ def test_beam_search_matches_reference_with_a_stacked_decoder(topology, directio
     ds, graph, store = tiny_setup(seed=11, topology=topology, adapter=adapter, dec_hidden=6, dec_layers=2)
     for beam in (1, 3):
         assert_matches_reference(graph, store, ds, beam, 5, direction)
+
+
+def _route_source(topology, direction):
+    return next(r.source for r in models.WIRING[topology].routes if any(h.task == direction for h in r.heads))
+
+
+@pytest.mark.parametrize("topology,direction,adapter", DECODABLE)
+def test_beam_search_given_the_batch_encoding_decodes_bit_for_bit_as_encoding_itself(topology, direction, adapter):
+    ds, graph, store = tiny_setup(seed=11, topology=topology, adapter=adapter, dec_hidden=6)
+    batch = data.batch(ds, len(ds))[0][0]
+    with no_grad():
+        encoding = models.encode(graph, store, batch, _route_source(topology, direction))
+
+    def decoded(beam, encoding=None):
+        hyps = beam_search(graph, store, batch, beam, 5, 0.6, direction, encoding)
+        return [(h.tokens, h.score.hex(), h.finished) for h in hyps]
+
+    for beam in (1, 3):
+        assert decoded(beam, encoding) == decoded(beam)
+
+
+def test_an_encoding_of_another_source_or_batch_is_rejected():
+    ds, graph, store = tiny_setup(seed=11, topology="many2one")
+    batch = data.batch(ds, len(ds))[0][0]
+    part = data.batch(ds, 3)[0][0]
+    louder = dataclasses.replace(batch, frames=2 * batch.frames)  # same shapes and lengths, other frames
+    with no_grad():
+        speech, text = (models.encode(graph, store, batch, source) for source in ("speech", "text"))
+        of_part, of_louder = (models.encode(graph, store, b, "speech") for b in (part, louder))
+    for direction, wrong in (("st", text), ("mt", speech), ("st", of_part), ("st", of_louder)):
+        with pytest.raises(models.EncodingMismatchError):
+            beam_search(graph, store, batch, 2, 4, 0.6, direction, wrong)
+    with pytest.raises(models.EncodingMismatchError):
+        models.forward(graph, store, batch, mode="text", encoding=speech)
+    with no_grad():
+        given, alone = models.forward(graph, store, batch, encoding=speech), models.forward(graph, store, batch)
+    assert given.combined.item() == alone.combined.item()
 
 
 POISONED = [("decoder_st.out.w", np.nan), ("decoder_st.lstm.l0.w_hh", np.nan), ("decoder_st.attn.w_keys", np.inf)]
@@ -313,6 +351,13 @@ def test_beam_search_rejects_a_negative_or_non_finite_len_norm(len_norm):
     ds, graph, store = tiny_setup()
     with pytest.raises(NumericsError, match="len_norm must be finite and >= 0"):
         beam_search(graph, store, data.batch(ds, 2)[0][0], 3, 4, len_norm)
+
+
+def test_beam_search_rejects_a_len_norm_whose_largest_normalizer_overflows():
+    ds, graph, store = tiny_setup()
+    with pytest.raises(NumericsError, match=r"max_len\*\*len_norm overflows a float: max_len 18, len_norm 400"):
+        beam_search(graph, store, data.batch(ds, 2)[0][0], 3, 18, 400.0)
+    assert len(beam_search(graph, store, data.batch(ds, 2)[0][0], 3, 18, 200.0)) == 2  # 18**200 is a finite float
 
 
 def test_greedy_zero_parameter_model_is_deterministic_lowest_id():

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from deskst import data, decode, models, training
+from deskst import data, decode, metrics, models, training
 from deskst.models import ModelConfig, build, init_store
+from deskst.tensor import no_grad
 from deskst.training import DivergenceError, RunRecord, TrainSchedule, train_model
 
 
@@ -174,3 +175,91 @@ def test_decode_corpus_batches_every_beam_like_single_utterance_search():
     vocab = dev.tgt_vocab
     alone = [decode.beam_decode(graph, store, ex.x.frames, 3, 6) for ex in dev.examples]
     assert got == [vocab.to_words(h.content(vocab)) for h in alone]
+
+
+def _evaluate_encoding_per_pass(graph, store, dev, schedule):
+    """evaluate_model as it was before its passes shared encodings: forward on
+    the filtered batches, then decodes that encode their own batches."""
+    task = decode.default_direction(graph.topology)
+    cfg = graph.config
+    batches, _ = data.batch(dev, 32, max_len=schedule.max_len, pool_product=cfg.pool_product, ctc_filter=cfg.ctc_enabled)
+    hits = steps = 0
+    loss_sum = 0.0
+    with no_grad():
+        for b in batches:
+            parts = models.forward(graph, store, b)
+            h, s = parts.token_hits[task]
+            hits, steps, loss_sum = hits + h, steps + s, loss_sum + parts.combined.item()
+    max_len = 2 * max(ex.e.length for ex in dev.examples) + 2
+    hyps = training.decode_corpus(graph, store, dev, task, schedule.dev_beam, max_len, schedule.len_norm)
+    refs = training.output_side(dev, task)[1]
+    out = {
+        "token_accuracy": round(hits / steps, 6),
+        "loss_per_token": round(loss_sum / steps, 6),
+        "bleu": round(metrics.bleu(hyps, refs), 4),
+        "ter": round(metrics.ter(hyps, refs), 4),
+    }
+    if "decoder_asr." in graph.component_prefixes():
+        asr_hyps = hyps if task == "asr" else training.decode_corpus(graph, store, dev, "asr", 1, max_len)
+        out["wer"] = round(metrics.wer(asr_hyps, training.output_side(dev, "asr")[1]), 4)
+    return out
+
+
+@pytest.mark.parametrize(
+    "topology, ctc, adapter, schedule",
+    [
+        ("direct", True, True, TrainSchedule()),
+        ("asr", True, False, TrainSchedule(dev_beam=3)),
+        ("mt", False, False, TrainSchedule()),
+        ("one2many", True, False, TrainSchedule()),
+        ("many2one", True, False, TrainSchedule()),
+        ("tied_cascade", True, False, TrainSchedule()),
+        ("tied_triangle", False, True, TrainSchedule()),
+        ("one2many", True, False, TrainSchedule(max_len=2)),  # the filter drops the 3-token examples
+    ],
+    ids=["direct", "asr", "mt", "one2many", "many2one", "tied_cascade", "tied_triangle", "one2many_filtered"],
+)
+def test_evaluate_model_scores_as_passes_that_encode_for_themselves(topology, ctc, adapter, schedule):
+    train, dev = small_task()
+    graph = build(small_model(train, topology=topology, ctc_enabled=ctc)[0].config, topology, adapter=adapter)
+    store = init_store(graph, 2)
+    kept = data.batch(dev, 32, max_len=schedule.max_len, pool_product=2, ctc_filter=ctc)[1].kept
+    assert (kept < len(dev)) == (schedule.max_len == 2)
+    assert training.evaluate_model(graph, store, dev, schedule) == _evaluate_encoding_per_pass(graph, store, dev, schedule)
+
+
+@pytest.mark.parametrize("max_len", [None, 2])
+def test_evaluate_model_encodes_each_dev_batch_once(monkeypatch, max_len):
+    """One encoding per dev batch; when the filter drops examples (max_len
+    2), the st and asr decodes encode their own batches as well."""
+    train, dev = small_task(n=200)
+    graph, store = small_model(train, topology="one2many", ctc_enabled=True)
+    decoded = len(training.decode_batches(dev))
+    filtered = len(data.batch(dev, 32, max_len=max_len, pool_product=2, ctc_filter=True)[0])
+    assert decoded == 2 and filtered == (1 if max_len else 2)
+    calls = []
+    encode = models.encode
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(models, "encode", counted)
+    for _ in range(2):
+        calls.clear()
+        training.evaluate_model(graph, store, dev, TrainSchedule(max_len=max_len))
+        assert len(calls) == (filtered + 2 * decoded if max_len else decoded)
+
+
+def test_decode_corpus_rejects_encodings_of_other_batches():
+    train, dev = small_task(n=200)
+    graph, store = small_model(train)
+    batches = training.decode_batches(dev)
+    with no_grad():
+        encodings = [models.encode(graph, store, b, "speech") for b in batches]
+    with pytest.raises(models.EncodingMismatchError, match="1 encodings for 2 decode batches"):
+        training.decode_corpus(graph, store, dev, "st", 1, 6, encodings=encodings[:1])
+    with pytest.raises(models.EncodingMismatchError):
+        training.decode_corpus(graph, store, dev, "st", 1, 6, encodings=encodings[::-1])
+    shared = training.decode_corpus(graph, store, dev, "st", 1, 6, encodings=encodings)
+    assert shared == training.decode_corpus(graph, store, dev, "st", 1, 6)
