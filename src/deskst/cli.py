@@ -59,11 +59,15 @@ def _read_json(path: Path, lines: bool = False) -> Any:
 
 
 def _read_config(run_dir: Path) -> dict[str, str]:
-    """A run's config.json: an object of string values, as ``train`` writes it."""
+    """A run's config.json: an object of string values under known keys, as
+    ``train`` writes it."""
     path = run_dir / "config.json"
     cfg = _read_json(path)
     if not (isinstance(cfg, dict) and all(isinstance(value, str) for value in cfg.values())):
         raise CorruptRunFileError(f"{path} holds no object of string values")
+    unknown = [key for key in cfg if key not in KEYS]
+    if unknown:
+        raise CorruptRunFileError(f"{path} has unknown key {unknown[0]!r}")
     return cfg
 
 

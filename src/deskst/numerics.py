@@ -15,6 +15,7 @@ from .tensor import (
     Tensor,
     backward_graph,
     no_grad,
+    release_graph,
 )
 
 __all__ = [
@@ -108,9 +109,13 @@ def backward(loss: Tensor, store: ParamStore) -> dict[str, np.ndarray]:
     """Gradient of a recorded scalar loss for every parameter in the store.
 
     Parameters that did not participate in the forward computation map to
-    zero gradients.
+    zero gradients. The graph is differentiated once and then released: the
+    loss and every interior node keep their values but lose their recorded
+    parents and backward closures, so the forward buffers are freed when
+    this returns. A second call on the same loss raises ``NumericsError``.
     """
     grads = backward_graph(loss)
+    release_graph(loss)
     out: dict[str, np.ndarray] = {}
     for name, param in store.items():
         g = grads.get(id(param))

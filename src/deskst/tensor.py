@@ -3,8 +3,13 @@
 A ``Tensor`` wraps a numpy array and, while gradient recording is enabled,
 remembers the operation that produced it. ``backward_graph`` replays the
 recording in reverse topological order and returns gradients for every leaf
-that participated. Every operation validates that its result is finite; a
-NaN/Inf is raised immediately instead of propagating.
+that participated; it leaves the recording intact, so a shared subgraph can
+be differentiated again. The training path (``numerics.backward``)
+differentiates each graph once and then calls ``release_graph``, which drops
+every recorded parent and backward closure so the forward buffers they own
+are freed while the caller keeps the values. Every operation validates that
+its result is finite; a NaN/Inf is raised immediately instead of
+propagating.
 """
 
 from __future__ import annotations
@@ -454,3 +459,14 @@ def backward_graph(loss: Tensor) -> dict[int, np.ndarray]:
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
     return grads
+
+
+def release_graph(root: Tensor) -> None:
+    """Forget the recording behind ``root``: every node it reaches keeps its
+    ``data`` but loses its ``parents`` and ``backward``, and with them the
+    buffers the backward closures own. Leaves are left as they are."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.parents)
+        node.parents, node.backward = (), None

@@ -129,8 +129,9 @@ def evaluate_model(
     Each filtered dev batch is encoded once, for the teacher-forced pass.
     When the filter keeps every example, those batches are exactly
     ``decode_batches(dev)``, and the task's decode and the asr decode for WER
-    reuse the same encodings; when it drops any, each decode encodes its own
-    batches. Nothing outlives the call: the weights change between calls.
+    reuse the same encodings; when it drops any, ``decode_batches(dev)`` is
+    encoded once more and both decodes share that. Nothing outlives the call:
+    the weights change between calls.
     """
     task = default_direction(graph.topology)
     cfg = graph.config
@@ -149,10 +150,11 @@ def evaluate_model(
             hits += h
             steps += s
             loss_sum += parts.combined.item()
+        if report.kept < len(dev):
+            encodings = [models.encode(graph, store, b, source) for b in decode_batches(dev)]
     max_target = max(ex.e.length for ex in dev.examples) if dev.examples else 8
     max_len = 2 * max_target + 2
-    shared = encodings if report.kept == len(dev) else None
-    hyps = decode_corpus(graph, store, dev, task, schedule.dev_beam, max_len, schedule.len_norm, shared)
+    hyps = decode_corpus(graph, store, dev, task, schedule.dev_beam, max_len, schedule.len_norm, encodings)
     _, refs = output_side(dev, task)
     out = {
         "token_accuracy": round(hits / steps, 6) if steps else 0.0,
@@ -161,7 +163,7 @@ def evaluate_model(
         "ter": round(metrics_mod.ter(hyps, refs), 4),
     }
     if "decoder_asr." in graph.component_prefixes():
-        asr_hyps = hyps if task == "asr" else decode_corpus(graph, store, dev, "asr", 1, max_len, encodings=shared)
+        asr_hyps = hyps if task == "asr" else decode_corpus(graph, store, dev, "asr", 1, max_len, encodings=encodings)
         out["wer"] = round(metrics_mod.wer(asr_hyps, output_side(dev, "asr")[1]), 4)
     return out
 

@@ -305,9 +305,24 @@ def test_eval_of_a_config_that_is_no_object_of_strings_exits_4(tmp_path, capsys)
     assert not (run / "eval_test.json").exists()
 
 
+def test_eval_of_a_config_with_an_unknown_key_exits_4(tmp_path, capsys):
+    run = trained_run(tmp_path / "run")
+    cfg = json.loads((run / "config.json").read_text())
+    cfg["model.enc_hiddn"] = cfg.pop("model.enc_hidden")
+    (run / "config.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(run)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: {run / 'config.json'} has unknown key 'model.enc_hiddn'\n"
+    assert not (run / "eval_test.json").exists()
+
+
 @pytest.mark.parametrize(
     "name, text, message",
-    [("config.json", "[1]", "holds no object of string values"), ("eval_test.json", "{}", "has no numeric bleu and ter")],
+    [
+        ("config.json", "[1]", "holds no object of string values"),
+        ("config.json", '{"model.topology": "direct", "model.enc_hiddn": "8"}', "has unknown key 'model.enc_hiddn'"),
+        ("eval_test.json", "{}", "has no numeric bleu and ter"),
+    ],
 )
 def test_compare_of_a_run_file_of_the_wrong_shape_exits_4(tmp_path, capsys, name, text, message):
     run = trained_run(tmp_path / "run")
