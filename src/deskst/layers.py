@@ -163,8 +163,9 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     one GEMM or sum over the N packed rows. One (2, N, 4H) buffer holds in
     turn the input projection, the gate activations and the gate gradients,
     so the backward can run only once. ``h_prev`` is a view of the output
-    at the previous step (gathered back from the output for the backward),
-    and under ``no_grad`` nothing is kept.
+    at the previous step (gathered back from the output for the backward).
+    The backward holds references to the weight arrays, not stacked copies,
+    and stacks them again when it runs; under ``no_grad`` nothing is kept.
     """
     constant_input = not isinstance(xs, Tensor)
     xs = as_tensor(xs)
@@ -209,12 +210,11 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     scale = np.full(4 * H, 0.5)
     scale[2 * H : 3 * H] = 1.0
     shift = 1.0 - scale
-    w_ih = np.stack([fwd.w_ih.data, bwd.w_ih.data])
-    w_hh = np.stack([fwd.w_hh.data, bwd.w_hh.data])
+    w_ihs, w_hhs = (fwd.w_ih.data, bwd.w_ih.data), (fwd.w_hh.data, bwd.w_hh.data)
     xd = xs.data.reshape(B * T, D)
-    z = np.matmul(xd[idx], w_ih * scale)
+    z = np.matmul(xd[idx], np.stack(w_ihs) * scale)
     z += (np.stack([fwd.b.data, bwd.b.data]) * scale)[:, None]
-    w_hh_scaled = w_hh * scale
+    w_hh_scaled = np.stack(w_hhs) * scale
     hs = np.zeros((2, N + 1, H))
     cs = np.empty((2, N, H))
     for k, n in enumerate(steps):
@@ -237,7 +237,7 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
             raise NumericsError("lstm_sequence: backward already ran; its buffers now hold gradients")
         ran.append(True)
         dh_all = gout.reshape(B * T * 2, H)[gidx]  # packed output gradient, accumulates dh
-        w_hh_t = w_hh.transpose(0, 2, 1)
+        w_hh_t = np.stack(w_hhs).transpose(0, 2, 1)
         dc = np.zeros((2, B, H))
         dy = np.empty((2, B, 4 * H))
         deriv = np.empty((2, B, 4 * H))
@@ -287,7 +287,7 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
         dx = None
         if not constant_input:
             dxp = np.zeros((2, N + 1, D))
-            np.matmul(z, w_ih.transpose(0, 2, 1), out=dxp[:, :N])
+            np.matmul(z, np.stack(w_ihs).transpose(0, 2, 1), out=dxp[:, :N])
             dx = dxp.reshape(2 * (N + 1), D)[inv].sum(axis=2)
         return dx, dw_ih[0], dw_hh[0], db[0], dw_ih[1], dw_hh[1], db[1]
 
@@ -864,16 +864,34 @@ def greedy_rollout(
     return tz._node(out[kernel.inverse], kernel.inputs, backward), steps_run, step_tokens
 
 
-def dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout multipliers: 0 with probability ``rate``, else 1/(1-rate)."""
+def _dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
+    """The kept positions: False with probability ``rate``."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
+    return rng.random(shape) >= rate
+
+
+def dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 with probability ``rate``, else 1/(1-rate)."""
+    return _dropout_mask(shape, rate, rng) / (1.0 - rate)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout at ``rate``: the identity at rate 0, drawing nothing."""
-    return as_tensor(x) if rate == 0.0 else x * dropout_keep(x.shape, rate, rng)
+    """Inverted dropout at ``rate``: the identity at rate 0, drawing nothing.
+
+    Otherwise one graph node, equal bit for bit to ``x * dropout_keep(x.shape,
+    rate, rng)`` with the same draw on ``rng``. Its backward keeps the boolean
+    mask, a byte per element, and rebuilds the same multipliers from it.
+    """
+    x = as_tensor(x)
+    if rate == 0.0:
+        return x
+    mask = _dropout_mask(x.shape, rate, rng)
+
+    def backward(g):
+        return (g * (mask / (1.0 - rate)),)
+
+    return tz._node(x.data * (mask / (1.0 - rate)), (x,), backward)
 
 
 def embed(token_id: np.ndarray | int, table: Tensor) -> Tensor:

@@ -109,8 +109,10 @@ def backward(loss: Tensor, store: ParamStore) -> dict[str, np.ndarray]:
     """Gradient of a recorded scalar loss for every parameter in the store.
 
     Parameters that did not participate in the forward computation map to
-    zero gradients. The graph is differentiated once and then released: the
-    loss and every interior node keep their values but lose their recorded
+    zero gradients. ``backward_graph`` returns the leaves' gradients only
+    (each interior one is dropped once consumed), and the parameters are
+    leaves. The graph is differentiated once and then released: the loss
+    and every interior node keep their values but lose their recorded
     parents and backward closures, so the forward buffers are freed when
     this returns. A second call on the same loss raises ``NumericsError``.
     """

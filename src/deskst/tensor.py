@@ -2,9 +2,10 @@
 
 A ``Tensor`` wraps a numpy array and, while gradient recording is enabled,
 remembers the operation that produced it. ``backward_graph`` replays the
-recording in reverse topological order and returns gradients for every leaf
-that participated; it leaves the recording intact, so a shared subgraph can
-be differentiated again. The training path (``numerics.backward``)
+recording in reverse topological order and returns gradients for the leaves
+only; it drops each interior gradient once the node's backward has consumed
+it, and it leaves the recording intact, so a shared subgraph can be
+differentiated again. The training path (``numerics.backward``)
 differentiates each graph once and then calls ``release_graph``, which drops
 every recorded parent and backward closure so the forward buffers they own
 are freed while the caller keeps the values. Every operation validates that
@@ -436,10 +437,13 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward_graph(loss: Tensor) -> dict[int, np.ndarray]:
-    """Gradients of a scalar ``loss`` w.r.t. every node in its graph.
+    """Gradients of a scalar ``loss`` w.r.t. the leaves of its graph.
 
-    Returns a map from ``id(tensor)`` to gradient array. Raises if the loss
-    is not scalar or has no recorded graph.
+    Returns a map from ``id(leaf)`` to gradient array; a leaf is a ``Tensor``
+    with no recorded backward, such as a parameter or a wrapped constant. An
+    interior node's gradient is dropped once its backward has consumed it, so
+    it has no entry. The graph is left intact. Raises if the loss is not
+    scalar or has no recorded graph.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -447,8 +451,10 @@ def backward_graph(loss: Tensor) -> dict[int, np.ndarray]:
         raise NumericsError("loss has no recorded forward graph")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(_topo_order(loss)):
-        g = grads.get(id(node))
-        if g is None or node.backward is None:
+        if node.backward is None:
+            continue
+        g = grads.pop(id(node), None)  # complete: every consumer came earlier
+        if g is None:
             continue
         parent_grads = node.backward(g)
         for parent, pg in zip(node.parents, parent_grads):

@@ -134,7 +134,7 @@ def load(path: str | Path) -> Checkpoint:
     offset += 8
     try:
         header = json.loads(blob[offset : offset + header_len])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes in no encoding JSON allows
         raise CorruptCheckpointError(f"{path}: unreadable header ({exc})") from exc
     offset += header_len
     if not isinstance(header, dict):
@@ -144,6 +144,8 @@ def load(path: str | Path) -> Checkpoint:
     try:
         graph = _graph_from_header(header)
         index = [(p["name"], tuple(p["shape"])) for p in header["params"]]
+        if not all(isinstance(name, str) and all(type(n) is int and n >= 0 for n in shape) for name, shape in index):
+            raise NumericsError("a tensor index entry is not a name with a shape of non-negative integers")
         dev_history, seed = header["dev_history"], header["seed"]
         if type(seed) is not int or seed < 0:  # a JSON true is a bool, not a seed
             raise NumericsError(f"seed must be a non-negative integer, got {seed!r}")

@@ -750,6 +750,18 @@ def test_dropout_zeroed_fraction_and_scaling():
     assert kept == pytest.approx(np.full_like(kept, 1.0 / 0.7))
 
 
+def test_dropout_is_the_product_with_dropout_keep_bit_for_bit():
+    x = Tensor(np.random.default_rng(3).normal(size=(4, 5, 6)))
+    rng, rng2 = np.random.default_rng(8), np.random.default_rng(8)
+    out = dropout(x, 0.3, rng)
+    keep = layers.dropout_keep(x.shape, 0.3, rng2)
+    assert out.data.tobytes() == (x.data * keep).tobytes()
+    assert out.parents == (x,)
+    g = np.random.default_rng(4).normal(size=x.shape)
+    assert out.backward(g)[0].tobytes() == (g * keep).tobytes()
+    assert rng.random() == rng2.random()  # both streams end in the same state
+
+
 def test_embed_identity_table_and_repeat():
     table = Tensor(np.eye(4))
     one_hot = embed(2, table)

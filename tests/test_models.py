@@ -845,18 +845,27 @@ def test_padded_batch_loss_equals_sum_of_singles(topology, mode):
     store = init_store(graph, 9)
     batches, _ = data.batch(ds, 5, pool_product=2, ctc_filter=ctc)
     combined = forward(graph, store, batches[0], mode=mode)
+    grads = backward(combined.combined, store)
     singles, _ = data.batch(ds, 1, pool_product=2, ctc_filter=ctc)
     total = {k: 0.0 for k in combined.floats()}
     hits = {task: (0, 0) for task in combined.token_hits}
+    grad_total = {name: np.zeros_like(g) for name, g in grads.items()}
     for b in singles:
         parts = forward(graph, store, b, mode=mode)
         for k in total:
             total[k] += parts.floats()[k]
         for task, (h, n) in parts.token_hits.items():
             hits[task] = (hits[task][0] + h, hits[task][1] + n)
+        for name, g in backward(parts.combined, store).items():
+            grad_total[name] += g
     for k in total:
         assert combined.floats()[k] == pytest.approx(total[k], abs=1e-9), k
     assert combined.token_hits == hits
+    # The gradient half, within 1e-12 absolute: no interior gradient is
+    # dropped before its last contribution arrives.
+    assert any(np.any(g) for g in grads.values())
+    for name, g in grads.items():
+        assert np.abs(g - grad_total[name]).max() <= 1e-12, name
 
 
 @pytest.mark.parametrize("topology,mode", ORACLE_CASES)
@@ -882,6 +891,9 @@ def test_doubling_pad_length_leaves_loss_unchanged(topology, mode):
     parts_wide = forward(graph, store, wide, mode=mode)
     assert parts_wide.combined.item() == pytest.approx(parts.combined.item(), abs=1e-12)
     assert parts_wide.token_hits == parts.token_hits
+    grads, grads_wide = backward(parts.combined, store), backward(parts_wide.combined, store)
+    for name, g in grads.items():  # within 1e-12 absolute
+        assert np.abs(grads_wide[name] - g).max() <= 1e-12, name
 
 
 # ---------------------------------------------------------------------------

@@ -139,3 +139,17 @@ def test_no_grad_suppresses_recording():
         y = tz.tsum(x * x)
     assert y.parents == ()
     assert y.backward is None
+
+
+def test_backward_graph_returns_leaves_only():
+    rng = np.random.default_rng(7)
+    x, w = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(3, 4)))
+    c = rng.normal(size=(2, 4))
+    hidden = tz.tanh(x @ w)
+    scaled = hidden * c
+    loss = tz.tsum(scaled + c)
+    grads = backward_graph(loss)
+    leaves = {id(node) for node in tz._topo_order(loss) if node.backward is None}
+    assert {id(x), id(w)} <= leaves and set(grads) == leaves  # no interior node
+    expected_w = x.data.T @ (c * (1.0 - hidden.data**2))
+    assert np.abs(grads[id(w)] - expected_w).max() <= 1e-12
