@@ -29,7 +29,7 @@ import numpy as np
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import models, training, transplant
-from .decode import DirectionError, cascade_batch, default_direction
+from .decode import DirectionError, cascade_batch, default_direction, default_max_len
 from .tensor import NumericsError
 from .training import DivergenceError, RunRecord, TrainSchedule
 
@@ -255,8 +255,8 @@ def parse_config(cfg: dict[str, str]) -> RunConfig:
         argument, _, rest = str(exc).partition(" ")
         raise ConfigError("/".join(key for key, row in KEYS.items() if row.library == argument) + " " + rest) from exc
     sections = TrainSchedule(**fields["train"]), TransplantConfig(**fields["transplant"]), EvalConfig(**fields["eval"])
-    # The longest decode: eval's, or train's dev decode at 2 * its longest target + 2.
-    longest = max(fields["eval"]["max_len"], 2 * data.len_max + 2)
+    # The longest decode: eval's, or train's dev decode at its default length.
+    longest = max(fields["eval"]["max_len"], default_max_len(data.len_max))
     try:
         float(longest) ** fields["train"]["len_norm"]
     except OverflowError:
@@ -356,6 +356,15 @@ def cmd_train(args, overrides) -> int:
     return EXIT_OK
 
 
+def _check_vocabularies(graph: models.ModelGraph, split: data_mod.Dataset, what: str) -> None:
+    """ConfigError unless ``graph`` was built for the split's vocabularies."""
+    if graph.config.src_vocab_size != split.src_vocab.size or graph.config.tgt_vocab_size != split.tgt_vocab.size:
+        raise ConfigError(
+            f"vocabulary mismatch: {what} ({graph.config.src_vocab_size}/{graph.config.tgt_vocab_size}) "
+            f"vs dataset ({split.src_vocab.size}/{split.tgt_vocab.size})"
+        )
+
+
 def cmd_eval(args, overrides) -> int:
     given = given_config(args, overrides)
     run_dir = None
@@ -382,16 +391,13 @@ def cmd_eval(args, overrides) -> int:
     split = {"train": train, "dev": dev, "test": test}[run.eval.split]
     if not split.examples:
         raise ConfigError(f"eval.split {run.eval.split!r} has no examples to score")
-    if graph.config.src_vocab_size != split.src_vocab.size or graph.config.tgt_vocab_size != split.tgt_vocab.size:
-        raise ConfigError(
-            f"vocabulary mismatch: checkpoint ({graph.config.src_vocab_size}/{graph.config.tgt_vocab_size}) "
-            f"vs dataset ({split.src_vocab.size}/{split.tgt_vocab.size})"
-        )
+    _check_vocabularies(graph, split, "checkpoint")
     beam, len_norm = run.eval.beam, run.train.len_norm
-    max_len = run.eval.max_len or 2 * run.data.len_max + 2
+    max_len = run.eval.max_len or default_max_len(run.data.len_max)
 
     if args.mt_checkpoint:  # cascade: this checkpoint is ASR, the flag is MT
         mt_graph, mt_store = transplant.restore(args.mt_checkpoint)
+        _check_vocabularies(mt_graph, split, "MT checkpoint")
         vocab, refs = training.output_side(split, "st")
         hyps = [
             vocab.to_words(res.translation.content(vocab))

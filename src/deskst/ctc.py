@@ -7,14 +7,12 @@ batches of one. The DP runs entirely in log space over the
 blank-interleaved label sequences, all rows at once: each row's backward
 pass starts at its own last frame, and states past a row's 2J+1 and frames
 past its length carry no path mass, so their gradient is 0. The blank
-symbol is always the last column of the frame distribution.
-``ctc_brute_force`` enumerates every alignment path and is the independent
-oracle for the DP.
+symbol is always the last column of the frame distribution. The tests
+check the DP against a brute-force sum over every alignment path.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +26,6 @@ __all__ = [
     "batched_ctc_loss",
     "ctc_loss",
     "ctc_lattice",
-    "ctc_brute_force",
     "extend_with_blanks",
     "min_frames_required",
 ]
@@ -63,13 +60,6 @@ class CtcLattice:
     beta: np.ndarray  # (T, 2J+1), emissions strictly after t
     extended: np.ndarray  # (2J+1,) blank-interleaved label ids
     log_prob: float
-
-    def log_prob_from_alpha(self) -> float:
-        return float(np.logaddexp(self.alpha[-1, -1], self.alpha[-1, -2]))
-
-    def log_prob_from_beta(self) -> float:
-        # Combine initial-state alphas (first emission) with their betas.
-        return float(np.logaddexp(self.alpha[0, 0] + self.beta[0, 0], self.alpha[0, 1] + self.beta[0, 1]))
 
 
 @dataclass
@@ -248,25 +238,3 @@ def ctc_lattice(frame_logprobs: np.ndarray, target: np.ndarray) -> CtcLattice:
     batch = _forward_backward(_single(frame_logprobs, target))
     return CtcLattice(batch.alpha[:, 0], batch.beta[:, 0], batch.extended[0], float(batch.log_prob[0]))
 
-
-def ctc_brute_force(frame_probs: np.ndarray, target: np.ndarray) -> float:
-    """p_ctc by enumerating all (V+1)^T paths; the test oracle for the DP.
-
-    ``frame_probs`` are plain probabilities (T, V+1) with blank last.
-    Collapse rule: merge consecutive repeats, then delete blanks.
-    """
-    probs = np.asarray(frame_probs, dtype=np.float64)
-    T, width = probs.shape
-    blank = width - 1
-    if width**T > 10**6:
-        raise NumericsError(f"brute force instance too large: {width}^{T} paths")
-    wanted = tuple(int(t) for t in np.asarray(target))
-    total = 0.0
-    for path in itertools.product(range(width), repeat=T):
-        collapsed = [k for k, _ in itertools.groupby(path) if k != blank]
-        if tuple(collapsed) == wanted:
-            p = 1.0
-            for t, k in enumerate(path):
-                p *= probs[t, k]
-            total += p
-    return total

@@ -83,12 +83,6 @@ class Vocabulary:
     def blank_id(self) -> int:
         return self.size - 1
 
-    def word(self, token_id: int) -> str:
-        return self.tokens[token_id]
-
-    def id(self, word: str) -> int:
-        return self.tokens.index(word)
-
     def to_words(self, ids) -> str:
         """Render content ids as a whitespace-joined sentence."""
         return " ".join(self.tokens[i] for i in ids)
@@ -130,10 +124,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.examples)
-
-    def decipher(self, e_ids: np.ndarray) -> np.ndarray:
-        inverse = np.argsort(self.cipher)
-        return inverse[np.asarray(e_ids)]
 
 
 def task_vocabularies(

@@ -42,9 +42,9 @@ __all__ = [
     "beam_search",
     "greedy_decode_batch",
     "beam_decode",
-    "cascade",
     "cascade_batch",
     "default_direction",
+    "default_max_len",
 ]
 
 _LOGP_FLOOR = 1e-300
@@ -78,6 +78,12 @@ class CascadeResult:
 def default_direction(topology: str) -> str:
     """The task of the default route's first head in loss order."""
     return models.route_for(topology).loss_heads[0].task
+
+
+def default_max_len(longest: int) -> int:
+    """The decode length when none is configured: twice the longest
+    reference of the data (in tokens), plus two."""
+    return 2 * longest + 2
 
 
 def _input_batch(graph: ModelGraph, xs: list, direction: str) -> Batch:
@@ -288,17 +294,3 @@ def cascade_batch(
         for i, t in enumerate(transcripts)
     ]
 
-
-def cascade(
-    asr_graph: ModelGraph,
-    asr_store: ParamStore,
-    mt_graph: ModelGraph,
-    mt_store: ParamStore,
-    x: np.ndarray,
-    beam: int = 12,
-    max_len: int = 64,
-    len_norm: float = 0.6,
-) -> CascadeResult:
-    """ASR beam decode of one utterance, then MT beam decode of the transcript."""
-    batch = _input_batch(asr_graph, [x], "asr")
-    return cascade_batch(asr_graph, asr_store, mt_graph, mt_store, batch, beam, max_len, len_norm)[0]

@@ -564,7 +564,16 @@ class DecoderKernel:
         the LSTM inputs' share, in place. ``d_out`` is the caller's (output
         weight, output bias) gradient pair. Returns the gradient of every
         ``inputs`` entry, in order, each memory's states in the caller's row
-        order."""
+        order.
+
+        Both fused decoders only ever clear a row's mask: once a row stops
+        (at its target's end, or at [EOS] or its limit in the rollout), its
+        mask is 0 at every later advance that computes it. A masked advance
+        keeps the row's state, so nothing after the row's last unmasked
+        advance depends on its cell state: going backward, the row's ``dc``
+        is still 0 at its masked steps, and it needs neither the mask nor a
+        pass-through term. ``dh`` needs both, since the rollout returns a
+        stopped row's kept top state at every later step."""
         rows = [top.shape[0] for top, _, _ in self.predictions]
         off = np.cumsum([0, *rows])
         S, n = len(rows), len(self.advances)
@@ -595,7 +604,7 @@ class DecoderKernel:
                     x, h_prev, c_prev, i, f, g, o, tc = cache[j]
                     dh_out = dh[j][:a] if dx is None else dh[j][:a] + dx
                     dh_new = m * dh_out
-                    dc_total = m * dc[j][:a] + dh_new * o * (1.0 - tc * tc)
+                    dc_total = dc[j][:a] + dh_new * o * (1.0 - tc * tc)
                     dz = np.concatenate(
                         [
                             dc_total * g * i * (1.0 - i),
@@ -606,7 +615,7 @@ class DecoderKernel:
                         axis=1,
                     )
                     dz_steps[j].append(dz)
-                    dc[j][:a] = dc_total * f + (1.0 - m) * dc[j][:a]
+                    dc[j][:a] = dc_total * f
                     dx = dz @ cells_t[j][0]
                     dh[j][:a] = dz @ cells_t[j][1] + (1.0 - m) * dh_out
                 d_cur.append(dx[:, :E])

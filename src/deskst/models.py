@@ -454,16 +454,6 @@ def apply_adapter(graph: ModelGraph, store: ParamStore, states: EncoderStates, r
     return EncoderStates(states=h, lengths=states.lengths)
 
 
-@dataclass
-class DecoderRun:
-    loss: Tensor  # masked sum of per-step smoothed cross entropies
-    hits: int
-    steps: int
-    states: Tensor | None = None  # (B, K, D) collected top hidden states
-    lengths: np.ndarray | None = None  # (B,) steps each rollout row ran
-    tokens: np.ndarray | None = None  # (B, K) greedy emissions
-
-
 class _DecoderCore:
     """One decoder position at a time, as per-step Tensor ops. Nothing in
     the package runs it: it is kept as the building block of the tests'
@@ -537,14 +527,15 @@ def run_decoder_teacher_forced(
     lengths: np.ndarray,
     vocab: Vocabulary,
     rngs=None,
-) -> DecoderRun:
+) -> tuple[Tensor, int]:
     """Sum of label-smoothed step losses under teacher forcing, as one
     ``layers.teacher_forced_decoder`` node, with dropout on the decoder's
-    stream. Step s predicts target token s (or EOS at each sequence's end);
-    padded steps contribute nothing to the loss or the accuracy counts.
+    stream, and the number of steps whose argmax is the target. Step s
+    predicts target token s (or EOS at each sequence's end); padded steps
+    contribute nothing to the loss or the accuracy counts.
     """
     cfg = graph.config
-    loss, hits = teacher_forced_decoder(
+    return teacher_forced_decoder(
         *_decoder_params(graph, store, prefix, memories),
         targets,
         lengths,
@@ -554,7 +545,6 @@ def run_decoder_teacher_forced(
         cfg.dropout,
         _dropout_rng(graph, rngs, prefix),
     )
-    return DecoderRun(loss=loss, hits=hits, steps=int(lengths.sum()) + len(lengths))  # L + 1 steps per row
 
 
 def run_decoder_greedy_rollout(
@@ -565,15 +555,16 @@ def run_decoder_greedy_rollout(
     limits: np.ndarray,
     vocab: Vocabulary,
     rngs=None,
-) -> DecoderRun:
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Greedy decode collecting the (B, K, D) top-state sequence as one
     ``layers.greedy_rollout`` node: gradients flow through the states, and
-    the argmax token choices are constants. Row b stops after [EOS] or
+    the argmax token choices are constants. Returns (the states, the (B,)
+    steps each row ran, the (B, K) tokens). Row b stops after [EOS] or
     ``limits[b]`` steps (``head_memories`` caps it at ceil(1.5 J) for the
     loss and at the pooled frame count when decoding). With ``rngs``, each
     step that runs draws one (B, D) dropout mask on the decoder's stream, so
     the stream moves by exactly the steps taken."""
-    states, lengths, tokens = greedy_rollout(
+    return greedy_rollout(
         *_decoder_params(graph, store, prefix, memories),
         limits,
         vocab.bos_id,
@@ -582,7 +573,6 @@ def run_decoder_greedy_rollout(
         graph.config.dropout,
         _dropout_rng(graph, rngs, prefix),
     )
-    return DecoderRun(loss=None, hits=0, steps=0, states=states, lengths=lengths, tokens=tokens)
 
 
 def _ctc_term(graph: ModelGraph, store: ParamStore, enc: EncoderStates, batch: Batch) -> Tensor:
@@ -660,10 +650,10 @@ def head_memories(
     memories = {"attn": attn}
     if "attn_dec" in head.memories:
         limits = np.maximum(1, enc.lengths if decoding else np.ceil(1.5 * batch.src_lengths).astype(np.int64))
-        rollout = run_decoder_greedy_rollout(
+        states, lengths, _ = run_decoder_greedy_rollout(
             graph, store, "decoder_asr", [("attn", attn)], limits, _task_vocab(graph, "asr"), rngs
         )
-        memories["attn_dec"] = EncoderStates(rollout.states, rollout.lengths)
+        memories["attn_dec"] = EncoderStates(states, lengths)
         if graph.adapter_position == "asr_decoder_top":
             memories["attn_dec"] = apply_adapter(graph, store, memories["attn_dec"], rngs)
     return [(name, memories[name]) for name in head.memories]
@@ -689,13 +679,14 @@ def forward(
     else:
         encoding.check(batch, route.source)
     enc, attn = encoding.enc, encoding.attn
-    runs = {}
+    runs = {}  # head -> (loss, hits, steps)
     for head in route.heads:
         memories = head_memories(graph, store, batch, head, enc, attn, rngs)
         targets, lengths = (batch.src, batch.src_lengths) if head.task == "asr" else (batch.tgt, batch.tgt_lengths)
-        runs[head] = run_decoder_teacher_forced(
+        loss, hits = run_decoder_teacher_forced(
             graph, store, head.decoder, memories, targets, lengths, _task_vocab(graph, head.task), rngs
         )
+        runs[head] = loss, hits, int(lengths.sum()) + len(lengths)  # L + 1 steps per row
     parts = LossBreakdown(combined=None)
     ctc_head = None
     if graph.config.ctc_enabled and route.source == "speech":
@@ -704,10 +695,10 @@ def forward(
         ctc_head = next((h for h in route.heads if h.task == "asr"), route.heads[0])
     lam = graph.config.loss_weight
     for head in route.loss_heads:
-        run = runs[head]
-        setattr(parts, f"{head.task}_loss", run.loss)
-        parts.token_hits[head.task] = (run.hits, run.steps)
-        term = run.loss + parts.ctc_loss if head == ctc_head else run.loss
+        loss, hits, steps = runs[head]
+        setattr(parts, f"{head.task}_loss", loss)
+        parts.token_hits[head.task] = (hits, steps)
+        term = loss + parts.ctc_loss if head == ctc_head else loss
         if head.weight != "1":
             term = (lam if head.weight == "lam" else 1.0 - lam) * term
         parts.combined = term if parts.combined is None else parts.combined + term

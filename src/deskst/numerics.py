@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     backward_graph,
-    no_grad,
     release_graph,
 )
 
@@ -22,19 +21,12 @@ __all__ = [
     "ParamStore",
     "OptimizerState",
     "LrSchedule",
-    "GradCheckReport",
     "seeded_init",
     "rng_for",
     "backward",
-    "grad_check",
     "adam_step",
     "plateau_update",
-    "NonDeterministicLossError",
 ]
-
-
-class NonDeterministicLossError(NumericsError):
-    """grad_check detected two unequal evaluations of the same loss."""
 
 
 def rng_for(seed: int, name: str) -> np.random.Generator:
@@ -123,61 +115,6 @@ def backward(loss: Tensor, store: ParamStore) -> dict[str, np.ndarray]:
         g = grads.get(id(param))
         out[name] = g if g is not None else np.zeros_like(param.data)
     return out
-
-
-@dataclass
-class GradCheckReport:
-    per_param: dict[str, float]
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(self.per_param.values()) if self.per_param else 0.0
-
-    def worst(self) -> tuple[str, float]:
-        name = max(self.per_param, key=self.per_param.get)
-        return name, self.per_param[name]
-
-
-def grad_check(
-    loss_fn: Callable[[], Tensor],
-    store: ParamStore,
-    eps: float = 1e-5,
-) -> GradCheckReport:
-    """Compare recorded gradients against central finite differences.
-
-    ``loss_fn`` must be deterministic (dropout disabled); this is verified by
-    evaluating the baseline twice. Relative error per parameter entry is
-    |g_an - g_fd| / max(1, |g_an|, |g_fd|); the report carries the max per
-    parameter name.
-    """
-    base = loss_fn()
-    with no_grad():
-        repeat = loss_fn()
-    if not np.array_equal(base.data, repeat.data):
-        raise NonDeterministicLossError("loss_fn returned different values on two evaluations")
-    analytic = backward(base, store)
-
-    report: dict[str, float] = {}
-    for name, param in store.items():
-        g_an = analytic[name]
-        worst = 0.0
-        flat = param.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            with no_grad():
-                hi = loss_fn().item()
-            flat[i] = orig - eps
-            with no_grad():
-                lo = loss_fn().item()
-            flat[i] = orig
-            g_fd = (hi - lo) / (2.0 * eps)
-            g = g_an.reshape(-1)[i]
-            err = abs(g - g_fd) / max(1.0, abs(g), abs(g_fd))
-            if err > worst:
-                worst = err
-        report[name] = worst
-    return GradCheckReport(report)
 
 
 @dataclass

@@ -199,27 +199,6 @@ def sigmoid(a) -> Tensor:
     return _node(out, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        return (g * out,)
-
-    return _node(out, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)  # non-positive input trips the finiteness check
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _node(out, (a,), backward)
-
-
 _LOG_FLOOR = 1e-300
 
 

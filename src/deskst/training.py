@@ -19,7 +19,7 @@ from . import metrics as metrics_mod
 from . import models, transplant
 from .data import Batch, Dataset, Vocabulary, batch as make_batches
 from .decode import beam_decode  # noqa: F401  (a training binding that perfbench tracing wraps)
-from .decode import beam_search, default_direction
+from .decode import beam_search, default_direction, default_max_len
 from .models import ModelGraph
 from .numerics import LrSchedule, OptimizerState, ParamStore, adam_step, backward, plateau_update, rng_for
 from .tensor import NonFiniteError, no_grad
@@ -152,8 +152,7 @@ def evaluate_model(
             loss_sum += parts.combined.item()
         if report.kept < len(dev):
             encodings = [models.encode(graph, store, b, source) for b in decode_batches(dev)]
-    max_target = max(ex.e.length for ex in dev.examples) if dev.examples else 8
-    max_len = 2 * max_target + 2
+    max_len = default_max_len(max(ex.e.length for ex in dev.examples) if dev.examples else 8)
     hyps = decode_corpus(graph, store, dev, task, schedule.dev_beam, max_len, schedule.len_norm, encodings)
     _, refs = output_side(dev, task)
     out = {

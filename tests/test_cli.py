@@ -30,9 +30,10 @@ def tiny_config(**over):
     return cfg
 
 
-def checkpoint(tmp_path, topology):
-    """A freshly initialized checkpoint of the CLI's tiny-data vocabulary."""
-    cfg = tiny_config(**{"model.topology": topology})
+def checkpoint(tmp_path, topology, **over):
+    """A freshly initialized checkpoint of the CLI's tiny-data vocabulary,
+    or of the configuration that the keys in ``over`` change."""
+    cfg = tiny_config(**{"model.topology": topology, **over})
     _, _, _, graph, store, _ = cli.initialize_run(cfg)
     path = tmp_path / f"{topology}.ckpt"
     transplant.save(graph, store, path)
@@ -93,6 +94,18 @@ def test_cascade_eval_uses_the_configured_len_norm_and_batches(tmp_path, monkeyp
     assert calls[0] == ("asr", 3, 1.5)  # the whole split in one ASR search
     assert all(d == "mt" and n <= 3 and a == 1.5 for d, n, a in calls[1:])
     assert len((tmp_path / "eval" / "hyps_test.txt").read_text().splitlines()) == 3
+
+
+def test_cascade_eval_rejects_an_mt_checkpoint_of_another_vocabulary_before_decoding(tmp_path, capsys, monkeypatch):
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decoded before the MT checkpoint was checked")
+
+    monkeypatch.setattr(decode, "beam_search", no_decoding)
+    asr, mt = checkpoint(tmp_path, "asr"), checkpoint(tmp_path, "mt", **{"data.vocab_size": "10"})
+    assert run_eval(tmp_path, asr, "--mt-checkpoint", str(mt)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: vocabulary mismatch: MT checkpoint (14/14) vs dataset") and err.count("\n") == 1
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("topology", ["asr", "mt"])

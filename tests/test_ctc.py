@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,6 @@ from deskst import tensor as tz
 from deskst.ctc import (
     CtcInfeasibleError,
     batched_ctc_loss,
-    ctc_brute_force,
     ctc_lattice,
     ctc_loss,
     extend_with_blanks,
@@ -15,6 +16,29 @@ from deskst.ctc import (
 from deskst.tensor import NumericsError, Tensor, backward_graph
 
 from util import store_with
+
+
+def ctc_brute_force(frame_probs: np.ndarray, target: np.ndarray) -> float:
+    """p_ctc by enumerating all (V+1)^T paths; the test oracle for the DP.
+
+    ``frame_probs`` are plain probabilities (T, V+1) with blank last.
+    Collapse rule: merge consecutive repeats, then delete blanks.
+    """
+    probs = np.asarray(frame_probs, dtype=np.float64)
+    T, width = probs.shape
+    blank = width - 1
+    if width**T > 10**6:
+        raise NumericsError(f"brute force instance too large: {width}^{T} paths")
+    wanted = tuple(int(t) for t in np.asarray(target))
+    total = 0.0
+    for path in itertools.product(range(width), repeat=T):
+        collapsed = [k for k, _ in itertools.groupby(path) if k != blank]
+        if tuple(collapsed) == wanted:
+            p = 1.0
+            for t, k in enumerate(path):
+                p *= probs[t, k]
+            total += p
+    return total
 
 
 def random_logprobs(rng, T, width, sharp=1.0):
@@ -85,7 +109,10 @@ def test_lattice_alpha_beta_consistency():
     target = np.array([0, 2, 1])
     lat = ctc_lattice(lp, target)
     assert lat.extended.shape == (7,)
-    assert lat.log_prob_from_alpha() == pytest.approx(lat.log_prob_from_beta(), abs=1e-9)
+    from_alpha = np.logaddexp(lat.alpha[-1, -1], lat.alpha[-1, -2])
+    # initial-state alphas (first emission) with their betas
+    from_beta = np.logaddexp(lat.alpha[0, 0] + lat.beta[0, 0], lat.alpha[0, 1] + lat.beta[0, 1])
+    assert from_alpha == pytest.approx(from_beta, abs=1e-9)
     # the total path mass through every time slice equals log p
     gamma = lat.alpha + lat.beta
     for t in range(5):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deskst import data, decode, layers, models, tensor as tz
-from deskst.decode import Hypothesis, beam_decode, beam_search, cascade, cascade_batch, greedy_decode_batch
+from deskst.decode import Hypothesis, beam_decode, beam_search, cascade_batch, greedy_decode_batch
 from deskst.layers import EncoderStates
 from deskst.models import ModelConfig, build, init_store
 from deskst.tensor import NonFiniteError, NumericsError, Tensor, no_grad
@@ -479,13 +479,19 @@ def test_beam_search_kernels_record_nothing_and_leave_gradients_on(monkeypatch):
     assert all(not k.predictions and not k.advances for k in kernels)
 
 
+def cascade_one(asr_graph, asr_store, mt_graph, mt_store, x, **kwargs):
+    """The cascade of one utterance: a one-utterance batch."""
+    batch = decode._input_batch(asr_graph, [x], "asr")
+    return cascade_batch(asr_graph, asr_store, mt_graph, mt_store, batch, **kwargs)[0]
+
+
 def test_cascade_pipeline():
     ds, asr_graph, asr_store = tiny_setup(seed=6, topology="asr")
     _, mt_graph, mt_store = tiny_setup(seed=6, topology="mt")
-    res = cascade(asr_graph, asr_store, mt_graph, mt_store, ds.examples[0].x.frames, beam=3, max_len=6)
+    res = cascade_one(asr_graph, asr_store, mt_graph, mt_store, ds.examples[0].x.frames, beam=3, max_len=6)
     assert res.transcript.tokens
     # determinism: same inputs, same result
-    res2 = cascade(asr_graph, asr_store, mt_graph, mt_store, ds.examples[0].x.frames, beam=3, max_len=6)
+    res2 = cascade_one(asr_graph, asr_store, mt_graph, mt_store, ds.examples[0].x.frames, beam=3, max_len=6)
     assert res.translation.tokens == res2.translation.tokens
     assert res.translation.score == res2.translation.score
 
@@ -500,7 +506,7 @@ def test_cascade_batch_equals_cascade_per_utterance():
     asr_store.set("decoder_asr.out.w", w)
     batch = data.batch(ds, len(ds))[0][0]
     together = cascade_batch(asr_graph, asr_store, mt_graph, mt_store, batch, beam=3, max_len=5)
-    alone = [cascade(asr_graph, asr_store, mt_graph, mt_store, ex.x.frames, beam=3, max_len=5) for ex in ds.examples]
+    alone = [cascade_one(asr_graph, asr_store, mt_graph, mt_store, ex.x.frames, beam=3, max_len=5) for ex in ds.examples]
     flags = [r.translation.flag for r in together]
     assert "empty_transcript" in flags and None in flags
     assert flags == [r.translation.flag for r in alone]
@@ -513,7 +519,7 @@ def test_cascade_vocab_mismatch_rejected():
     ds, asr_graph, asr_store = tiny_setup(seed=7, topology="asr")
     ds8, mt_graph, mt_store = tiny_setup(seed=7, topology="mt", vocab=6)
     with pytest.raises(NumericsError):
-        cascade(asr_graph, asr_store, mt_graph, mt_store, ds.examples[0].x.frames)
+        cascade_one(asr_graph, asr_store, mt_graph, mt_store, ds.examples[0].x.frames)
 
 
 def test_cascade_empty_transcript_flagged():
@@ -524,7 +530,7 @@ def test_cascade_empty_transcript_flagged():
     bias = np.zeros(asr_graph.shapes["decoder_asr.out.b"])
     bias[ds.src_vocab.eos_id] = 50.0
     asr_store.set("decoder_asr.out.b", bias)
-    res = cascade(asr_graph, asr_store, mt_graph, mt_store, ds.examples[0].x.frames, beam=2, max_len=5)
+    res = cascade_one(asr_graph, asr_store, mt_graph, mt_store, ds.examples[0].x.frames, beam=2, max_len=5)
     assert res.transcript.tokens == [ds.src_vocab.eos_id]
     assert res.translation.tokens == []
     assert res.translation.flag == "empty_transcript"

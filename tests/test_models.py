@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,25 +272,28 @@ def test_tied_rollout_support_and_triangle_weights():
     enc = models.run_speech_encoder(graph, store, batch)
     src_vocab = ds.src_vocab
     limits = np.maximum(1, np.ceil(1.5 * batch.src_lengths).astype(np.int64))
-    rollout = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", [("attn", enc)], limits, src_vocab)
+    states, lengths, tokens = models.run_decoder_greedy_rollout(
+        graph, store, "decoder_asr", [("attn", enc)], limits, src_vocab
+    )
     # attention support for the second decoder == greedy output length
     # (steps up to and including EOS, truncated at the per-example limit)
-    lengths = rollout.lengths
     for b in range(batch.size):
-        live = np.arange(rollout.tokens.shape[1]) < lengths[b]
+        live = np.arange(tokens.shape[1]) < lengths[b]
         expect = int(limits[b])
-        for k, tok in enumerate(rollout.tokens[b]):
+        for k, tok in enumerate(tokens[b]):
             if live[k] and tok == src_vocab.eos_id:
                 expect = k + 1
                 break
         assert lengths[b] == min(expect, int(limits[b]))
-    assert rollout.states.shape[1] == int(lengths.max())
+    assert states.shape[1] == int(lengths.max())
     # triangle: both attention distributions are normalized every step
     tri = build(tiny_config(ds), "tied_triangle")
     tstore = init_store(tri, 6)
     enc_t = models.run_speech_encoder(tri, tstore, batch)
-    roll_t = models.run_decoder_greedy_rollout(tri, tstore, "decoder_asr", [("attn", enc_t)], limits, src_vocab)
-    dec_mem = EncoderStates(roll_t.states, roll_t.lengths)
+    states_t, lengths_t, _ = models.run_decoder_greedy_rollout(
+        tri, tstore, "decoder_asr", [("attn", enc_t)], limits, src_vocab
+    )
+    dec_mem = EncoderStates(states_t, lengths_t)
     core = models._DecoderCore(tri, tstore, "decoder_st", [("attn", enc_t), ("attn_dec", dec_mem)], ds.tgt_vocab.size)
     layers_state, feedback = core.initial_state(batch.size)
     probs, ctx, feedback = core.step(np.full(batch.size, ds.tgt_vocab.bos_id), layers_state, feedback, False, None)
@@ -390,8 +395,9 @@ def test_tied_gradcheck_through_a_fixed_rollout(topology, adapter, monkeypatch):
     checked = WithoutPrefix(store, "decoder_st.")
     check_grads(lambda: forward(graph, store, batch).combined, checked)
     assert len(runs) > 2 * sum(v.data.size for _, v in checked.items())
-    assert all(np.array_equal(run.tokens, runs[0].tokens) for run in runs)
-    assert runs[0].tokens.shape[1] > 1 and 0 < runs[0].lengths.sum() < runs[0].tokens.size  # a frozen step
+    _, lengths, tokens = runs[0]
+    assert all(np.array_equal(run[2], tokens) for run in runs)
+    assert tokens.shape[1] > 1 and 0 < lengths.sum() < tokens.size  # a frozen step
 
 
 def encoder_path_store(store, prefix, seed, **extra):
@@ -482,9 +488,11 @@ def test_a_held_loss_breakdown_keeps_under_one_percent_of_its_forward_once_backw
 # ---------------------------------------------------------------------------
 
 
-def stepwise_teacher_forced(graph, store, prefix, memories, targets, lengths, vocab, rngs=None):
+def stepwise_teacher_forced(graph, store, prefix, memories, targets, lengths, vocab, rngs=None, steps_run=None):
     """The teacher-forced loop one position at a time, built from the
-    per-step layers: the oracle of ``layers.teacher_forced_decoder``."""
+    per-step layers: the oracle of ``layers.teacher_forced_decoder``.
+    Returns (loss, hits), and appends the number of (step, row) pairs it
+    ran to ``steps_run`` when given."""
     B, I = targets.shape
     core = models._DecoderCore(graph, store, prefix, memories, vocab.size)
     layers_state, feedback = core.initial_state(B)
@@ -503,7 +511,9 @@ def stepwise_teacher_forced(graph, store, prefix, memories, targets, lengths, vo
         steps += int(step_mask.sum())
         layers_state = core.advance(target_ids, ctx, layers_state, step_mask)
         prev_ids = target_ids
-    return models.DecoderRun(loss=total, hits=hits, steps=steps)
+    if steps_run is not None:
+        steps_run.append(steps)
+    return total, hits
 
 
 def stepwise_greedy_rollout(graph, store, prefix, memories, limits, vocab, rngs=None):
@@ -527,13 +537,10 @@ def stepwise_greedy_rollout(graph, store, prefix, memories, limits, vocab, rngs=
         alive = alive & (chosen != vocab.eos_id) & (k + 1 < limits)
         prev_ids = chosen
         k += 1
-    return models.DecoderRun(
-        loss=None,
-        hits=0,
-        steps=0,
-        states=tz.stack(states, axis=1),
-        lengths=np.stack(state_masks, axis=1).sum(axis=1).astype(np.int64),
-        tokens=np.stack(tokens, axis=1),
+    return (
+        tz.stack(states, axis=1),
+        np.stack(state_masks, axis=1).sum(axis=1).astype(np.int64),
+        np.stack(tokens, axis=1),
     )
 
 
@@ -570,11 +577,14 @@ def test_fused_decoder_matches_stepwise_oracle(topology, mode, monkeypatch):
                     return parts, backward(parts.combined, store)
 
                 fused, g_fused = run()
+                steps_run = []
                 with monkeypatch.context() as patch:
-                    patch.setattr(models, "run_decoder_teacher_forced", stepwise_teacher_forced)
+                    patch.setattr(models, "run_decoder_teacher_forced",
+                                  functools.partial(stepwise_teacher_forced, steps_run=steps_run))
                     oracle, g_oracle = run()
                 assert fused.floats() == oracle.floats(), case
                 assert fused.token_hits == oracle.token_hits, case
+                assert sorted(steps for _, steps in fused.token_hits.values()) == sorted(steps_run), case
                 # Relative to the component's largest gradient entry: a bias
                 # gradient can be a near-cancelling sum, orders below its terms.
                 for prefix, names in graph.component_prefixes().items():
@@ -619,8 +629,9 @@ def rollout_and_grads(rollout, graph, store, vocab, rows, mem_lengths=ROLLOUT_ME
     rngs = models.dropout_streams(5)
     memory = EncoderStates(tz.take_slice(store["memory"], rows), mem_lengths[rows])
     run = rollout(graph, store, "decoder_asr", [("attn", memory)], limits[rows], vocab, rngs)
-    upstream = np.random.default_rng(4).normal(size=run.states.shape)
-    grads = backward(tz.tsum(run.states * upstream), store)
+    states = run[0]
+    upstream = np.random.default_rng(4).normal(size=states.shape)
+    grads = backward(tz.tsum(states * upstream), store)
     return run, grads, rngs["decoder_asr"].random()
 
 
@@ -631,9 +642,10 @@ def test_fused_rollout_matches_stepwise_oracle(dec_layers, dropout):
     for rows in (slice(None), slice(0, 1)):  # B = 4, and B = 1
         fused, g_fused, next_fused = rollout_and_grads(models.run_decoder_greedy_rollout, graph, store, vocab, rows)
         oracle, g_oracle, next_oracle = rollout_and_grads(stepwise_greedy_rollout, graph, store, vocab, rows)
-        assert np.array_equal(fused.tokens, oracle.tokens), rows
-        assert np.array_equal(fused.lengths, oracle.lengths), rows
-        assert fused.states.data.tobytes() == oracle.states.data.tobytes(), rows  # frozen padded steps included
+        (states, lengths, tokens), (o_states, o_lengths, o_tokens) = fused, oracle
+        assert np.array_equal(tokens, o_tokens), rows
+        assert np.array_equal(lengths, o_lengths), rows
+        assert states.data.tobytes() == o_states.data.tobytes(), rows  # frozen padded steps included
         assert next_fused == next_oracle  # the dropout stream moved by the steps taken
         names = [n for n in store.names() if n.startswith("decoder_asr.")]
         for group in (names, ["memory"]):
@@ -643,23 +655,24 @@ def test_fused_rollout_matches_stepwise_oracle(dec_layers, dropout):
                 assert err <= 1e-12 * scale, (rows, name, err, scale)
         assert not g_fused["decoder_asr.out.w"].any() and not g_fused["decoder_asr.out.b"].any()  # argmax is constant
         if rows == slice(None):
-            lengths = fused.lengths
             assert len(set(lengths)) > 2 and lengths[1] == 1  # rows stop at different steps; limit 1 holds
-            assert any(fused.tokens[b, lengths[b] - 1] == vocab.eos_id for b in range(4))
+            assert any(tokens[b, lengths[b] - 1] == vocab.eos_id for b in range(4))
             if dropout:
-                assert fused.states.shape[1] < ROLLOUT_LIMITS.max()  # a single S_max draw would move the stream
+                assert states.shape[1] < ROLLOUT_LIMITS.max()  # a single S_max draw would move the stream
 
 
 def test_fused_rollout_under_no_grad_is_parentless_with_same_values():
     graph, store, vocab = rollout_setup(2, 0.0)
     memory = [("attn", EncoderStates(store["memory"], ROLLOUT_MEMORY_LENGTHS))]
-    run = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, ROLLOUT_LIMITS, vocab)
-    assert run.states.parents
+    states, lengths, tokens = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, ROLLOUT_LIMITS, vocab)
+    assert states.parents
     with tz.no_grad():
-        plain = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, ROLLOUT_LIMITS, vocab)
-    assert plain.states.parents == () and plain.states.backward is None
-    assert plain.states.data.tobytes() == run.states.data.tobytes()
-    assert np.array_equal(plain.tokens, run.tokens) and np.array_equal(plain.lengths, run.lengths)
+        plain, plain_lengths, plain_tokens = models.run_decoder_greedy_rollout(
+            graph, store, "decoder_asr", memory, ROLLOUT_LIMITS, vocab
+        )
+    assert plain.parents == () and plain.backward is None
+    assert plain.data.tobytes() == states.data.tobytes()
+    assert np.array_equal(plain_tokens, tokens) and np.array_equal(plain_lengths, lengths)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -727,11 +740,12 @@ def assert_grads_close(got, want, names, tol=1e-12):
 
 
 def teacher_forced_run(run, graph, store, vocab, mem_lengths, targets, lengths, training=True, rows=slice(None)):
-    """A decoder_asr teacher-forced run over ``rows`` of the memory and its gradients."""
+    """A decoder_asr teacher-forced run over ``rows`` of the memory: its
+    (loss, hits) and its gradients."""
     memory = [("attn", EncoderStates(tz.take_slice(store["memory"], rows), mem_lengths[rows]))]
-    out = run(graph, store, "decoder_asr", memory, targets[rows], lengths[rows], vocab,
-              models.dropout_streams(5) if training else None)
-    return out, backward(out.loss, store)
+    loss, hits = run(graph, store, "decoder_asr", memory, targets[rows], lengths[rows], vocab,
+                     models.dropout_streams(5) if training else None)
+    return (loss, hits), backward(loss, store)
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -741,11 +755,13 @@ def test_packed_decoders_match_stepwise_oracles(case):
     graph, store, vocab, mem_lengths = packed_case(mem_lengths, dec_layers, seed, eos_bias)
     names = [n for n in store.names() if n.startswith("decoder_asr.")]
     targets, lengths = padded_targets(lengths, vocab, seed)
-    fused, g_fused = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mem_lengths, targets,
-                                        lengths)
-    oracle, g_oracle = teacher_forced_run(stepwise_teacher_forced, graph, store, vocab, mem_lengths, targets, lengths)
-    assert fused.loss.item() == oracle.loss.item()
-    assert (fused.hits, fused.steps) == (oracle.hits, oracle.steps)
+    (loss, hits), g_fused = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mem_lengths,
+                                               targets, lengths)
+    steps_run = []
+    oracle = functools.partial(stepwise_teacher_forced, steps_run=steps_run)
+    (o_loss, o_hits), g_oracle = teacher_forced_run(oracle, graph, store, vocab, mem_lengths, targets, lengths)
+    assert loss.item() == o_loss.item()
+    assert (hits, int(lengths.sum()) + len(lengths)) == (o_hits, *steps_run)  # forward's step count
     assert_grads_close(g_fused, g_oracle, names)
     assert_grads_close(g_fused, g_oracle, ["memory"])
 
@@ -753,8 +769,9 @@ def test_packed_decoders_match_stepwise_oracles(case):
                                                    slice(None), mem_lengths, limits)
     oracle, g_oracle, next_oracle = rollout_and_grads(stepwise_greedy_rollout, graph, store, vocab, slice(None),
                                                       mem_lengths, limits)
-    assert np.array_equal(fused.tokens, oracle.tokens) and np.array_equal(fused.lengths, oracle.lengths)
-    assert fused.states.data.tobytes() == oracle.states.data.tobytes()
+    (states, rows_ran, tokens), (o_states, o_rows_ran, o_tokens) = fused, oracle
+    assert np.array_equal(tokens, o_tokens) and np.array_equal(rows_ran, o_rows_ran)
+    assert states.data.tobytes() == o_states.data.tobytes()
     assert next_fused == next_oracle
     assert_grads_close(g_fused, g_oracle, names)
     assert_grads_close(g_fused, g_oracle, ["memory"])
@@ -768,12 +785,12 @@ def test_permuting_rows_permutes_memory_gradients_and_nothing_else(case, random)
     names = [n for n in store.names() if n.startswith("decoder_asr.")]
     perm = np.array(random.sample(range(len(lengths)), len(lengths)))
     targets, lengths = padded_targets(lengths, vocab, seed)
-    base, g_base = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mem_lengths, targets,
-                                      lengths, False)
-    moved, g_moved = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mem_lengths, targets,
-                                        lengths, False, perm)
-    assert moved.loss.item() == pytest.approx(base.loss.item(), rel=1e-14)  # per-row terms; the row sum reorders
-    assert (moved.hits, moved.steps) == (base.hits, base.steps)
+    (base, base_hits), g_base = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab, mem_lengths,
+                                                   targets, lengths, False)
+    (moved, moved_hits), g_moved = teacher_forced_run(models.run_decoder_teacher_forced, graph, store, vocab,
+                                                      mem_lengths, targets, lengths, False, perm)
+    assert moved.item() == pytest.approx(base.item(), rel=1e-14)  # per-row terms; the row sum reorders
+    assert moved_hits == base_hits
     # The op's memory-state gradient follows its rows; take_slice scatters
     # it back to the store's rows, where it must not move by a bit.
     assert g_moved["memory"].tobytes() == g_base["memory"].tobytes()
@@ -784,12 +801,13 @@ def test_permuting_rows_permutes_memory_gradients_and_nothing_else(case, random)
         memory = EncoderStates(tz.take_slice(store["memory"], rows), mem_lengths[rows])
         run = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", [("attn", memory)], limits[rows], vocab)
         if upstream is None:
-            upstream = np.random.default_rng(4).normal(size=run.states.shape)
-            base, g_base = run, backward(tz.tsum(run.states * upstream), store)
+            upstream = np.random.default_rng(4).normal(size=run[0].shape)
+            base, g_base = run, backward(tz.tsum(run[0] * upstream), store)
         else:
-            moved, g_moved = run, backward(tz.tsum(run.states * upstream[perm]), store)
-    assert np.array_equal(moved.tokens, base.tokens[perm]) and np.array_equal(moved.lengths, base.lengths[perm])
-    assert moved.states.data.tobytes() == base.states.data[perm].tobytes()
+            moved, g_moved = run, backward(tz.tsum(run[0] * upstream[perm]), store)
+    (states, lengths, tokens), (base_states, base_lengths, base_tokens) = moved, base
+    assert np.array_equal(tokens, base_tokens[perm]) and np.array_equal(lengths, base_lengths[perm])
+    assert states.data.tobytes() == base_states.data[perm].tobytes()
     assert g_moved["memory"].tobytes() == g_base["memory"].tobytes()
     assert_grads_close(g_moved, g_base, names)
 
@@ -820,12 +838,65 @@ def test_each_decoder_step_runs_its_live_rows_and_at_least_two(monkeypatch):
 
     limits = np.array([3, 9, 2, 4, 6])
     counts.clear()
-    run = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, limits, vocab)
+    _, ran, tokens = models.run_decoder_greedy_rollout(graph, store, "decoder_asr", memory, limits, vocab)
     order = np.argsort(-limits, kind="stable")
-    running = np.arange(run.tokens.shape[1])[:, None] < run.lengths[order]  # (K, B), rows longest limit first
+    running = np.arange(tokens.shape[1])[:, None] < ran[order]  # (K, B), rows longest limit first
     live = [len(limits) - int(r[::-1].argmax()) for r in running]
     assert counts == [max(n, 2) for n in live]
     assert min(live) < len(limits)  # some steps skip rows
+
+
+def advance_masks(run):
+    """``run()``'s DecoderKernel advances: per kernel, a (steps, B) array of
+    each advance's mask, 0 on the rows beyond the advance's prefix."""
+    masks, advance = {}, layers.DecoderKernel.advance
+
+    def recorded(self, tokens, mask=None, rows=None):
+        masks.setdefault(self, []).append(mask.copy())
+        return advance(self, tokens, mask, rows)
+
+    with mock.patch.object(layers.DecoderKernel, "advance", recorded):
+        run()
+    out = []
+    for kernel, steps in masks.items():
+        ran = np.zeros((len(steps), len(kernel.order)))
+        for k, mask in enumerate(steps):
+            ran[k, : len(mask)] = mask
+        out.append(ran)
+    return out
+
+
+def fused_decoder_masks(mem_lengths, lengths, limits, seed, dec_layers, eos_bias):
+    """The advance masks of a teacher-forced run and of a rollout, both
+    with dropout, over ragged rows."""
+    graph, store, vocab, mem_lengths = packed_case(mem_lengths, dec_layers, seed, eos_bias)
+    memory = [("attn", EncoderStates(store["memory"], mem_lengths))]
+    targets, lengths = padded_targets(lengths, vocab, seed)
+    tf = advance_masks(lambda: models.run_decoder_teacher_forced(
+        graph, store, "decoder_asr", memory, targets, lengths, vocab, models.dropout_streams(5)))
+    roll = advance_masks(lambda: models.run_decoder_greedy_rollout(
+        graph, store, "decoder_asr", memory, limits, vocab, models.dropout_streams(5)))
+    return tf + roll
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(ragged_rows())
+def test_a_fused_decoder_row_is_never_unmasked_once_masked(case):
+    """DecoderKernel.backward relies on this: a stopped row's cell gradient
+    stays 0, so its ``dc`` needs no mask and no pass-through term."""
+    mem_lengths, lengths, limits, seed, dec_layers, eos_bias = case
+    for ran in fused_decoder_masks(mem_lengths, lengths, limits, seed, dec_layers, eos_bias):
+        assert not (np.diff(ran, axis=0) > 0).any()
+
+
+def test_the_fused_decoders_run_masked_rows():
+    """The property above is not vacuous: in both decoders a row stops while
+    others run on."""
+    kernels = fused_decoder_masks([3, 5, 2, 4, 5], [2, 5, 1, 3, 2], np.array([3, 9, 2, 4, 6]), 3, 2, 0.5)
+    assert len(kernels) == 2
+    for ran in kernels:
+        assert ((ran[1:] == 0) & (ran[:-1] == 1)).any()  # a row stops
+        assert not (np.diff(ran, axis=0) > 0).any()
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,17 @@ import pytest
 from deskst import tensor as tz
 from deskst.numerics import (
     LrSchedule,
-    NonDeterministicLossError,
     OptimizerState,
     ParamStore,
     adam_step,
     backward,
-    grad_check,
     plateau_update,
     rng_for,
     seeded_init,
 )
 from deskst.tensor import NumericsError, ShapeError
 
-from util import store_with
+from util import NonDeterministicLossError, check_grads, store_with
 
 
 def test_backward_quadratic():
@@ -33,12 +31,10 @@ def test_backward_zero_for_nonparticipating_params():
 
 def test_grad_check_simple_and_constant():
     store = store_with(p=[3.0])
-    rep = grad_check(lambda: tz.tsum(store["p"] * store["p"]), store)
-    assert rep.max_rel_error <= 1e-8
+    assert check_grads(lambda: tz.tsum(store["p"] * store["p"]), store) <= 1e-8
     # constant loss: analytic 0, FD 0
     const = store_with(p=[1.0])
-    rep = grad_check(lambda: tz.tsum(const["p"] * 0.0 + 5.0), const)
-    assert rep.max_rel_error == 0.0
+    assert check_grads(lambda: tz.tsum(const["p"] * 0.0 + 5.0), const) == 0.0
 
 
 def test_grad_check_detects_nondeterminism():
@@ -49,7 +45,18 @@ def test_grad_check_detects_nondeterminism():
         return tz.tsum(store["p"] * rng.normal())
 
     with pytest.raises(NonDeterministicLossError):
-        grad_check(noisy, store)
+        check_grads(noisy, store)
+
+
+def test_grad_check_flags_a_wrong_gradient():
+    store = store_with(p=[3.0])
+
+    def half_gradient():
+        p = store["p"]
+        return tz.tsum(tz._node(p.data * p.data, (p,), lambda g: (g * p.data,)))
+
+    with pytest.raises(AssertionError, match="gradient mismatch"):
+        check_grads(half_gradient, store)
 
 
 def test_seeded_init_schemes():
