@@ -6,7 +6,13 @@ All layers are pure functions over (inputs, parameters). Sequence inputs are
 right-padded (B, T, D) arrays with (B,) int64 ``lengths``: row b is valid at
 steps 0 .. lengths[b] - 1. ``max_pool_time`` returns the pooled lengths (a
 ceil, ``pooled_length``) and a greedy rollout the steps each row ran. Padded
-steps are no-ops, so a padded batch reproduces per-example results exactly.
+steps are no-ops: each row's result depends on that row alone, to rounding.
+Bit for bit, a row's result is the same in any batch only where every
+product it takes part in has at least two rows (see Row packing). A batch of
+one sends every product to numpy's matrix-vector path, so each row of a
+(4, 20, 12), H = 64 ``lstm_sequence`` batch differs from the same row run
+alone by a few 1e-16. Within the packed ops the exception is the BLSTM's
+recurrent product on a step with one row left, which is a one-row product.
 
 Three recurrences are fused ops with hand-derived backwards, one graph node
 per run: ``lstm_sequence`` (a BLSTM layer), ``teacher_forced_decoder`` (an
@@ -158,14 +164,24 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     same n_k longest rows. Step k's rows are a contiguous block of flat
     (2, N, .) packed arrays, N being the number of valid steps: each step is
     one (2, n_k, H) @ (2, H, 4H) matmul with no mask arithmetic, and padded
-    steps cost nothing. The input projection is one GEMM before the loop;
-    after the backward loop the weight, bias and input gradients are each
-    one GEMM or sum over the N packed rows. One (2, N, 4H) buffer holds in
-    turn the input projection, the gate activations and the gate gradients,
-    so the backward can run only once. ``h_prev`` is a view of the output
-    at the previous step (gathered back from the output for the backward).
-    The backward holds references to the weight arrays, not stacked copies,
-    and stacks them again when it runs; under ``no_grad`` nothing is kept.
+    steps cost nothing. Recording, the input projection is one GEMM before
+    the loop; after the backward loop the weight, bias and input gradients
+    are each one GEMM or sum over the N packed rows. One (2, N, 4H) buffer
+    holds in turn the input projection, the gate activations and the gate
+    gradients, so the backward can run only once. ``h_prev`` is a view of
+    the output at the previous step (gathered back from the output for the
+    backward).
+
+    What is kept. While recording, the backward keeps the (2, N, 4H) gates,
+    the (2, N, H) cell states, the output and references to the weight
+    arrays (not stacked copies; it stacks them again when it runs). Under
+    ``no_grad`` nothing outlives the call, and the call itself holds one
+    step of gates and two steps of cell state beside the (2, N + 1, H)
+    packed h: the input projection runs one step at a time, and the steps
+    with one row left all at once, so that no product has one row.
+    The output is then the same bit for bit as the recorded forward's,
+    since a GEMM row's bits do not depend on the call's row count from two
+    rows up at 4H columns (4H mod 8 is 0 or 4; see Row packing).
     """
     constant_input = not isinstance(xs, Tensor)
     xs = as_tensor(xs)
@@ -212,24 +228,44 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     shift = 1.0 - scale
     w_ihs, w_hhs = (fwd.w_ih.data, bwd.w_ih.data), (fwd.w_hh.data, bwd.w_hh.data)
     xd = xs.data.reshape(B * T, D)
-    z = np.matmul(xd[idx], np.stack(w_ihs) * scale)
-    z += (np.stack([fwd.b.data, bwd.b.data]) * scale)[:, None]
+    w_ih_scaled = np.stack(w_ihs) * scale
+    b_scaled = (np.stack([fwd.b.data, bwd.b.data]) * scale)[:, None]
     w_hh_scaled = np.stack(w_hhs) * scale
+    # The input projection runs per block of steps, starting at the steps in
+    # ``starts``. Recording, it is one block: z keeps every step's gates and
+    # cs every step's cell state for the backward. Under no_grad each step
+    # with two rows or more is a block and the one-row steps, a suffix, are
+    # one more (a lone one joins the step before it); cs holds steps k - 1
+    # and k, at ring offsets coff[k].
+    recording = tz.grad_enabled()
+    starts = [0]
+    if not recording:
+        multi = sum(n > 1 for n in steps)
+        starts = [*range(multi + (len(steps) - multi > 1))] or [0]
+    blocks = dict(zip(starts, [*starts[1:], len(steps)]))  # first step -> end step
+    z = np.empty((2, max((off[end] - off[k] for k, end in blocks.items()), default=0), 4 * H))
+    coff = off if recording else [(k % 2) * counts[0] for k in range(len(steps))]
+    cs = np.empty((2, N if recording else min(N, 2 * counts[0]), H))
     hs = np.zeros((2, N + 1, H))
-    cs = np.empty((2, N, H))
     for k, n in enumerate(steps):
-        a = z[:, off[k] : off[k] + n]
+        if k in blocks:
+            base, rows = off[k], off[blocks[k]] - off[k]
+            np.matmul(xd[idx[:, base : base + rows]], w_ih_scaled, out=z[:, :rows])
+            z[:, :rows] += b_scaled
+        a = z[:, off[k] - base : off[k] - base + n]
         if k:
             a += hs[:, off[k - 1] : off[k - 1] + n] @ w_hh_scaled
         np.tanh(a, out=a)
         a *= scale
         a += shift
-        c = cs[:, off[k] : off[k] + n]
+        c = cs[:, coff[k] : coff[k] + n]
         np.multiply(a[..., :H], a[..., 2 * H : 3 * H], out=c)
         if k:
-            c += a[..., H : 2 * H] * cs[:, off[k - 1] : off[k - 1] + n]
+            c += a[..., H : 2 * H] * cs[:, coff[k - 1] : coff[k - 1] + n]
         np.multiply(a[..., 3 * H :], np.tanh(c), out=hs[:, off[k] : off[k] + n])
     out = hs.reshape(2 * (N + 1), H)[inv].reshape(B, T, 2 * H)
+    if not recording:
+        return Tensor(out)
     ran = []
 
     def backward(gout):

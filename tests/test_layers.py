@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,15 +276,70 @@ def test_lstm_sequence_matches_two_pass_oracle(case):
     assert not out[mask == 0].any() and not grads["xs"][mask == 0].any()
 
 
+def desk_lengths(batch, steps, seed):
+    """Length patterns for ``batch`` rows: a unique longest row, whose last
+    steps run one row; a zero-length row; every row but one empty."""
+    rng = np.random.default_rng(seed)
+    ragged = rng.integers(1, steps - 2, size=batch)
+    ragged[0] = steps
+    with_empty = rng.integers(1, steps + 1, size=batch)
+    with_empty[-1] = 0
+    one_left = np.zeros(batch, dtype=np.int64)
+    one_left[batch // 2] = steps
+    return ragged, with_empty, one_left
+
+
 def test_lstm_sequence_no_grad_is_parentless_with_same_value():
-    store = blstm_store(12, 3, 5, 2, 3)
-    lengths = np.array([2, 5, 4])
-    out = run_blstm(store, lengths)
-    assert out.parents
-    with tz.no_grad():
-        plain = run_blstm(store, lengths)
-    assert plain.parents == () and plain.backward is None
-    assert np.array_equal(plain.data, out.data)
+    # The small case, then desk sizes (H = 64): under no_grad the input
+    # projection runs per step, and the output must still be byte-identical.
+    cases = [(blstm_store(12, 3, 5, 2, 3), np.array([2, 5, 4]))]
+    for din in (12, 128):
+        for batch in (1, 2, 32):
+            store = blstm_store(din + batch, batch, 9, din, 64)
+            cases += [(store, lengths) for lengths in desk_lengths(batch, 9, din * batch)]
+    for store, lengths in cases:
+        out = run_blstm(store, lengths)
+        assert out.parents
+        with tz.no_grad():
+            plain = run_blstm(store, lengths)
+        assert plain.parents == () and plain.backward is None
+        assert plain.data.tobytes() == out.data.tobytes(), lengths
+
+
+def test_lstm_sequence_under_no_grad_keeps_no_backward_buffers():
+    # Recording keeps (2, N, 4H) gates and (2, N, H) cell states, 5x the
+    # (2, N, H) packed h that both modes hold; under no_grad the call peaks
+    # at the packed h, the output and one step's buffers.
+    store = blstm_store(18, 32, 52, 12, 64)
+    lengths = np.array([52, 40] * 16)
+    xs = store["xs"].data
+    fwd, bwd = lstm_params_from(store, "f"), lstm_params_from(store, "b")
+    tracemalloc.start()
+    try:
+        with tz.no_grad():
+            out = lstm_sequence(xs, lengths, fwd, bwd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.data.nbytes, peak / out.data.nbytes
+
+
+@pytest.mark.parametrize("inner", [12, 64, 128, 160])
+def test_a_gemm_rows_bits_do_not_depend_on_its_row_count_at_desk_columns(inner):
+    """The rule row packing and the no_grad input projection rest on: at the
+    desk column counts (4H = 256, A = 64, V = 16) a GEMM row's bits are the
+    same whether the call has 2 or 64 rows. A one-row product is not a GEMM
+    (numpy sends it to gemv, whose bits differ), so the ops never make one
+    where a larger batch would not. The rule does not hold at every column
+    count: under OpenBLAS 0.3.31 (Haswell kernel) the tests' V = 9 output
+    layer's rows depend on the row count when it is not a multiple of 4."""
+    rng = np.random.default_rng(inner)
+    a = rng.normal(size=(64, inner))
+    for cols in (256, 64, 16):
+        w = rng.normal(size=(inner, cols))
+        full = a @ w
+        for rows in range(2, 65):
+            assert (a[:rows] @ w).tobytes() == full[:rows].tobytes(), (cols, rows)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import tracemalloc
@@ -433,6 +434,41 @@ def test_adapter_gradcheck():
         return tz.tsum(models.apply_adapter(graph, store, enc).states * proj)
 
     check_grads(loss, store)
+
+
+def with_one_longest_row(batch, pool, pad_id):
+    """``batch`` in which one row alone has the most frames and one alone
+    the most tokens: the other rows are capped ``pool`` frames and one token
+    below those maxima (the cut steps padded again), so that the encoders'
+    last steps, pooled or not, run one row."""
+    frames, src = batch.frames.copy(), batch.src.copy()
+    frame_lengths, src_lengths = batch.frame_lengths.copy(), batch.src_lengths.copy()
+    for stream, lengths, cut, fill in ((frames, frame_lengths, pool, 0.0), (src, src_lengths, 1, pad_id)):
+        cap = lengths.max() - cut
+        rows = np.flatnonzero(lengths > cap)[1:]
+        lengths[rows] = cap
+        stream[rows, cap:] = fill
+    return dataclasses.replace(batch, frames=frames, frame_lengths=frame_lengths, src=src, src_lengths=src_lengths)
+
+
+@pytest.mark.parametrize("topology,source", [("direct", "speech"), ("many2one", "text")])
+def test_encode_under_no_grad_is_byte_identical_to_the_recorded_forward(topology, source):
+    # A 32-row batch with ragged lengths and a unique longest row, at
+    # H = 64; on speech the adapter sits at encoder_top, so the attention
+    # memory passes through three BLSTMs.
+    ds = data.generate(seed=5, n_examples=32, vocab_size=5, len_range=(1, 6), frames_per_token_range=(2, 6))
+    graph = build(tiny_config(ds, emb_size=12, enc_hidden=64), topology, adapter=source == "speech")
+    store = init_store(graph, 6)
+    batch = with_one_longest_row(first_batch(ds, size=32), 2, ds.src_vocab.pad_id)
+    for lengths in (batch.frame_lengths, layers.pooled_length(batch.frame_lengths, 2), batch.src_lengths):
+        assert np.sort(lengths)[-1] > np.sort(lengths)[-2] > 0 and len(lengths) == 32
+    recorded = models.encode(graph, store, batch, source)
+    with tz.no_grad():
+        plain = models.encode(graph, store, batch, source)
+    for got, want in ((plain.enc, recorded.enc), (plain.attn, recorded.attn)):
+        assert got.states.parents == () and want.states.parents
+        assert got.states.data.tobytes() == want.states.data.tobytes()
+        assert np.array_equal(got.lengths, want.lengths)
 
 
 # ---------------------------------------------------------------------------

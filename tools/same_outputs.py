@@ -7,15 +7,15 @@ Usage, from the repository root:
 The base tree is ``src/`` at REV, extracted with ``git archive`` into a
 temporary directory; the other tree is this checkout's ``src/``. Each tree
 runs the same matrix of ``deskst`` commands (train, eval --run, the ASR->MT
-cascade eval, transplant and compare) in fresh subprocesses at one BLAS
-thread, each in its own working directory. Every output file and every
-command's console output and exit code are then compared byte for byte. For
-a checkpoint that differs the report names the first differing tensor and
-its largest relative difference; for metrics.jsonl, the first differing
-key. The exit code is 0 when every command exited 0 under both trees and
-everything is identical, and 1 otherwise: the matrix is built so that every
-command succeeds, so a command that fails the same way on both sides has
-compared nothing.
+cascade eval, an eval of a 40-example split, transplant and compare) in
+fresh subprocesses at one BLAS thread, each in its own working directory.
+Every output file and every command's console output and exit code are then
+compared byte for byte. For a checkpoint that differs the report names the
+first differing tensor and its largest relative difference; for
+metrics.jsonl, the first differing key. The exit code is 0 when every
+command exited 0 under both trees and everything is identical, and 1
+otherwise: the matrix is built so that every command succeeds, so a command
+that fails the same way on both sides has compared nothing.
 """
 
 from __future__ import annotations
@@ -83,6 +83,14 @@ MATRIX = [
     Step(
         "eval cascade",
         ["eval", "--checkpoint", "@best:runs/asr_ctc", "--mt-checkpoint", "@best:runs/mt", "--out", "cascade", *TINY[:8]],
+    ),
+    # 40 test examples: the first decode batch is a full 32 ragged rows.
+    Step(
+        "eval test40",
+        [
+            "eval", "--checkpoint", "@best:runs/direct_ctc_adapter", "--out", "test40", "--beam", "3",
+            *TINY[:4], "--data.n_test", "40", *TINY[6:8],
+        ],
     ),
     Step(
         "transplant",
