@@ -22,7 +22,10 @@ step is written once, in numpy, as ``DecoderKernel``: both fused decoders and
 beam search run it, and it holds the decoder's state between steps. A
 kernel built while gradients are recorded keeps its own record of the steps
 it ran, and its ``backward`` carries gradients back through them for both
-fused decoders.
+fused decoders. Each fused op's backward runs once: it writes gradients over
+its record's buffers and frees the record when it returns, so a node whose
+backward has run holds none of its forward buffers while the rest of the
+graph is differentiated. A second backward raises ``NumericsError``.
 
 Row packing. The fused decoders pack their rows as ``lstm_sequence`` does:
 rows are sorted once by step bound (a target length + 1, a rollout limit),
@@ -161,24 +164,28 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     Fused op with a hand-derived BPTT backward: one graph node per layer.
     Rows are sorted by length once and the backward direction reverses each
     row within its own length, so at step k both directions advance the
-    same n_k longest rows. Step k's rows are a contiguous block of flat
-    (2, N, .) packed arrays, N being the number of valid steps: each step is
-    one (2, n_k, H) @ (2, H, 4H) matmul with no mask arithmetic, and padded
-    steps cost nothing. Recording, the input projection is one GEMM before
-    the loop; after the backward loop the weight, bias and input gradients
-    are each one GEMM or sum over the N packed rows. One (2, N, 4H) buffer
-    holds in turn the input projection, the gate activations and the gate
-    gradients, so the backward can run only once. ``h_prev`` is a view of
-    the output at the previous step (gathered back from the output for the
-    backward).
+    same n_k longest rows. The packed arrays are step-major, (N, 2, .) with
+    N the number of valid steps: step k's rows of both directions are one
+    contiguous (n_k, 2, .) block, so each elementwise call on a step runs
+    over one block. Each step is one (2, n_k, H) @ (2, H, 4H) matmul on the
+    block's (2, n_k, .) view, with no mask arithmetic, and padded steps cost
+    nothing. Recording, the input projection is one GEMM before the loop;
+    after the backward loop the weight, bias and input gradients are each
+    one GEMM or sum over the N packed rows. One (N, 2, 4H) buffer holds in
+    turn the input projection, the gate activations and the gate gradients,
+    so the backward runs only once (``NumericsError`` the second time).
+    ``h_prev`` is a view of the output at the previous step (gathered back
+    from the output for the backward).
 
-    What is kept. While recording, the backward keeps the (2, N, 4H) gates,
-    the (2, N, H) cell states, the output and references to the weight
-    arrays (not stacked copies; it stacks them again when it runs). Under
-    ``no_grad`` nothing outlives the call, and the call itself holds one
-    step of gates and two steps of cell state beside the (2, N + 1, H)
-    packed h: the input projection runs one step at a time, and the steps
-    with one row left all at once, so that no product has one row.
+    What is kept. While recording, the node keeps the (N, 2, 4H) gates, the
+    (N, 2, H) cell states, the output and references to the weight arrays
+    (not stacked copies; the backward stacks them again) until its backward
+    runs, which drops the cell states when its loop ends and the gates,
+    then holding the gate gradients, when it returns. Under ``no_grad``
+    nothing outlives the call, and the call itself holds one step of gates
+    and two steps of cell state beside the (N + 1, 2, H) packed h: the
+    input projection runs one step at a time, and the steps with one row
+    left all at once, so that no product has one row.
     The output is then the same bit for bit as the recorded forward's,
     since a GEMM row's bits do not depend on the call's row count from two
     rows up at 4H columns (4H mod 8 is 0 or 4; see Row packing).
@@ -201,11 +208,13 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
 
     # Packed layout: rows sorted by length (longest first, stably); step k
     # holds the n_k rows still running, at rows off[k] .. off[k] + n_k of a
-    # flat (2, N, .) array, N the number of valid steps. Direction 1 reads
-    # row j at step k from source step L_j - 1 - k. idx maps packed rows to
-    # rows of the flat (B*T, .) input; inv maps each (b, t, direction) back
-    # to a row of the flat (2 * (N + 1), .) packed array, in which padded
-    # steps map to row N, a zero row.
+    # step-major (N, 2, .) array, N the number of valid steps, so a step's
+    # rows of both directions are one contiguous block. Direction 1 reads row
+    # j at step k from source step L_j - 1 - k. idx maps (direction, packed
+    # row) to a row of the flat (B*T, .) input; inv maps each (b, t,
+    # direction) back to a row of the flat ((N + 1) * 2, .) packed array, in
+    # which padded steps map to row 2N, a zero row. A GEMM reads and writes
+    # a block through its (2, n, .) view, ``dirs``.
     perm = np.argsort(-lengths, kind="stable")
     L = lengths[perm]
     counts = np.count_nonzero(L[:, None] > np.arange(T), axis=0)  # n_k, non-increasing
@@ -214,11 +223,14 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     N = off[-1]
     kk, jj = np.nonzero(np.arange(T)[:, None] < L)
     idx = perm[jj] * T + np.stack([kk, L[jj] - 1 - kk])
-    inv = np.full((B * T, 2), N)
-    inv[idx[0], 0] = np.arange(N)
-    inv[idx[1], 1] = np.arange(N + 1, 2 * N + 1)
+    inv = np.full((B * T, 2), 2 * N)
+    inv[idx[0], 0] = np.arange(0, 2 * N, 2)
+    inv[idx[1], 1] = np.arange(1, 2 * N, 2)
     inv = inv.reshape(B, T, 2)
-    gidx = 2 * idx + np.arange(2)[:, None]  # packed row -> row of the flat (B*T*2, H) output
+    gidx = 2 * idx.T + np.arange(2)  # (packed row, direction) -> row of the flat (B*T*2, H) output
+
+    def dirs(block):
+        return block.transpose(1, 0, 2)
 
     # Gates [i | f | g | o]: sigmoid(z) = 0.5 + 0.5 tanh(z / 2), so one tanh
     # of z * scale, times scale plus shift, gives all four; unlike exp(-z),
@@ -229,7 +241,7 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     w_ihs, w_hhs = (fwd.w_ih.data, bwd.w_ih.data), (fwd.w_hh.data, bwd.w_hh.data)
     xd = xs.data.reshape(B * T, D)
     w_ih_scaled = np.stack(w_ihs) * scale
-    b_scaled = (np.stack([fwd.b.data, bwd.b.data]) * scale)[:, None]
+    b_scaled = np.stack([fwd.b.data, bwd.b.data]) * scale
     w_hh_scaled = np.stack(w_hhs) * scale
     # The input projection runs per block of steps, starting at the steps in
     # ``starts``. Recording, it is one block: z keeps every step's gates and
@@ -243,53 +255,52 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
         multi = sum(n > 1 for n in steps)
         starts = [*range(multi + (len(steps) - multi > 1))] or [0]
     blocks = dict(zip(starts, [*starts[1:], len(steps)]))  # first step -> end step
-    z = np.empty((2, max((off[end] - off[k] for k, end in blocks.items()), default=0), 4 * H))
+    z = np.empty((max((off[end] - off[k] for k, end in blocks.items()), default=0), 2, 4 * H))
     coff = off if recording else [(k % 2) * counts[0] for k in range(len(steps))]
-    cs = np.empty((2, N if recording else min(N, 2 * counts[0]), H))
-    hs = np.zeros((2, N + 1, H))
+    cs = np.empty((N if recording else min(N, 2 * counts[0]), 2, H))
+    hs = np.zeros((N + 1, 2, H))
     for k, n in enumerate(steps):
         if k in blocks:
             base, rows = off[k], off[blocks[k]] - off[k]
-            np.matmul(xd[idx[:, base : base + rows]], w_ih_scaled, out=z[:, :rows])
-            z[:, :rows] += b_scaled
-        a = z[:, off[k] - base : off[k] - base + n]
+            np.matmul(xd[idx[:, base : base + rows]], w_ih_scaled, out=dirs(z[:rows]))
+            z[:rows] += b_scaled
+        a = z[off[k] - base : off[k] - base + n]
         if k:
-            a += hs[:, off[k - 1] : off[k - 1] + n] @ w_hh_scaled
+            a += dirs(dirs(hs[off[k - 1] : off[k - 1] + n]) @ w_hh_scaled)
         np.tanh(a, out=a)
         a *= scale
         a += shift
-        c = cs[:, coff[k] : coff[k] + n]
+        c = cs[coff[k] : coff[k] + n]
         np.multiply(a[..., :H], a[..., 2 * H : 3 * H], out=c)
         if k:
-            c += a[..., H : 2 * H] * cs[:, coff[k - 1] : coff[k - 1] + n]
-        np.multiply(a[..., 3 * H :], np.tanh(c), out=hs[:, off[k] : off[k] + n])
+            c += a[..., H : 2 * H] * cs[coff[k - 1] : coff[k - 1] + n]
+        np.multiply(a[..., 3 * H :], np.tanh(c), out=hs[off[k] : off[k] + n])
     out = hs.reshape(2 * (N + 1), H)[inv].reshape(B, T, 2 * H)
     if not recording:
         return Tensor(out)
-    ran = []
 
     def backward(gout):
-        if ran:
-            raise NumericsError("lstm_sequence: backward already ran; its buffers now hold gradients")
-        ran.append(True)
+        nonlocal z, cs
+        if z is None:
+            raise NumericsError("lstm_sequence: backward already ran and freed its buffers")
         dh_all = gout.reshape(B * T * 2, H)[gidx]  # packed output gradient, accumulates dh
         w_hh_t = np.stack(w_hhs).transpose(0, 2, 1)
-        dc = np.zeros((2, B, H))
-        dy = np.empty((2, B, 4 * H))
-        deriv = np.empty((2, B, 4 * H))
+        dc = np.zeros((B, 2, H))
+        dy = np.empty((B, 2, 4 * H))
+        deriv = np.empty((B, 2, 4 * H))
         for k in range(len(steps) - 1, -1, -1):
             n = steps[k]
-            y = z[:, off[k] : off[k] + n]
+            y = z[off[k] : off[k] + n]
             i, f, g, o = y[..., :H], y[..., H : 2 * H], y[..., 2 * H : 3 * H], y[..., 3 * H :]
-            dh = dh_all[:, off[k] : off[k] + n]
+            dh = dh_all[off[k] : off[k] + n]
             nxt = steps[k + 1] if k + 1 < len(steps) else 0
             if nxt:
-                dh[:, :nxt] += z[:, off[k + 1] : off[k + 1] + nxt] @ w_hh_t
-            # Recomputed: keeping the forward's tanh(c) in a (2, N, H)
+                dh[:nxt] += dirs(dirs(z[off[k + 1] : off[k + 1] + nxt]) @ w_hh_t)
+            # Recomputed: keeping the forward's tanh(c) in a (N, 2, H)
             # buffer made one2many+CTC training about 4% slower (the fresh
             # buffer's pages cost more than these tanh calls).
-            tc = np.tanh(cs[:, off[k] : off[k] + n])
-            dyk = dy[:, :n]
+            tc = np.tanh(cs[off[k] : off[k] + n])
+            dyk = dy[:n]
             np.multiply(dh, tc, out=dyk[..., 3 * H :])
             dct = tc  # d c_k = dh o (1 - tanh^2 c_k) + carry
             np.multiply(tc, tc, out=dct)
@@ -297,33 +308,34 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
             dct *= o
             dct *= dh
             if nxt:
-                dct[:, :nxt] += dc[:, :nxt]
+                dct[:nxt] += dc[:nxt]
             np.multiply(dct, g, out=dyk[..., :H])
             if k:
-                np.multiply(dct, cs[:, off[k - 1] : off[k - 1] + n], out=dyk[..., H : 2 * H])
+                np.multiply(dct, cs[off[k - 1] : off[k - 1] + n], out=dyk[..., H : 2 * H])
             else:
                 dyk[..., H : 2 * H] = 0.0
             np.multiply(dct, i, out=dyk[..., 2 * H : 3 * H])
-            np.multiply(dct, f, out=dc[:, :n])
-            dk = deriv[:, :n]  # sigmoid' = y (1 - y) on i, f, o; tanh' = 1 - g^2
+            np.multiply(dct, f, out=dc[:n])
+            dk = deriv[:n]  # sigmoid' = y (1 - y) on i, f, o; tanh' = 1 - g^2
             np.subtract(1.0, y, out=dk)
             dk *= y
             dg = dk[..., 2 * H : 3 * H]
             np.multiply(g, g, out=dg)
             np.subtract(1.0, dg, out=dg)
             np.multiply(dyk, dk, out=y)  # gate gradients replace the gates
+        dz, z, cs = dirs(z), None, None  # the node keeps neither once this returns
 
         # Packed row r at step k >= 1 (r >= n_0) follows row r - n_{k-1}.
         first = counts[0]
         prev = np.arange(first, N) - counts[kk[first:] - 1]
-        h_prev = out.reshape(B * T * 2, H)[gidx[:, prev]]
-        dw_ih = np.matmul(xd[idx].transpose(0, 2, 1), z)
-        dw_hh = np.matmul(h_prev.transpose(0, 2, 1), z[:, first:])
-        db = z.sum(axis=1)
+        h_prev = out.reshape(B * T * 2, H)[gidx[prev].T]
+        dw_ih = np.matmul(xd[idx].transpose(0, 2, 1), dz)
+        dw_hh = np.matmul(h_prev.transpose(0, 2, 1), dz[:, first:])
+        db = dz.sum(axis=1)
         dx = None
         if not constant_input:
-            dxp = np.zeros((2, N + 1, D))
-            np.matmul(z, np.stack(w_ihs).transpose(0, 2, 1), out=dxp[:, :N])
+            dxp = np.zeros((N + 1, 2, D))
+            np.matmul(dz, np.stack(w_ihs).transpose(0, 2, 1), out=dirs(dxp[:N]))
             dx = dxp.reshape(2 * (N + 1), D)[inv].sum(axis=2)
         return dx, dw_ih[0], dw_hh[0], db[0], dw_ih[1], dw_hh[1], db[1]
 
@@ -457,14 +469,19 @@ class DecoderKernel:
     reads a prefix of them, and its contexts are one (B, 1, T) @ (B, T, D)
     contraction over the uncopied memory states.
 
+    ``predict`` writes a step's pre-activations into its own gathered copy
+    of the keys, then adds the query, the feedback term and the bias, which
+    is tiled over the T positions once per memory at construction, so the
+    bias is one contiguous (T * A,) row per kernel row.
+
     A kernel built while ``tensor.grad_enabled()`` records each step: per
     ``predict``, the top state, the output layer's input and per memory the
     (tanh pre-activations, weights, feedback before the step); per
     ``advance``, its tokens, its mask and its per-layer cache. A step's
     arrays hold the rows it ran, a prefix of the kernel's rows. ``backward``
     carries gradients back through the recorded steps, for both fused
-    decoders. A kernel built under ``no_grad``, as in beam search, records
-    nothing.
+    decoders, once: it frees the record and the keys as it returns. A kernel
+    built under ``no_grad``, as in beam search, records nothing.
     """
 
     def __init__(
@@ -497,7 +514,7 @@ class DecoderKernel:
         B = memories[0][0].states.shape[0]
         self.order = np.arange(B) if order is None else order
         self.inverse = np.argsort(self.order)
-        self.mems = []  # per memory: states, validity and keys in row order, w_query, v, b, u
+        self.mems = []  # per memory: states, validity and keys in row order, w_query, v, b tiled T times, u
         for enc, a in memories:
             M = enc.states.data
             valid = np.arange(M.shape[1]) < enc.lengths[:, None]
@@ -506,7 +523,7 @@ class DecoderKernel:
             keys = M @ a.w_keys.data
             if order is not None:
                 valid, keys = valid[order], keys[order]
-            self.mems.append((M, valid, keys, a.w_query.data, a.v.data, a.b.data, a.u.data))
+            self.mems.append((M, valid, keys, a.w_query.data, a.v.data, np.tile(a.b.data, M.shape[1]), a.u.data))
         self.w_keys = [a.w_keys.data for _, a in memories]
         self.h = [np.zeros((B, self.hidden)) for _ in self.cells]  # per LSTM layer
         self.c = [np.zeros((B, self.hidden)) for _ in self.cells]
@@ -529,9 +546,11 @@ class DecoderKernel:
         for (M, valid, keys, wq, v, ab, u), fb in zip(self.mems, self.feedback):
             B, T, D = M.shape
             fb = fb[:n]
-            pre = keys[utt] + (top @ wq).reshape(n, 1, -1)  # a new array, so keys stay intact
+            pre = keys[:n].copy() if lanes is None else keys[utt]  # its own copy: the keys stay intact
+            pre += (top @ wq).reshape(n, 1, -1)
             pre += fb.reshape(n, T, 1) * u
-            pre += ab
+            flat = pre.reshape(n, -1)
+            flat += ab  # one contiguous (T * A,) row per lane
             np.tanh(pre, out=pre)
             valid = valid[utt]
             neg = np.where(valid, pre @ v, -np.inf)
@@ -586,7 +605,7 @@ class DecoderKernel:
             self.advances.append((tokens, mask, cache))
         self.h, self.c = h, c
 
-    def backward(self, d_emb, dctxs, dtops, d_out, dh_after=None):
+    def backward(self, d_emb, dctxs, dtops, dlogits=None, dh_after=None):
         """Carry gradients back through the recorded steps, in the
         kernel's row order: each step's attention over its p_s leading rows
         and, for the steps that advanced, the LSTM stack over the advance's
@@ -597,10 +616,16 @@ class DecoderKernel:
         layer's share), packed step after step (N = sum p_s), and
         ``dh_after`` (n, B, H) on the top state after each advance. ``d_emb``
         gains the embedding gradient at the advances' tokens and ``dctxs``
-        the LSTM inputs' share, in place. ``d_out`` is the caller's (output
-        weight, output bias) gradient pair. Returns the gradient of every
-        ``inputs`` entry, in order, each memory's states in the caller's row
-        order.
+        the LSTM inputs' share, in place. ``dlogits`` (N, V) on the output
+        layer's logits gives the output weight and bias their gradients;
+        without it (the rollout's argmax) they get None. Returns the gradient
+        of every ``inputs`` entry, in order, each memory's states in the
+        caller's row order.
+
+        It runs once: it overwrites the recorded pre-activations with their
+        gradients, and on return it drops the record and the keys, so the
+        graph node that holds the kernel keeps none of them. A second call
+        raises ``NumericsError``.
 
         Both fused decoders only ever clear a row's mask: once a row stops
         (at its target's end, or at [EOS] or its limit in the rollout), its
@@ -610,6 +635,8 @@ class DecoderKernel:
         is still 0 at its masked steps, and it needs neither the mask nor a
         pass-through term. ``dh`` needs both, since the rollout returns a
         stopped row's kept top state at every later step."""
+        if self.predictions is None:
+            raise NumericsError("decoder step: backward already ran and freed its record")
         rows = [top.shape[0] for top, _, _ in self.predictions]
         off = np.cumsum([0, *rows])
         S, n = len(rows), len(self.advances)
@@ -669,7 +696,7 @@ class DecoderKernel:
                 dv[k] += de.reshape(-1) @ pre.reshape(-1, A)
                 # d pre-activation = de (1 - tanh^2) v. v scales every sum
                 # of it, so da leaves it out and the sums take it once.
-                da = pre * pre  # in place: fresh (p, T, A) temporaries are slow
+                da = np.multiply(pre, pre, out=pre)  # over the record: fresh (p, T, A) temporaries are slow
                 np.subtract(1.0, da, out=da)
                 da *= de[..., None]
                 dkeys[k][:p] += da
@@ -710,6 +737,11 @@ class DecoderKernel:
             d_ctx[rr, ss] = dctxs[:, c0 : c0 + D]
             c0 += D
             d_states.append(ws @ d_ctx + d_keys @ self.w_keys[k].T)
+        d_out = (None, None)
+        if dlogits is not None:
+            J = np.concatenate([joint for _, joint, _ in self.predictions])
+            d_out = (J.T @ dlogits, dlogits.sum(axis=0))
+        self.predictions = self.advances = self.mems = None
         return (d_emb, *grads, *d_out, *d_states)
 
 
@@ -812,13 +844,12 @@ def teacher_forced_decoder(
         np.put_along_axis(q, tgt[:, None], 1.0 - eps + eps / V, axis=-1)
         pdp = np.where(tiny, 0.0, q * (-float(gout) * live)[:, None])
         dlogits = pdp - probs * pdp.sum(axis=-1, keepdims=True)
-        J = np.concatenate([joint for _, joint, _ in kernel.predictions])
         djoint = dlogits @ wo.T
         d_emb = np.zeros_like(table)
         np.add.at(d_emb, prev_ids[ss, rr], djoint[:, :E])
         dtops = djoint[:, E : E + H] if keep is None else djoint[:, E : E + H] * keep[ss, rr]
         dctxs = djoint[:, E + H :].copy()  # gains the LSTM input's share
-        return kernel.backward(d_emb, dctxs, dtops, (J.T @ dlogits, dlogits.sum(axis=0)))
+        return kernel.backward(d_emb, dctxs, dtops, dlogits)
 
     return tz._node(total, kernel.inputs, backward), hits
 
@@ -898,13 +929,14 @@ def greedy_rollout(
             out[r:, k] = out[r:, k - 1]
     steps_run, step_tokens = ran[kernel.inverse], np.stack(tokens, axis=1)[kernel.inverse]
 
+    N, C = sum(top.shape[0] for top in states), sum(enc.states.shape[-1] for enc, _ in memories)
+
     def backward(gout):
         # Nothing outside the recurrence reads the contexts or the top states
         # the predictions read: the argmax passes no gradient.
-        N, C = sum(top.shape[0] for top, _, _ in kernel.predictions), sum(M.shape[-1] for M, *_ in kernel.mems)
         d_emb = np.zeros_like(kernel.table)
         dh_after = np.swapaxes(gout[order], 0, 1)
-        return kernel.backward(d_emb, np.zeros((N, C)), np.zeros((N, H)), (None, None), dh_after)
+        return kernel.backward(d_emb, np.zeros((N, C)), np.zeros((N, H)), dh_after=dh_after)
 
     return tz._node(out[kernel.inverse], kernel.inputs, backward), steps_run, step_tokens
 

@@ -4,8 +4,12 @@ A ``Tensor`` wraps a numpy array and, while gradient recording is enabled,
 remembers the operation that produced it. ``backward_graph`` replays the
 recording in reverse topological order and returns gradients for the leaves
 only; it drops each interior gradient once the node's backward has consumed
-it, and it leaves the recording intact, so a shared subgraph can be
-differentiated again. The training path (``numerics.backward``)
+it, and it leaves the recording intact, so a shared subgraph of this
+module's operations can be differentiated again. The three fused ops of
+``layers`` (``lstm_sequence``, ``teacher_forced_decoder`` and
+``greedy_rollout``) are the exception: each one's backward runs once and
+frees its forward record as it returns, and a second backward through one
+raises ``NumericsError``. The training path (``numerics.backward``)
 differentiates each graph once and then calls ``release_graph``, which drops
 every recorded parent and backward closure so the forward buffers they own
 are freed while the caller keeps the values. Every operation validates that
@@ -421,8 +425,11 @@ def backward_graph(loss: Tensor) -> dict[int, np.ndarray]:
     Returns a map from ``id(leaf)`` to gradient array; a leaf is a ``Tensor``
     with no recorded backward, such as a parameter or a wrapped constant. An
     interior node's gradient is dropped once its backward has consumed it, so
-    it has no entry. The graph is left intact. Raises if the loss is not
-    scalar or has no recorded graph.
+    it has no entry. The graph is left intact, except that a fused op of
+    ``layers`` frees its forward record when its backward returns, so a graph
+    that holds one can be differentiated only once (``NumericsError`` from the
+    op the second time). Raises if the loss is not scalar or has no recorded
+    graph.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")

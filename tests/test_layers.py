@@ -13,6 +13,7 @@ from deskst.layers import (
     additive_attention,
     dropout,
     embed,
+    greedy_rollout,
     label_smoothed_ce,
     lstm_sequence,
     lstm_step,
@@ -375,14 +376,6 @@ def test_lstm_sequence_rejects_weights_that_do_not_fit():
         lstm_sequence(Tensor(np.zeros((2, 3, 3))), lengths, fwd, bwd)
     with pytest.raises(ShapeError):  # directions of different widths
         lstm_sequence(store["xs"], lengths, fwd, lstm_params_from(random_lstm_store(17, 2, 2), "cell"))
-
-
-def test_lstm_sequence_backward_runs_once():
-    store = blstm_store(15, 2, 3, 2, 3)
-    out = run_blstm(store, np.array([3, 2]))
-    out.backward(np.ones(out.shape))
-    with pytest.raises(NumericsError):
-        out.backward(np.ones(out.shape))
 
 
 def test_blstm_single_step_is_two_cells():
@@ -787,6 +780,129 @@ def test_decoder_kernel_records_its_steps_when_built_under_gradient_recording():
             kernel.advance(tokens, np.ones(B))
         kernel.predict(tokens)
         assert (len(kernel.predictions), len(kernel.advances)) == ((4, 3) if grad else (0, 0))
+
+
+def desk_decoder(seed, rows, mems=2, E=32, H=64, A=64, V=16, D=128, T=28):
+    """Decoder weights at the desk sizes and a pool of ``rows`` memory rows;
+    returns a function from a list of pool rows to the decoder's inputs over
+    that batch (every batch padded to the same T)."""
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(mems, rows, T, D))
+    lengths = rng.integers(T // 2, T + 1, size=(mems, rows))
+    attn = [
+        AttentionParams(*(Tensor(rng.normal(size=s) * 0.3) for s in ((H, A), (D, A), (A,), (A,), (A,))))
+        for _ in range(mems)
+    ]
+    emb = Tensor(rng.normal(size=(V, E)))
+    cell = LstmParams(*(Tensor(rng.normal(size=s) * 0.1) for s in ((E + mems * D, 4 * H), (H, 4 * H), (4 * H,))))
+    out_w, out_b = Tensor(rng.normal(size=(E + H + mems * D, V)) * 0.3), Tensor(rng.normal(size=V) * 0.1)
+
+    def inputs(batch):
+        memories = [(EncoderStates(Tensor(states[k, batch]), lengths[k, batch]), attn[k]) for k in range(mems)]
+        return memories, emb, [cell], out_w, out_b
+
+    return inputs
+
+
+def run_rollout(inputs, limits):
+    return greedy_rollout(*inputs, limits, 1, 2, 0)
+
+
+@pytest.mark.parametrize("op", ["lstm_sequence", "teacher_forced_decoder", "greedy_rollout"])
+def test_fused_op_backward_runs_once(op):
+    # The first backward frees the record the second would read.
+    if op == "lstm_sequence":
+        out = run_blstm(blstm_store(15, 2, 3, 2, 3), np.array([3, 2]))
+    elif op == "teacher_forced_decoder":
+        out = run_decoder(decoder_store(5))[0]
+    else:
+        out = run_rollout(decoder_inputs(decoder_store(5)), np.array([3, 2]))[0]
+    loss = tz.tsum(out)
+    tz.backward_graph(loss)
+    with pytest.raises(NumericsError):
+        tz.backward_graph(loss)
+
+
+def recorded_bytes(op, monkeypatch):
+    """Run ``op`` at desk sizes while recording; return its graph node and a
+    function giving the bytes of the buffers only its backward reads: the
+    kernel's pre-activations for a fused decoder, the gates and cell states
+    for ``lstm_sequence``."""
+    if op == "lstm_sequence":
+        store = blstm_store(19, 16, 49, 12, 64)
+        lengths = np.array([49, 40, 31, 24] * 4)
+        return run_blstm(store, lengths), lambda: lengths.sum() * 2 * (4 + 1) * 64 * 8
+    kernels, init = [], layers.DecoderKernel.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        kernels.append(self)
+
+    monkeypatch.setattr(layers.DecoderKernel, "__init__", kept)
+    inputs = desk_decoder(20, 16)(list(range(16)))
+    if op == "teacher_forced_decoder":
+        rng = np.random.default_rng(21)
+        node = teacher_forced_decoder(*inputs, rng.integers(3, 16, size=(16, 8)), rng.integers(1, 9, size=16), 1, 2, 0.1)[0]
+    else:
+        node = run_rollout(inputs, np.arange(16) % 8 + 1)[0]
+    return node, lambda: sum(pre.nbytes for _, _, attn in kernels[0].predictions for pre, _, _ in attn)
+
+
+@pytest.mark.parametrize("op", ["lstm_sequence", "teacher_forced_decoder", "greedy_rollout"])
+def test_fused_op_frees_its_record_when_its_backward_returns(op, monkeypatch):
+    # Inside backward_graph, traced memory falls across the op's backward by
+    # at least the record it no longer needs, net of the gradients it returns.
+    falls = []
+    tracemalloc.start()
+    try:
+        node, record = recorded_bytes(op, monkeypatch)
+        needed, run = record(), node.backward
+
+        def measured(g):
+            before = tracemalloc.get_traced_memory()[0]
+            grads = run(g)
+            returned = sum(grad.nbytes for grad in grads if grad is not None)
+            falls.append(before - tracemalloc.get_traced_memory()[0] + returned)
+            return grads
+
+        node.backward = measured
+        tz.backward_graph(tz.tsum(node))
+    finally:
+        tracemalloc.stop()
+    assert falls[0] >= needed - 4096, (falls, needed)  # numpy caches a few freed small blocks
+
+
+def test_a_decoder_rows_bits_do_not_depend_on_its_companions_at_desk_sizes():
+    """The rule row packing rests on, for the decoders: at the desk sizes
+    (H = 64, A = 64, V = 16) pool row 0 gives the same bytes whatever rows
+    share its batch, first, last or in the middle of the packed order, as
+    long as every product has at least two rows. Checked on its
+    ``greedy_rollout`` states and tokens, and on the ``DecoderKernel.predict``
+    probabilities of its lanes when each utterance has several lanes, as in
+    beam search."""
+    inputs = desk_decoder(22, 12)
+    limits = np.array([6, 9, 2, 8, 3, 5, 7, 4, 6, 9, 1, 3])
+    lanes_of = np.array([3, 2, 4, 1, 3, 2, 1, 4, 2, 3, 2, 1])  # row 0 has 3, so a step has 3 or more lanes
+    seen = set()
+    for batch in ([0, 10], [1, 9, 0], [2, 3, 0, 4, 5, 6, 7]):
+        pos = batch.index(0)
+        states, ran, tokens = run_rollout(inputs(batch), limits[batch])
+        assert ran[pos] > 2
+        rollout = (states.data[pos, : ran[pos]].tobytes(), tokens[pos, : ran[pos]].tobytes())
+        with tz.no_grad():
+            kernel = layers.DecoderKernel(*inputs(batch))
+        B = len(batch)
+        probs = [kernel.predict(np.ones(B, dtype=np.int64), (np.arange(B), np.zeros(B, dtype=np.int64)))]
+        utt = np.repeat(np.arange(B), lanes_of[batch])
+        slot = np.concatenate([np.arange(n) for n in lanes_of[batch]])
+        lane_tokens = (np.array(batch)[utt] * 5 + slot * 3) % 16  # a lane's tokens depend on it alone
+        kernel.advance(lane_tokens, rows=utt)
+        for _ in range(2):
+            probs.append(kernel.predict(lane_tokens, (utt, slot)))
+            kernel.advance((lane_tokens + 1) % 16, rows=np.arange(len(utt)))
+        mine = [probs[0][pos].tobytes(), *(p[utt == pos].tobytes() for p in probs[1:])]
+        seen.add((rollout, *mine))
+    assert len(seen) == 1
 
 
 def test_dropout_identity_cases():

@@ -7,7 +7,8 @@ Usage, from the repository root:
 The base tree is ``src/`` at REV, extracted with ``git archive`` into a
 temporary directory; the other tree is this checkout's ``src/``. Each tree
 runs the same matrix of ``deskst`` commands (train, eval --run, the ASR->MT
-cascade eval, an eval of a 40-example split, transplant and compare) in
+cascade eval, an eval of a 40-example split, transplant, compare, and one
+training run at the default model dims) in
 fresh subprocesses at one BLAS thread, each in its own working directory.
 Every output file and every command's console output and exit code are then
 compared byte for byte. For a checkpoint that differs the report names the
@@ -100,6 +101,14 @@ MATRIX = [
         ],
     ),
     Step("compare", ["compare", *(f"runs/{name}" for name in TRAINED), "--out", "compare"]),
+    # The default model dims, which perfbench runs (H = A = 64, V = 16), on a few dozen examples.
+    Step(
+        "train desk",
+        [
+            "train", "--out", "runs/desk", "--topology", "tied_triangle", "--adapter", "on", "--ctc", "on",
+            "--data.n_train", "40", "--data.n_dev", "8", "--data.n_test", "6", "--train.epochs", "1",
+        ],
+    ),
 ]
 
 # One tiny configuration: a fast check of one tree against itself.
