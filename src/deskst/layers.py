@@ -23,9 +23,12 @@ beam search run it, and it holds the decoder's state between steps. A
 kernel built while gradients are recorded keeps its own record of the steps
 it ran, and its ``backward`` carries gradients back through them for both
 fused decoders. Each fused op's backward runs once: it writes gradients over
-its record's buffers and frees the record when it returns, so a node whose
-backward has run holds none of its forward buffers while the rest of the
-graph is differentiated. A second backward raises ``NumericsError``.
+its record's buffers and frees the record, so a node whose backward has run
+holds none of its forward buffers while the rest of the graph is
+differentiated. The decoders' backward frees each step's record once its
+loop has passed the step, and copies no whole record; the BLSTM's frees its
+cell states when its loop ends and its gates when it returns. A second
+backward raises ``NumericsError``.
 
 Row packing. The fused decoders pack their rows as ``lstm_sequence`` does:
 rows are sorted once by step bound (a target length + 1, a rollout limit),
@@ -183,9 +186,10 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     runs, which drops the cell states when its loop ends and the gates,
     then holding the gate gradients, when it returns. Under ``no_grad``
     nothing outlives the call, and the call itself holds one step of gates
-    and two steps of cell state beside the (N + 1, 2, H) packed h: the
-    input projection runs one step at a time, and the steps with one row
-    left all at once, so that no product has one row.
+    and two steps of cell state and of h beside the output, into which each
+    step writes its h: the input projection runs one step at a time, and
+    the steps with one row left all at once, so that no product has one
+    row.
     The output is then the same bit for bit as the recorded forward's,
     since a GEMM row's bits do not depend on the call's row count from two
     rows up at 4H columns (4H mod 8 is 0 or 4; see Row packing).
@@ -258,7 +262,8 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     z = np.empty((max((off[end] - off[k] for k, end in blocks.items()), default=0), 2, 4 * H))
     coff = off if recording else [(k % 2) * counts[0] for k in range(len(steps))]
     cs = np.empty((N if recording else min(N, 2 * counts[0]), 2, H))
-    hs = np.zeros((N + 1, 2, H))
+    hs = np.zeros((N + 1, 2, H)) if recording else np.empty_like(cs)  # ring like cs under no_grad
+    plain = None if recording else np.zeros((B * T * 2, H))  # the output under no_grad, step by step
     for k, n in enumerate(steps):
         if k in blocks:
             base, rows = off[k], off[blocks[k]] - off[k]
@@ -266,7 +271,7 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
             z[:rows] += b_scaled
         a = z[off[k] - base : off[k] - base + n]
         if k:
-            a += dirs(dirs(hs[off[k - 1] : off[k - 1] + n]) @ w_hh_scaled)
+            a += dirs(dirs(hs[coff[k - 1] : coff[k - 1] + n]) @ w_hh_scaled)
         np.tanh(a, out=a)
         a *= scale
         a += shift
@@ -274,10 +279,13 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
         np.multiply(a[..., :H], a[..., 2 * H : 3 * H], out=c)
         if k:
             c += a[..., H : 2 * H] * cs[coff[k - 1] : coff[k - 1] + n]
-        np.multiply(a[..., 3 * H :], np.tanh(c), out=hs[off[k] : off[k] + n])
-    out = hs.reshape(2 * (N + 1), H)[inv].reshape(B, T, 2 * H)
+        h = hs[coff[k] : coff[k] + n]
+        np.multiply(a[..., 3 * H :], np.tanh(c), out=h)
+        if not recording:
+            plain[gidx[off[k] : off[k] + n]] = h
     if not recording:
-        return Tensor(out)
+        return Tensor(plain.reshape(B, T, 2 * H))
+    out = hs.reshape(2 * (N + 1), H)[inv].reshape(B, T, 2 * H)
 
     def backward(gout):
         nonlocal z, cs
@@ -336,7 +344,8 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
         if not constant_input:
             dxp = np.zeros((N + 1, 2, D))
             np.matmul(dz, np.stack(w_ihs).transpose(0, 2, 1), out=dirs(dxp[:N]))
-            dx = dxp.reshape(2 * (N + 1), D)[inv].sum(axis=2)
+            dx = dxp[:, 0][inv[..., 0] // 2]  # the forward direction's rows, then the backward one's added
+            dx.reshape(B * T, D)[idx[1]] += dxp[:N, 1]
         return dx, dw_ih[0], dw_hh[0], db[0], dw_ih[1], dw_hh[1], db[1]
 
     return tz._node(out, (xs, *params), backward)
@@ -480,8 +489,9 @@ class DecoderKernel:
     ``advance``, its tokens, its mask and its per-layer cache. A step's
     arrays hold the rows it ran, a prefix of the kernel's rows. ``backward``
     carries gradients back through the recorded steps, for both fused
-    decoders, once: it frees the record and the keys as it returns. A kernel
-    built under ``no_grad``, as in beam search, records nothing.
+    decoders, once, using the record up as it goes: it drops each step once
+    it has passed it, and the keys become their own gradient. A kernel built
+    under ``no_grad``, as in beam search, records nothing.
     """
 
     def __init__(
@@ -622,10 +632,22 @@ class DecoderKernel:
         of every ``inputs`` entry, in order, each memory's states in the
         caller's row order.
 
-        It runs once: it overwrites the recorded pre-activations with their
-        gradients, and on return it drops the record and the keys, so the
-        graph node that holds the kernel keeps none of them. A second call
-        raises ``NumericsError``.
+        It runs once and uses the record up as it walks back over the steps.
+        It takes the record from the kernel on entry (a second call raises
+        ``NumericsError``). The loop does not read the joints, so the output
+        layer's GEMM runs on them first and they are dropped before the
+        loop allocates anything. The loop drops each step's pre-activations
+        (overwritten with their gradients), feedback, top state and advance
+        cache once it has passed that step. The keys are not read again, so
+        they are zeroed and accumulate their own gradient. The weight GEMMs
+        after the loop read packed (rows, .) buffers that the loop fills
+        step by step in the forward's row order (the LSTM inputs and
+        previous states, ``dz``, the top states, ``dq``, the embedding rows
+        and tokens), and each step's attention weights go straight into the
+        (B, T, S) array of the context GEMM. So only the joints are ever
+        held twice, and only before the loop; every GEMM reads the operands
+        the concatenated record gave, and the gradients are the same bit for
+        bit. After the call the node keeps none of it.
 
         Both fused decoders only ever clear a row's mask: once a row stops
         (at its target's end, or at [EOS] or its limit in the rollout), its
@@ -637,18 +659,34 @@ class DecoderKernel:
         stopped row's kept top state at every later step."""
         if self.predictions is None:
             raise NumericsError("decoder step: backward already ran and freed its record")
-        rows = [top.shape[0] for top, _, _ in self.predictions]
-        off = np.cumsum([0, *rows])
-        S, n = len(rows), len(self.advances)
+        record, advances, self.predictions, self.advances = self.predictions, self.advances, None, None
+        rows = [top.shape[0] for top, _, _ in record]
+        adv = [mask.shape[0] for _, mask, _ in advances]
+        off, aoff = np.cumsum([0, *rows]), np.cumsum([0, *adv])
+        S, n = len(rows), len(advances)
         B, H, L = self.mems[0][0].shape[0], self.hidden, len(self.cells)
         E = self.table.shape[1]
+        d_out = (None, None)
+        if dlogits is not None:  # the joints are read here only, so they go first
+            J = np.concatenate([joint for _, joint, _ in record])
+            d_out = (J.T @ dlogits, dlogits.sum(axis=0))
+            record = [(top, None, attn) for top, _, attn in record]
+            del J
         dh = [np.zeros((B, H)) for _ in range(L)]
         dc = [np.zeros((B, H)) for _ in range(L)]
-        dz_steps = [[] for _ in range(L)]  # per layer, steps n-1 .. 0
-        d_cur = []  # per advance, steps n-1 .. 0
+        # Packed (rows, .) operands of the GEMMs after the loop, in step
+        # order, filled as the loop passes each step.
+        tokens_all, d_cur = np.empty(aoff[-1], dtype=np.int64), np.empty((aoff[-1], E))
+        dz_all = [np.empty((aoff[-1], 4 * H)) for _ in range(L)]
+        xs_all = [np.empty((aoff[-1], w_ih.shape[0])) for w_ih, _, _ in self.cells]
+        hs_all = [np.empty((aoff[-1], H)) for _ in range(L)]
+        tops_all = np.empty((off[-1], H))
         dfb = [np.zeros(valid.shape) for _, valid, *_ in self.mems]
-        dkeys = [np.zeros_like(keys) for _, _, keys, *_ in self.mems]
-        dq_steps = [[] for _ in self.mems]
+        dkeys = [keys for _, _, keys, *_ in self.mems]  # no step reads the keys again: they become their gradient
+        for d in dkeys:
+            d.fill(0.0)
+        dq_all = [np.empty((off[-1], keys.shape[-1])) for _, _, keys, *_ in self.mems]
+        ws = [np.zeros((B, M.shape[1], S)) for M, *_ in self.mems]  # (memory row, position, step)
         dv = [np.zeros(keys.shape[-1]) for _, _, keys, *_ in self.mems]
         du = [np.zeros(keys.shape[-1]) for _, _, keys, *_ in self.mems]
         # Contiguous transposes: a GEMM reads them faster than a transposed view.
@@ -657,37 +695,39 @@ class DecoderKernel:
         for s in range(S - 1, -1, -1):
             p, o0 = rows[s], off[s]
             if s < n:  # LSTM stack advance, top layer first
-                tokens, mask, cache = self.advances[s]
-                a = mask.shape[0]
+                tokens, mask, cache = advances[s]
+                advances[s] = None
+                a, a0 = mask.shape[0], aoff[s]
+                tokens_all[a0 : a0 + a] = tokens
                 if dh_after is not None:
                     dh[-1] += dh_after[s]
                 m = mask[:, None]
                 dx = None
                 for j in range(L - 1, -1, -1):
                     x, h_prev, c_prev, i, f, g, o, tc = cache[j]
+                    xs_all[j][a0 : a0 + a], hs_all[j][a0 : a0 + a] = x, h_prev
                     dh_out = dh[j][:a] if dx is None else dh[j][:a] + dx
                     dh_new = m * dh_out
                     dc_total = dc[j][:a] + dh_new * o * (1.0 - tc * tc)
-                    dz = np.concatenate(
-                        [
-                            dc_total * g * i * (1.0 - i),
-                            dc_total * c_prev * f * (1.0 - f),
-                            dc_total * i * (1.0 - g * g),
-                            dh_new * tc * o * (1.0 - o),
-                        ],
-                        axis=1,
-                    )
-                    dz_steps[j].append(dz)
+                    dz = dz_all[j][a0 : a0 + a]
+                    dz[:, :H] = dc_total * g * i * (1.0 - i)
+                    dz[:, H : 2 * H] = dc_total * c_prev * f * (1.0 - f)
+                    dz[:, 2 * H : 3 * H] = dc_total * i * (1.0 - g * g)
+                    dz[:, 3 * H :] = dh_new * tc * o * (1.0 - o)
                     dc[j][:a] = dc_total * f
                     dx = dz @ cells_t[j][0]
                     dh[j][:a] = dz @ cells_t[j][1] + (1.0 - m) * dh_out
-                d_cur.append(dx[:, :E])
+                d_cur[a0 : a0 + a] = dx[:, :E]
                 dctxs[o0 : o0 + a] += dx[:, E:]
+            top, _, attn = record[s]
+            record[s] = None
+            tops_all[o0 : o0 + p] = top
             dtop = dtops[o0 : o0 + p]
             c0 = 0
             for k, (M, valid, keys, wq, v, ab, u) in enumerate(self.mems):
-                pre, w, fb = self.predictions[s][2][k]
+                pre, w, fb = attn[k]
                 A, D = keys.shape[-1], M.shape[-1]
+                ws[k][self.order[:p], :, s] = w
                 d_ctx = np.zeros((B, D))  # on the memory rows, as the contexts were read
                 d_ctx[self.order[:p]] = dctxs[o0 : o0 + p, c0 : c0 + D]
                 dw = (M @ d_ctx[..., None])[self.order[:p], :, 0] + dfb[k][:p]
@@ -700,25 +740,22 @@ class DecoderKernel:
                 np.subtract(1.0, da, out=da)
                 da *= de[..., None]
                 dkeys[k][:p] += da
-                dq = (np.ones(da.shape[1]) @ da) * v
-                dq_steps[k].append(dq)
+                dq = np.multiply(np.ones(da.shape[1]) @ da, v, out=dq_all[k][o0 : o0 + p])
                 dtop = dtop + dq @ wq_t[k]
                 du[k] += fb.reshape(-1) @ da.reshape(-1, A)
                 dfb[k][:p] += da @ (v * u)
+            del attn, pre, da
             dh[-1][:p] += dtop
 
         grads = []
         if n:
-            np.add.at(d_emb, np.concatenate([tokens for tokens, _, _ in self.advances]), np.concatenate(d_cur[::-1]))
+            np.add.at(d_emb, tokens_all, d_cur)
         for j in range(L):
             if n == 0:  # no advance ran
                 grads += [np.zeros_like(t) for t in self.cells[j]]
                 continue
-            dz = np.concatenate(dz_steps[j][::-1])
-            xs = np.concatenate([cache[j][0] for _, _, cache in self.advances])
-            hs = np.concatenate([cache[j][1] for _, _, cache in self.advances])
+            dz, xs, hs = dz_all[j], xs_all[j], hs_all[j]
             grads += [xs.T @ dz, hs.T @ dz, dz.sum(axis=0)]
-        tops_all = np.concatenate([top for top, _, _ in self.predictions])
         ss = np.repeat(np.arange(S), rows)  # packed row -> (step, memory row)
         rr = self.order[np.arange(off[-1]) - off[ss]]
         d_states = []
@@ -726,22 +763,16 @@ class DecoderKernel:
         for k, (M, valid, keys, wq, v, ab, u) in enumerate(self.mems):
             _, T, D = M.shape
             A = keys.shape[-1]
-            dq = np.concatenate(dq_steps[k][::-1])
             d_keys = dkeys[k][self.inverse]  # on the memory rows
             d_keys *= v
             d_wk = M.reshape(B * T, D).T @ d_keys.reshape(B * T, A)
-            grads += [tops_all.T @ dq, d_wk, dv[k], d_keys.sum(axis=(0, 1)), du[k] * v]
+            grads += [tops_all.T @ dq_all[k], d_wk, dv[k], d_keys.sum(axis=(0, 1)), du[k] * v]
             # context = weights @ memory, summed over steps: (B, T, S) @ (B, S, D)
-            ws, d_ctx = np.zeros((B, T, S)), np.zeros((B, S, D))
-            ws[rr, :, ss] = np.concatenate([attn[k][1] for _, _, attn in self.predictions])
+            d_ctx = np.zeros((B, S, D))
             d_ctx[rr, ss] = dctxs[:, c0 : c0 + D]
             c0 += D
-            d_states.append(ws @ d_ctx + d_keys @ self.w_keys[k].T)
-        d_out = (None, None)
-        if dlogits is not None:
-            J = np.concatenate([joint for _, joint, _ in self.predictions])
-            d_out = (J.T @ dlogits, dlogits.sum(axis=0))
-        self.predictions = self.advances = self.mems = None
+            d_states.append(ws[k] @ d_ctx + d_keys @ self.w_keys[k].T)
+        self.mems = None
         return (d_emb, *grads, *d_out, *d_states)
 
 

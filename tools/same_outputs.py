@@ -7,8 +7,8 @@ Usage, from the repository root:
 The base tree is ``src/`` at REV, extracted with ``git archive`` into a
 temporary directory; the other tree is this checkout's ``src/``. Each tree
 runs the same matrix of ``deskst`` commands (train, eval --run, the ASR->MT
-cascade eval, an eval of a 40-example split, transplant, compare, and one
-training run at the default model dims) in
+cascade eval, an eval of a 40-example split, transplant, compare, and two
+training runs at the default model dims) in
 fresh subprocesses at one BLAS thread, each in its own working directory.
 Every output file and every command's console output and exit code are then
 compared byte for byte. For a checkpoint that differs the report names the
@@ -57,6 +57,12 @@ def _train(name: str, *flags: str) -> Step:
     return Step(f"train {name}", ["train", "--out", f"runs/{name}", *TINY, *flags])
 
 
+def _desk(name: str, *flags: str) -> Step:
+    # The default model dims, which perfbench runs (H = A = 64, V = 16), on a few dozen examples.
+    few = ["--data.n_train", "40", "--data.n_dev", "8", "--data.n_test", "6", "--train.epochs", "1"]
+    return Step(f"train {name}", ["train", "--out", f"runs/{name}", *flags, *few])
+
+
 def _eval(name: str) -> Step:
     return Step(f"eval {name}", ["eval", "--run", f"runs/{name}", "--beam", "3"])
 
@@ -101,14 +107,9 @@ MATRIX = [
         ],
     ),
     Step("compare", ["compare", *(f"runs/{name}" for name in TRAINED), "--out", "compare"]),
-    # The default model dims, which perfbench runs (H = A = 64, V = 16), on a few dozen examples.
-    Step(
-        "train desk",
-        [
-            "train", "--out", "runs/desk", "--topology", "tied_triangle", "--adapter", "on", "--ctc", "on",
-            "--data.n_train", "40", "--data.n_dev", "8", "--data.n_test", "6", "--train.epochs", "1",
-        ],
-    ),
+    # Two-memory and single-memory decoders, with the adapter and CTC.
+    _desk("desk", "--topology", "tied_triangle", "--adapter", "on", "--ctc", "on"),
+    _desk("desk_one2many", "--topology", "one2many", "--ctc", "on"),
 ]
 
 # One tiny configuration: a fast check of one tree against itself.
