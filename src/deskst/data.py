@@ -11,6 +11,7 @@ non-monotonic.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,7 @@ __all__ = [
     "ExamplePair",
     "Dataset",
     "Batch",
+    "Batches",
     "DataError",
     "task_vocabularies",
     "generate",
@@ -287,6 +289,25 @@ def _pad_batch(examples: list[ExamplePair], pad_src: int, pad_tgt: int) -> Batch
     return Batch([ex.id for ex in examples], frames, frame_lengths, src, src_lengths, tgt, tgt_lengths)
 
 
+class Batches(Sequence):
+    """Example groups that are padded into a ``Batch`` only when one is read.
+
+    Each index or iteration step pads its group anew and keeps nothing, so a
+    reader holds only the batches it keeps itself; a slice is another
+    ``Batches`` over the sliced groups. Read-only, like a tuple."""
+
+    def __init__(self, groups: list[list[ExamplePair]], pad_src: int, pad_tgt: int):
+        self._groups, self._pad_src, self._pad_tgt = groups, pad_src, pad_tgt
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def __getitem__(self, index: int | slice) -> Batch | Batches:
+        if isinstance(index, slice):
+            return Batches(self._groups[index], self._pad_src, self._pad_tgt)
+        return _pad_batch(self._groups[index], self._pad_src, self._pad_tgt)
+
+
 def batch(
     dataset: Dataset,
     batch_size: int,
@@ -294,15 +315,18 @@ def batch(
     pool_product: int = 1,
     ctc_filter: bool = False,
     order: np.ndarray | None = None,
-) -> tuple[list[Batch], FilterReport]:
-    """Group examples into padded batches, filtering unusable ones.
+) -> tuple[Batches, FilterReport]:
+    """Group examples into batches, filtering unusable ones.
 
     Examples whose transcript or translation exceeds ``max_len`` tokens are
     dropped, as are CTC-infeasible ones when ``ctc_filter`` is set: those
     whose transcript needs more frames than the pooled frame count (J plus
     one blank between adjacent repeated labels, ``ctc.min_frames_required``,
-    the bound the CTC loss enforces). ``order``
-    optionally permutes the dataset before grouping.
+    the bound the CTC loss enforces). ``order``, a permutation of the kept
+    examples' indices (else ``DataError``), optionally reorders them before
+    grouping. The filter and its ``FilterReport`` run at once; the batches
+    are padded lazily: each index or iteration step pads its batch anew,
+    nothing is cached, and a slice stays lazy (``Batches``).
     """
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
@@ -321,12 +345,13 @@ def batch(
     if not kept:
         raise DataError("no examples remain after filtering")
     if order is not None:
+        order = np.asarray(order)
+        n = len(kept)
+        if order.shape != (n,) or order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(n)):
+            raise DataError(f"order must be a permutation of the {n} kept examples' indices")
         kept = [kept[i] for i in order]
-    pad_src = dataset.src_vocab.pad_id
-    pad_tgt = dataset.tgt_vocab.pad_id
-    batches = [
-        _pad_batch(kept[i : i + batch_size], pad_src, pad_tgt) for i in range(0, len(kept), batch_size)
-    ]
+    groups = [kept[i : i + batch_size] for i in range(0, len(kept), batch_size)]
+    batches = Batches(groups, dataset.src_vocab.pad_id, dataset.tgt_vocab.pad_id)
     return batches, FilterReport(len(kept), too_long, infeasible)
 
 

@@ -9,14 +9,17 @@ computed. Each step keeps an utterance's top K (lane, token) candidates under
 the key (-score, the lane's lexicographic rank among its utterance's lanes,
 token id), i.e. equal scores are ordered by token sequence: the lowest id
 wins ties, so beam=1 reproduces greedy and zero-parameter models decode
-deterministically. Finished hypotheses leave the beam, and an utterance
-stops once no live lane can reach its best finished one (the stopping rule of
-Huang, Zhao & Ma 2017): a step's log-probabilities are at most 0, so no
-extension of a lane scores above the lane, and no hypothesis outgrows max_len,
-so for len_norm >= 0 no live lane ends above its score / max_len**len_norm.
-The stop fires only when the best finished normalized score is strictly
-above that bound, since an exact tie can still win on token order; it
-removes steps and lanes without changing any output. Decoder weights and
+deterministically. Finished hypotheses leave the beam, and so does every live
+lane that can no longer reach its utterance's best finished one (the stopping
+rule of Huang, Zhao & Ma 2017, applied to each lane): a step's
+log-probabilities are at most 0, so no extension of a lane scores above the
+lane, and no hypothesis outgrows max_len, so for len_norm >= 0 no live lane
+ends above its score / max_len**len_norm. A lane leaves only when the best
+finished normalized score is strictly above that bound, since an exact tie
+can still win on token order, and an utterance stops when no lane is left.
+A candidate that takes a dropped lane's place in a later top K ranks below
+that lane's extensions, so it is out of reach too: dropping lanes removes
+steps and lane rows without changing any output. Decoder weights and
 memories are checked on entry, and each step's probabilities and the states
 the next step reads (``NonFiniteError``).
 """
@@ -146,15 +149,16 @@ def beam_search(
     """Each utterance's best finished hypothesis under the length-normalized
     score score / len(tokens)^len_norm.
 
-    Finished hypotheses leave the beam, and an utterance stops once no live
-    lane can reach its best finished one: once that hypothesis's normalized
-    score is strictly above the best live score / max_len**len_norm, which
-    bounds every extension because scores only fall. If none of an
-    utterance's hypotheses finishes within max_len, its best unfinished one
-    is returned with finished=False. A len_norm for which max_len**len_norm
-    is no finite float raises ``NumericsError``. ``encoding`` is passed on to
-    ``prepare_memories``: the batch's encoder states, computed once by a
-    caller that also uses them elsewhere.
+    Finished hypotheses leave the beam, and so does each live lane that can
+    no longer reach its utterance's best finished one: a lane whose score /
+    max_len**len_norm, which bounds every extension because scores only fall,
+    is strictly below that hypothesis's normalized score. An utterance stops
+    when no lane is left. If none of an utterance's hypotheses finishes
+    within max_len, its best unfinished one is returned with finished=False.
+    A len_norm for which max_len**len_norm is no finite float raises
+    ``NumericsError``. ``encoding`` is passed on to ``prepare_memories``: the
+    batch's encoder states, computed once by a caller that also uses them
+    elsewhere.
     """
     if beam < 1:
         raise NumericsError("beam must be >= 1")
@@ -205,11 +209,13 @@ def beam_search(
             toks = history[b, parents[b, k]].tolist() + [vocab.eos_id]
             if best[b] is None or (neg, toks) < best[b][:2]:
                 best[b] = (neg, toks, score)
-        live = valid & ~ends
+        # A lane whose bound is strictly below its utterance's best finished
+        # normalized score can no longer win: it leaves the beam.
+        bar = np.array([-np.inf if kept is None else -kept[0] for kept in best])
+        live = valid & ~ends & (top_scores / horizon >= bar[:, None])
         keep = np.argsort(~live, axis=1, kind="stable")  # survivors first, best first
         scores = top_scores[rows, keep]
-        won = [kept is not None and -kept[0] > bound for kept, bound in zip(best, scores[:, 0] / horizon)]
-        n_active = np.where(won, 0, live.sum(axis=1))
+        n_active = live.sum(axis=1)
         alive = slots < n_active[:, None]
         parents = np.where(alive, parents[rows, keep], 0)
         step_tokens = np.where(alive, tokens[rows, keep], vocab.pad_id)

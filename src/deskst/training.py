@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,8 +84,9 @@ def output_side(ds: Dataset, task: str) -> tuple[Vocabulary, list[str]]:
     return ds.tgt_vocab, [ds.tgt_vocab.to_words(ex.e.ids) for ex in ds.examples]
 
 
-def decode_batches(ds: Dataset) -> list[Batch]:
-    """Every example, unfiltered and in order, in padded batches of 32."""
+def decode_batches(ds: Dataset) -> Sequence[Batch]:
+    """Every example, unfiltered and in order, in batches of 32, each padded
+    only when it is read (``data.Batches``); empty for an empty dataset."""
     return make_batches(ds, 32)[0] if ds.examples else []
 
 

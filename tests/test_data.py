@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,69 @@ def test_dataset_roundtrip(tmp_path):
         assert np.array_equal(a.e.ids, b.e.ids)
     assert np.array_equal(back.cipher, ds.cipher)
     assert back.manifest["vocab_size"] == 6
+
+
+def _arrays(b):
+    return (b.frames, b.frame_lengths, b.src, b.src_lengths, b.tgt, b.tgt_lengths)
+
+
+def _assert_same_batch(got, expect):
+    assert got.ids == expect.ids
+    for a, e in zip(_arrays(got), _arrays(expect)):
+        assert a.dtype == e.dtype and np.array_equal(a, e)
+
+
+def test_batches_pad_on_every_access_as_eager_padding_would():
+    ds = generate(seed=7, n_examples=23, vocab_size=6)
+    order = np.random.default_rng(0).permutation(23)
+    batches, _ = batch(ds, 4, order=order)
+    pads = (ds.src_vocab.pad_id, ds.tgt_vocab.pad_id)
+    ordered = [ds.examples[i] for i in order]
+    eager = [data._pad_batch(ordered[i : i + 4], *pads) for i in range(0, 23, 4)]
+    assert len(batches) == len(eager) == 6
+    for i in range(-len(eager), len(eager)):
+        _assert_same_batch(batches[i], eager[i])
+    for got, expect in zip(batches, eager, strict=True):
+        _assert_same_batch(got, expect)
+    for cut in (slice(1, 5), slice(None, None, 2), slice(-2, None), slice(5, 1, -2), slice(3, 3), slice(9, None)):
+        part = batches[cut]
+        assert isinstance(part, data.Batches) and len(part) == len(eager[cut])
+        for got, expect in zip(part, eager[cut], strict=True):
+            _assert_same_batch(got, expect)
+    assert batches[1:][0].ids == eager[1].ids and batches[::2][1:][-1].ids == eager[4].ids
+    assert batches[0] is not batches[0]  # nothing is cached
+    for i in (6, -7, 100):
+        with pytest.raises(IndexError):
+            batches[i]
+    with pytest.raises(IndexError):
+        batches[2:][4]
+
+
+def test_iterating_an_epoch_holds_at_most_two_padded_batches():
+    ds = generate(seed=8, n_examples=512, vocab_size=12)
+    largest = max(sum(a.nbytes for a in _arrays(b)) for b in batch(ds, 16)[0])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        batches, _ = batch(ds, 16, order=np.arange(512)[::-1])
+        for b in batches:
+            assert b.size == 16
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # The groups' lists and the transient padding inputs take a few KB.
+    assert peak < 2 * largest + 16 * 1024, (peak, largest, len(batches))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[0, 1, 1, 3, 4], [0, 1, 2, 3], [0, 1, 2, 3, 4, 5], [-1, 0, 1, 2, 3], [1, 2, 3, 4, 5], [0.0, 1.0, 2.0, 3.0, 4.0],
+     [[0, 1, 2, 3, 4]]],
+    ids=["duplicate", "omission", "extra", "negative", "out_of_range", "float", "2d"],
+)
+def test_batch_order_must_permute_the_kept_examples(order):
+    ds = generate(seed=9, n_examples=5, vocab_size=6)
+    with pytest.raises(DataError, match="permutation"):
+        batch(ds, 2, order=np.array(order))
+    kept, _ = batch(ds, 2, order=[4, 0, 3, 1, 2])
+    assert [b.ids for b in kept] == [[4, 0], [3, 1], [2]]

@@ -291,6 +291,17 @@ def test_finished_hypotheses_leave_the_beam(monkeypatch):
     assert all(h.tokens == [1, 3, eos] for h in got)
 
 
+def _count_lane_rows(monkeypatch):
+    calls, predict = [], layers.DecoderKernel.predict
+
+    def counted(self, prev_ids, *args, **kwargs):
+        calls.append(len(prev_ids))  # lane rows
+        return predict(self, prev_ids, *args, **kwargs)
+
+    monkeypatch.setattr(layers.DecoderKernel, "predict", counted)
+    return calls
+
+
 def test_an_utterance_stops_once_its_best_finished_hypothesis_has_won(monkeypatch):
     """[EOS] finishes at step 1 at log 0.9 = -0.11, above the best live
     lane's bound log(0.1 / 7) / 6**0.6 = -1.45, so one step decides the
@@ -299,13 +310,7 @@ def test_an_utterance_stops_once_its_best_finished_hypothesis_has_won(monkeypatc
     vocab = ds.tgt_vocab
     eos = vocab.eos_id
     script_outputs(monkeypatch, vocab, {vocab.bos_id: {eos: 0.9}})
-    calls, predict = [], layers.DecoderKernel.predict
-
-    def counted(self, prev_ids, *args, **kwargs):
-        calls.append(len(prev_ids))  # lane rows
-        return predict(self, prev_ids, *args, **kwargs)
-
-    monkeypatch.setattr(layers.DecoderKernel, "predict", counted)
+    calls = _count_lane_rows(monkeypatch)
     got = assert_matches_reference(graph, store, ds, 3, 6, "st")
     assert all(h.tokens == [eos] and h.finished for h in got)
     assert calls == [len(ds)]  # one step of max_len 6, one lane per utterance (the oracle steps no kernel)
@@ -321,6 +326,35 @@ def test_a_tie_at_the_bound_does_not_stop_the_search(monkeypatch):
     script_outputs(monkeypatch, vocab, {vocab.bos_id: {0: 0.5, eos: 0.5}, 0: {eos: 1.0}})
     got = assert_matches_reference(graph, store, ds, 2, 4, "st", len_norm=0.0)
     assert all(h.tokens == [0, eos] and h.score == np.log(0.5) for h in got)
+
+
+def test_a_lane_that_cannot_reach_the_best_finished_hypothesis_leaves_the_beam(monkeypatch):
+    """Step 1 keeps [0] at log 0.5, [EOS] at log 0.3 and [1] at log 0.05.
+    [1]'s bound log(0.05) / 4**0.6 = -1.30 is below [EOS]'s -1.20, so only
+    [0] steps on, although the best lane [0] (bound -0.30) keeps the
+    utterance going; [0, EOS] then wins."""
+    ds, graph, store = tiny_setup(seed=14)
+    vocab = ds.tgt_vocab
+    eos = vocab.eos_id
+    script_outputs(monkeypatch, vocab, {vocab.bos_id: {0: 0.5, eos: 0.3, 1: 0.05}, 0: {eos: 0.9}})
+    calls = _count_lane_rows(monkeypatch)
+    got = assert_matches_reference(graph, store, ds, 3, 4, "st")
+    assert all(h.tokens == [0, eos] and h.finished for h in got)
+    assert calls == [len(ds), len(ds)]  # not 2 lanes per utterance at step 2
+
+
+def test_a_lane_exactly_at_the_bound_stays_in_the_beam(monkeypatch):
+    """With len_norm 0, step 1 keeps [0] at log 0.35 and, tied at log 0.3,
+    [1] and [EOS]. Lane [1] sits exactly at the best finished score; it
+    stays, and [1, EOS] ties [EOS] and wins on token order."""
+    ds, graph, store = tiny_setup(seed=14)
+    vocab = ds.tgt_vocab
+    eos = vocab.eos_id
+    script_outputs(monkeypatch, vocab, {vocab.bos_id: {0: 0.35, 1: 0.3, eos: 0.3}, 1: {eos: 1.0}})
+    calls = _count_lane_rows(monkeypatch)
+    got = assert_matches_reference(graph, store, ds, 3, 4, "st", len_norm=0.0)
+    assert all(h.tokens == [1, eos] and h.score == np.log(0.3) for h in got)
+    assert calls == [len(ds), 2 * len(ds)]
 
 
 @pytest.mark.parametrize("beam", [1, 4])

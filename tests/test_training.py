@@ -160,6 +160,27 @@ def test_many2one_round_robin_trains_both_paths():
     assert changed_text and changed_speech
 
 
+def test_train_model_pads_each_kept_batch_once_per_epoch(monkeypatch):
+    """Batches are padded as they are read: each epoch pads every kept train
+    batch once, and counting the kept examples pads none."""
+    train, dev = small_task()
+    graph, store = small_model(train)
+    padded, pad = [], data._pad_batch
+
+    def counted(examples, *args):
+        padded.append([ex.id for ex in examples])
+        return pad(examples, *args)
+
+    monkeypatch.setattr(data, "_pad_batch", counted)
+    record, _ = train_model(graph, store, train, dev, TrainSchedule(epochs=2, batch_size=8), seed=0)
+    train_ids = sorted(ex.id for ex in train.examples)
+    train_pads = [ids for ids in padded if set(ids) <= set(train_ids)]
+    n_batches = record.rows[-1]["train"]["n_batches"]
+    assert n_batches == 4 and len(train_pads) == 2 * n_batches
+    for epoch in (train_pads[:n_batches], train_pads[n_batches:]):
+        assert sorted(i for ids in epoch for i in ids) == train_ids
+
+
 @pytest.mark.parametrize("beam", [1, 3])
 def test_decode_corpus_of_an_empty_dataset_is_empty(beam):
     train, _ = small_task()

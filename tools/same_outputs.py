@@ -7,8 +7,8 @@ Usage, from the repository root:
 The base tree is ``src/`` at REV, extracted with ``git archive`` into a
 temporary directory; the other tree is this checkout's ``src/``. Each tree
 runs the same matrix of ``deskst`` commands (train, eval --run, the ASR->MT
-cascade eval, an eval of a 40-example split, transplant, compare, and two
-training runs at the default model dims) in
+cascade eval, an eval of a 40-example split, transplant, compare, two
+training runs at the default model dims and a beam-12 eval of one of them) in
 fresh subprocesses at one BLAS thread, each in its own working directory.
 Every output file and every command's console output and exit code are then
 compared byte for byte. For a checkpoint that differs the report names the
@@ -110,6 +110,8 @@ MATRIX = [
     # Two-memory and single-memory decoders, with the adapter and CTC.
     _desk("desk", "--topology", "tied_triangle", "--adapter", "on", "--ctc", "on"),
     _desk("desk_one2many", "--topology", "one2many", "--ctc", "on"),
+    # The benchmark's beam width at the default model dims.
+    Step("eval desk beam 12", ["eval", "--run", "runs/desk", "--beam", "12"]),
 ]
 
 # One tiny configuration: a fast check of one tree against itself.
