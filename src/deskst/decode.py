@@ -36,7 +36,7 @@ from .layers import EncoderStates
 from .models import ModelGraph
 from .models import apply_adapter  # noqa: F401  (a decode binding that perfbench tracing wraps)
 from .numerics import ParamStore
-from .tensor import NonFiniteError, NumericsError, no_grad
+from .tensor import NumericsError, check_finite, no_grad
 
 __all__ = [
     "Hypothesis",
@@ -131,11 +131,6 @@ def prepare_memories(
     raise DirectionError(f"topology {graph.topology!r} does not decode direction {direction!r}")
 
 
-def _check_finite(what: str, *arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NonFiniteError(f"non-finite {what} in beam search")
-
-
 def beam_search(
     graph: ModelGraph,
     store: ParamStore,
@@ -187,7 +182,7 @@ def beam_search(
     best: list[tuple | None] = [None] * B  # per utterance, its best finished: (-normalized, tokens, score)
     for _ in range(max_len):
         probs = kernel.predict(prev, lanes)
-        _check_finite("output probabilities", probs)
+        check_finite("output probabilities in beam search", probs)
         logp = np.zeros((B, K, V))
         logp[lanes] = np.log(np.maximum(probs, _LOGP_FLOOR))
         cand = (scores[:, :, None] + logp)[rows, order]
@@ -230,7 +225,7 @@ def beam_search(
         src = row_of[lanes[0], parents[lanes]]
         prev = step_tokens[lanes]
         kernel.advance(prev, rows=src)
-        _check_finite("decoder states", *kernel.h, *kernel.c)
+        check_finite("decoder states in beam search", *kernel.h, *kernel.c)
     out = []
     for b, kept in enumerate(best):
         if kept is None:  # nothing finished: the best of the lanes alive after max_len steps

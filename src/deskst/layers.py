@@ -59,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tz
-from .tensor import NonFiniteError, NumericsError, ShapeError, Tensor, as_tensor
+from .tensor import NumericsError, ShapeError, Tensor, as_tensor
 
 __all__ = [
     "LstmParams",
@@ -72,7 +72,6 @@ __all__ = [
     "max_pool_time",
     "pooled_length",
     "additive_attention",
-    "precompute_attention_keys",
     "output_layer",
     "label_smoothed_ce",
     "DecoderKernel",
@@ -80,7 +79,6 @@ __all__ = [
     "greedy_rollout",
     "dropout",
     "dropout_keep",
-    "embed",
 ]
 
 
@@ -172,13 +170,13 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     contiguous (n_k, 2, .) block, so each elementwise call on a step runs
     over one block. Each step is one (2, n_k, H) @ (2, H, 4H) matmul on the
     block's (2, n_k, .) view, with no mask arithmetic, and padded steps cost
-    nothing. Recording, the input projection is one GEMM before the loop;
+    nothing. h lives in a two-step ring, and each step writes its h into
+    the output. Recording, the input projection is one GEMM before the loop;
     after the backward loop the weight, bias and input gradients are each
-    one GEMM or sum over the N packed rows. One (N, 2, 4H) buffer holds in
+    one GEMM or sum over the N packed rows, and the backward reads each
+    step's ``h_prev`` back from the output. One (N, 2, 4H) buffer holds in
     turn the input projection, the gate activations and the gate gradients,
     so the backward runs only once (``NumericsError`` the second time).
-    ``h_prev`` is a view of the output at the previous step (gathered back
-    from the output for the backward).
 
     What is kept. While recording, the node keeps the (N, 2, 4H) gates, the
     (N, 2, H) cell states, the output and references to the weight arrays
@@ -186,13 +184,13 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     runs, which drops the cell states when its loop ends and the gates,
     then holding the gate gradients, when it returns. Under ``no_grad``
     nothing outlives the call, and the call itself holds one step of gates
-    and two steps of cell state and of h beside the output, into which each
-    step writes its h: the input projection runs one step at a time, and
-    the steps with one row left all at once, so that no product has one
-    row.
-    The output is then the same bit for bit as the recorded forward's,
-    since a GEMM row's bits do not depend on the call's row count from two
-    rows up at 4H columns (4H mod 8 is 0 or 4; see Row packing).
+    and two steps of cell state beside the output: the input projection
+    runs one step at a time, and the steps with one row left all at once,
+    so that no product has one row. The two modes differ only there and in
+    whether the cell states of every step are kept. The output is the same
+    bit for bit in both, since a GEMM row's bits do not depend on the
+    call's row count from two rows up at 4H columns (4H mod 8 is 0 or 4;
+    see Row packing).
     """
     constant_input = not isinstance(xs, Tensor)
     xs = as_tensor(xs)
@@ -206,19 +204,16 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     lengths = np.asarray(lengths)
     if lengths.shape != (B,) or lengths.dtype.kind not in "iu" or not ((0 <= lengths) & (lengths <= T)).all():
         raise ShapeError(f"lstm_sequence: lengths must be {B} integers in [0, {T}]")
-    for t in (xs, *params):
-        if not np.isfinite(t.data).all():
-            raise NonFiniteError(f"non-finite input to lstm_sequence (shape={t.shape})")
+    tz.check_finite("input to lstm_sequence", xs, *params)
 
     # Packed layout: rows sorted by length (longest first, stably); step k
     # holds the n_k rows still running, at rows off[k] .. off[k] + n_k of a
     # step-major (N, 2, .) array, N the number of valid steps, so a step's
     # rows of both directions are one contiguous block. Direction 1 reads row
     # j at step k from source step L_j - 1 - k. idx maps (direction, packed
-    # row) to a row of the flat (B*T, .) input; inv maps each (b, t,
-    # direction) back to a row of the flat ((N + 1) * 2, .) packed array, in
-    # which padded steps map to row 2N, a zero row. A GEMM reads and writes
-    # a block through its (2, n, .) view, ``dirs``.
+    # row) to a row of the flat (B*T, .) input, and gidx (packed row,
+    # direction) to a row of the flat (B*T*2, H) output. A GEMM reads and
+    # writes a block through its (2, n, .) view, ``dirs``.
     perm = np.argsort(-lengths, kind="stable")
     L = lengths[perm]
     counts = np.count_nonzero(L[:, None] > np.arange(T), axis=0)  # n_k, non-increasing
@@ -227,11 +222,7 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     N = off[-1]
     kk, jj = np.nonzero(np.arange(T)[:, None] < L)
     idx = perm[jj] * T + np.stack([kk, L[jj] - 1 - kk])
-    inv = np.full((B * T, 2), 2 * N)
-    inv[idx[0], 0] = np.arange(0, 2 * N, 2)
-    inv[idx[1], 1] = np.arange(1, 2 * N, 2)
-    inv = inv.reshape(B, T, 2)
-    gidx = 2 * idx.T + np.arange(2)  # (packed row, direction) -> row of the flat (B*T*2, H) output
+    gidx = 2 * idx.T + np.arange(2)
 
     def dirs(block):
         return block.transpose(1, 0, 2)
@@ -251,8 +242,8 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
     # ``starts``. Recording, it is one block: z keeps every step's gates and
     # cs every step's cell state for the backward. Under no_grad each step
     # with two rows or more is a block and the one-row steps, a suffix, are
-    # one more (a lone one joins the step before it); cs holds steps k - 1
-    # and k, at ring offsets coff[k].
+    # one more (a lone one joins the step before it), and cs is a ring like
+    # hs. A ring holds steps k - 1 and k, at offsets ring[k].
     recording = tz.grad_enabled()
     starts = [0]
     if not recording:
@@ -260,10 +251,11 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
         starts = [*range(multi + (len(steps) - multi > 1))] or [0]
     blocks = dict(zip(starts, [*starts[1:], len(steps)]))  # first step -> end step
     z = np.empty((max((off[end] - off[k] for k, end in blocks.items()), default=0), 2, 4 * H))
-    coff = off if recording else [(k % 2) * counts[0] for k in range(len(steps))]
-    cs = np.empty((N if recording else min(N, 2 * counts[0]), 2, H))
-    hs = np.zeros((N + 1, 2, H)) if recording else np.empty_like(cs)  # ring like cs under no_grad
-    plain = None if recording else np.zeros((B * T * 2, H))  # the output under no_grad, step by step
+    ring = [(k % 2) * counts[0] for k in range(len(steps))]
+    coff = off if recording else ring
+    hs = np.empty((min(N, 2 * counts[0]), 2, H))
+    cs = np.empty((N, 2, H)) if recording else np.empty_like(hs)
+    out = np.zeros((B * T * 2, H))
     for k, n in enumerate(steps):
         if k in blocks:
             base, rows = off[k], off[blocks[k]] - off[k]
@@ -271,7 +263,7 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
             z[:rows] += b_scaled
         a = z[off[k] - base : off[k] - base + n]
         if k:
-            a += dirs(dirs(hs[coff[k - 1] : coff[k - 1] + n]) @ w_hh_scaled)
+            a += dirs(dirs(hs[ring[k - 1] : ring[k - 1] + n]) @ w_hh_scaled)
         np.tanh(a, out=a)
         a *= scale
         a += shift
@@ -279,13 +271,10 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
         np.multiply(a[..., :H], a[..., 2 * H : 3 * H], out=c)
         if k:
             c += a[..., H : 2 * H] * cs[coff[k - 1] : coff[k - 1] + n]
-        h = hs[coff[k] : coff[k] + n]
+        h = hs[ring[k] : ring[k] + n]
         np.multiply(a[..., 3 * H :], np.tanh(c), out=h)
-        if not recording:
-            plain[gidx[off[k] : off[k] + n]] = h
-    if not recording:
-        return Tensor(plain.reshape(B, T, 2 * H))
-    out = hs.reshape(2 * (N + 1), H)[inv].reshape(B, T, 2 * H)
+        out[gidx[off[k] : off[k] + n]] = h
+    out = out.reshape(B, T, 2 * H)
 
     def backward(gout):
         nonlocal z, cs
@@ -342,10 +331,11 @@ def lstm_sequence(xs: Tensor | np.ndarray, lengths: np.ndarray, fwd: LstmParams,
         db = dz.sum(axis=1)
         dx = None
         if not constant_input:
-            dxp = np.zeros((N + 1, 2, D))
-            np.matmul(dz, np.stack(w_ihs).transpose(0, 2, 1), out=dirs(dxp[:N]))
-            dx = dxp[:, 0][inv[..., 0] // 2]  # the forward direction's rows, then the backward one's added
-            dx.reshape(B * T, D)[idx[1]] += dxp[:N, 1]
+            dxp = np.matmul(dz, np.stack(w_ihs).transpose(0, 2, 1))
+            dx = np.zeros((B * T, D))
+            dx[idx[0]] = dxp[0]  # the forward direction's rows, then the backward one's added
+            dx[idx[1]] += dxp[1]
+            dx = dx.reshape(B, T, D)
         return dx, dw_ih[0], dw_hh[0], db[0], dw_ih[1], dw_hh[1], db[1]
 
     return tz._node(out, (xs, *params), backward)
@@ -392,11 +382,6 @@ def max_pool_time(xs: Tensor, lengths: np.ndarray, pool: int) -> tuple[Tensor, n
     return tz._node(vals, (xs,), backward), pooled_length(lengths, pool)
 
 
-def precompute_attention_keys(memory: Tensor, params: AttentionParams) -> Tensor:
-    """Project memory states once per sequence: (B, T, D_mem) -> (B, T, A)."""
-    return memory @ params.w_keys
-
-
 def additive_attention(
     s_prev: Tensor,
     enc: EncoderStates,
@@ -411,7 +396,7 @@ def additive_attention(
     weighted sum of memory states; the returned feedback adds these weights.
     """
     if keys is None:
-        keys = precompute_attention_keys(enc.states, params)
+        keys = enc.states @ params.w_keys
     query = s_prev @ params.w_query  # (B, A)
     fb = tz.reshape(feedback, (*feedback.shape, 1))  # (B, T, 1)
     pre = tz.tanh(keys + tz.reshape(query, (query.shape[0], 1, query.shape[1])) + fb * params.u + params.b)
@@ -513,9 +498,7 @@ class DecoderKernel:
             out_b,
             *(enc.states for enc, _ in memories),
         )  # the order of the fused decoders' gradients
-        for t in self.inputs:
-            if not np.isfinite(t.data).all():
-                raise NonFiniteError(f"non-finite input to the decoder step (shape={t.shape})")
+        tz.check_finite("input to the decoder step", *self.inputs)
         self.table, self.out_w, self.out_b = emb.data, out_w.data, out_b.data
         self.cells = [(p.w_ih.data, p.w_hh.data, p.b.data) for p in lstm]
         self.hidden = lstm[-1].hidden
@@ -941,8 +924,7 @@ def greedy_rollout(
         r = _step_rows(B - int(alive[::-1].argmax()), B)
         keep = None if rng is None else dropout_keep((B, H), rate, rng)[order[:r]]
         p = kernel.predict(prev[:r], keep=keep)
-        if not np.isfinite(p).all():
-            raise NonFiniteError("non-finite output probabilities in the greedy rollout")
+        tz.check_finite("output probabilities in the greedy rollout", p)
         chosen = np.full(B, pad_id, dtype=np.int64)
         chosen[:r] = np.where(alive[:r], p.argmax(axis=-1), pad_id)
         kernel.advance(chosen[:r], alive[:r].astype(np.float64))
@@ -1000,8 +982,3 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         return (g * (mask / (1.0 - rate)),)
 
     return tz._node(x.data * (mask / (1.0 - rate)), (x,), backward)
-
-
-def embed(token_id: np.ndarray | int, table: Tensor) -> Tensor:
-    """Look up embedding rows for integer ids (scalar or any id array)."""
-    return tz.embedding(table, np.asarray(token_id, dtype=np.int64))

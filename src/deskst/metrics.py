@@ -97,16 +97,20 @@ def _edit_distance(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def wer(hyps: list[str], refs: list[str]) -> float:
-    """Corpus Levenshtein edits over total reference tokens, in percent."""
+def _edit_rate(hyps: list[str], refs: list[str], edits) -> float:
+    """Corpus ``edits(hyp tokens, ref tokens)`` over total reference tokens, in percent."""
     _check_pair(hyps, refs)
     hyp_toks = _tokenize(hyps, True)
     ref_toks = _tokenize(refs, True)
     total_ref = sum(len(r) for r in ref_toks)
     if total_ref == 0:
         raise MetricsError("empty reference corpus")
-    edits = sum(_edit_distance(h, r) for h, r in zip(hyp_toks, ref_toks))
-    return 100.0 * edits / total_ref
+    return 100.0 * sum(edits(h, r) for h, r in zip(hyp_toks, ref_toks)) / total_ref
+
+
+def wer(hyps: list[str], refs: list[str]) -> float:
+    """Corpus Levenshtein edits over total reference tokens, in percent."""
+    return _edit_rate(hyps, refs, _edit_distance)
 
 
 def _ref_block_positions(ref: list[str]) -> dict[tuple[str, ...], list[int]]:
@@ -163,19 +167,15 @@ def _ter_pair(hyp: list[str], ref: list[str]) -> int:
 
 def ter(hyps: list[str], refs: list[str]) -> float:
     """Translation edit rate: (edits + block shifts) / reference length."""
-    _check_pair(hyps, refs)
-    hyp_toks = _tokenize(hyps, True)
-    ref_toks = _tokenize(refs, True)
-    total_ref = sum(len(r) for r in ref_toks)
-    if total_ref == 0:
-        raise MetricsError("empty reference corpus")
-    edits = sum(_ter_pair(h, r) for h, r in zip(hyp_toks, ref_toks))
-    return 100.0 * edits / total_ref
+    return _edit_rate(hyps, refs, _ter_pair)
 
 
 def score_corpus(hyps: list[str], refs: list[str], case_sensitive: bool = True) -> MetricReport:
-    """BLEU report extended with TER and WER."""
-    report = bleu_report(hyps, refs, case_sensitive)
+    """BLEU report extended with TER and WER. Without ``case_sensitive``
+    both corpora are lowercased once, for all three metrics."""
+    if not case_sensitive:
+        hyps, refs = [s.lower() for s in hyps], [s.lower() for s in refs]
+    report = bleu_report(hyps, refs)
     report.ter = ter(hyps, refs)
     report.wer = wer(hyps, refs)
     return report

@@ -50,13 +50,11 @@ from .layers import (
     LstmParams,
     additive_attention,  # noqa: F401  (a models binding that perfbench tracing wraps; only _DecoderCore calls it)
     dropout,
-    embed,
     greedy_rollout,
     label_smoothed_ce,  # noqa: F401  (a models binding that perfbench tracing wraps)
     lstm_step,  # noqa: F401  (a models binding that perfbench tracing wraps; only _DecoderCore calls it)
     max_pool_time,
     output_layer,  # noqa: F401  (a models binding that perfbench tracing wraps; only _DecoderCore calls it)
-    precompute_attention_keys,  # noqa: F401  (only _DecoderCore, the tracer's patch point, calls it)
     teacher_forced_decoder,
 )
 from .numerics import ParamStore, rng_for
@@ -440,7 +438,7 @@ def run_text_encoder(
     graph: ModelGraph, store: ParamStore, ids: np.ndarray, lengths: np.ndarray, rngs=None
 ) -> EncoderStates:
     """Embed source tokens and run the (unpooled) BLSTM stack."""
-    h = embed(ids, store["text_encoder.emb"])
+    h = tz.embedding(store["text_encoder.emb"], ids)
     for i in range(graph.config.enc_layers):
         h = _blstm(h, lengths, store, f"text_encoder.l{i}")
         h = _maybe_dropout(h, graph, rngs, "text_encoder")
@@ -470,7 +468,7 @@ class _DecoderCore:
         self.out_w = store[f"{prefix}.out.w"]
         self.out_b = store[f"{prefix}.out.b"]
         self.attn = [(name, _attn_params(store, f"{prefix}.{name}")) for name, _ in memories]
-        self.keys = [precompute_attention_keys(mem.states, p) for (name, p), (_, mem) in zip(self.attn, memories)]
+        self.keys = [mem.states @ p.w_keys for (name, p), (_, mem) in zip(self.attn, memories)]
         self.n_layers = graph.config.dec_layers
 
     def initial_state(self, B: int):
@@ -489,14 +487,14 @@ class _DecoderCore:
             contexts.append(att.context)
             new_feedback.append(att.feedback)
         ctx = contexts[0] if len(contexts) == 1 else tz.concat(contexts, axis=-1)
-        e_prev = embed(prev_ids, self.emb_table)
+        e_prev = tz.embedding(self.emb_table, prev_ids)
         top_for_out = _maybe_dropout(top, self.graph, rngs if training else None, self.prefix.split(".")[0])
         probs = output_layer(e_prev, top_for_out, ctx, self.out_w, self.out_b)
         return probs, ctx, new_feedback
 
     def advance(self, token_ids, ctx, layers, step_mask):
         """Consume a token: s_i = LSTM(e_i, s_{i-1}, c_i), masked rows frozen."""
-        e_cur = embed(token_ids, self.emb_table)
+        e_cur = tz.embedding(self.emb_table, token_ids)
         x = tz.concat([e_cur, ctx], axis=-1)
         new_layers = []
         for j, (h, c) in enumerate(layers):

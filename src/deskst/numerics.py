@@ -84,9 +84,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def names(self) -> list[str]:
         return list(self._entries)
 

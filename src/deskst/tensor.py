@@ -14,7 +14,8 @@ differentiates each graph once and then calls ``release_graph``, which drops
 every recorded parent and backward closure so the forward buffers they own
 are freed while the caller keeps the values. Every operation validates that
 its result is finite; a NaN/Inf is raised immediately instead of
-propagating.
+propagating. ``check_finite`` is the same check for the arrays that the fused
+ops and beam search take in or produce outside a ``Tensor``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
+def check_finite(what: str, *arrays) -> None:
+    """Raise ``NonFiniteError`` naming ``what`` unless every array or
+    ``Tensor`` given holds finite values only."""
+    for a in arrays:
+        data = a.data if isinstance(a, Tensor) else a
+        if not np.isfinite(data).all():
+            raise NonFiniteError(f"non-finite {what} (shape={np.shape(data)})")
+
+
 class Tensor:
     """A float64 array plus optional provenance for reverse-mode grads.
 
@@ -93,10 +103,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -115,20 +121,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
     def __getitem__(self, key):
         return take_slice(self, key)

@@ -222,6 +222,17 @@ SCHEME_NAMES = (
 )
 
 
+# Each scheme component's donor tensors and where they land: (source prefix,
+# target prefix). None: the ASR decoder wherever the topology has one, else
+# the ST decoder.
+_COMPONENTS = {
+    "asr_enc": ("encoder.", "encoder."),
+    "asr_dec": ("decoder_asr.", None),
+    "mt_enc": ("text_encoder.", "text_encoder."),
+    "mt_dec": ("decoder_st.", "decoder_st."),
+}
+
+
 def resolve_scheme(
     name: str,
     topology: str,
@@ -238,26 +249,15 @@ def resolve_scheme(
         raise TransplantError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
     grafts: list[Graft] = []
     for part in [] if name == "none" else name.split("+"):
-        if part.startswith("asr"):
-            if asr_checkpoint is None:
-                raise TransplantError(f"scheme {name!r} needs an ASR checkpoint")
-            donor = asr_checkpoint
-        else:
-            if mt_checkpoint is None:
-                raise TransplantError(f"scheme {name!r} needs an MT checkpoint")
-            donor = mt_checkpoint
-        if part == "asr_enc":
-            grafts.append(Graft(donor, "encoder.", "encoder."))
-        elif part == "asr_dec":
+        task = part.split("_")[0]
+        donor = asr_checkpoint if task == "asr" else mt_checkpoint
+        if donor is None:
+            raise TransplantError(f"scheme {name!r} needs an {task.upper()} checkpoint")
+        source, target = _COMPONENTS[part]
+        if target is None:
             decoders = {head.decoder for route in models.WIRING[topology].routes for head in route.heads}
             target = "decoder_asr." if "decoder_asr" in decoders else "decoder_st."
-            grafts.append(Graft(donor, "decoder_asr.", target))
-        elif part == "mt_enc":
-            grafts.append(Graft(donor, "text_encoder.", "text_encoder."))
-        elif part == "mt_dec":
-            grafts.append(Graft(donor, "decoder_st.", "decoder_st."))
-        else:
-            raise TransplantError(f"unknown scheme component {part!r}")
+        grafts.append(Graft(donor, source, target))
     return TransplantScheme(grafts=grafts)
 
 

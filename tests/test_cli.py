@@ -265,6 +265,44 @@ def trained_run(path):
     return path
 
 
+def test_a_config_file_is_read_under_the_flags_that_override_it(tmp_path):
+    config = tmp_path / "run.conf"
+    lines = [f"{key} = {value}" for key, value in TINY_MODEL.items()]
+    lines += [f"{key[2:]} = {value}" for key, value in zip(TINY_DATA[::2], TINY_DATA[1::2])]
+    config.write_text(
+        "# a tiny run\n\n" + "\n".join(lines) + "\nmodel.topology = mt  # overridden by --topology\n"
+        "   \ntrain.epochs = 5\ntrain.batch_size = 3 # kept\n"
+    )
+    run = tmp_path / "run"
+    flags = ["--config", str(config), "--topology", "direct", "--train.epochs", "0"]
+    assert cli.main(["train", "--out", str(run), *flags]) == cli.EXIT_OK
+    written = json.loads((run / "config.json").read_text())
+    assert (written["model.topology"], written["train.epochs"], written["train.batch_size"]) == ("direct", "0", "3")
+    assert all(written[key] == value for key, value in TINY_MODEL.items())
+
+
+def test_a_config_line_without_equals_exits_2_naming_its_line(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("# comment\nmodel.topology = direct\ntrain.epochs 0\n")
+    assert cli.main(["train", "--out", str(tmp_path / "run"), "--config", str(config)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {config}:3: expected key = value, got 'train.epochs 0'\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_from_a_scheme_reports_its_transplant(tmp_path, capsys):
+    donor = checkpoint(tmp_path, "asr")
+    run = tmp_path / "run"
+    model = [arg for key, value in TINY_MODEL.items() for arg in (f"--{key}", value)]
+    flags = ["--scheme", "asr_enc", "--transplant.asr_checkpoint", str(donor), "--train.epochs", "0"]
+    assert cli.main(["train", "--out", str(run), *TINY_DATA, *model, *flags]) == cli.EXIT_OK
+    report = json.loads((run / "transplant.json").read_text())
+    summary = f"transplant: grafted {len(report['grafted'])}, fresh {len(report['fresh'])}, reinitialized 0, unused source 0"
+    assert capsys.readouterr().out.startswith(summary + "\n")
+    assert report["grafted"] and all(name.startswith("encoder.") for name in report["grafted"])
+    assert report["fresh"] and all(name.startswith("decoder_st.") for name in report["fresh"])
+    assert cli._run_label(cli.parse_config(json.loads((run / "config.json").read_text()))) == "direct [asr_enc]"
+
+
 @pytest.mark.parametrize("name", ["config.json", "best"])
 def test_eval_of_a_run_file_that_is_not_json_exits_4(tmp_path, capsys, name):
     run = trained_run(tmp_path / "run")

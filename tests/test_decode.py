@@ -183,10 +183,39 @@ def test_beam_search_rejects_a_planted_non_finite_weight(name, bad):
             beam_search(graph, store, batch, beam, 4)
 
 
+@pytest.mark.parametrize("beam", [1, 3])
+def test_beam_search_rejects_non_finite_step_probabilities(beam, monkeypatch):
+    ds, graph, store = tiny_setup(seed=15)
+    predict = layers.DecoderKernel.predict
+
+    def poisoned(self, *args, **kwargs):
+        probs = predict(self, *args, **kwargs)
+        probs[-1] = np.nan
+        return probs
+
+    monkeypatch.setattr(layers.DecoderKernel, "predict", poisoned)
+    with pytest.raises(NonFiniteError, match="non-finite output probabilities in beam search"):
+        beam_search(graph, store, data.batch(ds, len(ds))[0][0], beam, 4)
+
+
+@pytest.mark.parametrize("state", ["h", "c"])
+def test_beam_search_rejects_non_finite_decoder_states(state, monkeypatch):
+    ds, graph, store = tiny_setup(seed=15)
+    advance = layers.DecoderKernel.advance
+
+    def poisoned(self, *args, **kwargs):
+        advance(self, *args, **kwargs)
+        getattr(self, state)[0][0, 0] = np.inf
+
+    monkeypatch.setattr(layers.DecoderKernel, "advance", poisoned)
+    with pytest.raises(NonFiniteError, match="non-finite decoder states in beam search"):
+        beam_search(graph, store, data.batch(ds, len(ds))[0][0], 2, 4)
+
+
 def test_teacher_forced_decoder_rejects_a_planted_inf_in_the_keys():
     ds, graph, store = tiny_setup(seed=15)
     store["decoder_st.attn.w_keys"].data.flat[0] = np.inf
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match="non-finite input to the decoder step"):
         models.forward(graph, store, data.batch(ds, len(ds))[0][0])
 
 

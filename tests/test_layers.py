@@ -12,7 +12,6 @@ from deskst.layers import (
     SmoothingClampWarning,
     additive_attention,
     dropout,
-    embed,
     greedy_rollout,
     label_smoothed_ce,
     lstm_sequence,
@@ -308,9 +307,9 @@ def test_lstm_sequence_no_grad_is_parentless_with_same_value():
 
 
 def test_lstm_sequence_under_no_grad_keeps_no_backward_buffers():
-    # Recording keeps (N, 2, 4H) gates, (N, 2, H) cell states and the
-    # (N, 2, H) packed h, 6x the output's packed rows; under no_grad the
-    # call peaks at the output and a few steps' buffers.
+    # Recording keeps (N, 2, 4H) gates and (N, 2, H) cell states, 5x the
+    # output's packed rows; under no_grad the call peaks at the output and
+    # a few steps' buffers.
     store = blstm_store(18, 32, 52, 12, 64)
     lengths = np.array([52, 40] * 16)
     xs = store["xs"].data
@@ -364,7 +363,7 @@ def test_lstm_sequence_rejects_non_finite_input(name, bad):
     # flat[-1] of xs is a padded frame, which the op never reads
     store = blstm_store(14, 2, 3, 2, 3)
     store[name].data.flat[-1] = bad
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match="non-finite input to lstm_sequence"):
         run_blstm(store, np.array([3, 1]))
 
 
@@ -729,6 +728,19 @@ def run_decoder(store, eps=0.1, layers=2):
     return teacher_forced_decoder(*decoder_inputs(store, layers), DEC_TARGETS, DEC_LENGTHS, 0, 4, eps)
 
 
+def test_greedy_rollout_rejects_non_finite_probabilities(monkeypatch):
+    predict = layers.DecoderKernel.predict
+
+    def poisoned(self, *args, **kwargs):
+        probs = predict(self, *args, **kwargs)
+        probs[0, -1] = np.nan
+        return probs
+
+    monkeypatch.setattr(layers.DecoderKernel, "predict", poisoned)
+    with pytest.raises(NonFiniteError, match="non-finite output probabilities in the greedy rollout"):
+        run_rollout(decoder_inputs(decoder_store(5)), np.array([3, 2]))
+
+
 def test_teacher_forced_decoder_gradients():
     store = decoder_store(0)
     check_grads(lambda: run_decoder(store)[0], store)
@@ -753,7 +765,7 @@ def test_teacher_forced_decoder_clamp_warns_and_passes_no_gradient():
 def test_teacher_forced_decoder_rejects_poisoned_input(name, bad):
     store = decoder_store(2)
     store[name].data.flat[0] = bad
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match="non-finite input to the decoder step"):
         run_decoder(store)
 
 
@@ -958,7 +970,7 @@ def test_dropout_is_the_product_with_dropout_keep_bit_for_bit():
 
 def test_embed_identity_table_and_repeat():
     table = Tensor(np.eye(4))
-    one_hot = embed(2, table)
+    one_hot = tz.embedding(table, 2)
     assert np.array_equal(one_hot.data, np.eye(4)[2])
-    twice = embed(np.array([1, 1]), table)
+    twice = tz.embedding(table, np.array([1, 1]))
     assert np.array_equal(twice.data[0], twice.data[1])

@@ -170,6 +170,13 @@ def test_score_corpus_combined():
     assert set(d) == {"n_sentences", "bleu", "ngram_precisions", "brevity_penalty", "ter", "wer"}
 
 
+def test_case_insensitive_scoring_lowercases_for_every_metric():
+    report = score_corpus(["A b c d"], ["a b c d"], case_sensitive=False)
+    assert (report.bleu, report.ter, report.wer) == (100.0, 0.0, 0.0)
+    strict = score_corpus(["A b c d"], ["a b c d"])
+    assert strict.ter == strict.wer == 25.0
+
+
 def test_metrics_are_pure():
     hyps = ["a b x", "c"]
     refs = ["a b c", "c d"]

@@ -12,7 +12,7 @@ from deskst.numerics import (
     rng_for,
     seeded_init,
 )
-from deskst.tensor import NumericsError, ShapeError
+from deskst.tensor import NonFiniteError, NumericsError, ShapeError
 
 from util import NonDeterministicLossError, check_grads, store_with
 
@@ -127,6 +127,14 @@ def test_adam_rejects_mismatched_names_and_shapes():
         adam_step(store, {}, opt)
     with pytest.raises(ShapeError):
         adam_step(store, {"p": np.zeros((2, 2))}, opt)
+
+
+def test_adam_rejects_a_non_finite_update_naming_the_parameter():
+    store = store_with(p=[1.0, -2.0])
+    opt = OptimizerState(learning_rate=0.1)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="non-finite Adam update for p"):
+        adam_step(store, {"p": np.array([0.0, np.inf])}, opt)  # inf / inf in the moment ratio
+    assert store["p"].data.tolist() == [1.0, -2.0]
 
 
 def test_plateau_improving_scores_keep_lr():

@@ -14,6 +14,13 @@ def test_finiteness_enforced_on_construction():
         Tensor([np.inf])
 
 
+def test_a_non_finite_gradient_is_raised_naming_the_parent_it_flows_into():
+    w = Tensor([1.0, 2.0], name="w")
+    node = Tensor(w.data * 3.0, parents=(w,), backward=lambda g: (np.full(2, np.inf),))
+    with pytest.raises(NonFiniteError, match=r"non-finite gradient flowing into Tensor\(shape=\(2,\) name='w'\)"):
+        backward_graph(tz.tsum(node))
+
+
 def test_safe_log_clamps_and_zero_grads():
     x = Tensor([0.0, 1.0])
     out = tz.safe_log(x)

@@ -256,6 +256,40 @@ def test_asr_dec_lands_on_st_decoder_for_many2one():
         assert graft.target_prefix == f"decoder_{task}.", topology
 
 
+def test_mt_enc_grafts_the_text_encoder_into_many2one():
+    _, asr_graph, asr_store = setup_model("asr", seed=4)
+    _, mt_graph, mt_store = setup_model("mt", seed=5)
+    _, graph, store = setup_model("many2one", seed=6)
+    asr, mt = checkpoint_of(asr_graph, asr_store), checkpoint_of(mt_graph, mt_store)
+    with pytest.raises(TransplantError, match="needs an MT checkpoint"):
+        resolve_scheme("asr_enc+mt_enc+mt_dec", "many2one", asr_checkpoint=asr)
+    scheme = resolve_scheme("asr_enc+mt_enc+mt_dec", "many2one", asr_checkpoint=asr, mt_checkpoint=mt)
+    assert [(g.checkpoint, g.source_prefix, g.target_prefix) for g in scheme.grafts] == [
+        (asr, "encoder.", "encoder."),
+        (mt, "text_encoder.", "text_encoder."),
+        (mt, "decoder_st.", "decoder_st."),
+    ]
+    report = apply_transplant(graph, store, scheme)
+    text_encoder = [n for n in store.names() if n.startswith("text_encoder.")]
+    assert text_encoder and set(text_encoder) <= set(report.grafted)
+    for name in text_encoder:
+        assert np.array_equal(store[name].data, mt_store[name].data), name
+    assert sorted(report.grafted) == sorted(store.names()) and report.fresh == []
+
+
+def test_a_target_tensor_the_donor_lacks_stays_fresh():
+    _, asr_graph, asr_store = setup_model("asr", seed=1)
+    _, graph, store = setup_model("direct", seed=2)
+    fresh = store.state_dict()
+    donor = checkpoint_of(asr_graph, asr_store)
+    missing = sorted(n for n in donor.values if n.startswith("encoder."))[0]
+    del donor.values[missing]
+    report = apply_transplant(graph, store, resolve_scheme("asr_enc", "direct", asr_checkpoint=donor))
+    assert missing in report.fresh and missing not in report.grafted
+    assert np.array_equal(store[missing].data, fresh[missing])
+    assert report.grafted and all(n.startswith("encoder.") and n != missing for n in report.grafted)
+
+
 def test_cross_vocab_decoder_graft_reinitializes_embedding_and_output():
     _, asr_graph, asr_store = setup_model("asr", seed=9, vocab=7)  # source vocab 11 total
     ds, st_graph, st_store = setup_model("direct", seed=10, vocab=7)

@@ -7,7 +7,8 @@ Usage, from the repository root:
 The base tree is ``src/`` at REV, extracted with ``git archive`` into a
 temporary directory; the other tree is this checkout's ``src/``. Each tree
 runs the same matrix of ``deskst`` commands (train, eval --run, the ASR->MT
-cascade eval, an eval of a 40-example split, transplant, compare, two
+cascade eval, an eval of a 40-example split, transplant, a many2one training
+run from an asr_enc+mt_enc+mt_dec transplant and its eval, compare, two
 training runs at the default model dims and a beam-12 eval of one of them) in
 fresh subprocesses at one BLAS thread, each in its own working directory.
 Every output file and every command's console output and exit code are then
@@ -106,6 +107,12 @@ MATRIX = [
             "--transplant.asr_checkpoint", "@best:runs/asr_ctc", "--transplant.mt_checkpoint", "@best:runs/mt",
         ],
     ),
+    # Train from a transplant: the scheme table, the mt_enc graft and train's transplant report.
+    _train(
+        "many2one_grafted", "--topology", "many2one", "--scheme", "asr_enc+mt_enc+mt_dec",
+        "--transplant.asr_checkpoint", "@best:runs/asr_ctc", "--transplant.mt_checkpoint", "@best:runs/mt",
+    ),
+    _eval("many2one_grafted"),
     Step("compare", ["compare", *(f"runs/{name}" for name in TRAINED), "--out", "compare"]),
     # Two-memory and single-memory decoders, with the adapter and CTC.
     _desk("desk", "--topology", "tied_triangle", "--adapter", "on", "--ctc", "on"),
