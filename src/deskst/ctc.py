@@ -113,6 +113,10 @@ def _validate(frame_logprobs: np.ndarray, frame_lengths, targets, target_lengths
     return _Batch(lp, frames, labels, extend_with_blanks(np.where(label_valid, targets, blank), blank))
 
 
+# Finite but extreme log-probs can sum past -1e308 in the DP and in the
+# gradient's path mass: the mass is 0 and -inf is its log, not an overflow,
+# and a row left with no path raises CtcInfeasibleError.
+@np.errstate(over="ignore")
 def _forward_backward(batch: _Batch) -> _Batch:
     """Fill alpha, beta and the per-row log p_ctc.
 
@@ -176,6 +180,7 @@ def _forward_backward(batch: _Batch) -> _Batch:
     return batch
 
 
+@np.errstate(over="ignore")  # as in _forward_backward
 def _grad(batch: _Batch) -> np.ndarray:
     """d(-sum log p_ctc) / d log-probs, (B, T, V+1); 0 past each row's frames.
 

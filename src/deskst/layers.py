@@ -530,7 +530,14 @@ class DecoderKernel:
         """Attend from the leading n = len(prev_ids) state rows and predict:
         returns their probabilities (n, V), and keeps their contexts and the
         feedback after this step. ``keep`` multiplies the top state fed to
-        the output layer."""
+        the output layer.
+
+        The feedback term is the outer product ``einsum("nt,a->nta", fb,
+        u)``, whose every element is the single product fb * u, as in
+        ``additive_attention``, without broadcasting the (n, T, 1) feedback
+        over A. One exception: einsum adds the product to a zeroed output,
+        so it writes +0.0 where fb * u is -0.0, and ``pre`` can differ from
+        the oracle's only where keys + query is exactly -0.0."""
         n = len(prev_ids)
         top = self.h[-1][:n]
         utt = slice(0, n) if lanes is None else lanes[0]  # kernel rows
@@ -541,7 +548,7 @@ class DecoderKernel:
             fb = fb[:n]
             pre = keys[:n].copy() if lanes is None else keys[utt]  # its own copy: the keys stay intact
             pre += (top @ wq).reshape(n, 1, -1)
-            pre += fb.reshape(n, T, 1) * u
+            pre += np.einsum("nt,a->nta", fb, u)
             flat = pre.reshape(n, -1)
             flat += ab  # one contiguous (T * A,) row per lane
             np.tanh(pre, out=pre)

@@ -532,3 +532,46 @@ def test_non_finite_checkpoint_exits_4(tmp_path, capsys):
     assert run_eval(tmp_path, ckpt) == cli.EXIT_IO
     assert capsys.readouterr().err.startswith(f"error: {ckpt}: parameter ")
     assert not (tmp_path / "eval").exists()
+
+
+def one_error_line(capsys, start):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {start}") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--model.emb_size"], "dangling override '--model.emb_size'; expected --key value pairs"),
+        (["train", "model.emb_size", "4"], "unexpected argument 'model.emb_size'"),
+        (["train", "--train.epochs", "two"], "train.epochs must be an integer, got 'two'"),
+        (["train", "--train.lr", "fast"], "train.lr must be a number, got 'fast'"),
+        (["eval"], "eval needs --run DIR or --checkpoint FILE"),
+        (["compare", "only_run"], "compare needs at least two run directories"),
+        (["transplant"], "transplant needs --scheme NAME (one of "),
+    ],
+)
+def test_a_command_line_the_cli_cannot_run_exits_2_before_writing(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    one_error_line(capsys, message)
+    assert not list(tmp_path.iterdir())
+
+
+def test_eval_of_a_run_without_a_best_marker_exits_2(tmp_path, capsys):
+    run = trained_run(tmp_path / "run")
+    (run / "best").unlink()
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(run)]) == cli.EXIT_CONFIG
+    one_error_line(capsys, f"{run} has no best-checkpoint marker")
+
+
+def test_compare_of_an_incomplete_run_exits_2(tmp_path, capsys):
+    run = trained_run(tmp_path / "run")
+    other = shutil.copytree(run, tmp_path / "other")
+    (other / "metrics.jsonl").unlink()
+    capsys.readouterr()
+    assert cli.main(["compare", str(run), str(other), "--out", str(tmp_path / "cmp")]) == cli.EXIT_CONFIG
+    one_error_line(capsys, f"{other} is not a completed run directory")
+    assert not (tmp_path / "cmp").exists()

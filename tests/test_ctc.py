@@ -78,6 +78,27 @@ def test_repeated_label_needs_separating_blank():
         ctc_loss(np.log(p), np.array([0, 0]))
 
 
+def test_no_path_of_non_zero_probability_raises_the_typed_error():
+    # Finite log-probs, enough frames, but every path through the labels
+    # sums below -1e308: the DP's -inf is the path mass of 0, not a warning.
+    lp = np.full((3, 3), -1e308)
+    lp[:, 2] = 0.0
+    with pytest.raises(CtcInfeasibleError, match="CTC row 0: no alignment path has non-zero probability"):
+        ctc_loss(lp, np.array([0, 1]))
+
+
+def test_extreme_but_feasible_log_probs_give_the_certain_paths_loss_and_grad():
+    # One path has probability 1; the rest sum below -1e308 in the DP and in
+    # the gradient's path mass, and get none of it.
+    lp = np.full((4, 2), -1e308)
+    lp[[0, 1, 3], 1] = 0.0  # blank, blank, label, blank
+    lp[2, 0] = 0.0
+    x = Tensor(lp)
+    loss = ctc_loss(x, np.array([0]))
+    assert loss.item() == 0.0
+    assert np.array_equal(backward_graph(loss)[id(x)], -(lp == 0.0).astype(np.float64))
+
+
 def test_target_longer_than_frames_brute_force_zero():
     p = np.full((2, 3), 1 / 3)
     assert ctc_brute_force(p, np.array([0, 1, 0])) == 0.0

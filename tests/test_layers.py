@@ -939,6 +939,51 @@ def test_a_decoder_rows_bits_do_not_depend_on_its_companions_at_desk_sizes():
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("mode", ["prefix", "lanes"])
+def test_decoder_kernel_predict_is_the_tensor_step_bit_for_bit(mode, monkeypatch):
+    """With non-zero feedback, u and top state at the desk sizes, one
+    ``DecoderKernel.predict`` gives the bytes of ``additive_attention`` per
+    memory and ``output_layer``: its probabilities, and the tanh
+    pre-activations and weights it records. In prefix mode (the fused
+    decoders) kernel row i is memory row order[i]; in lane mode (beam
+    search) lane i reads memory row utt[i], one lane per utterance: the
+    contexts of K > 1 lanes of an utterance are one K-row GEMM, whose bits
+    are not those of the oracle's one-row products (module docstring)."""
+    B = 6
+    inputs = desk_decoder(23, B)(list(range(B)))
+    memories, emb, _, out_w, out_b = inputs
+    rng = np.random.default_rng(24)
+    if mode == "prefix":
+        order = rng.permutation(B)
+        kernel, rows, lanes = layers.DecoderKernel(*inputs, order), order[:4], None
+    else:
+        utt = np.array([4, 1, 3, 0, 5])
+        kernel, rows, lanes = layers.DecoderKernel(*inputs), utt, (utt, np.zeros(len(utt), dtype=np.int64))
+    n = len(rows)
+    top = rng.normal(size=(max(B, n), kernel.hidden))
+    feedback = [rng.uniform(0.0, 2.0, size=(max(B, n), enc.states.shape[1])) for enc, _ in memories]
+    assert all(np.abs(a.u.data).min() > 0 for _, a in memories)
+    kernel.h[-1], kernel.feedback = top, list(feedback)
+    prev = rng.integers(0, emb.shape[0], size=n)
+    probs = kernel.predict(prev, lanes)
+
+    pres, tanh = [], tz.tanh
+    monkeypatch.setattr(tz, "tanh", lambda a: pres.append(tanh(a)) or pres[-1])
+    s_prev, states = Tensor(top[:n]), []
+    for (enc, params), fb in zip(memories, feedback):
+        mem = EncoderStates(Tensor(enc.states.data[rows]), enc.lengths[rows])
+        states.append(additive_attention(s_prev, mem, Tensor(fb[:n]), params))
+    ctx = tz.concat([att.context for att in states], axis=-1)
+    want = output_layer(tz.embedding(emb, prev), s_prev, ctx, out_w, out_b)
+
+    assert probs.tobytes() == want.data.tobytes()
+    recorded = kernel.predictions[-1][2]
+    for (pre, w, fb), att, want_pre, given in zip(recorded, states, pres, feedback):
+        assert pre.tobytes() == want_pre.data.tobytes()
+        assert w.tobytes() == att.weights.data.tobytes()
+        assert fb.tobytes() == given[:n].tobytes()
+
+
 def test_dropout_identity_cases():
     x = Tensor(np.random.default_rng(0).normal(size=(10, 10)))
     rng = np.random.default_rng(1)

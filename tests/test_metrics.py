@@ -1,7 +1,59 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deskst.metrics import MetricsError, bleu, bleu_report, score_corpus, ter, wer
+from deskst.metrics import MAX_SHIFT_BLOCK, MetricsError, _edit_distance, bleu, bleu_report, score_corpus, ter, wer
+
+
+def dp_edit_distance(a: list[str], b: list[str]) -> int:
+    """Levenshtein distance by the full dynamic-programming table, row by
+    row; the test oracle for the bit-parallel distance."""
+    if not a:
+        return len(b)
+    prev = list(range(len(b) + 1))
+    for i, tok in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j in range(1, len(b) + 1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (tok != b[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def oracle_ter_pair(hyp: list[str], ref: list[str]) -> int:
+    """Edits + shifts for one sentence: the greedy shift search, scoring
+    every candidate shift with the DP distance. Blocks of up to
+    MAX_SHIFT_BLOCK tokens that occur in the reference move to one of their
+    reference positions; each round applies the shift of least distance,
+    ties broken toward the smallest (start, length, destination), while one
+    lowers the distance."""
+    index: dict[tuple[str, ...], list[int]] = {}
+    for n in range(1, min(len(ref), MAX_SHIFT_BLOCK) + 1):
+        for i in range(len(ref) - n + 1):
+            index.setdefault(tuple(ref[i : i + n]), []).append(i)
+    current, shifts, work = dp_edit_distance(hyp, ref), 0, list(hyp)
+    while True:
+        best = None
+        for i in range(len(work)):
+            for n in range(1, min(MAX_SHIFT_BLOCK, len(work) - i) + 1):
+                block = tuple(work[i : i + n])
+                rest = work[:i] + work[i + n :]
+                for j_ref in index.get(block, []):
+                    j = min(j_ref, len(rest))
+                    if j == i:
+                        continue
+                    moved = rest[:j] + list(block) + rest[j:]
+                    key = (dp_edit_distance(moved, ref), i, n, j)
+                    if key[0] < current and (best is None or key < best[0]):
+                        best = (key, moved)
+        if best is None:
+            return current + shifts
+        (current, *_), work = best
+        shifts += 1
+
+
+def oracle_rate(hyps: list[str], refs: list[str], edits) -> float:
+    total = sum(len(r.split()) for r in refs)
+    return 100.0 * sum(edits(h.split(), r.split()) for h, r in zip(hyps, refs)) / total
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +188,7 @@ def test_ter_shift_only_helps():
     for _ in range(50):
         h = " ".join(rng.choice(vocab, size=rng.integers(1, 8)))
         r = " ".join(rng.choice(vocab, size=rng.integers(1, 8)))
-        from deskst.metrics import _edit_distance, _ter_pair
+        from deskst.metrics import _ter_pair
 
         assert _ter_pair(h.split(), r.split()) <= _edit_distance(h.split(), r.split())
 
@@ -183,3 +235,65 @@ def test_metrics_are_pure():
     r1 = score_corpus(hyps, refs)
     r2 = score_corpus(hyps, refs)
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# the bit-parallel distance and the shift search against their oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def token_pairs(draw):
+    """Two token lists of 0-80 tokens over an alphabet of 1-12 tokens: empty
+    sides, repeats, and references past 64 tokens, whose masks span several
+    machine words."""
+    alphabet = [f"w{k}" for k in range(draw(st.integers(1, 12)))]
+    side = st.lists(st.sampled_from(alphabet), max_size=80)
+    return draw(side), draw(side)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(token_pairs())
+def test_edit_distance_is_the_dp_distance(pair):
+    a, b = pair
+    assert _edit_distance(a, b) == dp_edit_distance(a, b)
+    assert _edit_distance(b, a) == dp_edit_distance(a, b)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
+def test_edit_distance_at_machine_word_edges(m):
+    ref = [f"w{i % 7}" for i in range(m)]
+    for hyp in ([], ref, ref[::-1], ref[1:], ref + ["w0"], ["x"] * m, ref[: m // 2] + ["x"] + ref[m // 2 :]):
+        assert _edit_distance(hyp, ref) == dp_edit_distance(hyp, ref), (m, hyp)
+
+
+@st.composite
+def corpora(draw):
+    """(hypotheses, references): 1-4 sentences of 0-9 tokens over an
+    alphabet of 1-5 tokens, each reference non-empty, so blocks repeat and
+    shifts tie."""
+    alphabet = [f"w{k}" for k in range(draw(st.integers(1, 5)))]
+    n = draw(st.integers(1, 4))
+    sentence = lambda lo: st.lists(st.sampled_from(alphabet), min_size=lo, max_size=9).map(" ".join)
+    return draw(st.lists(sentence(0), min_size=n, max_size=n)), draw(st.lists(sentence(1), min_size=n, max_size=n))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(corpora())
+def test_ter_wer_and_score_corpus_are_the_oracles(case):
+    hyps, refs = case
+    want_ter, want_wer = oracle_rate(hyps, refs, oracle_ter_pair), oracle_rate(hyps, refs, dp_edit_distance)
+    assert ter(hyps, refs) == want_ter
+    assert wer(hyps, refs) == want_wer
+    report = score_corpus(hyps, refs)
+    assert (report.ter, report.wer) == (want_ter, want_wer)
+    assert report.bleu == bleu(hyps, refs)
+
+
+def test_scorers_take_sentences_already_split():
+    hyps, refs = ["a B c", "d a"], ["a b c d", "a d"]
+    split = lambda corpus: [s.split() for s in corpus]
+    assert ter(split(hyps), split(refs)) == ter(hyps, refs)
+    assert wer(split(hyps), split(refs)) == wer(hyps, refs)
+    assert bleu_report(split(hyps), split(refs), case_sensitive=False) == bleu_report(hyps, refs, case_sensitive=False)
+    assert score_corpus(split(hyps), split(refs), case_sensitive=False) == score_corpus(hyps, refs, case_sensitive=False)
