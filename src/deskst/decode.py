@@ -126,7 +126,7 @@ def prepare_memories(
                     encoding = models.encode(graph, store, batch, route.source)
                 else:
                     encoding.check(batch, route.source)
-                memories = models.head_memories(graph, store, batch, head, encoding.enc, encoding.attn, decoding=True)
+                memories = models.head_memories(graph, store, batch, head, encoding, decoding=True)
                 return memories, head.decoder, models._task_vocab(graph, direction)
     raise DirectionError(f"topology {graph.topology!r} does not decode direction {direction!r}")
 

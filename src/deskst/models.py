@@ -7,7 +7,8 @@ names its source encoder and its heads in run order; a head is a decoder
 prefix, a task, its loss weight and the memories it attends over. A caller
 that runs several passes over one batch can ``encode`` it once and hand the
 ``Encoding`` to ``forward`` and ``decode.beam_search``, which check that it
-is of the batch's input.
+is of the batch's input; ``with_rollout`` adds the tied topologies' greedy
+ASR rollout to it, which those passes then cut to their own limits.
 
 A ``ModelGraph`` is immutable wiring: a manifest of parameter names/shapes
 grouped under canonical component prefixes (encoder., text_encoder.,
@@ -36,7 +37,7 @@ of beam search from it, and perfbench's tracer patches it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .layers import (
     teacher_forced_decoder,
 )
 from .numerics import ParamStore, rng_for
-from .tensor import NumericsError, Tensor
+from .tensor import NumericsError, Tensor, no_grad
 
 __all__ = [
     "TOPOLOGIES",
@@ -71,7 +72,9 @@ __all__ = [
     "LossBreakdown",
     "Encoding",
     "EncodingMismatchError",
+    "Rollout",
     "encode",
+    "with_rollout",
     "head_memories",
     "build",
     "init_store",
@@ -608,15 +611,66 @@ def _source_input(batch: Batch, source: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
+class Rollout:
+    """decoder_asr's greedy rollout over an ``Encoding``'s ``attn`` memory,
+    run once under ``no_grad`` and without dropout at per-row ``limits``:
+    its (B, K, D) top states, the (B,) steps each row ran and its (B, K)
+    tokens (see ``run_decoder_greedy_rollout``)."""
+
+    limits: np.ndarray
+    states: Tensor
+    steps: np.ndarray
+    tokens: np.ndarray
+
+    def cut(self, limits: np.ndarray) -> EncoderStates:
+        """The states and steps of the rollout run at ``limits``, each at
+        most this one's (``EncodingMismatchError`` otherwise): steps
+        min(steps run, limits), states cut at the longest. A row's states
+        past its own steps are not the frozen ones a run at ``limits`` would
+        return; every reader of the memory masks them."""
+        if limits.shape != self.limits.shape or (limits > self.limits).any():
+            raise EncodingMismatchError(f"a rollout at limits {self.limits} cannot be cut to limits {limits}")
+        steps = np.minimum(self.steps, limits)
+        K = int(steps.max())
+        states = self.states if K == self.states.shape[1] else Tensor(np.ascontiguousarray(self.states.data[:, :K]))
+        return EncoderStates(states, steps)
+
+
+@dataclass(frozen=True)
 class Encoding:
     """``encode``'s output for one batch: the source encoder's states
     ``enc`` and the ``attn`` memory, with the source and the input they were
-    computed from, so that a caller that encodes once can hand them on."""
+    computed from, so that a caller that encodes once can hand them on.
+
+    ``with_rollout`` adds decoder_asr's greedy rollout over ``attn``, so
+    that one rollout serves every pass over the batch that reads the tied
+    topologies' ``attn_dec`` memory: ``head_memories`` cuts it to the
+    loss's limits (``forward``) or to the decode's (``decode.beam_search``),
+    and a caller that reads its tokens up to a length has the greedy
+    transcript of that length. Each cut is bit for bit what a rollout run at
+    its own limits gives, for three reasons:
+
+    - until a greedy row stops, its trajectory does not depend on its
+      limit, so a larger limit only appends steps after the cut;
+    - a rollout row is bit-identical across the batch's row order and row
+      count under the row rule of the ``layers`` docstring (pinned under row
+      permutations in ``tests/test_models.py``), and rollouts at different
+      limits pack their rows differently;
+    - the states past a row's steps, which differ between the two, are
+      masked in attention, where they enter the context product with
+      weight 0, and the adapter BLSTM never reads them.
+
+    The tokens match a beam-1 ``decode.beam_search`` with one exception:
+    beam 1 ranks by cumulative score + log p, so where two tokens tie after
+    rounding although their probabilities differ, it takes the lower id and
+    the rollout the more probable one.
+    """
 
     source: str  # "speech" | "text"
     inputs: tuple[np.ndarray, np.ndarray]  # ``_source_input`` of the encoded batch
     enc: EncoderStates
     attn: EncoderStates
+    rollout: Rollout | None = None
 
     def check(self, batch: Batch, source: str) -> None:
         """Raise ``EncodingMismatchError`` unless this encodes ``batch``'s
@@ -637,23 +691,52 @@ def encode(graph, store, batch: Batch, source: str, rngs=None) -> Encoding:
     return Encoding(source, inputs, enc, attn)
 
 
+def _rollout_limits(batch: Batch, enc: EncoderStates, decoding: bool) -> np.ndarray:
+    """decoder_asr's per-row rollout cap: ceil(1.5 J) transcript tokens for
+    the loss and, when decoding (no transcripts), the pooled frame count;
+    at least one step."""
+    return np.maximum(1, enc.lengths if decoding else np.ceil(1.5 * batch.src_lengths).astype(np.int64))
+
+
+def with_rollout(graph, store, batch: Batch, encoding: Encoding, max_len: int) -> Encoding:
+    """``encoding`` carrying decoder_asr's greedy rollout over its ``attn``
+    memory (an ``Encoding.rollout``), run under ``no_grad`` at each row's
+    largest of the loss's cap, the decode's cap and ``max_len``, the
+    transcript length a caller reads."""
+    limits = np.maximum(_rollout_limits(batch, encoding.enc, False), _rollout_limits(batch, encoding.enc, True))
+    limits = np.maximum(limits, max_len)
+    with no_grad():
+        states, steps, tokens = run_decoder_greedy_rollout(
+            graph, store, "decoder_asr", [("attn", encoding.attn)], limits, _task_vocab(graph, "asr")
+        )
+    return replace(encoding, rollout=Rollout(limits, states, steps, tokens))
+
+
 def head_memories(
-    graph, store, batch: Batch, head: Head, enc, attn, rngs=None, decoding=False
+    graph, store, batch: Batch, head: Head, encoding: Encoding, rngs=None, decoding=False
 ) -> list[tuple[str, EncoderStates]]:
     """A head's (name, memory) list. ``attn_dec`` is decoder_asr's greedy
     rollout over ``attn``, through the adapter when it sits at
     asr_decoder_top. The rollout is capped per row at ceil(1.5 J) transcript
     tokens for the loss and, when ``decoding`` (no transcripts), at the
-    pooled frame count."""
-    memories = {"attn": attn}
+    pooled frame count. An ``encoding`` with a rollout gives it cut to those
+    caps (``Rollout.cut``), bit for bit the rollout run at them (see
+    ``Encoding``). It was run under ``no_grad`` without dropout and is
+    taken as it is, as ``forward`` takes the encoder states; without one,
+    the rollout runs here, drawing on ``rngs``."""
+    memories = {"attn": encoding.attn}
     if "attn_dec" in head.memories:
-        limits = np.maximum(1, enc.lengths if decoding else np.ceil(1.5 * batch.src_lengths).astype(np.int64))
-        states, lengths, _ = run_decoder_greedy_rollout(
-            graph, store, "decoder_asr", [("attn", attn)], limits, _task_vocab(graph, "asr"), rngs
-        )
-        memories["attn_dec"] = EncoderStates(states, lengths)
+        limits = _rollout_limits(batch, encoding.enc, decoding)
+        if encoding.rollout is None:
+            states, lengths, _ = run_decoder_greedy_rollout(
+                graph, store, "decoder_asr", [("attn", encoding.attn)], limits, _task_vocab(graph, "asr"), rngs
+            )
+            dec = EncoderStates(states, lengths)
+        else:
+            dec = encoding.rollout.cut(limits)
         if graph.adapter_position == "asr_decoder_top":
-            memories["attn_dec"] = apply_adapter(graph, store, memories["attn_dec"], rngs)
+            dec = apply_adapter(graph, store, dec, rngs)
+        memories["attn_dec"] = dec
     return [(name, memories[name]) for name in head.memories]
 
 
@@ -676,10 +759,9 @@ def forward(
         encoding = encode(graph, store, batch, route.source, rngs)
     else:
         encoding.check(batch, route.source)
-    enc, attn = encoding.enc, encoding.attn
     runs = {}  # head -> (loss, hits, steps)
     for head in route.heads:
-        memories = head_memories(graph, store, batch, head, enc, attn, rngs)
+        memories = head_memories(graph, store, batch, head, encoding, rngs)
         targets, lengths = (batch.src, batch.src_lengths) if head.task == "asr" else (batch.tgt, batch.tgt_lengths)
         loss, hits = run_decoder_teacher_forced(
             graph, store, head.decoder, memories, targets, lengths, _task_vocab(graph, head.task), rngs
@@ -688,7 +770,7 @@ def forward(
     parts = LossBreakdown(combined=None)
     ctc_head = None
     if graph.config.ctc_enabled and route.source == "speech":
-        parts.ctc_loss = _ctc_term(graph, store, enc, batch)
+        parts.ctc_loss = _ctc_term(graph, store, encoding.enc, batch)
         # CTC folds into the asr head's term, or the only head's if none is asr.
         ctc_head = next((h for h in route.heads if h.task == "asr"), route.heads[0])
     lam = graph.config.loss_weight

@@ -132,29 +132,49 @@ def evaluate_model(
     When the filter keeps every example, those batches are exactly
     ``decode_batches(dev)``, and the task's decode and the asr decode for WER
     reuse the same encodings; when it drops any, ``decode_batches(dev)`` is
-    encoded once more and both decodes share that. Nothing outlives the call:
-    the weights change between calls.
+    encoded once more and both decodes share that.
+
+    On the tied topologies each shared encoding also carries decoder_asr's
+    greedy rollout (``models.with_rollout``), run once per batch at each
+    row's largest of the three limits it serves: the loss's ``attn_dec``
+    memory (ceil(1.5 J) steps), the decode's (the pooled frame count) and
+    the transcript for WER (``max_len`` tokens, read from its tokens in
+    place of a beam-1 asr decode). When the filter drops examples, the
+    loss batches roll out for themselves and the decode batches' rollout
+    serves the other two. Each pass sees the bits it saw when it rolled out
+    at its own limits (see ``models.Encoding``), with the exception stated
+    there: where two tokens tie after rounding although their probabilities
+    differ, beam 1 took the lower id and the rollout takes the more
+    probable one. Nothing outlives the call: the weights change between
+    calls.
     """
     task = default_direction(graph.topology)
     cfg = graph.config
     dev_batches, report = make_batches(
         dev, 32, max_len=schedule.max_len, pool_product=cfg.pool_product, ctc_filter=cfg.ctc_enabled
     )
-    source = models.route_for(graph.topology).source
+    route = models.route_for(graph.topology)
+    tied = any("attn_dec" in head.memories for head in route.heads)
+    filtered = report.kept < len(dev)
+    max_len = default_max_len(max(ex.e.length for ex in dev.examples) if dev.examples else 8)
+
+    def encode(b: Batch, rollout: bool) -> models.Encoding:
+        encoding = models.encode(graph, store, b, route.source)
+        return models.with_rollout(graph, store, b, encoding, max_len) if rollout else encoding
+
     encodings = []
     hits = steps = 0
     loss_sum = 0.0
     with no_grad():
         for b in dev_batches:
-            encodings.append(models.encode(graph, store, b, source))
+            encodings.append(encode(b, tied and not filtered))
             parts = models.forward(graph, store, b, encoding=encodings[-1])
             h, s = parts.token_hits[task]
             hits += h
             steps += s
             loss_sum += parts.combined.item()
-        if report.kept < len(dev):
-            encodings = [models.encode(graph, store, b, source) for b in decode_batches(dev)]
-    max_len = default_max_len(max(ex.e.length for ex in dev.examples) if dev.examples else 8)
+        if filtered:
+            encodings = [encode(b, tied) for b in decode_batches(dev)]
     hyps = decode_corpus(graph, store, dev, task, schedule.dev_beam, max_len, schedule.len_norm, encodings)
     _, refs = output_side(dev, task)
     out = {
@@ -164,7 +184,17 @@ def evaluate_model(
         "ter": round(metrics_mod.ter(hyps, refs), 4),
     }
     if "decoder_asr." in graph.component_prefixes():
-        asr_hyps = hyps if task == "asr" else decode_corpus(graph, store, dev, "asr", 1, max_len, encodings=encodings)
+        if task == "asr":
+            asr_hyps = hyps
+        elif tied:
+            src = dev.src_vocab
+            asr_hyps = [
+                src.to_words([t for t in row[:max_len].tolist() if t < src.content_size])
+                for encoding in encodings
+                for row in encoding.rollout.tokens
+            ]
+        else:
+            asr_hyps = decode_corpus(graph, store, dev, "asr", 1, max_len, encodings=encodings)
         out["wer"] = round(metrics_mod.wer(asr_hyps, output_side(dev, "asr")[1]), 4)
     return out
 

@@ -312,6 +312,19 @@ def test_batched_ctc_gradcheck_through_softmax():
     check_grads(lambda: batched_ctc_loss(tz.log_softmax(store["logits"]), frames, targets, labels), store, tol=1e-6)
 
 
+def test_malformed_inputs_are_rejected_before_the_dp():
+    lp = np.log(np.full((2, 4, 3), 1 / 3))
+    targets, labels = np.array([[0, 1], [1, 0]]), np.array([2, 2])
+    with pytest.raises(NumericsError, match=r"^frame log-probs must be \(B, T, V\+1\)"):
+        batched_ctc_loss(lp[0], np.array([4]), targets[:1], labels[:1])
+    with pytest.raises(NumericsError, match=r"^frame lengths must be \(B,\) in \[0, 4\]"):
+        batched_ctc_loss(lp, np.array([4, 5]), targets, labels)
+    with pytest.raises(NumericsError, match=r"^CTC targets must be \(B, J\) ids"):
+        batched_ctc_loss(lp, np.array([4, 4]), targets, np.array([2, 3]))
+    with pytest.raises(NumericsError, match=r"^CTC needs \(T, V\+1\) frame log-probs and a 1-D target"):
+        ctc_loss(lp[0], targets)
+
+
 def test_batched_infeasible_row_is_named():
     lp = np.log(np.full((3, 4, 3), 1 / 3))
     targets = np.array([[0, 1], [1, 1], [0, 0]])

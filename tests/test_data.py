@@ -67,6 +67,13 @@ def test_generate_validation():
         generate(seed=0, n_examples=5, vocab_size=6, len_range=(5, 2))
 
 
+def test_an_empty_vocabulary_and_an_empty_batch_size_are_rejected():
+    with pytest.raises(DataError, match="^vocabulary needs at least one content token"):
+        Vocabulary.make("s", 0)
+    with pytest.raises(DataError, match="^batch_size must be >= 1"):
+        batch(generate(seed=0, n_examples=4, vocab_size=5), 0)
+
+
 def test_split_disjoint_exhaustive_deterministic():
     ds = generate(seed=2, n_examples=40, vocab_size=6)
     train, dev, test = split(ds, (0.8, 0.1, 0.1), seed=7)

@@ -515,6 +515,8 @@ def test_decode_directions_and_errors():
     assert st.tokens and asr.tokens
     with pytest.raises(NumericsError):
         beam_decode(graph, store, x, 1, max_len=5, direction="mt")
+    with pytest.raises(decode.DirectionError, match="^unknown decode direction 'xx'"):
+        beam_search(graph, store, data.batch(ds, len(ds))[0][0], 1, 5, direction="xx")
     ds2, mt_graph, mt_store = tiny_setup(seed=4, topology="mt")
     hyp = beam_decode(mt_graph, mt_store, ds2.examples[0].f.ids, 1, max_len=5, direction="mt")
     assert hyp.tokens

@@ -741,6 +741,11 @@ def test_greedy_rollout_rejects_non_finite_probabilities(monkeypatch):
         run_rollout(decoder_inputs(decoder_store(5)), np.array([3, 2]))
 
 
+def test_greedy_rollout_needs_a_row_that_runs_a_step():
+    with pytest.raises(ShapeError, match="^greedy rollout: no row may run a step"):
+        run_rollout(decoder_inputs(decoder_store(5)), np.array([0, 0]))
+
+
 def test_teacher_forced_decoder_gradients():
     store = decoder_store(0)
     check_grads(lambda: run_decoder(store)[0], store)

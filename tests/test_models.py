@@ -12,7 +12,7 @@ from deskst import data, layers, models, tensor as tz
 from deskst.data import Vocabulary
 from deskst.layers import EncoderStates, label_smoothed_ce
 from deskst.models import LossBreakdown, ModelConfig, build, forward, init_store
-from deskst.numerics import OptimizerState, adam_step, backward
+from deskst.numerics import OptimizerState, adam_step, backward, rng_for
 from deskst.tensor import NumericsError
 
 from util import check_grads, store_with
@@ -709,6 +709,82 @@ def test_fused_rollout_under_no_grad_is_parentless_with_same_values():
     assert plain.parents == () and plain.backward is None
     assert plain.data.tobytes() == states.data.tobytes()
     assert np.array_equal(plain_tokens, tokens) and np.array_equal(plain_lengths, lengths)
+
+
+def tied_rollout_case(topology, adapter):
+    """A tied model whose decoder_asr parameters and zero-initialized
+    tensors are redrawn at unit scale, by name, so every topology and adapter
+    setting rolls out the same, and a 5-row batch of 1 to 6 tokens, on which
+    rows stop on [EOS] and at their limit."""
+    ds = data.generate(seed=5, n_examples=8, vocab_size=5, len_range=(1, 6), frames_per_token_range=(2, 6))
+    graph = build(tiny_config(ds), topology, adapter=adapter)
+    store = init_store(graph, 6)
+    for name in graph.names():
+        if name in graph.zero_init or name.startswith("decoder_asr."):
+            store.set(name, rng_for(7, name).normal(size=graph.shapes[name]))
+    vocab = models._task_vocab(graph, "asr")
+    out_b = store["decoder_asr.out.b"].data.copy()
+    out_b[vocab.eos_id] += 0.1
+    store.set("decoder_asr.out.b", out_b)
+    return graph, store, vocab, first_batch(ds, size=5)
+
+
+def memory_at_valid_positions(memory: EncoderStates) -> list[bytes]:
+    return [memory.states.data[b, :n].tobytes() for b, n in enumerate(memory.lengths)]
+
+
+@pytest.mark.parametrize("adapter", [False, True])
+@pytest.mark.parametrize("topology", ["tied_cascade", "tied_triangle"])
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(st.data())
+def test_a_cut_rollout_is_the_rollout_run_at_the_cut(topology, adapter, draw):
+    graph, store, vocab, batch = tied_rollout_case(topology, adapter)
+    B = batch.size
+    st_head = models.route_for(topology).heads[1]
+    with tz.no_grad():
+        encoding = models.encode(graph, store, batch, "speech")
+
+        def run(limits):
+            return models.run_decoder_greedy_rollout(graph, store, "decoder_asr", [("attn", encoding.attn)], limits, vocab)
+
+        def attn_dec(memory):
+            return models.apply_adapter(graph, store, memory) if adapter else memory
+
+        own = np.maximum(models._rollout_limits(batch, encoding.enc, False), models._rollout_limits(batch, encoding.enc, True))
+        limits = own + np.array(draw.draw(st.lists(st.integers(0, 4), min_size=B, max_size=B)))
+        cut_to = np.array([draw.draw(st.integers(1, int(n))) for n in limits])
+        rollout = models.Rollout(limits, *run(limits))
+        got, (states, steps, tokens) = rollout.cut(cut_to), run(cut_to)
+        assert np.array_equal(got.lengths, steps) and got.states.shape == states.shape
+        valid = np.arange(tokens.shape[1]) < steps[:, None]
+        assert np.array_equal(np.where(valid, rollout.tokens[:, : tokens.shape[1]], vocab.pad_id), tokens)
+        run_at_cut = EncoderStates(states, steps)
+        assert memory_at_valid_positions(got) == memory_at_valid_positions(run_at_cut)
+        assert memory_at_valid_positions(attn_dec(got)) == memory_at_valid_positions(attn_dec(run_at_cut))
+        # head_memories cuts the carried rollout to the loss's and the decode's limits.
+        shared = dataclasses.replace(encoding, rollout=rollout)
+        for decoding in (False, True):
+            got, want = (
+                dict(models.head_memories(graph, store, batch, st_head, e, decoding=decoding))["attn_dec"]
+                for e in (shared, encoding)
+            )
+            assert np.array_equal(got.lengths, want.lengths)
+            assert memory_at_valid_positions(got) == memory_at_valid_positions(want)
+    with pytest.raises(models.EncodingMismatchError, match="cannot be cut"):
+        rollout.cut(limits + 1)
+
+
+def test_tied_rollout_case_rows_stop_both_ways():
+    """The cut test's rows stop both on [EOS] and at their limit."""
+    graph, store, vocab, batch = tied_rollout_case("tied_triangle", False)
+    with tz.no_grad():
+        encoding = models.encode(graph, store, batch, "speech")
+        limits = models._rollout_limits(batch, encoding.enc, True)
+        _, steps, tokens = models.run_decoder_greedy_rollout(
+            graph, store, "decoder_asr", [("attn", encoding.attn)], limits, vocab
+        )
+    at_eos = tokens[np.arange(batch.size), steps - 1] == vocab.eos_id
+    assert (at_eos & (steps < limits)).any() and (~at_eos & (steps == limits)).any()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -73,6 +73,15 @@ def test_seeded_init_schemes():
         seeded_init((0, 3), "zeros", rng)
 
 
+def test_param_store_set_rejects_a_wrong_shape_and_non_finite_values():
+    store = store_with(w=np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match=r"^w: cannot assign shape \(3, 2\) to \(2, 3\)"):
+        store.set("w", np.zeros((3, 2)))
+    with pytest.raises(NonFiniteError, match="^non-finite assignment to w"):
+        store.set("w", np.full((2, 3), np.nan))
+    assert not store["w"].data.any()
+
+
 def test_param_store_name_keyed_init_is_order_independent():
     a = ParamStore(11)
     a.create("enc.w", (4, 4))

@@ -237,8 +237,13 @@ def _evaluate_encoding_per_pass(graph, store, dev, schedule):
         ("tied_cascade", True, False, TrainSchedule()),
         ("tied_triangle", False, True, TrainSchedule()),
         ("one2many", True, False, TrainSchedule(max_len=2)),  # the filter drops the 3-token examples
+        ("tied_triangle", True, False, TrainSchedule(max_len=2)),
+        ("tied_cascade", False, True, TrainSchedule()),
     ],
-    ids=["direct", "asr", "mt", "one2many", "many2one", "tied_cascade", "tied_triangle", "one2many_filtered"],
+    ids=[
+        "direct", "asr", "mt", "one2many", "many2one", "tied_cascade", "tied_triangle", "one2many_filtered",
+        "tied_triangle_filtered", "tied_cascade_adapter",
+    ],
 )
 def test_evaluate_model_scores_as_passes_that_encode_for_themselves(topology, ctc, adapter, schedule):
     train, dev = small_task()
@@ -270,6 +275,39 @@ def test_evaluate_model_encodes_each_dev_batch_once(monkeypatch, max_len):
         calls.clear()
         training.evaluate_model(graph, store, dev, TrainSchedule(max_len=max_len))
         assert len(calls) == (filtered + decoded if max_len else decoded)
+
+
+@pytest.mark.parametrize("max_len", [None, 2])
+@pytest.mark.parametrize("topology", ["tied_cascade", "tied_triangle", "one2many"])
+def test_evaluate_model_rolls_out_decoder_asr_once_per_dev_batch(monkeypatch, topology, max_len):
+    """On the tied topologies, one rollout per decode batch serves the dev
+    loss, the st decode and WER, with no asr decode; when the filter drops
+    examples (max_len 2), each loss batch rolls out for itself as well.
+    one2many has no rollout and decodes asr for WER."""
+    train, dev = small_task(n=200)
+    graph, store = small_model(train, topology=topology, ctc_enabled=True)
+    decoded = len(training.decode_batches(dev))
+    filtered = len(data.batch(dev, 32, max_len=max_len, pool_product=2, ctc_filter=True)[0])
+    assert decoded == 2 and filtered == (1 if max_len else 2)
+    rollouts, directions = [], []
+    rollout, decode_corpus = models.run_decoder_greedy_rollout, training.decode_corpus
+
+    def counted_rollout(*args, **kwargs):
+        rollouts.append(args[4])
+        return rollout(*args, **kwargs)
+
+    def counted_decode(*args, **kwargs):
+        directions.append(args[3])
+        return decode_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(models, "run_decoder_greedy_rollout", counted_rollout)
+    monkeypatch.setattr(training, "decode_corpus", counted_decode)
+    training.evaluate_model(graph, store, dev, TrainSchedule(max_len=max_len))
+    if topology == "one2many":
+        assert rollouts == [] and directions == ["st", "asr"]
+    else:
+        assert len(rollouts) == decoded + (filtered if max_len else 0)
+        assert directions == ["st"]
 
 
 def test_decode_corpus_rejects_encodings_of_other_batches():

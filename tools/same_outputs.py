@@ -78,6 +78,7 @@ TRAINED = {
     "asr_ctc": ["--topology", "asr", "--ctc", "on", "--train.dev_beam", "3"],
     # The dev filter drops examples: too long for train.max_len, or too short for CTC after pooling.
     "direct_max_len": ["--topology", "direct", "--train.max_len", "3"],
+    "tied_triangle_max_len": ["--topology", "tied_triangle", "--adapter", "on", "--train.max_len", "3"],
     "one2many_ctc_pools": [
         "--topology", "one2many", "--ctc", "on", "--model.enc_layers", "3", "--model.pool_schedule", "2,2,1",
         "--data.frames_min", "2", "--data.frames_max", "4",
